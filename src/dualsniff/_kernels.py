@@ -1,11 +1,13 @@
 """Hot numeric kernels with a numba fast path and a pure-numpy fallback.
 
 Two numeric loops live here: scanning an ellipse arc for residual sign
-changes (one scan per located subframe, the range-sum solver's inner loop)
-and an exhaustive cost grid over a timing-advance annulus.  The grid no
-longer serves the brute-force oracle, which is a branch-and-bound in
-``bruteforce``; it remains as an independent exhaustive reference for the
-oracle's tests.  Both are implemented twice with identical semantics:
+changes and an exhaustive cost grid over a timing-advance annulus.  Neither
+serves the solvers any more: the range-sum solver intersects its ellipses in
+closed form (``geometry.eliminate``), and the brute-force oracle is a
+branch-and-bound in ``bruteforce``.  The grid remains as an independent
+exhaustive reference for the oracle's tests, and both stay importable where
+the benchmark tracer looks them up.  Both are implemented twice with
+identical semantics:
 
 * ``*_numba``: scalar loops compiled with ``@njit`` (default when numba
   imports cleanly),

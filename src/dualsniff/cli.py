@@ -34,7 +34,7 @@ from .snifferlog import (MatchedSample, TimingRecord, filter_rnti, match_records
                          parse_log, write_log)
 from .stats import EmptyInput, ErrorStats, cdf_quantile, one_sigma_filter, summarize
 from .tdoa import estimate_tdoa
-from .timing import ClockConfig, SubframeSchedule, quantize_ta, simulate_capture
+from .timing import SubframeSchedule, quantize_ta, simulate_capture
 from .toa import compose_D, solve_toa
 
 EXIT_OK = 0
@@ -80,11 +80,9 @@ def _decoy_captures(setup: ExperimentSetup, count: int) -> List[List[TimingRecor
         decoy_scenario = Scenario(enb=setup.scenario.enb,
                                   sniffers=setup.scenario.sniffers,
                                   ue_truth=ue, ta_index=setup.scenario.ta_index)
-        decoy_clock = ClockConfig(sniffer_offsets=setup.clock.sniffer_offsets,
-                                  ue_hw_error=setup.clock.ue_hw_error,
-                                  sniffer_noise_sigma=setup.clock.sniffer_noise_sigma,
-                                  ta_value=quantize_ta(distance(ue, setup.scenario.enb))[1],
-                                  rng_seed=setup.clock.rng_seed + 104729 + i)
+        decoy_clock = replace(setup.clock,
+                              ta_value=quantize_ta(distance(ue, setup.scenario.enb))[1],
+                              rng_seed=setup.clock.rng_seed + 104729 + i)
         captures.append(simulate_capture(
             decoy_scenario, decoy_clock,
             SubframeSchedule(count=setup.capture.subframes), setup.relocations,
@@ -139,23 +137,16 @@ def cmd_simulate(args) -> int:
 def _apply_overrides(setup: ExperimentSetup, args) -> ExperimentSetup:
     clock, capture = setup.clock, setup.capture
     if getattr(args, "seed", None) is not None:
-        clock = ClockConfig(sniffer_offsets=clock.sniffer_offsets,
-                            ue_hw_error=clock.ue_hw_error,
-                            sniffer_noise_sigma=clock.sniffer_noise_sigma,
-                            ta_value=clock.ta_value, rng_seed=args.seed)
+        clock = replace(clock, rng_seed=args.seed)
     if getattr(args, "sigma", None) is not None:
-        clock = ClockConfig(sniffer_offsets=clock.sniffer_offsets,
-                            ue_hw_error=clock.ue_hw_error,
-                            sniffer_noise_sigma=args.sigma,
-                            ta_value=clock.ta_value, rng_seed=clock.rng_seed)
+        clock = replace(clock, sniffer_noise_sigma=args.sigma)
     if getattr(args, "subframes", None) is not None:
         if any(r.at_subframe >= args.subframes for r in setup.relocations):
             raise ConfigError("--subframes cuts the capture before a relocation")
         capture = replace(capture, subframes=args.subframes)
     if getattr(args, "snr", None) is not None:
         capture = replace(capture, snr_db=args.snr)
-    return ExperimentSetup(scenario=setup.scenario, clock=clock,
-                           capture=capture, relocations=setup.relocations)
+    return replace(setup, clock=clock, capture=capture)
 
 
 # ---------------------------------------------------------------------------

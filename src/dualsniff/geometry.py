@@ -6,7 +6,11 @@ times in seconds.  Microseconds appear only in the sniffer log format.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
+
+from .errors import AmbiguousSolution, DegenerateGeometry
 
 #: Speed of light in vacuum, m/s.
 SPEED_OF_LIGHT = 299_792_458.0
@@ -19,6 +23,13 @@ TA_STEP_S = 16.0 * LTE_TS
 
 #: Width of one timing-advance distance band, meters.
 TA_BAND_M = 78.12
+
+#: Condition-number limit for the solvable linear systems.
+CONDITION_LIMIT = 1e12
+#: Discriminant values above this (negative) floor are clamped to zero, m^2.
+DISCRIMINANT_TOL = -1e-9
+#: Two clean in-band candidates farther apart than this are ambiguous, meters.
+AMBIGUITY_SEPARATION = 1.0
 
 
 @dataclass(frozen=True)
@@ -98,3 +109,101 @@ class Scenario:
     def distances_to(self, point: Position) -> Tuple[float, ...]:
         """Distances from every sniffer to a point, in sniffer order."""
         return tuple(distance(s, point) for s in self.sniffers)
+
+
+def eliminate(G: np.ndarray, h: np.ndarray, anchor: Position
+              ) -> Tuple[List[Tuple[Position, float]], Optional[Tuple[Position, float]]]:
+    """Solve two squared range rows together with r = |u - anchor|.
+
+    Row i of G [x, y, r]^T = h is linear in the position u = (x, y) and its
+    range r to ``anchor``: the squared range-difference rows of
+    ``tdoa.build_system`` and, with the base station as the anchor, the
+    squared range-sum rows of ``toa`` (the spherical-intersection
+    construction of Smith & Abel 1987 and Chan & Ho 1994).  The position
+    block gives u(r) = u0 - B r; substituting into r = |u(r) - anchor|
+    leaves (|B|^2 - 1) r^2 - 2 (w . B) r + |w|^2 = 0 with w = u0 - anchor.
+
+    Returns ``(roots, vertex)``.  ``roots`` holds (u(r), r) for every
+    non-negative real root r in ascending order; squaring admits roots off
+    the true branch, which the caller tests.  ``vertex`` is None unless the
+    quadratic has no real root (discriminant below ``DISCRIMINANT_TOL``);
+    it is then (u(r), r) at the quadratic's vertex, where r and
+    |u(r) - anchor| come closest, and ``roots`` is empty.  Raises
+    DegenerateGeometry when the position block is near-singular.
+    """
+    A = G[:, :2]
+    cond = np.linalg.cond(A)
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise DegenerateGeometry(
+            f"position rows are near-collinear (condition number {cond:.2e})")
+    u0 = np.linalg.solve(A, h)
+    B = np.linalg.solve(A, G[:, 2])
+    w = u0 - np.array([anchor.x, anchor.y])
+
+    def at(r: float) -> Tuple[Position, float]:
+        u = u0 - B * r
+        return Position(float(u[0]), float(u[1])), r
+
+    alpha = float(B @ B) - 1.0
+    beta = -2.0 * float(w @ B)
+    gamma = float(w @ w)
+
+    roots: List[float] = []
+    if abs(alpha) < 1e-14:
+        if beta != 0.0:
+            roots.append(-gamma / beta)
+    else:
+        disc = beta * beta - 4.0 * alpha * gamma
+        if disc < DISCRIMINANT_TOL:
+            return [], at(-0.5 * beta / alpha)
+        sq = math.sqrt(max(disc, 0.0))
+        # citardauq ordering keeps both roots accurate when beta dominates
+        q = -0.5 * (beta + math.copysign(sq, beta))
+        roots.append(q / alpha)
+        if q != 0.0:
+            roots.append(gamma / q)
+    ranges = sorted({max(0.0, r) if r > -1e-9 else r for r in roots})
+    return [at(r) for r in ranges if r >= 0.0], None
+
+
+class Candidate(NamedTuple):
+    """One solution of a two-row range system, as the band check sees it."""
+
+    position: Position
+    range: float      # range to the elimination anchor, meters
+    residual: float   # miss of the unsquared equations at ``position``, meters
+    clean: bool       # on the true branch of both unsquared equations
+
+
+def choose_candidate(cands: Sequence[Candidate], enb: Position,
+                     band: Tuple[float, float]) -> Candidate:
+    """Pick the physical candidate with the timing-advance band.
+
+    Two clean candidates inside ``band`` farther apart than
+    ``AMBIGUITY_SEPARATION`` raise AmbiguousSolution, which carries every
+    clean candidate.  Otherwise the in-band candidate with the smallest
+    residual wins.  With none in band, the clean candidate whose base-station
+    distance lies nearest the band wins, ties going to the smaller residual;
+    with no clean candidate either, the smallest residual does.
+    """
+    lo, hi = band
+    in_band = [c for c in cands if lo <= distance(c.position, enb) < hi]
+    clean = [c for c in in_band if c.clean]
+    if len(clean) >= 2:
+        spread = max(distance(a.position, b.position)
+                     for i, a in enumerate(clean) for b in clean[i + 1:])
+        if spread > AMBIGUITY_SEPARATION:
+            raise AmbiguousSolution(
+                f"{len(clean)} in-band candidates separated by {spread:.2f} m",
+                candidates=[c.position for c in cands if c.clean])
+    if in_band:
+        return min(in_band, key=lambda c: c.residual)
+
+    def band_gap(c: Candidate) -> float:
+        d = distance(c.position, enb)
+        return max(lo - d, d - hi)
+
+    clean = [c for c in cands if c.clean]
+    if clean:
+        return min(clean, key=lambda c: (band_gap(c), c.residual))
+    return min(cands, key=lambda c: c.residual)

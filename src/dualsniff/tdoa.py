@@ -18,23 +18,17 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (AmbiguousSolution, DegenerateGeometry,
-                     InfeasibleObservation, MixedReference, NoRealRoot,
-                     RankDeficient)
-from .geometry import SPEED_OF_LIGHT, Position, Scenario, distance
+from .errors import (InfeasibleObservation, LocalizationError, MixedReference,
+                     NoRealRoot, RankDeficient)
+from .geometry import (CONDITION_LIMIT, SPEED_OF_LIGHT, Candidate, Position,
+                       Scenario, choose_candidate, distance, eliminate)
 from .snifferlog import MatchedSample
 
 #: Hard reject for range differences, in units of the sniffer baseline.
 BASELINE_REJECT_FACTOR = 3.0
-#: Condition-number limit for the solvable linear systems.
-CONDITION_LIMIT = 1e12
-#: Discriminant values above this (negative) floor are clamped to zero, m^2.
-DISCRIMINANT_TOL = -1e-9
 #: Range-difference residual below which a root lies on the true hyperbola
 #: branch (squaring admits sign-flipped ghosts with residuals of meters).
 BRANCH_TOL = 1e-6
-#: Two true-branch in-band candidates farther apart than this are ambiguous.
-AMBIGUITY_SEPARATION = 1.0
 
 
 @dataclass(frozen=True)
@@ -141,92 +135,33 @@ def range_difference_residual(u: Position, pairs: Sequence[TdoaPair]) -> float:
     return math.sqrt(total)
 
 
-def _system_pairs(system: LinearSystem, ref_sniffer: Position) -> List[TdoaPair]:
-    """Recover pair geometry from system rows (for residual evaluation)."""
-    return [TdoaPair(ref_sniffer=ref_sniffer,
-                     other_sniffer=Position(ref_sniffer.x + row[0],
-                                            ref_sniffer.y + row[1]),
-                     delta_d=row[2])
-            for row in system.G]
-
-
 def solve_constrained(system: LinearSystem, ref_sniffer: Position,
                       band: Tuple[float, float], enb: Position) -> TdoaEstimate:
     """Solve the two-pair system exactly via reference-range elimination.
 
-    The two linear rows express position as u(d) = u0 - B d; substituting
-    into d = |u(d) - s_1| gives (|B|^2 - 1) d^2 - 2 (w . B) d + |w|^2 = 0
-    with w = u0 - s_1.  Non-negative real roots are candidates; squaring
-    ghosts (wrong hyperbola branch) are recognized by their nonlinear
-    residual and only used as a last resort.  In-band candidates are
-    preferred; two clean in-band candidates far apart raise
-    AmbiguousSolution.
+    ``geometry.eliminate`` turns the two rows into candidate reference
+    ranges d >= 0.  A root lies on the true branch of pair k when
+    d + delta_d_k >= 0; squaring also admits the sign-flipped ghost, whose
+    range-difference miss is 2 |d + delta_d_k|.  ``geometry.choose_candidate``
+    then prefers in-band candidates and raises AmbiguousSolution for two
+    clean in-band candidates far apart; ghosts are used only as a last resort.
     """
     if system.G.shape[0] != 2:
         raise ValueError(
             f"constrained elimination handles exactly 2 rows, got "
             f"{system.G.shape[0]}; use solve_normal_equations")
-    A = system.G[:, :2]
-    g = system.G[:, 2]
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise DegenerateGeometry(
-            f"sniffer displacement rows are near-collinear "
-            f"(condition number {cond:.2e})")
-    u0 = np.linalg.solve(A, system.h)
-    B = np.linalg.solve(A, g)
-    w = u0 - np.array([ref_sniffer.x, ref_sniffer.y])
-
-    alpha = float(B @ B) - 1.0
-    beta = -2.0 * float(w @ B)
-    gamma = float(w @ w)
-
-    roots: List[float] = []
-    if abs(alpha) < 1e-14:
-        if beta != 0.0:
-            roots.append(-gamma / beta)
-    else:
-        disc = beta * beta - 4.0 * alpha * gamma
-        if disc < DISCRIMINANT_TOL:
-            raise NoRealRoot(
-                f"reference-range quadratic has discriminant {disc:.3e} < 0")
-        disc = max(disc, 0.0)
-        sq = math.sqrt(disc)
-        # citardauq ordering keeps both roots accurate when beta dominates
-        q = -0.5 * (beta + math.copysign(sq, beta))
-        roots.append(q / alpha)
-        if q != 0.0:
-            roots.append(gamma / q)
-
-    d_roots = sorted({max(0.0, r) if r > -1e-9 else r for r in roots})
-    d_roots = [r for r in d_roots if r >= 0.0]
-    if not d_roots:
-        raise NoRealRoot(
-            f"no non-negative reference range solves the quadratic "
-            f"(roots {sorted(roots)})")
-
-    pairs = _system_pairs(system, ref_sniffer)
+    roots, vertex = eliminate(system.G, system.h, ref_sniffer)
+    if vertex is not None:
+        raise NoRealRoot("reference-range quadratic has a negative discriminant")
+    if not roots:
+        raise NoRealRoot("no non-negative reference range solves the quadratic")
     cands = []
-    for d in d_roots:
-        u = u0 - B * d
-        pos = Position(float(u[0]), float(u[1]))
-        cands.append((pos, d, range_difference_residual(pos, pairs)))
-
-    lo, hi = band
-    in_band = [c for c in cands if lo <= distance(c[0], enb) < hi]
-    clean = [c for c in in_band if c[2] <= BRANCH_TOL]
-    if len(clean) >= 2:
-        spread = max(distance(a[0], b[0]) for i, a in enumerate(clean)
-                     for b in clean[i + 1:])
-        if spread > AMBIGUITY_SEPARATION:
-            raise AmbiguousSolution(
-                f"{len(clean)} in-band candidates separated by {spread:.2f} m",
-                candidates=[c[0] for c in clean])
-
-    pool = in_band if in_band else cands
-    pos, d, resid = min(pool, key=lambda c: c[2])
-    return TdoaEstimate(position=pos, d_ue1=d, residual_norm=resid,
-                        method="constrained-elimination")
+    for pos, d in roots:
+        resid = 2.0 * math.sqrt(sum(min(0.0, d + dd) ** 2 for dd in system.G[:, 2]))
+        cands.append(Candidate(pos, d, resid, resid <= BRANCH_TOL))
+    best = choose_candidate(cands, enb, band)
+    return TdoaEstimate(position=best.position, d_ue1=best.range,
+                        residual_norm=best.residual, method="constrained-elimination")
 
 
 def solve_normal_equations(system: LinearSystem) -> TdoaEstimate:
@@ -248,6 +183,9 @@ def solve_normal_equations(system: LinearSystem) -> TdoaEstimate:
             f"normal equations condition number {cond:.2e} exceeds "
             f"{CONDITION_LIMIT:.0e}; rows are not independent")
     theta = np.linalg.solve(gram, system.G.T @ system.h)
+    if theta[2] < 0:
+        raise InfeasibleObservation(
+            f"least-squares reference range d_ue1 = {theta[2]:.3f} m is negative")
     residual = float(np.linalg.norm(system.G @ theta - system.h))
     return TdoaEstimate(position=Position(float(theta[0]), float(theta[1])),
                         d_ue1=float(theta[2]), residual_norm=residual,
@@ -299,7 +237,7 @@ def estimate_tdoa(matched_sets: Sequence[Sequence[MatchedSample]],
             outcomes.append(SampleOutcome(
                 index=i, frame=label.frame, subframe=label.subframe,
                 estimate=est))
-        except Exception as exc:  # per-sample isolation
+        except LocalizationError as exc:  # per-sample isolation
             outcomes.append(SampleOutcome(
                 index=i, frame=label.frame, subframe=label.subframe,
                 estimate=None, status=type(exc).__name__, detail=str(exc)))

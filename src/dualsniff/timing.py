@@ -15,11 +15,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import SPEED_OF_LIGHT, TA_BAND_M, TA_STEP_S, Position, Scenario, distance
-from .snifferlog import TimingRecord
+from .snifferlog import FRAME_WRAP, TimingRecord
 
-#: Subframes per radio frame and the frame-counter modulus of the log format.
+#: Subframes per radio frame.
 SUBFRAMES_PER_FRAME = 10
-FRAME_WRAP = 1024
 
 
 @dataclass(frozen=True)
@@ -66,16 +65,10 @@ class SubframeSchedule:
     """Downlink subframe timeline: ``count`` subframes, one every millisecond."""
 
     count: int
-    period: float = 1e-3
 
     def __post_init__(self):
-        if self.period != 1e-3:
-            raise ValueError(f"subframe period is fixed at 1 ms, got {self.period}")
         if self.count < 1:
             raise ValueError(f"need at least one subframe, got {self.count}")
-
-    def times(self) -> np.ndarray:
-        return self.period * np.arange(self.count)
 
 
 @dataclass(frozen=True)

@@ -1,36 +1,32 @@
 """Range-sum (ToA) estimator: intersect two ellipses sharing the eNb focus.
 
-Each sniffer's timing delta fixes the sum of device-to-eNb and
+Each sniffer's timing delta fixes the sum D_i of device-to-eNb and
 device-to-sniffer distances, an ellipse with foci at the eNb and that
-sniffer.  Two sniffers give two ellipses whose intersections are the
-candidate device positions.  There is no closed form, so the solver scans
-one ellipse for sign changes of the other's residual and polishes each
-bracket with a 2D Newton iteration.
+sniffer.  With r = |u - enb|, |u - s_i| = D_i - r squares to the row of
+``tdoa.build_system`` with the eNb as reference and delta_d = -D_i, so the
+intersections come in closed form from ``geometry.eliminate``.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
-import numpy as np
-from scipy.optimize import minimize_scalar
-
-from ._kernels import ellipse_scan
-from .errors import (AmbiguousSolution, CollinearityWarning,
-                     InfeasibleObservation, NoIntersection)
-from .geometry import Position, Scenario, distance, triangle_area
+# Not called here: kept importable for the benchmark tracer, which wraps
+# ``toa.ellipse_scan`` by name.
+from ._kernels import ellipse_scan  # noqa: F401
+from .errors import CollinearityWarning, InfeasibleObservation, NoIntersection
+from .geometry import (Candidate, Position, Scenario, choose_candidate, distance,
+                       eliminate, triangle_area)
+from .tdoa import TdoaPair, build_system
 from .timing import ta_seconds
 
-#: Parameter samples per coarse scan of the first ellipse.
-SCAN_SAMPLES = 720
-#: Convergence tolerance on the joint residual, meters.
-NEWTON_TOL = 1e-9
-NEWTON_MAX_ITER = 50
-#: Above this joint residual the ellipses are declared disjoint, meters.
+#: Rounding allowance of the true-branch test D_i - r >= 0, meters.
+CROSSING_TOL = 1e-9
+#: Former name of ``CROSSING_TOL``, still read by the benchmark tracer.
+NEWTON_TOL = CROSSING_TOL
+#: Above this residual a closest approach is declared no intersection, meters.
 INTERSECTION_TOL = 1.0
-#: Two in-band candidates farther apart than this are ambiguous, meters.
-AMBIGUITY_SEPARATION = 1.0
 #: Triangle area below which eNb and sniffers count as collinear, m^2.
 COLLINEAR_AREA = 1e-6
 
@@ -53,7 +49,7 @@ class ToAEstimate:
     """Chosen intersection plus every candidate the solver saw.
 
     ``residual`` is the worse of the two range-sum residuals at the returned
-    position; exact intersections have residual at the solver tolerance.
+    position; exact intersections have residual at rounding level.
     """
 
     position: Position
@@ -81,66 +77,52 @@ def ellipse_residual(u_cand: Position, obs: ToAObservation, enb: Position) -> fl
     return distance(u_cand, enb) + distance(u_cand, obs.sniffer) - obs.D
 
 
-def _joint_residual(u: np.ndarray, foci: Sequence[Tuple[float, float]],
-                    d_sums: Sequence[float], enb: Tuple[float, float]) -> np.ndarray:
-    out = np.empty(2)
-    for i in range(2):
-        out[i] = (math.hypot(u[0] - enb[0], u[1] - enb[1])
-                  + math.hypot(u[0] - foci[i][0], u[1] - foci[i][1]) - d_sums[i])
-    return out
+def _onto_ellipse(u: Position, obs: ToAObservation, enb: Position) -> Position:
+    """The point of the ellipse of ``obs`` on the ray from the eNb through ``u``:
+    r = (D^2 - |f|^2) / (2 (D - f.e)) along the unit ray e, f = sniffer - eNb."""
+    d = distance(u, enb)
+    ex, ey = (u.x - enb.x) / d, (u.y - enb.y) / d
+    fx, fy = obs.sniffer.x - enb.x, obs.sniffer.y - enb.y
+    r = 0.5 * (obs.D ** 2 - fx * fx - fy * fy) / (obs.D - fx * ex - fy * ey)
+    return Position(enb.x + r * ex, enb.y + r * ey)
 
 
-def _newton_refine(u0: np.ndarray, foci, d_sums, enb):
-    """Polish one intersection seed on the 2x2 residual system.
+def _on_common_line(obs1: ToAObservation, obs2: ToAObservation, enb: Position):
+    """Crossings, or else the closest approach, of ellipses with collinear foci.
 
-    Returns the converged point or None when the Jacobian degenerates or the
-    iteration fails to reach tolerance.
+    With x along the line from the eNb and a_i the sniffer offsets on it, the
+    squared rows a_i x - D_i r = (a_i^2 - D_i^2) / 2 fix x and the range r.
+    The crossings are the mirror pair y = +-sqrt(r^2 - x^2) off the line; at
+    y^2 <= 0 the point on the line is a tangency or the closest approach.
     """
-    u = u0.astype(float).copy()
-    for _ in range(NEWTON_MAX_ITER):
-        res = _joint_residual(u, foci, d_sums, enb)
-        if np.max(np.abs(res)) <= NEWTON_TOL:
-            return u
-        jac = np.empty((2, 2))
-        r_enb = math.hypot(u[0] - enb[0], u[1] - enb[1])
-        if r_enb < 1e-12:
-            return None
-        g_enb = np.array([(u[0] - enb[0]) / r_enb, (u[1] - enb[1]) / r_enb])
-        for i in range(2):
-            r_i = math.hypot(u[0] - foci[i][0], u[1] - foci[i][1])
-            if r_i < 1e-12:
-                return None
-            jac[i, 0] = g_enb[0] + (u[0] - foci[i][0]) / r_i
-            jac[i, 1] = g_enb[1] + (u[1] - foci[i][1]) / r_i
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        if abs(det) < 1e-12:
-            return None
-        u -= np.linalg.solve(jac, res)
-    res = _joint_residual(u, foci, d_sums, enb)
-    return u if np.max(np.abs(res)) <= NEWTON_TOL else None
-
-
-def _ellipse_point(center, a, b, rot, theta) -> np.ndarray:
-    ex, ey = a * math.cos(theta), b * math.sin(theta)
-    cos_r, sin_r = math.cos(rot), math.sin(rot)
-    return np.array([center[0] + cos_r * ex - sin_r * ey,
-                     center[1] + sin_r * ex + cos_r * ey])
+    far = max(obs1.sniffer, obs2.sniffer, key=lambda s: distance(s, enb))
+    ex, ey = (far.x - enb.x) / distance(far, enb), (far.y - enb.y) / distance(far, enb)
+    (a1, D1), (a2, D2) = (((o.sniffer.x - enb.x) * ex + (o.sniffer.y - enb.y) * ey, o.D)
+                          for o in (obs1, obs2))
+    det = D1 * a2 - a1 * D2
+    if det == 0.0:
+        raise NoIntersection("collinear ellipses of equal eccentricity are nested")
+    b1, b2 = 0.5 * (a1 * a1 - D1 * D1), 0.5 * (a2 * a2 - D2 * D2)
+    x, r = (D1 * b2 - D2 * b1) / det, (a1 * b2 - a2 * b1) / det
+    y = math.sqrt(max(r * r - x * x, 0.0))
+    mirrors = [Position(enb.x + x * ex - s * y * ey, enb.y + x * ey + s * y * ex)
+               for s in (1.0, -1.0)]
+    return (mirrors, None) if y > 0.0 else ([], mirrors[0])
 
 
 def solve_toa(obs1: ToAObservation, obs2: ToAObservation, enb: Position,
               band: Tuple[float, float]) -> ToAEstimate:
     """Intersect the two range-sum ellipses and pick the physical root.
 
-    The first ellipse is sampled at ``SCAN_SAMPLES`` parameter angles; every
-    sign change of the second constraint's residual brackets an intersection,
-    which Newton iteration then sharpens.  Candidates whose eNb distance
-    falls inside ``band`` are preferred; ties go to the smaller residual.
+    The crossings are the roots of ``geometry.eliminate`` on the true branch
+    D_i - r >= 0 of both ellipses, or of the common line of a collinear
+    layout, which also warns CollinearityWarning.  Without a crossing, the
+    elimination vertex carried along its ray from the eNb onto the first
+    ellipse is the closest approach.  ``geometry.choose_candidate`` picks.
 
     Raises InfeasibleObservation for range-sums below the focal distance,
     NoIntersection when the ellipses miss by more than ``INTERSECTION_TOL``,
-    and AmbiguousSolution when two well-separated candidates are both in
-    band.  Warns CollinearityWarning when eNb and sniffers are collinear
-    (mirror candidates are then inherently unresolvable).
+    and AmbiguousSolution when two well-separated candidates are both in band.
     """
     for idx, obs in ((1, obs1), (2, obs2)):
         d_focal = distance(enb, obs.sniffer)
@@ -152,73 +134,26 @@ def solve_toa(obs1: ToAObservation, obs2: ToAObservation, enb: Position,
         warnings.warn(CollinearityWarning(
             "base station and sniffers are collinear; intersections are "
             "mirror-symmetric about their common line"))
+        crossings, closest = _on_common_line(obs1, obs2, enb)
+    else:
+        system = build_system([TdoaPair(enb, o.sniffer, -o.D) for o in (obs1, obs2)])
+        roots, vertex = eliminate(system.G, system.h, enb)
+        crossings = [u for u, r in roots if min(obs1.D, obs2.D) - r >= -CROSSING_TOL]
+        closest = _onto_ellipse(vertex[0], obs1, enb) if vertex else None
 
-    p = (enb.x, enb.y)
-    s1 = (obs1.sniffer.x, obs1.sniffer.y)
-    foci = [s1, (obs2.sniffer.x, obs2.sniffer.y)]
-    d_sums = [obs1.D, obs2.D]
+    def candidate(q: Position, clean: bool) -> Candidate:
+        miss = max(abs(ellipse_residual(q, o, enb)) for o in (obs1, obs2))
+        return Candidate(q, distance(q, enb), miss, clean)
 
-    # Ellipse 1 in (center, semi-axes, rotation) form: foci p and s1, sum D1.
-    center = ((p[0] + s1[0]) / 2.0, (p[1] + s1[1]) / 2.0)
-    a = obs1.D / 2.0
-    c_half = distance(enb, obs1.sniffer) / 2.0
-    b = math.sqrt(max(0.0, a * a - c_half * c_half))
-    rot = math.atan2(s1[1] - p[1], s1[0] - p[0])
-
-    res = ellipse_scan(center[0], center[1], a, b, rot, p, foci[1],
-                       d_sums[1], SCAN_SAMPLES)
-    step = 2.0 * math.pi / SCAN_SAMPLES
-
-    seeds: List[float] = []
-    for i in range(SCAN_SAMPLES):
-        j = (i + 1) % SCAN_SAMPLES
-        if res[i] == 0.0 or (res[i] * res[j]) < 0.0:
-            seeds.append((i + 0.5) * step)
-    # A tangency can touch zero without a sign change; always try the
-    # closest-approach sample too.
-    seeds.append(int(np.argmin(np.abs(res))) * step)
-
-    candidates: List[np.ndarray] = []
-    for theta in seeds:
-        refined = _newton_refine(_ellipse_point(center, a, b, rot, theta),
-                                 foci, d_sums, p)
-        if refined is None:
-            continue
-        if all(math.hypot(*(refined - c)) > 1e-6 for c in candidates):
-            candidates.append(refined)
-
-    if not candidates:
-        # No exact crossing: fall back to the closest approach along the
-        # first ellipse so near-tangent noisy cases still yield an estimate.
-        theta0 = int(np.argmin(np.abs(res))) * step
-        fit = minimize_scalar(
-            lambda t: abs(_joint_residual(
-                _ellipse_point(center, a, b, rot, t), foci, d_sums, p)[1]),
-            bounds=(theta0 - step, theta0 + step), method="bounded")
-        miss = float(fit.fun)
-        if miss > INTERSECTION_TOL:
-            raise NoIntersection(
-                f"ellipses do not intersect; closest approach misses the "
-                f"second constraint by {miss:.3f} m "
-                f"(tolerance {INTERSECTION_TOL} m)")
-        candidates.append(_ellipse_point(center, a, b, rot, float(fit.x)))
-
-    positions = [Position(float(u[0]), float(u[1])) for u in candidates]
-    residuals = [max(abs(ellipse_residual(q, obs1, enb)),
-                     abs(ellipse_residual(q, obs2, enb))) for q in positions]
-
-    lo, hi = band
-    in_band = [i for i, q in enumerate(positions) if lo <= distance(q, enb) < hi]
-    if len(in_band) >= 2:
-        spread = max(distance(positions[i], positions[j])
-                     for i in in_band for j in in_band if i < j)
-        if spread > AMBIGUITY_SEPARATION:
-            raise AmbiguousSolution(
-                f"{len(in_band)} candidates inside the TA band separated by "
-                f"{spread:.2f} m", candidates=positions)
-
-    pool = in_band if in_band else range(len(positions))
-    chosen = min(pool, key=lambda i: residuals[i])
-    order = sorted(range(len(positions)), key=lambda i: residuals[i])
-    return ToAEstimate(position=positions[chosen], residual=residuals[chosen],
-                       candidates=tuple(positions[i] for i in order))
+    cands = [candidate(q, True) for q in crossings]
+    if not cands and closest is not None:
+        cands = [candidate(closest, False)]
+    if not cands or cands[0].residual > INTERSECTION_TOL:
+        raise NoIntersection(
+            f"ellipses do not intersect; closest approach misses by "
+            f"{cands[0].residual if cands else math.inf:.3f} m "
+            f"(tolerance {INTERSECTION_TOL} m)")
+    best = choose_candidate(cands, enb, band)
+    order = sorted(cands, key=lambda c: c.residual)
+    return ToAEstimate(position=best.position, residual=best.residual,
+                       candidates=tuple(c.position for c in order))

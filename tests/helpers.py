@@ -92,7 +92,7 @@ def run_tdoa(scenario: Scenario, deltas=None):
 #: Reject range-sum draws whose ellipses cross at a near-tangent angle.
 #: The determinant of the two constraint gradients is ~sin of the crossing
 #: angle (each gradient has norm <= 2); below this floor the two ellipses
-#: osculate, so a second genuine intersection sits within the scan step of
+#: osculate, so a second genuine intersection sits within a few meters of
 #: the first and the pair is unresolvable from timing alone.
 MIN_CROSSING_DET = 0.05
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -273,3 +277,15 @@ def test_report_rejects_bad_schema(tmp_path, capsys):
     assert main(["report", str(empty)]) == EXIT_NO_SAMPLES
     assert main(["report", str(tmp_path / "absent.csv")]) == EXIT_INPUT
     capsys.readouterr()
+
+
+def test_cli_import_loads_no_scipy():
+    """The command line imports none of scipy, which costs most of its start-up."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = ("import sys, dualsniff.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

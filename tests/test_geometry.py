@@ -2,8 +2,10 @@ import math
 
 import pytest
 
-from dualsniff.geometry import (SPEED_OF_LIGHT, TA_BAND_M, Position, Scenario,
-                                distance, ta_band, triangle_area)
+from dualsniff.errors import AmbiguousSolution
+from dualsniff.geometry import (SPEED_OF_LIGHT, TA_BAND_M, Candidate, Position,
+                                Scenario, choose_candidate, distance, ta_band,
+                                triangle_area)
 
 
 def test_position_rejects_non_finite():
@@ -70,3 +72,22 @@ def test_scenario_distances_to():
     d = sc.distances_to(Position(40, 30))
     assert d[0] == pytest.approx(math.sqrt(60 ** 2 + 30 ** 2))
     assert d[1] == pytest.approx(math.sqrt(40 ** 2 + 70 ** 2))
+
+
+def test_choose_candidate_by_band():
+    enb = Position(0, 0)
+    near = Candidate(Position(30, 40), 50.0, 1e-13, True)       # 50 m out
+    far = Candidate(Position(60, 80), 100.0, 1e-14, True)       # 100 m out
+    ghost = Candidate(Position(0, 120), 120.0, 5.0, False)      # 120 m out
+    # out of band, the clean candidate nearest the band beats a smaller residual
+    assert choose_candidate([far, near, ghost], enb, (100.0, 150.0)) == far
+    assert choose_candidate([far, near, ghost], enb, (0.0, 40.0)) == near
+    # a ghost stands in only when no clean candidate is left
+    assert choose_candidate([ghost], enb, (0.0, 40.0)) == ghost
+    # in band, the smaller residual wins, a ghost included
+    assert choose_candidate([near, ghost], enb, (40.0, 130.0)) == near
+    assert choose_candidate([far, ghost], enb, (110.0, 130.0)) == ghost
+    # two clean in-band candidates far apart are ambiguous
+    with pytest.raises(AmbiguousSolution) as exc:
+        choose_candidate([near, far, ghost], enb, (0.0, 150.0))
+    assert exc.value.candidates == [near.position, far.position]

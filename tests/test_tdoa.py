@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from dualsniff import tdoa
 from dualsniff.errors import (DegenerateGeometry, InfeasibleObservation,
                               MixedReference, NoRealRoot, RankDeficient)
 from dualsniff.geometry import SPEED_OF_LIGHT, Position, Scenario, distance
@@ -228,6 +229,27 @@ def test_estimate_tdoa_isolates_bad_samples():
         ["ok", "InfeasibleObservation", "ok"]
     assert outcomes[1].estimate is None
     assert outcomes[1].detail != ""
+
+
+def test_normal_equations_reject_negative_reference_range():
+    # an identity system whose least-squares d_ue1 is -5 m
+    system = LinearSystem(G=np.eye(3), h=np.array([0.0, 0.0, -5.0]))
+    with pytest.raises(InfeasibleObservation):
+        solve_normal_equations(system)
+
+
+def test_estimate_tdoa_lets_programming_errors_through(monkeypatch):
+    """Only solver failures are isolated per sample; a bug stops the batch."""
+    sc = _tri_scenario()
+    deltas = helpers.noiseless_deltas(sc)
+    sets = [[_matched(0, 0, deltas[0] * 1e6, deltas[k] * 1e6)] for k in (1, 2)]
+
+    def broken(*args):
+        raise TypeError("solver bug")
+
+    monkeypatch.setattr(tdoa, "solve_constrained", broken)
+    with pytest.raises(TypeError, match="solver bug"):
+        estimate_tdoa(sets, sc)
 
 
 def test_estimate_tdoa_needs_two_sets():

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from dualsniff.geometry import (LTE_TS, SPEED_OF_LIGHT, TA_BAND_M, TA_STEP_S,
@@ -63,10 +62,6 @@ def test_for_scenario_matches_ta_index():
 
 
 def test_schedule_fixed_period():
-    sched = SubframeSchedule(count=3)
-    assert np.allclose(sched.times(), [0.0, 1e-3, 2e-3])
-    with pytest.raises(ValueError):
-        SubframeSchedule(count=3, period=2e-3)
     with pytest.raises(ValueError):
         SubframeSchedule(count=0)
 

@@ -1,15 +1,21 @@
+import csv
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from dualsniff.errors import (AmbiguousSolution, CollinearityWarning,
                               InfeasibleObservation, NoIntersection)
-from dualsniff.geometry import SPEED_OF_LIGHT, Position, Scenario, distance
+from dualsniff.geometry import SPEED_OF_LIGHT, Position, Scenario, distance, ta_band
 from dualsniff.timing import ClockConfig, subframe_delta, ta_seconds
 from dualsniff.toa import (ToAObservation, compose_D, ellipse_residual,
                            solve_toa)
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _annulus_scenario():
@@ -139,18 +145,119 @@ def test_random_scenarios_recover_truth():
         assert helpers.position_error(est.position, sc) < 1e-6
 
 
-def test_solution_is_frame_equivariant():
-    """Rotating and translating the whole scene moves the fix with it."""
-    base = _annulus_scenario()
-    phi = math.radians(37.0)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(phi=st.floats(0.0, 2.0 * math.pi), dx=st.floats(-1e3, 1e3),
+       dy=st.floats(-1e3, 1e3),
+       noise=st.lists(st.floats(-2e-8, 2e-8), min_size=3, max_size=3))
+def test_solution_is_frame_equivariant(phi, dx, dy, noise):
+    """Rotating and translating the whole scene moves both fixes with it.
+
+    The same noisy deltas are solved in both frames; on this layout the
+    noise keeps every candidate of both schemes at least 19 m from a band
+    edge, so rounding cannot tip the band pick.
+    """
+    base = Scenario(enb=Position(0, 0),
+                    sniffers=(Position(109.7, 0.0), Position(0.0, 139.5),
+                              Position(154.0, 40.0)),
+                    ue_truth=Position(80.0, 82.2), ta_index=1)
     cos_p, sin_p = math.cos(phi), math.sin(phi)
 
     def move(p):
-        return Position(500.0 + cos_p * p.x - sin_p * p.y,
-                        -200.0 + sin_p * p.x + cos_p * p.y)
+        return Position(dx + cos_p * p.x - sin_p * p.y, dy + sin_p * p.x + cos_p * p.y)
 
-    moved = Scenario(enb=move(base.enb),
-                     sniffers=tuple(move(s) for s in base.sniffers),
+    moved = Scenario(enb=move(base.enb), sniffers=tuple(move(s) for s in base.sniffers),
                      ue_truth=move(base.ue_truth), ta_index=base.ta_index)
-    est = helpers.run_toa(moved)
-    assert distance(est.position, moved.ue_truth) < 1e-6
+    deltas = [d + n for d, n in zip(helpers.noiseless_deltas(base), noise)]
+    for solve in (helpers.run_toa, helpers.run_tdoa):
+        fix = solve(base, deltas).position
+        assert distance(solve(moved, deltas).position, move(fix)) < 1e-6
+
+
+def test_collinear_mirror_pair_is_ambiguous():
+    # eNb and both sniffers on the x-axis; the device at (30, 40) has a
+    # mirror image at (30, -40) in the same TA band
+    enb = Position(0, 0)
+    truth = Position(30, 40)
+    obs = [ToAObservation(sniffer=s, D=distance(truth, enb) + distance(truth, s))
+           for s in (Position(100, 0), Position(-50, 0))]
+    with pytest.warns(CollinearityWarning), pytest.raises(AmbiguousSolution) as exc:
+        solve_toa(obs[0], obs[1], enb, (0.0, 78.12))
+    mirrors = sorted(exc.value.candidates, key=lambda q: q.y)
+    assert distance(mirrors[0], Position(30, -40)) < 1e-9
+    assert distance(mirrors[1], truth) < 1e-9
+
+
+def test_out_of_band_pick_is_nearest_the_band():
+    """Two exact crossings outside the band: the one nearer the band wins.
+
+    The square layout crosses at 15.3 m and at 50 m from the eNb; a band
+    beyond both picks the far crossing, a band between them the near one,
+    whatever their rounding-level residuals.
+    """
+    sc = _square_scenario()
+    cfg = ClockConfig.for_scenario(sc)
+    obs = [compose_D(subframe_delta(sc, k, cfg), sc.sniffers[k], sc) for k in (0, 1)]
+    for band, want in (((100.0, 178.12), 50.0), ((20.0, 40.0), 15.3165)):
+        est = solve_toa(obs[0], obs[1], sc.enb, band)
+        assert len(est.candidates) == 2
+        assert distance(est.position, sc.enb) == pytest.approx(want, abs=1e-3)
+
+
+def test_matches_the_scan_solver_reference():
+    """Closed-form crossings against the retired scan-and-Newton solver.
+
+    ``tests/data/toa_reference.csv`` holds 300 ``helpers.draw_scenario``
+    layouts (two sniffers, eNb at the origin, seed 2026), each solved at
+    delta noise of 0, 20 and 100 ns by the 720-point scan with Newton polish
+    and a bounded closest-approach search that this solver replaced: the
+    inputs, the status, the chosen point, its residual and the candidates.
+    Every status must match, every old candidate must be a new one and the
+    chosen point must agree, to 1e-6 m.  Two kinds of row are exempt from
+    the chosen point.  Where the pool held two exact crossings, the old pick
+    fell to residual rounding noise: the new one must be one of the in-band
+    crossings or, with none in band, the crossing nearest the band.  Old
+    closest approaches (residual above 1e-9 m) may move by up to 1 m or
+    become NoIntersection.
+    """
+    enb = Position(0.0, 0.0)
+    exempt = {"two exact": 0, "closest approach": 0}
+    with open(DATA / "toa_reference.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        obs = [ToAObservation(sniffer=Position(float(row[f"s{k}_x"]), float(row[f"s{k}_y"])),
+                              D=float(row[f"D{k}"])) for k in (1, 2)]
+        band = ta_band(int(row["ta_index"]))
+        old = [Position(*map(float, p.split())) for p in row["candidates"].split(";") if p]
+        where = f"draw {row['draw']} at {row['sigma_ns']} ns"
+        try:
+            est = solve_toa(obs[0], obs[1], enb, band)
+            status, new = "ok", list(est.candidates)
+        except AmbiguousSolution as exc:
+            status, new = type(exc).__name__, exc.candidates
+        except (InfeasibleObservation, NoIntersection) as exc:
+            status, new = type(exc).__name__, []
+        if row["status"] == "ok" and float(row["residual"]) > 1e-9:
+            exempt["closest approach"] += 1
+            if status == "ok":
+                moved = distance(est.position, Position(float(row["x"]), float(row["y"])))
+                assert moved <= 1.0, where
+            else:
+                assert status == "NoIntersection", where
+            continue
+        assert status == row["status"], where
+        for q in old:
+            assert min(distance(q, p) for p in new) < 1e-6, where
+        if status != "ok":
+            continue
+        lo, hi = band
+        in_band = [q for q in old if lo <= distance(q, enb) < hi]
+        if len(in_band or old) >= 2:
+            exempt["two exact"] += 1
+            if in_band:
+                assert min(distance(est.position, q) for q in in_band) < 1e-6, where
+            else:
+                nearest = min(old, key=lambda q: max(lo - distance(q, enb), distance(q, enb) - hi))
+                assert distance(est.position, nearest) < 1e-6, where
+            continue
+        assert distance(est.position, Position(float(row["x"]), float(row["y"]))) < 1e-6, where
+    assert exempt == {"two exact": 54, "closest approach": 1}
