@@ -5,48 +5,9 @@ cell; the per-sniffer timing delta pins the target to an ellipse (ToA) and
 delta differences between sniffers pin it to hyperbolae (TDoA).  The
 package simulates the clock chain, parses and matches capture logs, solves
 both geometries, and scores the estimates.
+
+The package re-exports nothing: import from its modules (``geometry``,
+``timing``, ``toa``, ``tdoa``, ``snifferlog``, ``stats``, ``configio``, ...).
 """
 
-from ._kernels import USING_NUMBA
-from .bruteforce import annulus_minimum, pair_cost
-from .configio import CaptureSpec, ConfigError, ExperimentSetup, load_setup, parse_setup
-from .errors import (AmbiguousSolution, CollinearityWarning, DegenerateGeometry,
-                     InfeasibleObservation, LocalizationError, MixedReference,
-                     NoIntersection, NoRealRoot, RankDeficient)
-from .geometry import (LTE_TS, SPEED_OF_LIGHT, TA_BAND_M, TA_STEP_S, Position,
-                       Scenario, distance, ta_band, triangle_area)
-from .snifferlog import (MatchedSample, ParseDiagnostic, TimingRecord, filter_rnti,
-                         match_records, parse_log, write_log, write_matched)
-from .stats import (EmptyInput, ErrorStats, InvalidProbability, TooFewSamples,
-                    cdf_quantile, one_sigma_filter, summarize)
-from .tdoa import (LinearSystem, SampleOutcome, TdoaEstimate, TdoaPair,
-                   build_system, estimate_tdoa, form_tdoa, solve_constrained,
-                   solve_normal_equations)
-from .timing import (ClockConfig, Relocation, SubframeSchedule, dl_arrival,
-                     quantize_ta, sigma_for_snr, simulate_capture, subframe_delta,
-                     ta_seconds, ue_tx_time, ul_arrival)
-from .toa import ToAEstimate, ToAObservation, compose_D, ellipse_residual, solve_toa
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "USING_NUMBA", "annulus_minimum", "pair_cost",
-    "CaptureSpec", "ConfigError", "ExperimentSetup", "load_setup", "parse_setup",
-    "AmbiguousSolution", "CollinearityWarning", "DegenerateGeometry",
-    "InfeasibleObservation", "LocalizationError", "MixedReference",
-    "NoIntersection", "NoRealRoot", "RankDeficient",
-    "LTE_TS", "SPEED_OF_LIGHT", "TA_BAND_M", "TA_STEP_S", "Position",
-    "Scenario", "distance", "ta_band", "triangle_area",
-    "MatchedSample", "ParseDiagnostic", "TimingRecord", "filter_rnti",
-    "match_records", "parse_log", "write_log", "write_matched",
-    "EmptyInput", "ErrorStats", "InvalidProbability", "TooFewSamples",
-    "cdf_quantile", "one_sigma_filter", "summarize",
-    "LinearSystem", "SampleOutcome", "TdoaEstimate", "TdoaPair",
-    "build_system", "estimate_tdoa", "form_tdoa", "solve_constrained",
-    "solve_normal_equations",
-    "ClockConfig", "Relocation", "SubframeSchedule", "dl_arrival",
-    "quantize_ta", "sigma_for_snr", "simulate_capture", "subframe_delta",
-    "ta_seconds", "ue_tx_time", "ul_arrival",
-    "ToAEstimate", "ToAObservation", "compose_D", "ellipse_residual", "solve_toa",
-    "__version__",
-]

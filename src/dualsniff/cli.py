@@ -136,11 +136,18 @@ def cmd_simulate(args) -> int:
 
 def _apply_overrides(setup: ExperimentSetup, args) -> ExperimentSetup:
     clock, capture = setup.clock, setup.capture
+    if getattr(args, "decoys", 0) < 0:
+        raise ConfigError(f"--decoys must be >= 0, got {args.decoys}")
     if getattr(args, "seed", None) is not None:
         clock = replace(clock, rng_seed=args.seed)
     if getattr(args, "sigma", None) is not None:
-        clock = replace(clock, sniffer_noise_sigma=args.sigma)
+        try:
+            clock = replace(clock, sniffer_noise_sigma=args.sigma)
+        except ValueError as exc:
+            raise ConfigError(f"--sigma: {exc}") from exc
     if getattr(args, "subframes", None) is not None:
+        if args.subframes < 1:
+            raise ConfigError(f"--subframes must be >= 1, got {args.subframes}")
         if any(r.at_subframe >= args.subframes for r in setup.relocations):
             raise ConfigError("--subframes cuts the capture before a relocation")
         capture = replace(capture, subframes=args.subframes)

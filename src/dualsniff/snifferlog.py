@@ -5,11 +5,11 @@ Canonical line format (whitespace separated)::
     FRAME.SUBFRAME  RNTI  DELTA_US  SNR_DB  CQI  NOISE_DBM
     0174.4          7423  25.36     22.1    12   -92.4
 
-One line per decoded subframe.  ``FRAME`` is the radio frame counter (wraps
-at 1024), ``SUBFRAME`` is 0-9, ``DELTA_US`` the downlink-uplink timing delta
-in microseconds.  Real sniffer builds print their own layout; converting it
-to this format is the adapter's job, everything downstream consumes only the
-canonical form.
+One line per decoded subframe.  ``FRAME`` is the radio frame counter (0-1023,
+it wraps at 1024), ``SUBFRAME`` is 0-9, ``DELTA_US`` the downlink-uplink
+timing delta in microseconds.  Real sniffer builds print their own layout;
+converting it to this format is the adapter's job, everything downstream
+consumes only the canonical form.
 
 Malformed lines never abort a parse: they are skipped and reported as
 diagnostics carrying the line number and reason.
@@ -106,8 +106,11 @@ def _parse_line(line: str, sniffer_id: str) -> TimingRecord:
     fs = fields[0].split(".")
     if len(fs) != 2:
         raise ValueError(f"bad frame.subframe token {fields[0]!r}")
+    frame = int(fs[0])
+    if frame >= FRAME_WRAP:
+        raise ValueError(f"frame counter must be below {FRAME_WRAP}, got {frame}")
     return TimingRecord(
-        frame=int(fs[0]), subframe=int(fs[1]), rnti=int(fields[1]),
+        frame=frame, subframe=int(fs[1]), rnti=int(fields[1]),
         dl_ul_delta=float(fields[2]), snr=float(fields[3]),
         cqi=int(fields[4]), noise_power=float(fields[5]),
         sniffer_id=sniffer_id)
@@ -135,7 +138,10 @@ def _unwrap_frames(records: Sequence[TimingRecord]) -> List[int]:
     """Monotonic frame counters from a wrapped capture, in stream order.
 
     A drop of more than half the wrap modulus between consecutive records is
-    taken as one wrap of the counter.
+    taken as one wrap of the counter.  The result is exact while the records
+    come in time order and consecutive ones lie fewer than ``FRAME_WRAP // 2``
+    frames apart; a longer gap cannot be told apart from a shorter one by the
+    counters alone.
     """
     unwrapped = []
     offset = 0

@@ -108,6 +108,23 @@ def test_simulate_subframes_override_conflicts_with_relocation(tmp_path, capsys)
     assert "relocation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, culprit", [
+    (("--subframes", "0"), "--subframes"),
+    (("--subframes", "-5"), "--subframes"),
+    (("--sigma", "-1"), "--sigma"),
+    (("--decoys", "-3"), "--decoys"),
+])
+def test_simulate_rejects_bad_overrides(tmp_path, capsys, override, culprit):
+    cfg = _write(tmp_path, "exp.yaml", TOA_CONFIG)
+    out = tmp_path / "x"
+    rc = main(["simulate", "--config", cfg, "--out-dir", str(out), *override])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert culprit in err
+    assert not out.exists()
+
+
 def test_locate_toa_noiseless(tmp_path, capsys):
     out = _simulate(tmp_path, TOA_CONFIG, "run")
     cfg = str(tmp_path / "exp.yaml")
@@ -280,12 +297,28 @@ def test_report_rejects_bad_schema(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    """The command line imports none of scipy, which costs most of its start-up."""
+    """Importing every module loads only the declared runtime dependencies.
+
+    Outside the standard library, the package may pull in numpy and PyYAML
+    (``yaml``, with its libyaml binding ``_yaml``) and nothing else: not
+    scipy, which used to cost most of the command line's start-up, and not
+    numba.  What the interpreter loaded before the package does not count,
+    nor do modules without a file, which C extensions register at run time
+    (numpy's ``cython_runtime``).
+    """
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    probe = ("import sys, dualsniff.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    probe = textwrap.dedent("""\
+        import importlib, pkgutil, sys
+        before = set(sys.modules)
+        import dualsniff
+        for info in pkgutil.iter_modules(dualsniff.__path__):
+            importlib.import_module("dualsniff." + info.name)
+        loaded = {name.split(".")[0] for name in set(sys.modules) - before}
+        print(*(name for name in loaded - set(sys.stdlib_module_names)
+                if getattr(sys.modules[name], "__file__", None)))
+        """)
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert set(out.stdout.split()) - {"dualsniff", "numpy", "yaml", "_yaml"} == set()

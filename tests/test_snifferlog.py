@@ -3,10 +3,12 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualsniff.snifferlog import (MATCHED_HEADER, MatchedSample, TimingRecord,
-                                  _unwrap_frames, filter_rnti, match_records,
-                                  parse_log, write_log, write_matched)
+from dualsniff.snifferlog import (FRAME_WRAP, MATCHED_HEADER, MatchedSample,
+                                  TimingRecord, _unwrap_frames, filter_rnti,
+                                  match_records, parse_log, write_log, write_matched)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -69,6 +71,20 @@ def test_parse_never_aborts_on_garbage():
     assert [d.line for d in diags] == [2]
 
 
+def test_parse_rejects_frame_counter_past_the_wrap():
+    lines = ["1023.9 5 1.0 10.0 7 -90.0",
+             "1500.0 5 1.0 10.0 7 -90.0",
+             "1024.0 5 1.0 10.0 7 -90.0",
+             "0000.1 5 1.0 10.0 7 -90.0"]
+    records, diags = parse_log(lines, "x")
+    assert [(r.frame, r.subframe) for r in records] == [(1023, 9), (0, 1)]
+    assert [(d.line, d.reason) for d in diags] == [
+        (2, "frame counter must be below 1024, got 1500"),
+        (3, "frame counter must be below 1024, got 1024"),
+    ]
+    assert _unwrap_frames(records) == [1023, 1024]
+
+
 def test_roundtrip_identity_small():
     records, _ = parse_log((DATA / "golden_a.log").open(), "a")
     again, diags = parse_log(io.StringIO(write_log(records)), "a")
@@ -104,6 +120,18 @@ def test_unwrap_frames():
     # a small backwards step is jitter, not a wrap
     records = [_rec(f, 0) for f in (500, 400, 600)]
     assert _unwrap_frames(records) == [500, 400, 600]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(start=st.integers(0, FRAME_WRAP - 1),
+       steps=st.lists(st.integers(0, FRAME_WRAP // 2 - 1), max_size=300))
+def test_unwrap_frames_recovers_absolute_frames(start, steps):
+    # gaps shorter than half the wrap unwrap exactly, through any number of wraps
+    absolute = [start]
+    for step in steps:
+        absolute.append(absolute[-1] + step)
+    records = [_rec(f % FRAME_WRAP, 0) for f in absolute]
+    assert _unwrap_frames(records) == absolute
 
 
 def test_match_basic_and_missing_keys():
