@@ -20,21 +20,20 @@ Exit codes: 0 success, 2 configuration error, 3 input error, 4 no samples.
 
 import argparse
 import sys
-from bisect import bisect_right
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .configio import ConfigError, ExperimentSetup, load_setup
 from .errors import LocalizationError
 from .geometry import Position, Scenario, distance, ta_band
-from .snifferlog import (MatchedSample, TimingRecord, filter_rnti, match_records,
-                         parse_log, write_log)
+from .snifferlog import (MatchedSample, TimingColumns, filter_rnti, interleave,
+                         match_records, parse_log, write_log)
 from .stats import EmptyInput, ErrorStats, cdf_quantile, one_sigma_filter, summarize
 from .tdoa import estimate_tdoa
-from .timing import SubframeSchedule, quantize_ta, simulate_capture
+from .timing import SimulatedCapture, SubframeSchedule, quantize_ta, simulate_capture
 from .toa import compose_D, solve_toa
 
 EXIT_OK = 0
@@ -63,7 +62,7 @@ def _segment_bounds(setup: ExperimentSetup) -> List[int]:
     return [0] + cuts + [setup.capture.subframes]
 
 
-def _decoy_captures(setup: ExperimentSetup, count: int) -> List[List[TimingRecord]]:
+def _decoy_captures(setup: ExperimentSetup, count: int) -> List[SimulatedCapture]:
     """Background traffic from other devices, to make RNTI filtering real.
 
     Each decoy is a separate device at a random in-band position with its own
@@ -92,46 +91,38 @@ def _decoy_captures(setup: ExperimentSetup, count: int) -> List[List[TimingRecor
     return captures
 
 
-def _bucket_capture(records: Sequence[TimingRecord], n_sniffers: int,
-                    bounds: Sequence[int],
-                    out: Dict[Tuple[str, int], List[Tuple[int, TimingRecord]]]) -> None:
-    """Split one capture (subframe-major record order) by sniffer and segment."""
-    for i, rec in enumerate(records):
-        n = i // n_sniffers
-        seg = bisect_right(bounds, n) - 1
-        out.setdefault((rec.sniffer_id, seg), []).append((n, rec))
-
-
 def cmd_simulate(args) -> int:
     setup = load_setup(args.config)
     setup = _apply_overrides(setup, args)
     if setup.scenario.ue_truth is None:
         raise ConfigError("simulation requires scenario.ue_truth")
 
-    schedule = SubframeSchedule(count=setup.capture.subframes)
-    n_sniffers = len(setup.scenario.sniffers)
+    target = simulate_capture(
+        setup.scenario, setup.clock, SubframeSchedule(count=setup.capture.subframes),
+        setup.relocations, rnti=setup.capture.rnti, snr_db=setup.capture.snr_db,
+        noise_power_dbm=setup.capture.noise_power_dbm,
+        start_frame=setup.capture.start_frame)
+    # within a subframe, entries go in RNTI order (ties in capture order)
+    captures = sorted([target, *_decoy_captures(setup, args.decoys)], key=lambda c: c.rnti)
     bounds = _segment_bounds(setup)
-    buckets: Dict[Tuple[str, int], List[Tuple[int, TimingRecord]]] = {}
-    _bucket_capture(
-        simulate_capture(
-            setup.scenario, setup.clock, schedule, setup.relocations,
-            rnti=setup.capture.rnti, snr_db=setup.capture.snr_db,
-            noise_power_dbm=setup.capture.noise_power_dbm,
-            start_frame=setup.capture.start_frame),
-        n_sniffers, bounds, buckets)
-    for capture in _decoy_captures(setup, args.decoys):
-        _bucket_capture(capture, n_sniffers, bounds, buckets)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for k in range(n_sniffers):
-        for j in range(len(bounds) - 1):
-            tagged = sorted(buckets.get((f"sn{k + 1}", j), []),
-                            key=lambda t: (t[0], t[1].rnti))
+    for k in range(len(setup.scenario.sniffers)):
+        for j, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            log = interleave([c.sniffer_log(k, start, stop) for c in captures])
             path = out_dir / f"sn{k + 1}_cfg{j + 1}.log"
-            path.write_text(write_log([r for _, r in tagged]), encoding="utf-8")
-            print(f"wrote {path} ({len(tagged)} records)")
+            path.write_text(write_log(log), encoding="utf-8")
+            print(f"wrote {path} ({len(log)} records)")
     return EXIT_OK
+
+
+def _override(obj, flag: str, **changes):
+    """``replace`` for one command-line override, naming the flag on a bad value."""
+    try:
+        return replace(obj, **changes)
+    except ValueError as exc:  # ConfigError included
+        raise ConfigError(f"{flag}: {exc}") from exc
 
 
 def _apply_overrides(setup: ExperimentSetup, args) -> ExperimentSetup:
@@ -141,18 +132,13 @@ def _apply_overrides(setup: ExperimentSetup, args) -> ExperimentSetup:
     if getattr(args, "seed", None) is not None:
         clock = replace(clock, rng_seed=args.seed)
     if getattr(args, "sigma", None) is not None:
-        try:
-            clock = replace(clock, sniffer_noise_sigma=args.sigma)
-        except ValueError as exc:
-            raise ConfigError(f"--sigma: {exc}") from exc
+        clock = _override(clock, "--sigma", sniffer_noise_sigma=args.sigma)
     if getattr(args, "subframes", None) is not None:
-        if args.subframes < 1:
-            raise ConfigError(f"--subframes must be >= 1, got {args.subframes}")
+        capture = _override(capture, "--subframes", subframes=args.subframes)
         if any(r.at_subframe >= args.subframes for r in setup.relocations):
             raise ConfigError("--subframes cuts the capture before a relocation")
-        capture = replace(capture, subframes=args.subframes)
     if getattr(args, "snr", None) is not None:
-        capture = replace(capture, snr_db=args.snr)
+        capture = _override(capture, "--snr", snr_db=args.snr)
     return replace(setup, clock=clock, capture=capture)
 
 
@@ -161,7 +147,7 @@ def _apply_overrides(setup: ExperimentSetup, args) -> ExperimentSetup:
 # ---------------------------------------------------------------------------
 
 
-def _read_records(path: str, rnti: int) -> List[TimingRecord]:
+def _read_records(path: str, rnti: int) -> TimingColumns:
     p = Path(path)
     if not p.is_file():
         raise InputError(f"log file not found: {path}")

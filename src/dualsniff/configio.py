@@ -24,6 +24,7 @@ Schema (all lengths in meters, times in seconds)::
       - {sniffer: 2, at_subframe: 500, to: [100.0, 100.0]}
 """
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -46,6 +47,13 @@ class CaptureSpec:
     snr_db: float = 20.0
     noise_power_dbm: float = -95.0
     start_frame: int = 0
+
+    def __post_init__(self):
+        if self.subframes < 1:
+            raise ConfigError(f"subframes must be >= 1, got {self.subframes}")
+        for name in ("snr_db", "noise_power_dbm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -121,8 +129,6 @@ def parse_setup(doc) -> ExperimentSetup:
             start_frame=int(cp.get("start_frame", 0)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"capture: {exc}") from exc
-    if capture.subframes < 1:
-        raise ConfigError(f"capture.subframes must be >= 1, got {capture.subframes}")
 
     raw_moves = doc.get("relocations") or []
     if not isinstance(raw_moves, list):

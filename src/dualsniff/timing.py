@@ -4,18 +4,18 @@ The base station transmits a downlink subframe every millisecond.  The device
 answers early by the timing-advance value; each sniffer timestamps both frames
 against its own (offset) clock.  The observable is the downlink-uplink delta
 per sniffer, which is independent of the subframe index and of the sniffer's
-own clock offset.  ``simulate_capture`` batches this into sniffer log records
-and is the ground-truth generator for both estimators.
+own clock offset.  ``simulate_capture`` batches this into arrays of sniffer
+log entries and is the ground-truth generator for both estimators.
 """
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import SPEED_OF_LIGHT, TA_BAND_M, TA_STEP_S, Position, Scenario, distance
-from .snifferlog import FRAME_WRAP, TimingRecord
+from .snifferlog import FRAME_WRAP, TimingColumns, TimingRecord, check_entry
 
 #: Subframes per radio frame.
 SUBFRAMES_PER_FRAME = 10
@@ -41,6 +41,11 @@ class ClockConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sniffer_offsets", tuple(self.sniffer_offsets))
+        if not all(math.isfinite(v) for v in self.sniffer_offsets):
+            raise ValueError(f"sniffer_offsets must be finite, got {self.sniffer_offsets}")
+        for name in ("ue_hw_error", "sniffer_noise_sigma", "ta_value"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sniffer_noise_sigma < 0:
             raise ValueError(f"sniffer_noise_sigma must be >= 0, got {self.sniffer_noise_sigma}")
 
@@ -148,16 +153,16 @@ def subframe_delta(scenario: Scenario, k: int, cfg: ClockConfig,
         raise ValueError("subframe_delta needs a scenario with ue_truth set")
     sniffer = scenario.sniffers[k]
     return _delta_at(scenario.enb, scenario.ue_truth, sniffer,
-                     scenario.speed_of_light, cfg, noise_sample)
+                     scenario.speed_of_light, cfg) + noise_sample
 
 
 def _delta_at(enb: Position, ue: Position, sniffer: Position, c: float,
-              cfg: ClockConfig, noise_sample: float) -> float:
+              cfg: ClockConfig) -> float:
+    """Noiseless delta, seconds; the noise sample is added last."""
     d_enb_k = distance(enb, sniffer)
     d_ub = distance(enb, ue)
     d_ue_k = distance(ue, sniffer)
-    return ((d_ub + d_ue_k - d_enb_k) / c
-            - cfg.ta_value + cfg.ue_hw_error + noise_sample)
+    return (d_ub + d_ue_k - d_enb_k) / c - cfg.ta_value + cfg.ue_hw_error
 
 
 def _cqi_for_snr(snr_db: float) -> int:
@@ -165,18 +170,72 @@ def _cqi_for_snr(snr_db: float) -> int:
     return int(min(15, max(0, round((snr_db + 6.0) * 15.0 / 26.0))))
 
 
+@dataclass(frozen=True, eq=False)
+class SimulatedCapture:
+    """One device's simulated capture: entry (n, k) is subframe n at sniffer k.
+
+    ``dl_ul_delta`` holds one row per subframe and one column per sniffer, in
+    microseconds; the other scalar fields are the same for every entry.
+    ``len`` counts entries, and iteration or an integer index gives them as
+    ``TimingRecord`` views in subframe-major order, with sniffer ids ``sn1``,
+    ``sn2``, ...  A slice gives a list of views.
+    """
+
+    frame: np.ndarray
+    subframe: np.ndarray
+    dl_ul_delta: np.ndarray
+    rnti: int
+    snr: float
+    cqi: int
+    noise_power: float
+
+    def __len__(self) -> int:
+        return self.dl_ul_delta.size
+
+    def sniffer_log(self, k: int, start: int = 0, stop: Optional[int] = None) -> TimingColumns:
+        """Sniffer ``k``'s entries for subframes ``start`` to ``stop`` (exclusive)."""
+        rows = slice(start, stop)
+        count = len(self.frame[rows])
+        return TimingColumns(
+            frame=self.frame[rows], subframe=self.subframe[rows],
+            rnti=np.full(count, self.rnti), dl_ul_delta=self.dl_ul_delta[rows, k],
+            snr=np.full(count, self.snr), cqi=np.full(count, self.cqi),
+            noise_power=np.full(count, self.noise_power), sniffer_id=f"sn{k + 1}")
+
+    def __iter__(self) -> Iterator[TimingRecord]:
+        logs = [self.sniffer_log(k) for k in range(self.dl_ul_delta.shape[1])]
+        for entries in zip(*logs):
+            yield from entries
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        n, k = divmod(range(len(self))[index], self.dl_ul_delta.shape[1])
+        return self.sniffer_log(k)[n]
+
+    def __eq__(self, other):
+        if not isinstance(other, SimulatedCapture):
+            return NotImplemented
+        return ((self.rnti, self.snr, self.cqi, self.noise_power)
+                == (other.rnti, other.snr, other.cqi, other.noise_power)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in ("frame", "subframe", "dl_ul_delta")))
+
+
 def simulate_capture(scenario: Scenario, cfg: ClockConfig, schedule: SubframeSchedule,
                      relocations: Sequence[Relocation] = (), *,
                      rnti: int = 17001, snr_db: float = 20.0,
                      cqi: Optional[int] = None, noise_power_dbm: float = -95.0,
-                     start_frame: int = 0) -> List[TimingRecord]:
-    """Simulate one capture: one log record per (subframe, sniffer).
+                     start_frame: int = 0) -> SimulatedCapture:
+    """Simulate one capture: one log entry per (subframe, sniffer).
 
-    Per-record measurement noise is i.i.d. Gaussian with
+    Per-entry measurement noise is i.i.d. Gaussian with
     ``cfg.sniffer_noise_sigma``; the whole noise block is drawn up front from
-    ``cfg.rng_seed`` so a record's draw depends only on (seed, subframe,
+    ``cfg.rng_seed`` so an entry's draw depends only on (seed, subframe,
     sniffer), never on evaluation order.  A relocation swaps a sniffer's
     position from its stated subframe onward, within the same clock epoch.
+    Between relocations a sniffer's noiseless delta is one number, so each
+    (segment, sniffer) costs one scalar delta plus a column of noise.
     """
     if scenario.ue_truth is None:
         raise ValueError("simulate_capture needs a scenario with ue_truth set")
@@ -193,26 +252,29 @@ def simulate_capture(scenario: Scenario, cfg: ClockConfig, schedule: SubframeSch
                 f"relocation subframe {r.at_subframe} outside capture of "
                 f"{schedule.count} subframes"
             )
+    for name, value in (("snr_db", snr_db), ("noise_power_dbm", noise_power_dbm)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    record_cqi = cqi if cqi is not None else _cqi_for_snr(snr_db)
+    check_entry(0, 0, rnti, 0.0, record_cqi)  # the fields every entry shares
 
     rng = np.random.default_rng(cfg.rng_seed)
-    noise = rng.normal(0.0, cfg.sniffer_noise_sigma, size=(schedule.count, n_sniffers))
+    delta = rng.normal(0.0, cfg.sniffer_noise_sigma, size=(schedule.count, n_sniffers))
     moves = sorted(relocations, key=lambda r: r.at_subframe)
+    cuts = [0] + sorted({r.at_subframe for r in moves}) + [schedule.count]
     positions = list(scenario.sniffers)
-    record_cqi = cqi if cqi is not None else _cqi_for_snr(snr_db)
-
-    records: List[TimingRecord] = []
-    next_move = 0
-    for n in range(schedule.count):
-        while next_move < len(moves) and moves[next_move].at_subframe == n:
-            positions[moves[next_move].sniffer] = moves[next_move].to
-            next_move += 1
-        frame = (start_frame + n // SUBFRAMES_PER_FRAME) % FRAME_WRAP
-        subframe = n % SUBFRAMES_PER_FRAME
-        for k in range(n_sniffers):
-            delta = _delta_at(scenario.enb, scenario.ue_truth, positions[k],
-                              scenario.speed_of_light, cfg, noise[n, k])
-            records.append(TimingRecord(
-                frame=frame, subframe=subframe, rnti=rnti,
-                dl_ul_delta=delta * 1e6, snr=snr_db, cqi=record_cqi,
-                noise_power=noise_power_dbm, sniffer_id=f"sn{k + 1}"))
-    return records
+    for start, stop in zip(cuts, cuts[1:]):
+        for r in moves:
+            if r.at_subframe == start:
+                positions[r.sniffer] = r.to
+        for k, sniffer in enumerate(positions):
+            delta[start:stop, k] += _delta_at(scenario.enb, scenario.ue_truth, sniffer,
+                                              scenario.speed_of_light, cfg)
+    delta *= 1e6
+    if not np.isfinite(delta).all():
+        raise ValueError("simulated dl_ul_delta is not finite")
+    n = np.arange(schedule.count)
+    return SimulatedCapture(
+        frame=(start_frame + n // SUBFRAMES_PER_FRAME) % FRAME_WRAP,
+        subframe=n % SUBFRAMES_PER_FRAME, dl_ul_delta=delta, rnti=int(rnti),
+        snr=float(snr_db), cqi=int(record_cqi), noise_power=float(noise_power_dbm))

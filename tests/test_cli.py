@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 from dualsniff.cli import (ESTIMATES_HEADER, EXIT_CONFIG, EXIT_INPUT,
                            EXIT_NO_SAMPLES, EXIT_OK, main)
-from dualsniff.snifferlog import filter_rnti, parse_log
+from dualsniff.snifferlog import TimingRecord, filter_rnti, parse_log
 
 BASE_SCENARIO = """\
 scenario:
@@ -113,6 +114,11 @@ def test_simulate_subframes_override_conflicts_with_relocation(tmp_path, capsys)
     (("--subframes", "-5"), "--subframes"),
     (("--sigma", "-1"), "--sigma"),
     (("--decoys", "-3"), "--decoys"),
+    (("--sigma", "nan"), "--sigma"),
+    (("--sigma", "inf"), "--sigma"),
+    (("--snr", "nan"), "--snr"),
+    (("--snr", "inf"), "--snr"),
+    (("--snr=-inf",), "--snr"),
 ])
 def test_simulate_rejects_bad_overrides(tmp_path, capsys, override, culprit):
     cfg = _write(tmp_path, "exp.yaml", TOA_CONFIG)
@@ -123,6 +129,40 @@ def test_simulate_rejects_bad_overrides(tmp_path, capsys, override, culprit):
     assert err.startswith("configuration error:")
     assert culprit in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, line", [
+    ("clock", "ue_hw_error: .nan"),
+    ("clock", "sniffer_noise_sigma: .inf"),
+    ("clock", "sniffer_offsets: [0.0, -.inf]"),
+    ("capture", "snr_db: .nan"),
+    ("capture", "noise_power_dbm: .nan"),
+])
+def test_simulate_rejects_non_finite_config_values(tmp_path, capsys, section, line):
+    config = TOA_CONFIG.replace("capture:\n", f"capture:\n  {line}\n") \
+        if section == "capture" else TOA_CONFIG + f"clock:\n  {line}\n"
+    cfg = _write(tmp_path, "exp.yaml", config)
+    out = tmp_path / "x"
+    rc = main(["simulate", "--config", cfg, "--out-dir", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert line.split(":")[0] in err
+    assert not out.exists()
+
+
+def test_simulate_and_locate_build_no_record_per_line(tmp_path, monkeypatch, capsys):
+    built = []
+    check = TimingRecord.__post_init__
+    monkeypatch.setattr(TimingRecord, "__post_init__",
+                        lambda self: built.append(self) or check(self))
+    out = _simulate(tmp_path, TDOA_CONFIG, "run", extra=["--decoys", "2"])
+    logs = [str(out / f"sn{k}_cfg{j}.log") for j in (1, 2) for k in (1, 2)]
+    for scheme, files in (("tdoa", logs), ("toa", logs[:2])):
+        assert main(["locate", "--config", str(tmp_path / "exp.yaml"), "--scheme", scheme,
+                     "--rnti", "7423", "--out-dir", str(out), *files]) == EXIT_OK
+    capsys.readouterr()
+    assert built == []
 
 
 def test_locate_toa_noiseless(tmp_path, capsys):
@@ -322,3 +362,73 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert set(out.stdout.split()) - {"dualsniff", "numpy", "yaml", "_yaml"} == set()
+
+
+CHANGEOVER_CONFIG = BASE_SCENARIO + """\
+capture:
+  subframes: 90
+  rnti: 7423
+  start_frame: 1020
+clock:
+  ue_hw_error: 1.55e-7
+  sniffer_noise_sigma: 2.0e-8
+  rng_seed: 7
+relocations:
+  - {sniffer: 2, at_subframe: 30, to: [154.0, 40.0]}
+  - {sniffer: 2, at_subframe: 60, to: [60.0, 170.0]}
+"""
+
+#: sha256 of every output of ``test_outputs_match_the_record_wise_pipeline``,
+#: as written by the pipeline that built one ``TimingRecord`` per log line.
+CHANGEOVER_SHA256 = {
+    "simulate stdout":
+        "088832e451bf4655b8f934d572027c1334eb47c872c4c05f7c3e899425d140ef",
+    "locate tdoa stdout":
+        "d7ddd700674288b8bf317c45d4ea9b3bc3b7b1567546802b02b51eedf65f81a6",
+    "locate tdoa stderr":
+        "e7b67ae4546a35080d776265f00b429c964367ee2b9bc6d72f3ef77e1628f1cf",
+    "locate toa stdout":
+        "4b27f20bf1b57c66f11a4e13efe735ef0f76597e111d8de03c47dc3b36cf2b96",
+    "locate toa stderr":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "run/sn1_cfg1.log":
+        "0fbd7c7b1b0f6c0dfde8f4cf0118eb85159d93936e293e499fbd54b961af4507",
+    "run/sn2_cfg1.log":
+        "d3302cf369f12fba3677c22e32dfc67d3022d56ea240a56ca3780089d7bfb530",
+    "run/sn1_cfg2.log":
+        "23f2370870b292bdd93cb1ac2be4cea346c1d266b81b06316e142fc672cbe25e",
+    "run/sn2_cfg2.log":
+        "58dd91b3e4d98dc12c932c3c71aedc79f76d079ea5f8d63738e568f6fd6ad63d",
+    "run/sn1_cfg3.log":
+        "875bb8fb7e67812260cb85eb36874e45c9049c937c812c5593ce8b867faa14d2",
+    "run/sn2_cfg3.log":
+        "6ba0377bc35edea6915a215b001594c03b7465cf96c75f36c0bc471c3a679cb2",
+    "run/estimates_tdoa.csv":
+        "9dc4bea42d6bbe1a6fe497935b391df6dbd9af11b5b25eb3d421b053596ba41e",
+    "run/estimates_toa.csv":
+        "39286a058358df8bbb0d7db36915867a8f8e8a8a1c6efde06e0ada26a0ff744e",
+}
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def test_outputs_match_the_record_wise_pipeline(tmp_path, monkeypatch, capsys):
+    # three decoys, three configurations, and the frame counter wraps at subframe 40
+    monkeypatch.chdir(tmp_path)
+    Path("exp.yaml").write_text(CHANGEOVER_CONFIG)
+    digests = {}
+    assert main(["simulate", "--config", "exp.yaml", "--out-dir", "run",
+                 "--decoys", "3"]) == EXIT_OK
+    digests["simulate stdout"] = _sha256(capsys.readouterr().out)
+    logs = [f"run/sn{k}_cfg{j}.log" for j in (1, 2, 3) for k in (1, 2)]
+    for scheme, files in (("tdoa", logs), ("toa", logs[:2])):
+        assert main(["locate", "--config", "exp.yaml", "--scheme", scheme,
+                     "--rnti", "7423", "--out-dir", "run", *files]) == EXIT_OK
+        captured = capsys.readouterr()
+        digests[f"locate {scheme} stdout"] = _sha256(captured.out)
+        digests[f"locate {scheme} stderr"] = _sha256(captured.err)
+    for path in [*logs, "run/estimates_tdoa.csv", "run/estimates_toa.csv"]:
+        digests[path] = _sha256(Path(path).read_bytes())
+    assert digests == CHANGEOVER_SHA256

@@ -115,6 +115,24 @@ def test_capture_validation():
         parse_setup(doc)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("clock", "ue_hw_error", float("nan")),
+    ("clock", "ue_hw_error", float("inf")),
+    ("clock", "sniffer_noise_sigma", float("nan")),
+    ("clock", "sniffer_noise_sigma", float("inf")),
+    ("clock", "sniffer_offsets", [0.0, float("nan")]),
+    ("capture", "snr_db", float("nan")),
+    ("capture", "snr_db", float("-inf")),
+    ("capture", "noise_power_dbm", float("nan")),
+    ("capture", "noise_power_dbm", float("inf")),
+])
+def test_non_finite_values_are_config_errors(section, key, value):
+    doc = _full_doc()
+    doc[section][key] = value
+    with pytest.raises(ConfigError, match=f"{section}: {key} must be finite"):
+        parse_setup(doc)
+
+
 def test_relocation_validation():
     for patch, pattern in (
         ({"sniffer": 3}, r"sniffer must be 1\.\.2"),

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualsniff.snifferlog import (FRAME_WRAP, MATCHED_HEADER, MatchedSample,
-                                  TimingRecord, _unwrap_frames, filter_rnti,
-                                  match_records, parse_log, write_log, write_matched)
+from dualsniff.cli import _read_records
+from dualsniff.snifferlog import (FRAME_WRAP, MATCHED_HEADER, MAX_RNTI, MatchedSample,
+                                  TimingColumns, TimingRecord, _unwrap_frames,
+                                  filter_rnti, interleave, match_records, parse_log,
+                                  write_log, write_matched)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -205,3 +207,137 @@ def test_matched_sample_is_plain_data():
     s = MatchedSample(frame=1, subframe=2, delta_a=0.5, delta_b=0.25,
                       snr_a=20.0, snr_b=15.0)
     assert s.delta_a - s.delta_b == 0.25
+
+
+def test_columns_views_and_selections():
+    records = [_rec(0, 0, rnti=1, delta=0.5), _rec(0, 1, rnti=2), _rec(0, 2, rnti=1)]
+    c = TimingColumns.from_records(records)
+    assert len(c) == 3 and c.frame.dtype == np.int64 and c.dl_ul_delta.dtype == np.float64
+    assert c[0] == records[0] and c[-1] == records[-1]
+    assert type(c[0].rnti) is int and type(c[0].dl_ul_delta) is float
+    assert c[1:] == records[1:]
+    assert c[c.rnti == 1] == [records[0], records[2]]
+    assert c == TimingColumns.from_records(records) and c != records[:2]
+    with pytest.raises(ValueError, match="more than one sniffer"):
+        TimingColumns.from_records([_rec(0, 0), TimingRecord(0, 1, 5, 1.0, 20.0, 3, -90.0, "sn2")])
+    with pytest.raises(ValueError, match="one length"):
+        TimingColumns([0], [0], [1], [1.0], [20.0], [3], [])
+
+
+def test_interleave_takes_one_entry_of_each_log_in_turn():
+    a = TimingColumns.from_records([_rec(0, 0, rnti=1), _rec(0, 1, rnti=1)])
+    b = TimingColumns.from_records([_rec(0, 0, rnti=2), _rec(0, 1, rnti=2)])
+    merged = interleave([a, b])
+    assert [(r.subframe, r.rnti) for r in merged] == [(0, 1), (0, 2), (1, 1), (1, 2)]
+
+
+def test_parse_rejects_an_rnti_beyond_64_bits():
+    records, diags = parse_log([f"0001.0 {MAX_RNTI} 1.0 10.0 7 -90.0",
+                                f"0001.1 {MAX_RNTI + 1} 1.0 10.0 7 -90.0"], "x")
+    assert records.rnti.tolist() == [MAX_RNTI]
+    assert [(d.line, d.reason) for d in diags] == [
+        (2, f"rnti must be at most {MAX_RNTI}, got {MAX_RNTI + 1}")]
+
+
+#: Target lines (RNTI 7423) interleaved with one malformed decoy line per reason.
+MIXED_LOG = """\
+0100.0 7423 1.0 20.0 12 -95.0
+0100.0 7424 1.0 20.0 12 -95.0 extra
+0100.1 7423 1.5 20.0 12 -95.0
+0100.1.2 7424 1.0 20.0 12 -95.0
+0100.2 7423 2.0 20.0 12 -95.0
+1024.2 7424 1.0 20.0 12 -95.0
+0100.3 7424 x 20.0 12 -95.0
+0100.3 7424z 1.0 20.0 12 -95.0
+0100.3 7423 2.5 20.0 12 -95.0
+0100.12 7424 1.0 20.0 12 -95.0
+0100.4 7424 1.0 20.0 16 -95.0
+# a comment, then a blank line
+
+0100.4 7423 3.0 20.0 12 -95.0
+-001.5 7424 1.0 20.0 12 -95.0
+0100.5 -7424 1.0 20.0 12 -95.0
+0100.5 7423 3.5 20.0 12 -95.0
+0100.6 7424 nan 20.0 12 -95.0
+0100.6 7424 -inf 20.0 12 -95.0
+0100.6 7423 4.0 20.0 12 -95.0
+"""
+
+MIXED_DIAGNOSTICS = [
+    (2, "expected 6 fields, got 7"),
+    (4, "bad frame.subframe token '0100.1.2'"),
+    (6, "frame counter must be below 1024, got 1024"),
+    (7, "could not convert string to float: 'x'"),
+    (8, "invalid literal for int() with base 10: '7424z'"),
+    (10, "subframe must be in [0, 9], got 12"),
+    (11, "cqi must be in [0, 15], got 16"),
+    (15, "frame and rnti must be non-negative"),
+    (16, "frame and rnti must be non-negative"),
+    (18, "dl_ul_delta must be finite, got nan"),
+    (19, "dl_ul_delta must be finite, got -inf"),
+]
+
+
+def test_diagnostics_of_every_reason_survive_the_rnti_filter(tmp_path, capsys):
+    records, diags = parse_log(io.StringIO(MIXED_LOG), "sn1")
+    assert [(d.line, d.reason) for d in diags] == MIXED_DIAGNOSTICS
+    assert records.rnti.tolist() == [7423] * 7
+    assert records.dl_ul_delta.tolist() == [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+    assert len(filter_rnti(records, 7424)) == 0
+
+    from_bytes = parse_log(io.BytesIO(MIXED_LOG.encode()), "sn1")
+    assert from_bytes[0] == records and from_bytes[1] == diags
+
+    # the command line reports every malformed line, decoys included, before
+    # it keeps the target's entries
+    path = tmp_path / "sn1.log"
+    path.write_text(MIXED_LOG)
+    kept = _read_records(str(path), 7423)
+    assert kept == filter_rnti(records, 7423)
+    assert capsys.readouterr().err.splitlines() == [
+        f"{path}:{line}: skipped: {reason}" for line, reason in MIXED_DIAGNOSTICS]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def logs(draw, rntis=(7423, 7424, 7425), max_step=300, subframes=10):
+    """A log of mixed RNTIs whose frame counter wraps: steps up to ``max_step`` frames."""
+    start = draw(st.integers(0, FRAME_WRAP - 1))
+    entries = draw(st.lists(st.tuples(
+        st.integers(0, max_step), st.integers(0, subframes - 1), st.sampled_from(rntis),
+        finite, finite, st.integers(0, 15), finite), max_size=40))
+    steps, *columns = zip(*entries) if entries else [()] * 7
+    frames = (start + np.cumsum(np.array(steps, dtype=np.int64))) % FRAME_WRAP
+    return TimingColumns(frames, *columns, sniffer_id="sn1")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(log=logs())
+def test_columns_survive_write_and_parse(log):
+    again, diags = parse_log(io.StringIO(write_log(log)), "sn1")
+    assert diags == []
+    assert again == log
+    assert write_log(again) == write_log(list(log))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(log=logs(), rnti=st.sampled_from((7423, 7424, 7425, 1)))
+def test_column_mask_equals_the_record_filter(log, rnti):
+    assert filter_rnti(log, rnti) == [r for r in log if r.rnti == rnti]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=logs(max_step=1, subframes=3, rntis=(1, 2)),
+       b=logs(max_step=1, subframes=3, rntis=(1, 2)))
+def test_match_is_symmetric(a, b):
+    samples_ab, diags_ab = match_records(a, b)
+    samples_ba, diags_ba = match_records(b, a)
+    assert [(s.frame, s.subframe) for s in samples_ab] == \
+        [(s.frame, s.subframe) for s in samples_ba]
+    assert [(s.delta_a, s.delta_b, s.snr_a, s.snr_b) for s in samples_ab] == \
+        [(s.delta_b, s.delta_a, s.snr_b, s.snr_a) for s in samples_ba]
+    swapped = [d.replace(" in a:", " in B:").replace(" in b:", " in a:").replace(" in B:", " in b:")
+               for d in diags_ba]
+    assert sorted(swapped) == sorted(diags_ab)

@@ -237,3 +237,34 @@ def test_delta_microseconds_magnitude():
     assert math.isclose(rec.dl_ul_delta,
                         subframe_delta(sc, 0, cfg) * 1e6, rel_tol=1e-12)
     assert 0.01 < abs(rec.dl_ul_delta) < 10.0
+
+
+def test_sniffer_log_is_one_sniffers_slice():
+    sc = _square_scenario()
+    cfg = ClockConfig.for_scenario(sc, sniffer_noise_sigma=3e-8, rng_seed=5)
+    capture = simulate_capture(sc, cfg, SubframeSchedule(count=30), rnti=7423,
+                               start_frame=1022)
+    log = capture.sniffer_log(1, 5, 25)
+    assert log.sniffer_id == "sn2"
+    assert log == [r for r in capture[10:50] if r.sniffer_id == "sn2"]
+    assert capture[-1] == capture.sniffer_log(1)[-1]
+
+
+@pytest.mark.parametrize("override", [
+    dict(snr_db=float("nan")), dict(snr_db=float("inf")),
+    dict(noise_power_dbm=float("nan")), dict(cqi=16), dict(rnti=-1),
+])
+def test_simulate_capture_rejects_bad_entry_fields(override):
+    sc = _square_scenario()
+    with pytest.raises(ValueError):
+        simulate_capture(sc, ClockConfig.for_scenario(sc), SubframeSchedule(count=3),
+                         **override)
+
+
+@pytest.mark.parametrize("field", ["ue_hw_error", "sniffer_noise_sigma", "ta_value"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_clock_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ClockConfig(sniffer_offsets=(0.0, 0.0), **{field: value})
+    with pytest.raises(ValueError, match="sniffer_offsets must be finite"):
+        ClockConfig(sniffer_offsets=(0.0, value))
