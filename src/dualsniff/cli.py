@@ -29,9 +29,9 @@ import numpy as np
 from .configio import ConfigError, ExperimentSetup, load_setup
 from .errors import LocalizationError
 from .geometry import Position, Scenario, distance, ta_band
-from .snifferlog import (MatchedSample, TimingColumns, filter_rnti, interleave,
+from .snifferlog import (MAX_RNTI, MatchedSample, TimingColumns, filter_rnti, interleave,
                          match_records, parse_log, write_log)
-from .stats import EmptyInput, ErrorStats, cdf_quantile, one_sigma_filter, summarize
+from .stats import EmptyInput, cdf_quantile, one_sigma_filter, summarize
 from .tdoa import estimate_tdoa
 from .timing import SimulatedCapture, SubframeSchedule, quantize_ta, simulate_capture
 from .toa import compose_D, solve_toa
@@ -139,6 +139,8 @@ def _apply_overrides(setup: ExperimentSetup, args) -> ExperimentSetup:
             raise ConfigError("--subframes cuts the capture before a relocation")
     if getattr(args, "snr", None) is not None:
         capture = _override(capture, "--snr", snr_db=args.snr)
+    if capture.rnti + getattr(args, "decoys", 0) > MAX_RNTI:
+        raise ConfigError(f"--decoys {args.decoys} runs the decoy RNTIs past {MAX_RNTI}")
     return replace(setup, clock=clock, capture=capture)
 
 

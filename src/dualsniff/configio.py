@@ -31,6 +31,7 @@ from typing import Tuple
 import yaml
 
 from .geometry import Position, Scenario
+from .snifferlog import MAX_RNTI
 from .timing import ClockConfig, Relocation
 
 
@@ -51,6 +52,8 @@ class CaptureSpec:
     def __post_init__(self):
         if self.subframes < 1:
             raise ConfigError(f"subframes must be >= 1, got {self.subframes}")
+        if not 0 <= self.rnti <= MAX_RNTI:
+            raise ConfigError(f"rnti must be in [0, {MAX_RNTI}], got {self.rnti}")
         for name in ("snr_db", "noise_power_dbm"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")

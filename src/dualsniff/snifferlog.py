@@ -12,8 +12,8 @@ converting it to this format is the adapter's job, everything downstream
 consumes only the canonical form.
 
 A log is held as ``TimingColumns``, one numpy array per field, so parsing,
-writing and filtering cost a few list appends or one array operation per
-line.  ``TimingRecord`` is a view of one entry for library callers.
+writing and filtering cost one array operation per field, not per line.
+``TimingRecord`` is a view of one entry for library callers.
 
 Malformed lines never abort a parse: they are skipped and reported as
 diagnostics carrying the line number and reason.
@@ -21,7 +21,7 @@ diagnostics carrying the line number and reason.
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import IO, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,20 +35,41 @@ COLUMNS = (("frame", np.int64), ("subframe", np.int64), ("rnti", np.int64),
            ("dl_ul_delta", np.float64), ("snr", np.float64), ("cqi", np.int64),
            ("noise_power", np.float64))
 
+#: A rule on log entries: a test that holds for a valid entry, and a
+#: ``str.format`` template over ``e`` naming a broken one.  ``e`` maps field
+#: names to values; the test works on scalars and, element-wise, on columns.
+Rule = Tuple[Callable, str]
+
+#: The parser's rule on a line's frame counter, tested before the other
+#: fields are converted.
+FRAME_COUNTER_RULE: Rule = (lambda e: e["frame"] < FRAME_WRAP,
+                            f"frame counter must be below {FRAME_WRAP}, got {{e[frame]}}")
+
+#: The value rules of a log entry, in the order its diagnostics name them.
+ENTRY_RULES: Tuple[Rule, ...] = (
+    (lambda e: (e["subframe"] >= 0) & (e["subframe"] <= 9),
+     "subframe must be in [0, 9], got {e[subframe]}"),
+    (lambda e: (e["cqi"] >= 0) & (e["cqi"] <= 15), "cqi must be in [0, 15], got {e[cqi]}"),
+    (lambda e: (e["frame"] >= 0) & (e["rnti"] >= 0), "frame and rnti must be non-negative"),
+    (lambda e: e["rnti"] <= MAX_RNTI, f"rnti must be at most {MAX_RNTI}, got {{e[rnti]}}"),
+    # NaN compares false, so this holds exactly for finite values
+    (lambda e: abs(e["dl_ul_delta"]) < math.inf,
+     "dl_ul_delta must be finite, got {e[dl_ul_delta]}"),
+)
+
+
+def _enforce(rules: Sequence[Rule], e: dict) -> None:
+    """Raise ``ValueError`` with the message of the first rule entry ``e`` breaks."""
+    for holds, message in rules:
+        if not holds(e):
+            raise ValueError(message.format(e=e))
+
 
 def check_entry(frame: int, subframe: int, rnti: int, dl_ul_delta: float,
                 cqi: int) -> None:
     """The value rules of one log entry; ``ValueError`` names the first one broken."""
-    if not 0 <= subframe <= 9:
-        raise ValueError(f"subframe must be in [0, 9], got {subframe}")
-    if not 0 <= cqi <= 15:
-        raise ValueError(f"cqi must be in [0, 15], got {cqi}")
-    if frame < 0 or rnti < 0:
-        raise ValueError("frame and rnti must be non-negative")
-    if rnti > MAX_RNTI:
-        raise ValueError(f"rnti must be at most {MAX_RNTI}, got {rnti}")
-    if not math.isfinite(dl_ul_delta):
-        raise ValueError(f"dl_ul_delta must be finite, got {dl_ul_delta}")
+    _enforce(ENTRY_RULES, {"frame": frame, "subframe": subframe, "rnti": rnti,
+                           "dl_ul_delta": dl_ul_delta, "cqi": cqi})
 
 
 @dataclass(frozen=True)
@@ -70,7 +91,7 @@ class TimingRecord:
             object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("dl_ul_delta", "snr", "noise_power"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        check_entry(self.frame, self.subframe, self.rnti, self.dl_ul_delta, self.cqi)
+        _enforce(ENTRY_RULES, vars(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,23 +192,74 @@ class ParseDiagnostic:
     reason: str
 
 
+#: Width of the ``FRAME.SUBFRAME`` column ``np.loadtxt`` reads; a token that
+#: fills it may have been cut short.
+_TOKEN_WIDTH = 8
+#: One log line as ``np.loadtxt`` reads it.
+_LINE_DTYPE = np.dtype([("token", f"U{_TOKEN_WIDTH}")] + list(COLUMNS[2:]))
+
+
 def parse_log(stream: Union[IO, Iterable], sniffer_id: str
               ) -> Tuple[TimingColumns, List[ParseDiagnostic]]:
-    """Parse a capture log in one streaming pass.
+    """Parse a capture log into columns and the diagnostics of its bad lines.
 
-    Accepts any iterable of text or byte lines.  Blank lines and ``#``
-    comments are ignored; anything else that does not parse becomes a
-    diagnostic and is skipped.  A line's checks run in a fixed order (field
-    count, ``FRAME.SUBFRAME`` token, frame counter, number conversion left
-    to right, then ``check_entry``), and its diagnostic names the first
-    failure.
+    Accepts any iterable of text or byte lines; bytes are decoded as UTF-8,
+    with undecodable bytes replaced.  A log whose every line is an entry or
+    blank is read by one ``np.loadtxt`` pass, and the value rules are checked
+    over whole columns.  Any other log goes through the per-line parser,
+    which names each line it skips.
+    """
+    lines = [raw.decode("utf-8", errors="replace") if isinstance(raw, bytes) else raw
+             for raw in stream]
+    columns = _parse_clean(lines, sniffer_id)
+    if columns is not None:
+        return columns, []
+    return _parse_lines(lines, sniffer_id)
+
+
+def _parse_clean(lines: List[str], sniffer_id: str) -> Optional[TimingColumns]:
+    """The columns of a log whose every line is a valid entry or blank, else None.
+
+    None means the log holds a comment, a NUL, a ``FRAME.SUBFRAME`` token
+    that is malformed or fills its column, a field ``np.loadtxt`` or ``int``
+    cannot read, or an entry that breaks a rule: something only the per-line
+    parser reports correctly.
+    """
+    # loadtxt warns on a log without entries, and a U column drops a token's
+    # trailing NULs, which ``int`` rejects
+    if not any(map(str.split, lines)) or "\x00" in "".join(lines):
+        return None
+    try:
+        table = np.loadtxt(lines, dtype=_LINE_DTYPE, comments=None, ndmin=1)
+        # astype converts with Python's ``int``, as the per-line parser does;
+        # a token with no dot leaves an empty subframe and one with two dots a
+        # dotted one, and ``int`` rejects both
+        frame, _, subframe = np.strings.partition(table["token"], ".")
+        frame, subframe = frame.astype(np.int64), subframe.astype(np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if np.any(np.strings.str_len(table["token"]) == _TOKEN_WIDTH):
+        return None
+    columns = TimingColumns(frame, subframe, *(table[name] for name, _ in COLUMNS[2:]),
+                            sniffer_id=sniffer_id)
+    if all(np.all(holds(vars(columns))) for holds, _ in (FRAME_COUNTER_RULE, *ENTRY_RULES)):
+        return columns
+    return None
+
+
+def _parse_lines(lines: Iterable[str], sniffer_id: str
+                 ) -> Tuple[TimingColumns, List[ParseDiagnostic]]:
+    """Parse a log line by line, skipping each bad line with a diagnostic.
+
+    Blank lines and ``#`` comments are ignored.  A line's checks run in a
+    fixed order (field count, ``FRAME.SUBFRAME`` token, frame counter, number
+    conversion left to right, then ``check_entry``), and its diagnostic names
+    the first failure.
     """
     rows = []
     diagnostics: List[ParseDiagnostic] = []
     keep, skip = rows.append, diagnostics.append
-    for line_no, raw in enumerate(stream, 1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8", errors="replace")
+    for line_no, raw in enumerate(lines, 1):
         fields = raw.split()
         if not fields or fields[0][0] == "#":
             continue
@@ -199,8 +271,7 @@ def parse_log(stream: Union[IO, Iterable], sniffer_id: str
             if len(frame_subframe) != 2:
                 raise ValueError(f"bad frame.subframe token {token!r}")
             frame = int(frame_subframe[0])
-            if frame >= FRAME_WRAP:
-                raise ValueError(f"frame counter must be below {FRAME_WRAP}, got {frame}")
+            _enforce((FRAME_COUNTER_RULE,), {"frame": frame})
             row = (frame, int(frame_subframe[1]), int(rnti), float(delta), float(snr),
                    int(cqi), float(noise))
             check_entry(frame, row[1], row[2], row[3], row[5])
@@ -231,7 +302,7 @@ def filter_rnti(records: Records, rnti: int) -> TimingColumns:
     return c[c.rnti == rnti]
 
 
-def _unwrap_frames(records: Records) -> List[int]:
+def _unwrap_frames(records: Records) -> np.ndarray:
     """Monotonic frame counters from a wrapped capture, in stream order.
 
     A drop of more than half the wrap modulus between consecutive records is
@@ -242,7 +313,7 @@ def _unwrap_frames(records: Records) -> List[int]:
     """
     frames = as_columns(records).frame
     wraps = np.cumsum(np.diff(frames) < -(FRAME_WRAP // 2))
-    return (frames + FRAME_WRAP * np.concatenate(([0], wraps))).tolist()
+    return frames + FRAME_WRAP * np.concatenate(([0], wraps))
 
 
 def match_records(records_a: Records, records_b: Records
@@ -254,34 +325,37 @@ def match_records(records_a: Records, records_b: Records
     once in either capture are ambiguous and dropped with a diagnostic, as is
     a matched key whose two records disagree on the RNTI.
     """
-    diagnostics: List[str] = []
-    keyed = []
-    for side, records in (("a", records_a), ("b", records_b)):
-        c = as_columns(records)
-        by_key = {}  # key -> row
-        dupes = set()
-        for row, key in enumerate(zip(_unwrap_frames(c), c.subframe.tolist())):
-            if key in by_key:
-                dupes.add(key)
-            else:
-                by_key[key] = row
-        for key in sorted(dupes):
-            del by_key[key]
-            diagnostics.append(
-                f"duplicate key frame={key[0]} subframe={key[1]} in {side}: dropped")
-        keyed.append((by_key, c.rnti.tolist(), c.dl_ul_delta.tolist(), c.snr.tolist()))
+    a, b = as_columns(records_a), as_columns(records_b)
+    frame = np.concatenate((_unwrap_frames(a), _unwrap_frames(b)))
+    subframe = np.concatenate((a.subframe, b.subframe))
+    # key every entry of both captures by the rank of its (frame, subframe) in
+    # sorted order: equal pairs share a key, different ones never collide
+    order = np.lexsort((subframe, frame))
+    f, s = frame[order], subframe[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (f[1:] != f[:-1]) | (s[1:] != s[:-1])
+    key = np.empty(len(order), dtype=np.int64)
+    key[order] = np.cumsum(new)
 
-    (by_a, rnti_a, delta_a, snr_a), (by_b, rnti_b, delta_b, snr_b) = keyed
-    samples: List[MatchedSample] = []
-    for key in sorted(by_a.keys() & by_b.keys()):
-        i, j = by_a[key], by_b[key]
-        if rnti_a[i] != rnti_b[j]:
-            diagnostics.append(
-                f"rnti mismatch at frame={key[0]} subframe={key[1]}: dropped")
-            continue
-        samples.append(MatchedSample(
-            frame=key[0], subframe=key[1], delta_a=delta_a[i], delta_b=delta_b[j],
-            snr_a=snr_a[i], snr_b=snr_b[j]))
+    diagnostics: List[str] = []
+    unique = []
+    for side, rows in (("a", np.arange(len(a))), ("b", np.arange(len(a), len(key)))):
+        keys, first, counts = np.unique(key[rows], return_index=True, return_counts=True)
+        dupes = rows[first[counts > 1]]
+        diagnostics.extend(f"duplicate key frame={f} subframe={s} in {side}: dropped"
+                           for f, s in zip(frame[dupes].tolist(), subframe[dupes].tolist()))
+        unique.append((keys[counts == 1], first[counts == 1]))
+
+    (keys_a, rows_a), (keys_b, rows_b) = unique
+    _, in_a, in_b = np.intersect1d(keys_a, keys_b, assume_unique=True, return_indices=True)
+    i, j = rows_a[in_a], rows_b[in_b]
+    same = a.rnti[i] == b.rnti[j]
+    diagnostics.extend(f"rnti mismatch at frame={f} subframe={s}: dropped"
+                       for f, s in zip(frame[i[~same]].tolist(), a.subframe[i[~same]].tolist()))
+    i, j = i[same], j[same]
+    samples = [MatchedSample(*values) for values in zip(
+        frame[i].tolist(), a.subframe[i].tolist(), a.dl_ul_delta[i].tolist(),
+        b.dl_ul_delta[j].tolist(), a.snr[i].tolist(), b.snr[j].tolist())]
     return samples, diagnostics
 
 

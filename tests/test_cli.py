@@ -9,7 +9,7 @@ import pytest
 
 from dualsniff.cli import (ESTIMATES_HEADER, EXIT_CONFIG, EXIT_INPUT,
                            EXIT_NO_SAMPLES, EXIT_OK, main)
-from dualsniff.snifferlog import TimingRecord, filter_rnti, parse_log
+from dualsniff.snifferlog import MAX_RNTI, TimingRecord, filter_rnti, parse_log
 
 BASE_SCENARIO = """\
 scenario:
@@ -149,6 +149,30 @@ def test_simulate_rejects_non_finite_config_values(tmp_path, capsys, section, li
     assert err.startswith("configuration error:")
     assert line.split(":")[0] in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rnti, decoys, culprit", [
+    (-1, 0, "rnti"),
+    (MAX_RNTI + 1, 0, "rnti"),
+    (MAX_RNTI, 1, "--decoys"),
+    (MAX_RNTI - 2, 3, "--decoys"),
+])
+def test_simulate_rejects_rntis_outside_64_bits(tmp_path, capsys, rnti, decoys, culprit):
+    cfg = _write(tmp_path, "exp.yaml", TOA_CONFIG.replace("rnti: 7423", f"rnti: {rnti}"))
+    out = tmp_path / "x"
+    rc = main(["simulate", "--config", cfg, "--out-dir", str(out), "--decoys", str(decoys)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert culprit in err
+    assert not out.exists()
+
+
+def test_simulate_accepts_decoys_up_to_the_largest_rnti(tmp_path):
+    out = _simulate(tmp_path, TOA_CONFIG.replace("rnti: 7423", f"rnti: {MAX_RNTI - 1}"),
+                    "run", extra=["--decoys", "1"])
+    records, diags = parse_log((out / "sn1_cfg1.log").open(), "sn1")
+    assert diags == [] and sorted(set(records.rnti.tolist())) == [MAX_RNTI - 1, MAX_RNTI]
 
 
 def test_simulate_and_locate_build_no_record_per_line(tmp_path, monkeypatch, capsys):

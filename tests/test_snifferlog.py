@@ -1,5 +1,6 @@
 import io
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualsniff.cli import _read_records
-from dualsniff.snifferlog import (FRAME_WRAP, MATCHED_HEADER, MAX_RNTI, MatchedSample,
-                                  TimingColumns, TimingRecord, _unwrap_frames,
-                                  filter_rnti, interleave, match_records, parse_log,
-                                  write_log, write_matched)
+from dualsniff.snifferlog import (COLUMNS, FRAME_WRAP, MATCHED_HEADER, MAX_RNTI,
+                                  MatchedSample, TimingColumns, TimingRecord, _parse_clean,
+                                  _parse_lines, _unwrap_frames, filter_rnti, interleave,
+                                  match_records, parse_log, write_log, write_matched)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -84,7 +85,7 @@ def test_parse_rejects_frame_counter_past_the_wrap():
         (2, "frame counter must be below 1024, got 1500"),
         (3, "frame counter must be below 1024, got 1024"),
     ]
-    assert _unwrap_frames(records) == [1023, 1024]
+    assert _unwrap_frames(records).tolist() == [1023, 1024]
 
 
 def test_roundtrip_identity_small():
@@ -118,10 +119,13 @@ def test_filter_rnti():
 def test_unwrap_frames():
     records = [_rec(f, 0) for f in (1022, 1023, 0, 1, 1023)]
     # 1023 -> 0 is a wrap; the final regression to 1023 is not another one
-    assert _unwrap_frames(records) == [1022, 1023, 1024, 1025, 2047]
+    assert _unwrap_frames(records).tolist() == [1022, 1023, 1024, 1025, 2047]
     # a small backwards step is jitter, not a wrap
     records = [_rec(f, 0) for f in (500, 400, 600)]
-    assert _unwrap_frames(records) == [500, 400, 600]
+    assert _unwrap_frames(records).tolist() == [500, 400, 600]
+    # a step of exactly half the wrap back is not a wrap; one frame more is
+    assert _unwrap_frames([_rec(600, 0), _rec(88, 0)]).tolist() == [600, 88]
+    assert _unwrap_frames([_rec(600, 0), _rec(87, 0)]).tolist() == [600, 1111]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -133,7 +137,7 @@ def test_unwrap_frames_recovers_absolute_frames(start, steps):
     for step in steps:
         absolute.append(absolute[-1] + step)
     records = [_rec(f % FRAME_WRAP, 0) for f in absolute]
-    assert _unwrap_frames(records) == absolute
+    assert _unwrap_frames(records).tolist() == absolute
 
 
 def test_match_basic_and_missing_keys():
@@ -341,3 +345,109 @@ def test_match_is_symmetric(a, b):
     swapped = [d.replace(" in a:", " in B:").replace(" in b:", " in a:").replace(" in B:", " in b:")
                for d in diags_ba]
     assert sorted(swapped) == sorted(diags_ab)
+
+
+def _same_parse(got, want):
+    """Equal columns, bit for bit (NaN payloads and signed zeros too), and equal diagnostics."""
+    (columns, diags), (want_columns, want_diags) = got, want
+    assert columns.sniffer_id == want_columns.sniffer_id
+    for name, dtype in COLUMNS:
+        got_col, want_col = getattr(columns, name), getattr(want_columns, name)
+        assert got_col.dtype == want_col.dtype == dtype
+        assert got_col.tobytes() == want_col.tobytes(), name
+    assert diags == want_diags
+
+
+VALID_LINE = ("0174.4", "7423", "25.36", "22.1", "12", "-92.4")
+
+#: Field values where numpy's parser and Python's ``int``/``float`` may part:
+#: accepted by both, by one only, or by neither.
+TRICKY_FIELDS = (
+    "+5", "-0", "007", "1_000", "١٢", "1e3", "1.0", "0x10", "99999999999999999999",
+    "+", "-", "--5", "5-", "²", "\u200b5", ".5", "5.", "-0.0", "nan", "-nan", "NaN",
+    "Infinity", "-inf", "iNf", "1_0.5", "١.٥", "0x1p3", "1e400", "1e-400", "1.5e",
+    "e5", "1d3", "nan(1)", "1.00000000005", "0." + "1" * 40, "5\x00", "\x00",
+    "1.2", "+1.2", "1.+2", "-1.2", "1._2", "١.٢", "1.2.3", "12", ".2", "1.",
+    "00000174.4", "000017.23", "0174.4\x00", "\ufffd", "#1.2", "'1'",
+)
+
+#: Separators that Python's ``str.split`` takes as whitespace, and ones it does not.
+SEPARATORS = (" ", "\t", "\xa0", "\u3000", "\x0b", "\x0c", "\x1c", "\x1f", "\x85",
+              "\u2028", "\r", "\u200b", ",")
+
+
+@pytest.mark.parametrize("position", range(6))
+@pytest.mark.parametrize("field", TRICKY_FIELDS)
+def test_parse_paths_agree_on_every_tricky_field(position, field):
+    line = " ".join(VALID_LINE[:position] + (field,) + VALID_LINE[position + 1:])
+    lines = [" ".join(VALID_LINE), line + "\n", "0174.5 7423 1.0 2.0 3 4.0"]
+    _same_parse(parse_log(lines, "sn1"), _parse_lines(lines, "sn1"))
+
+
+@pytest.mark.parametrize("separator", SEPARATORS)
+def test_parse_paths_agree_on_every_separator(separator):
+    lines = [" ".join(VALID_LINE), separator.join(VALID_LINE) + separator + "\n"]
+    _same_parse(parse_log(lines, "sn1"), _parse_lines(lines, "sn1"))
+
+
+def test_clean_logs_take_the_column_path():
+    # valid spellings numpy reads as Python does stay on the fast path
+    lines = ["0174.4\xa0+5 .5 nan -0 Infinity\r\n", "", " \t", "1023.9 7 1e3 -nan 015 1e400\n"]
+    columns = _parse_clean(lines, "sn1")
+    assert columns is not None
+    _same_parse((columns, []), _parse_lines(lines, "sn1"))
+    # a comment, a cut token or a broken rule sends the log to the per-line parser
+    for bad in ("# note", "00000174.4 5 1.0 2.0 3 4.0", "0174.4 5 1.0 2.0 16 4.0"):
+        assert _parse_clean(lines + [bad], "sn1") is None
+
+
+@pytest.mark.parametrize("lines", [[], [""], ["  \n", "\n"], ["# only a comment\n"],
+                                   ["# one\n", "\n", "#two\n"]])
+def test_logs_without_entries_parse_quietly(lines):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records, diags = parse_log(lines, "sn1")
+    assert len(records) == 0 and diags == []
+
+
+@st.composite
+def log_lines(draw):
+    """Lines of a log: mostly valid entries, with blanks, comments and odd fields."""
+    field = st.one_of(st.integers(-5, 2000).map(str), finite.map(repr),
+                      st.sampled_from(TRICKY_FIELDS))
+    entry = st.tuples(st.integers(0, 1023), st.integers(0, 9), st.integers(0, 99),
+                      finite, finite, st.integers(0, 15), finite).map(
+        lambda v: f"{v[0]:04d}.{v[1]} {v[2]} {v[3]!r} {v[4]!r} {v[5]} {v[6]!r}")
+    odd = st.lists(field, min_size=5, max_size=7).map(" ".join)
+    other = st.one_of(st.sampled_from(("", "   ", "# comment", "#")),
+                      st.tuples(entry, st.sampled_from(SEPARATORS)).map("".join),
+                      entry.map(lambda e: e + " # note"), odd)
+    # one line in ten is not a plain entry, so that many logs are clean
+    line = st.integers(0, 9).flatmap(lambda kind: other if kind == 0 else entry)
+    ending = st.sampled_from(("\n", "\r\n", ""))
+    return draw(st.lists(st.tuples(line, ending).map("".join), max_size=12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lines=log_lines(), as_bytes=st.booleans(), bad_byte=st.sampled_from((b"", b"\xff")))
+def test_parse_log_agrees_with_the_per_line_parser(lines, as_bytes, bad_byte):
+    if as_bytes:
+        raw = [line.encode("utf-8") for line in lines]
+        if raw:
+            raw[0] = bad_byte + raw[0]
+        lines_in, decoded = raw, [r.decode("utf-8", errors="replace") for r in raw]
+    else:
+        lines_in, decoded = lines, lines
+    _same_parse(parse_log(lines_in, "sn1"), _parse_lines(decoded, "sn1"))
+
+
+def test_match_keys_do_not_collide_past_subframe_9():
+    # frame*10 + subframe would give (1, 10) and (2, 0) the same key
+    a = TimingColumns([1, 2], [10, 0], [5, 5], [1.0, 2.0], [20.0, 20.0], [7, 7], [-90.0, -90.0])
+    b = TimingColumns([2], [0], [5], [3.0], [21.0], [7], [-90.0])
+    samples, diags = match_records(a, b)
+    assert diags == []
+    assert samples == [MatchedSample(frame=2, subframe=0, delta_a=2.0, delta_b=3.0,
+                                     snr_a=20.0, snr_b=21.0)]
+    samples, diags = match_records(a[:1], b)
+    assert samples == [] and diags == []
