@@ -20,6 +20,7 @@ diagnostics carrying the line number and reason.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -192,6 +193,8 @@ class ParseDiagnostic:
     reason: str
 
 
+#: The parser's rules, in the order a line's diagnostic names them.
+PARSER_RULES: Tuple[Rule, ...] = (FRAME_COUNTER_RULE, *ENTRY_RULES)
 #: Width of the ``FRAME.SUBFRAME`` column ``np.loadtxt`` reads; a token that
 #: fills it may have been cut short.
 _TOKEN_WIDTH = 8
@@ -199,15 +202,23 @@ _TOKEN_WIDTH = 8
 _LINE_DTYPE = np.dtype([("token", f"U{_TOKEN_WIDTH}")] + list(COLUMNS[2:]))
 
 
+def _keeps_rules(e) -> np.ndarray:
+    """Which entries of the columns ``e`` keep every parser rule."""
+    keep = np.ones(len(e["frame"]), dtype=bool)
+    for holds, _ in PARSER_RULES:
+        keep &= holds(e)
+    return keep
+
+
 def parse_log(stream: Union[IO, Iterable], sniffer_id: str
               ) -> Tuple[TimingColumns, List[ParseDiagnostic]]:
     """Parse a capture log into columns and the diagnostics of its bad lines.
 
     Accepts any iterable of text or byte lines; bytes are decoded as UTF-8,
-    with undecodable bytes replaced.  A log whose every line is an entry or
-    blank is read by one ``np.loadtxt`` pass, and the value rules are checked
-    over whole columns.  Any other log goes through the per-line parser,
-    which names each line it skips.
+    with undecodable bytes replaced.  A log whose every line is an entry, a
+    comment or blank is read by one ``np.loadtxt`` pass, and the value rules
+    are checked over whole columns.  Any other log goes through the per-line
+    parser, which names each line it skips.
     """
     lines = [raw.decode("utf-8", errors="replace") if isinstance(raw, bytes) else raw
              for raw in stream]
@@ -218,33 +229,39 @@ def parse_log(stream: Union[IO, Iterable], sniffer_id: str
 
 
 def _parse_clean(lines: List[str], sniffer_id: str) -> Optional[TimingColumns]:
-    """The columns of a log whose every line is a valid entry or blank, else None.
+    """The columns of a log whose every line is a valid entry, a comment or blank, else None.
 
-    None means the log holds a comment, a NUL, a ``FRAME.SUBFRAME`` token
-    that is malformed or fills its column, a field ``np.loadtxt`` or ``int``
-    cannot read, or an entry that breaks a rule: something only the per-line
-    parser reports correctly.
+    None means the log holds no entry, a NUL, a ``FRAME.SUBFRAME`` token that
+    is malformed or fills its column, a field ``np.loadtxt`` or ``int`` cannot
+    read or reads only with a warning, or an entry that breaks a rule:
+    something only the per-line parser reports correctly.
     """
-    # loadtxt warns on a log without entries, and a U column drops a token's
-    # trailing NULs, which ``int`` rejects
-    if not any(map(str.split, lines)) or "\x00" in "".join(lines):
+    text = "".join(lines)
+    # a U column drops a token's trailing NULs, which ``int`` rejects
+    if "\x00" in text:
         return None
+    if "#" in text:
+        # whole-line comments, by the per-line parser's test; a trailing
+        # ``# note`` stays and adds fields, as it does there
+        lines = [line for line in lines if line.lstrip()[:1] != "#"]
     try:
-        table = np.loadtxt(lines, dtype=_LINE_DTYPE, comments=None, ndmin=1)
+        # a warning (no entries, or an integer read via a float) means loadtxt
+        # and the per-line parser may part
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=_LINE_DTYPE, comments=None, ndmin=1)
         # astype converts with Python's ``int``, as the per-line parser does;
         # a token with no dot leaves an empty subframe and one with two dots a
         # dotted one, and ``int`` rejects both
         frame, _, subframe = np.strings.partition(table["token"], ".")
         frame, subframe = frame.astype(np.int64), subframe.astype(np.int64)
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError, Warning):
         return None
     if np.any(np.strings.str_len(table["token"]) == _TOKEN_WIDTH):
         return None
     columns = TimingColumns(frame, subframe, *(table[name] for name, _ in COLUMNS[2:]),
                             sniffer_id=sniffer_id)
-    if all(np.all(holds(vars(columns))) for holds, _ in (FRAME_COUNTER_RULE, *ENTRY_RULES)):
-        return columns
-    return None
+    return columns if _keeps_rules(vars(columns)).all() else None
 
 
 def _parse_lines(lines: Iterable[str], sniffer_id: str
@@ -253,12 +270,12 @@ def _parse_lines(lines: Iterable[str], sniffer_id: str
 
     Blank lines and ``#`` comments are ignored.  A line's checks run in a
     fixed order (field count, ``FRAME.SUBFRAME`` token, frame counter, number
-    conversion left to right, then ``check_entry``), and its diagnostic names
-    the first failure.
+    conversion left to right, then the other value rules), and its diagnostic
+    names the first failure.  The value rules run over all converted entries
+    at once.
     """
-    rows = []
+    rows, row_lines = [], []
     diagnostics: List[ParseDiagnostic] = []
-    keep, skip = rows.append, diagnostics.append
     for line_no, raw in enumerate(lines, 1):
         fields = raw.split()
         if not fields or fields[0][0] == "#":
@@ -271,16 +288,35 @@ def _parse_lines(lines: Iterable[str], sniffer_id: str
             if len(frame_subframe) != 2:
                 raise ValueError(f"bad frame.subframe token {token!r}")
             frame = int(frame_subframe[0])
-            _enforce((FRAME_COUNTER_RULE,), {"frame": frame})
-            row = (frame, int(frame_subframe[1]), int(rnti), float(delta), float(snr),
-                   int(cqi), float(noise))
-            check_entry(frame, row[1], row[2], row[3], row[5])
+            try:
+                row = (frame, int(frame_subframe[1]), int(rnti), float(delta), float(snr),
+                       int(cqi), float(noise))
+            except ValueError:
+                # the frame counter is checked before the other fields
+                _enforce((FRAME_COUNTER_RULE,), {"frame": frame})
+                raise
         except ValueError as exc:
-            skip(ParseDiagnostic(line=line_no, reason=str(exc)))
+            diagnostics.append(ParseDiagnostic(line=line_no, reason=str(exc)))
             continue
-        keep(row)
-    columns = zip(*rows) if rows else [()] * len(COLUMNS)
-    return TimingColumns(*columns, sniffer_id=sniffer_id), diagnostics
+        rows.append(row)
+        row_lines.append(line_no)
+
+    names = [name for name, _ in COLUMNS]
+    e = {}
+    for (name, dtype), values in zip(COLUMNS, zip(*rows) if rows else [()] * len(COLUMNS)):
+        try:
+            e[name] = np.array(values, dtype=dtype)
+        except OverflowError:
+            # an integer past 64 bits breaks a rule; hold it to name the rule
+            e[name] = np.array(values, dtype=object)
+    keep = _keeps_rules(e)
+    for k in np.flatnonzero(~keep).tolist():
+        try:
+            _enforce(PARSER_RULES, dict(zip(names, rows[k])))
+        except ValueError as exc:
+            diagnostics.append(ParseDiagnostic(line=row_lines[k], reason=str(exc)))
+    diagnostics.sort(key=lambda d: d.line)
+    return TimingColumns(*(e[name][keep] for name in names), sniffer_id=sniffer_id), diagnostics
 
 
 def write_log(records: Records) -> str:

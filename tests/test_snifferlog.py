@@ -243,6 +243,25 @@ def test_parse_rejects_an_rnti_beyond_64_bits():
         (2, f"rnti must be at most {MAX_RNTI}, got {MAX_RNTI + 1}")]
 
 
+def test_parse_names_the_first_broken_check_of_a_line():
+    big = 2 ** 70
+    records, diags = parse_log(["1500.x 5 1.0 10.0 7 -90.0",
+                                "0001.1 5 zz 10.0 7 -90.0",
+                                f"0001.{big} {big} 1.0 10.0 {big} -90.0",
+                                f"0001.2 {-big} 1.0 10.0 {big} -90.0",
+                                f"{big}.{big} 5 1.0 10.0 7 -90.0",
+                                "0001.3 5 1.0 10.0 7 -90.0"], "x")
+    assert records.subframe.tolist() == [3]
+    # the frame counter is checked before the fields after it are converted,
+    # and the value rules in their order
+    assert [(d.line, d.reason) for d in diags] == [
+        (1, "frame counter must be below 1024, got 1500"),
+        (2, "could not convert string to float: 'zz'"),
+        (3, f"subframe must be in [0, 9], got {big}"),
+        (4, f"cqi must be in [0, 15], got {big}"),
+        (5, f"frame counter must be below 1024, got {big}")]
+
+
 #: Target lines (RNTI 7423) interleaved with one malformed decoy line per reason.
 MIXED_LOG = """\
 0100.0 7423 1.0 20.0 12 -95.0
@@ -392,12 +411,16 @@ def test_parse_paths_agree_on_every_separator(separator):
 
 def test_clean_logs_take_the_column_path():
     # valid spellings numpy reads as Python does stay on the fast path
-    lines = ["0174.4\xa0+5 .5 nan -0 Infinity\r\n", "", " \t", "1023.9 7 1e3 -nan 015 1e400\n"]
+    # and so do whole-line comments, such as a capture's header
+    lines = ["# sniffer sn1 capture\n", "0174.4\xa0+5 .5 nan -0 Infinity\r\n", "", " \t",
+             "\xa0#1023.9 7 1 2 3 4\n", "1023.9 7 1e3 -nan 015 1e400\n"]
     columns = _parse_clean(lines, "sn1")
-    assert columns is not None
+    assert columns is not None and len(columns) == 2
     _same_parse((columns, []), _parse_lines(lines, "sn1"))
-    # a comment, a cut token or a broken rule sends the log to the per-line parser
-    for bad in ("# note", "00000174.4 5 1.0 2.0 3 4.0", "0174.4 5 1.0 2.0 16 4.0"):
+    # a trailing comment, a cut token or a broken rule sends the log to the
+    # per-line parser
+    for bad in ("0174.4 5 1.0 2.0 3 4.0 # note", "00000174.4 5 1.0 2.0 3 4.0",
+                "0174.4 5 1.0 2.0 16 4.0"):
         assert _parse_clean(lines + [bad], "sn1") is None
 
 
