@@ -130,7 +130,7 @@ def _apply_overrides(setup: ExperimentSetup, args) -> ExperimentSetup:
     if getattr(args, "decoys", 0) < 0:
         raise ConfigError(f"--decoys must be >= 0, got {args.decoys}")
     if getattr(args, "seed", None) is not None:
-        clock = replace(clock, rng_seed=args.seed)
+        clock = _override(clock, "--seed", rng_seed=args.seed)
     if getattr(args, "sigma", None) is not None:
         clock = _override(clock, "--sigma", sniffer_noise_sigma=args.sigma)
     if getattr(args, "subframes", None) is not None:
@@ -153,7 +153,7 @@ def _read_records(path: str, rnti: int) -> TimingColumns:
     p = Path(path)
     if not p.is_file():
         raise InputError(f"log file not found: {path}")
-    with p.open("r", encoding="utf-8") as fh:
+    with p.open("r", encoding="utf-8", errors="replace") as fh:
         records, diags = parse_log(fh, sniffer_id=p.stem)
     for d in diags:
         print(f"{path}:{d.line}: skipped: {d.reason}", file=sys.stderr)
@@ -322,7 +322,13 @@ def _read_estimate_errors(path: str) -> List[float]:
         if len(parts) != 8:
             raise InputError(f"{path}:{ln}: expected 8 columns, got {len(parts)}")
         if parts[7] == "ok" and parts[6]:
-            errors.append(float(parts[6]))
+            try:
+                error = float(parts[6])
+            except ValueError:
+                error = np.nan
+            if not 0.0 <= error < np.inf:
+                raise InputError(f"{path}:{ln}: error_m {parts[6]!r} is not a finite number >= 0")
+            errors.append(error)
     return errors
 
 

@@ -71,8 +71,8 @@ class ExperimentSetup:
 
 def _position(raw, where: str) -> Position:
     if (not isinstance(raw, (list, tuple)) or len(raw) != 2
-            or not all(isinstance(v, (int, float)) for v in raw)):
-        raise ConfigError(f"{where} must be a [x, y] pair of numbers, got {raw!r}")
+            or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in raw)):
+        raise ConfigError(f"{where} must be a [x, y] pair of finite numbers, got {raw!r}")
     return Position(float(raw[0]), float(raw[1]))
 
 

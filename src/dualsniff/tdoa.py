@@ -6,10 +6,10 @@ d_UE,k - d_UE,1.  Squaring the hyperbola equations and introducing the
 reference range d_UE,1 as a third unknown makes the system linear in
 (x_u, y_u, d_UE,1).
 
-With only two pairs the 2x3 system is rank deficient for least squares, but
-the geometric relation d_UE,1 = |u - s_1| closes it: position becomes an
-affine function of the reference range and consistency yields a quadratic.
-The plain normal-equations path remains for three or more pairs.
+For any number of pairs the geometric relation d_UE,1 = |u - s_1| closes
+the system: the (least-squares) position is an affine function of the
+reference range, and consistency yields a quadratic.  The free-range normal
+equations remain only as the paper's unconstrained least-squares baseline.
 """
 
 import math
@@ -67,7 +67,7 @@ class TdoaEstimate:
     position: Position
     d_ue1: float            # estimated range to the reference sniffer, m
     residual_norm: float    # meters; definition depends on method
-    method: str             # constrained-elimination | normal-equations
+    method: str             # constrained-elimination | constrained-least-squares | normal-equations
 
     def __post_init__(self):
         if self.d_ue1 < 0:
@@ -137,39 +137,45 @@ def range_difference_residual(u: Position, pairs: Sequence[TdoaPair]) -> float:
 
 def solve_constrained(system: LinearSystem, ref_sniffer: Position,
                       band: Tuple[float, float], enb: Position) -> TdoaEstimate:
-    """Solve the two-pair system exactly via reference-range elimination.
+    """Solve n >= 2 rows with d_UE,1 = |u - s_1| by reference-range elimination.
 
-    ``geometry.eliminate`` turns the two rows into candidate reference
-    ranges d >= 0.  A root lies on the true branch of pair k when
-    d + delta_d_k >= 0; squaring also admits the sign-flipped ghost, whose
-    range-difference miss is 2 |d + delta_d_k|.  ``geometry.choose_candidate``
-    then prefers in-band candidates and raises AmbiguousSolution for two
-    clean in-band candidates far apart; ghosts are used only as a last resort.
+    More rows are first reduced to the position block's normal equations (the
+    first step of Chan & Ho 1994).  A root is on the true branch when
+    d + delta_d_k >= 0 for every k; squaring also admits ghosts, whose miss
+    2 |d + delta_d_k| is the two-row residual.  With more rows the residual is
+    ``range_difference_residual``, and only the true-branch root with the least
+    of it is clean.  ``geometry.choose_candidate`` then prefers in-band
+    candidates and raises AmbiguousSolution for two clean ones far apart.
     """
-    if system.G.shape[0] != 2:
-        raise ValueError(
-            f"constrained elimination handles exactly 2 rows, got "
-            f"{system.G.shape[0]}; use solve_normal_equations")
-    roots, vertex = eliminate(system.G, system.h, ref_sniffer)
+    G, h, pairs = system.G, system.h, None
+    if len(G) > 2:
+        pairs = [TdoaPair(ref_sniffer, Position(ref_sniffer.x + gx, ref_sniffer.y + gy), dd)
+                 for gx, gy, dd in G.tolist()]
+        G, h = G[:, :2].T @ G, G[:, :2].T @ h
+    roots, vertex = eliminate(G, h, ref_sniffer)
     if vertex is not None:
         raise NoRealRoot("reference-range quadratic has a negative discriminant")
     if not roots:
         raise NoRealRoot("no non-negative reference range solves the quadratic")
     cands = []
     for pos, d in roots:
-        resid = 2.0 * math.sqrt(sum(min(0.0, d + dd) ** 2 for dd in system.G[:, 2]))
-        cands.append(Candidate(pos, d, resid, resid <= BRANCH_TOL))
+        ghost = 2.0 * math.sqrt(sum(min(0.0, d + dd) ** 2 for dd in system.G[:, 2]))
+        resid = ghost if pairs is None else range_difference_residual(pos, pairs)
+        cands.append(Candidate(pos, d, resid, ghost <= BRANCH_TOL))
+    if pairs:
+        best = min((c for c in cands if c.clean), key=lambda c: c.residual, default=None)
+        cands = [c._replace(clean=c is best) for c in cands]
     best = choose_candidate(cands, enb, band)
-    return TdoaEstimate(position=best.position, d_ue1=best.range,
-                        residual_norm=best.residual, method="constrained-elimination")
+    return TdoaEstimate(position=best.position, d_ue1=best.range, residual_norm=best.residual,
+                        method="constrained-least-squares" if pairs else "constrained-elimination")
 
 
 def solve_normal_equations(system: LinearSystem) -> TdoaEstimate:
-    """Unconstrained least squares (G^T G)^-1 G^T h for >= 3 pairs.
+    """Unconstrained least squares (G^T G)^-1 G^T h, the paper's LS baseline.
 
-    The minimal two-pair setup always lands here with singular G^T G, hence
-    the explicit redirect; d_UE,1 is a free parameter in this path and its
-    gap to the geometric range is reported, not enforced.
+    ``estimate_tdoa`` solves through ``solve_constrained`` instead.  Two rows
+    give singular G^T G by construction, hence the explicit redirect; d_UE,1
+    is a free parameter here and its gap to the geometric range is not enforced.
     """
     n = system.G.shape[0]
     if n == 2:
@@ -202,7 +208,7 @@ def estimate_tdoa(matched_sets: Sequence[Sequence[MatchedSample]],
     ``matched_sets[j]`` holds configuration j's matched samples, where
     ``delta_a`` is the fixed reference sniffer and ``delta_b`` the sniffer
     at ``other_positions[j]``.  Sample i of every configuration is combined
-    into one multi-pair solve; solver failures are reported per sample
+    into one constrained solve; solver failures are reported per sample
     without aborting the batch.  Deltas are microseconds, as logged.
     """
     if len(matched_sets) < 2:
@@ -221,19 +227,11 @@ def estimate_tdoa(matched_sets: Sequence[Sequence[MatchedSample]],
     for i in range(n_samples):
         label = matched_sets[0][i]
         try:
-            pairs = [
-                form_tdoa(matched_sets[j][i].delta_a * 1e-6,
-                          matched_sets[j][i].delta_b * 1e-6,
-                          ref, other_positions[j], scenario.enb,
-                          pair_id=f"cfg{j + 1}",
-                          speed_of_light=scenario.speed_of_light)
-                for j in range(len(matched_sets))
-            ]
-            system = build_system(pairs)
-            if system.G.shape[0] == 2:
-                est = solve_constrained(system, ref, scenario.band, scenario.enb)
-            else:
-                est = solve_normal_equations(system)
+            pairs = [form_tdoa(s[i].delta_a * 1e-6, s[i].delta_b * 1e-6, ref, other,
+                               scenario.enb, pair_id=f"cfg{j + 1}",
+                               speed_of_light=scenario.speed_of_light)
+                     for j, (s, other) in enumerate(zip(matched_sets, other_positions))]
+            est = solve_constrained(build_system(pairs), ref, scenario.band, scenario.enb)
             outcomes.append(SampleOutcome(
                 index=i, frame=label.frame, subframe=label.subframe,
                 estimate=est))

@@ -46,8 +46,9 @@ class ClockConfig:
         for name in ("ue_hw_error", "sniffer_noise_sigma", "ta_value"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.sniffer_noise_sigma < 0:
-            raise ValueError(f"sniffer_noise_sigma must be >= 0, got {self.sniffer_noise_sigma}")
+        for name in ("sniffer_noise_sigma", "rng_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @classmethod
     def for_scenario(cls, scenario: Scenario, *, sniffer_offsets: Optional[Sequence[float]] = None,

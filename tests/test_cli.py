@@ -6,10 +6,13 @@ import textwrap
 from pathlib import Path
 
 import pytest
+import yaml
 
 from dualsniff.cli import (ESTIMATES_HEADER, EXIT_CONFIG, EXIT_INPUT,
                            EXIT_NO_SAMPLES, EXIT_OK, main)
 from dualsniff.snifferlog import MAX_RNTI, TimingRecord, filter_rnti, parse_log
+
+DATA = Path(__file__).resolve().parent / "data"
 
 BASE_SCENARIO = """\
 scenario:
@@ -119,6 +122,7 @@ def test_simulate_subframes_override_conflicts_with_relocation(tmp_path, capsys)
     (("--snr", "nan"), "--snr"),
     (("--snr", "inf"), "--snr"),
     (("--snr=-inf",), "--snr"),
+    (("--seed", "-1"), "--seed"),
 ])
 def test_simulate_rejects_bad_overrides(tmp_path, capsys, override, culprit):
     cfg = _write(tmp_path, "exp.yaml", TOA_CONFIG)
@@ -137,11 +141,18 @@ def test_simulate_rejects_bad_overrides(tmp_path, capsys, override, culprit):
     ("clock", "sniffer_offsets: [0.0, -.inf]"),
     ("capture", "snr_db: .nan"),
     ("capture", "noise_power_dbm: .nan"),
+    ("clock", "rng_seed: -1"),
+    ("scenario", "enb: [.nan, 0.0]"),
+    ("scenario", "enb: [.inf, 0.0]"),
+    ("scenario", "sniffers: [[109.7, 0.0], [0.0, -.inf]]"),
+    ("scenario", "ue_truth: [80.0, .nan]"),
+    ("relocations", "to: [.inf, 40.0]"),
 ])
 def test_simulate_rejects_non_finite_config_values(tmp_path, capsys, section, line):
-    config = TOA_CONFIG.replace("capture:\n", f"capture:\n  {line}\n") \
-        if section == "capture" else TOA_CONFIG + f"clock:\n  {line}\n"
-    cfg = _write(tmp_path, "exp.yaml", config)
+    doc = yaml.safe_load(TDOA_CONFIG)
+    entry = doc["relocations"][0] if section == "relocations" else doc.setdefault(section, {})
+    entry.update(yaml.safe_load(line))
+    cfg = _write(tmp_path, "exp.yaml", yaml.safe_dump(doc))
     out = tmp_path / "x"
     rc = main(["simulate", "--config", cfg, "--out-dir", str(out)])
     assert rc == EXIT_CONFIG
@@ -320,6 +331,16 @@ def test_locate_skips_malformed_lines_with_diagnostics(tmp_path, capsys):
     assert "skipped" in capsys.readouterr().err
 
 
+def test_locate_replaces_undecodable_bytes(tmp_path, capsys):
+    ref = tmp_path / "golden_a.log"
+    ref.write_bytes((DATA / "golden_a.log").read_bytes() + b"\xff\xfe\n")
+    cfg = _write(tmp_path, "exp.yaml", TOA_CONFIG)
+    rc = main(["locate", "--config", cfg, "--scheme", "toa", "--rnti", "7423",
+               "--out-dir", str(tmp_path / "out"), str(ref), str(DATA / "golden_b.log")])
+    assert rc == EXIT_OK
+    assert f"{ref}:13: skipped:" in capsys.readouterr().err
+
+
 def test_report_single_and_merged(tmp_path, capsys):
     out = _simulate(tmp_path, TDOA_CONFIG, "run")
     cfg = str(tmp_path / "exp.yaml")
@@ -358,6 +379,14 @@ def test_report_rejects_bad_schema(tmp_path, capsys):
     assert main(["report", str(empty)]) == EXIT_NO_SAMPLES
     assert main(["report", str(tmp_path / "absent.csv")]) == EXIT_INPUT
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("error", ["abc", "nan", "-4.0"])
+def test_report_rejects_bad_error_values(tmp_path, capsys, error):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"{ESTIMATES_HEADER}\n0,1,2,3.0,4.0,5.0,1.5,ok\n1,1,3,3.0,4.0,5.0,{error},ok\n")
+    assert main(["report", str(bad)]) == EXIT_INPUT
+    assert f"{bad}:3: error_m" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():
@@ -403,14 +432,16 @@ relocations:
 """
 
 #: sha256 of every output of ``test_outputs_match_the_record_wise_pipeline``,
-#: as written by the pipeline that built one ``TimingRecord`` per log line.
+#: as written by the pipeline that built one ``TimingRecord`` per log line;
+#: the three ``locate tdoa`` entries by the constrained least-squares solve of
+#: three configurations, which replaced the free-range normal equations.
 CHANGEOVER_SHA256 = {
     "simulate stdout":
         "088832e451bf4655b8f934d572027c1334eb47c872c4c05f7c3e899425d140ef",
     "locate tdoa stdout":
-        "d7ddd700674288b8bf317c45d4ea9b3bc3b7b1567546802b02b51eedf65f81a6",
+        "e6de7e2af0c9b6b92204eeaa16fb8e2aa9dfc0748aaf5cd9f8d6dd44a625a4d0",
     "locate tdoa stderr":
-        "e7b67ae4546a35080d776265f00b429c964367ee2b9bc6d72f3ef77e1628f1cf",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "locate toa stdout":
         "4b27f20bf1b57c66f11a4e13efe735ef0f76597e111d8de03c47dc3b36cf2b96",
     "locate toa stderr":
@@ -428,7 +459,7 @@ CHANGEOVER_SHA256 = {
     "run/sn2_cfg3.log":
         "6ba0377bc35edea6915a215b001594c03b7465cf96c75f36c0bc471c3a679cb2",
     "run/estimates_tdoa.csv":
-        "9dc4bea42d6bbe1a6fe497935b391df6dbd9af11b5b25eb3d421b053596ba41e",
+        "e3210b8f1d8f5b027c0a4a453c37ea37769cf45c5ad056daa13e318a4acbc80b",
     "run/estimates_toa.csv":
         "39286a058358df8bbb0d7db36915867a8f8e8a8a1c6efde06e0ada26a0ff744e",
 }
@@ -456,3 +487,28 @@ def test_outputs_match_the_record_wise_pipeline(tmp_path, monkeypatch, capsys):
     for path in [*logs, "run/estimates_tdoa.csv", "run/estimates_toa.csv"]:
         digests[path] = _sha256(Path(path).read_bytes())
     assert digests == CHANGEOVER_SHA256
+
+
+#: sha256 of ``locate --scheme tdoa`` on the first two configurations of the
+#: changeover logs, as written before the solve took more than two rows.
+TWO_CONFIG_SHA256 = {
+    "stdout": "d3d30cbd50239adab90afca4146817a694897c4d89561d448bcb3b1a60331e02",
+    "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "run/estimates_tdoa.csv":
+        "911e3aafa0f335b621ad391f2ad0b46811737bc90106b57db056e1e3e7e38a43",
+}
+
+
+def test_two_configuration_tdoa_is_unchanged(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("exp.yaml").write_text(CHANGEOVER_CONFIG)
+    assert main(["simulate", "--config", "exp.yaml", "--out-dir", "run",
+                 "--decoys", "3"]) == EXIT_OK
+    capsys.readouterr()
+    logs = [f"run/sn{k}_cfg{j}.log" for j in (1, 2) for k in (1, 2)]
+    assert main(["locate", "--config", "exp.yaml", "--scheme", "tdoa",
+                 "--rnti", "7423", "--out-dir", "run", *logs]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert {"stdout": _sha256(captured.out), "stderr": _sha256(captured.err),
+            "run/estimates_tdoa.csv": _sha256(Path("run/estimates_tdoa.csv").read_bytes())
+            } == TWO_CONFIG_SHA256

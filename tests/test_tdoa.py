@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from dualsniff import tdoa
@@ -114,14 +116,26 @@ def test_constrained_handles_zero_differences():
     assert helpers.position_error(est.position, sc) < 1e-9
 
 
-def test_constrained_requires_two_rows():
+def test_constrained_solves_three_rows():
     sc = _tri_scenario()
     deltas = helpers.noiseless_deltas(sc)
     pairs = [form_tdoa(deltas[0], deltas[k], sc.sniffers[0], sc.sniffers[k], sc.enb)
              for k in (1, 2)]
     three = build_system(pairs + pairs[:1])
-    with pytest.raises(ValueError):
-        solve_constrained(three, sc.sniffers[0], sc.band, sc.enb)
+    est = solve_constrained(three, sc.sniffers[0], sc.band, sc.enb)
+    assert helpers.position_error(est.position, sc) < 1e-9
+    assert est.d_ue1 == pytest.approx(math.sqrt(4500.0), abs=1e-9)
+    assert est.residual_norm < 1e-9
+    assert est.method == "constrained-least-squares"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_configs=st.integers(3, 5))
+def test_constrained_least_squares_is_exact_without_noise(seed, n_configs):
+    sc = helpers.draw_scenario(np.random.default_rng(seed), n_sniffers=n_configs + 1)
+    est = solve_constrained(build_system(_pairs_for(sc)), sc.sniffers[0], sc.band, sc.enb)
+    assert helpers.position_error(est.position, sc) < 1e-6
+    assert est.method == "constrained-least-squares"
 
 
 def test_constrained_degenerate_offsets():
