@@ -333,13 +333,16 @@ def _read_estimate_errors(path: str) -> List[float]:
 
 
 def cmd_report(args) -> int:
-    names, all_stats = [], []
+    all_stats = []
     for path in args.estimates:
         errors = _read_estimate_errors(path)
         if not errors:
             raise EmptyInput(f"{path}: no successful estimates to report")
-        names.append(Path(path).stem)
         all_stats.append(summarize(errors))
+    # label runs by file stem, or by path where two stems collide
+    names = [Path(path).stem for path in args.estimates]
+    if len(set(names)) < len(names):
+        names = list(args.estimates)
 
     out = ["input,count,mean_m,rmse_m,std_m,q80_m"]
     for name, st in zip(names, all_stats):

@@ -76,6 +76,16 @@ def _position(raw, where: str) -> Position:
     return Position(float(raw[0]), float(raw[1]))
 
 
+def _integer(section: dict, key: str, default: int) -> int:
+    """``section[key]`` as an int; a non-finite or fractional number is a ConfigError."""
+    raw = section.get(key, default)
+    if isinstance(raw, float) and not math.isfinite(raw):
+        raise ConfigError(f"{key} must be finite, got {raw}")
+    if isinstance(raw, float) and not raw.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {raw}")
+    return int(raw)
+
+
 def _section(doc, name: str, required: bool) -> dict:
     raw = doc.get(name)
     if raw is None:
@@ -107,8 +117,8 @@ def parse_setup(doc) -> ExperimentSetup:
     ue_truth = _position(sc["ue_truth"], "scenario.ue_truth") if sc.get("ue_truth") is not None else None
     try:
         scenario = Scenario(enb=enb, sniffers=sniffers, ue_truth=ue_truth,
-                            ta_index=sc.get("ta_index", 0))
-    except ValueError as exc:
+                            ta_index=_integer(sc, "ta_index", 0))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"scenario: {exc}") from exc
 
     ck = _section(doc, "clock", required=False)
@@ -118,18 +128,18 @@ def parse_setup(doc) -> ExperimentSetup:
             scenario, sniffer_offsets=offsets,
             ue_hw_error=float(ck.get("ue_hw_error", 0.0)),
             sniffer_noise_sigma=float(ck.get("sniffer_noise_sigma", 0.0)),
-            rng_seed=int(ck.get("rng_seed", 0)))
+            rng_seed=_integer(ck, "rng_seed", 0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"clock: {exc}") from exc
 
     cp = _section(doc, "capture", required=False)
     try:
         capture = CaptureSpec(
-            subframes=int(cp.get("subframes", 1000)),
-            rnti=int(cp.get("rnti", 17001)),
+            subframes=_integer(cp, "subframes", 1000),
+            rnti=_integer(cp, "rnti", 17001),
             snr_db=float(cp.get("snr_db", 20.0)),
             noise_power_dbm=float(cp.get("noise_power_dbm", -95.0)),
-            start_frame=int(cp.get("start_frame", 0)))
+            start_frame=_integer(cp, "start_frame", 0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"capture: {exc}") from exc
 

@@ -13,7 +13,6 @@ consumes only the canonical form.
 
 A log is held as ``TimingColumns``, one numpy array per field, so parsing,
 writing and filtering cost one array operation per field, not per line.
-``TimingRecord`` is a view of one entry for library callers.
 
 Malformed lines never abort a parse: they are skipped and reported as
 diagnostics carrying the line number and reason.
@@ -22,7 +21,7 @@ diagnostics carrying the line number and reason.
 import math
 import warnings
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import IO, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,36 +72,12 @@ def check_entry(frame: int, subframe: int, rnti: int, dl_ul_delta: float,
                            "dl_ul_delta": dl_ul_delta, "cqi": cqi})
 
 
-@dataclass(frozen=True)
-class TimingRecord:
-    """One sniffer log entry."""
-
-    frame: int
-    subframe: int
-    rnti: int
-    dl_ul_delta: float   # microseconds
-    snr: float           # dB
-    cqi: int
-    noise_power: float   # dBm
-    sniffer_id: str = ""
-
-    def __post_init__(self):
-        # normalize to plain python scalars so repr-based writing is canonical
-        for name in ("frame", "subframe", "rnti", "cqi"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        for name in ("dl_ul_delta", "snr", "noise_power"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        _enforce(ENTRY_RULES, vars(self))
-
-
 @dataclass(frozen=True, eq=False)
 class TimingColumns:
     """Log entries of one sniffer as columns: entry i is row i of every array.
 
-    An integer index gives a ``TimingRecord`` view of one entry; a slice, an
-    index array or a boolean mask gives the selected entries as new columns.
-    Columns compare equal to columns with the same values, and to a list of
-    records equal to their views.
+    A slice, an index array or a boolean mask gives the selected entries as
+    new columns.  Columns compare equal to columns with the same values.
     """
 
     frame: np.ndarray
@@ -120,46 +95,21 @@ class TimingColumns:
         if len({getattr(self, name).shape for name, _ in COLUMNS}) != 1 or self.frame.ndim != 1:
             raise ValueError("columns must be one-dimensional and of one length")
 
-    @classmethod
-    def from_records(cls, records: Iterable[TimingRecord]) -> "TimingColumns":
-        """Columns holding ``records``, which must come from one sniffer."""
-        records = list(records)
-        sniffer_ids = {r.sniffer_id for r in records}
-        if len(sniffer_ids) > 1:
-            raise ValueError(f"records from more than one sniffer: {sorted(sniffer_ids)}")
-        return cls(*([getattr(r, name) for r in records] for name, _ in COLUMNS),
-                   sniffer_id=sniffer_ids.pop() if sniffer_ids else "")
-
     def __len__(self) -> int:
         return len(self.frame)
 
     def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            return TimingRecord(*(getattr(self, name)[index] for name, _ in COLUMNS),
-                                sniffer_id=self.sniffer_id)
         return TimingColumns(*(getattr(self, name)[index] for name, _ in COLUMNS),
                              sniffer_id=self.sniffer_id)
 
-    def __iter__(self) -> Iterator[TimingRecord]:
-        for values in zip(*(getattr(self, name).tolist() for name, _ in COLUMNS)):
-            yield TimingRecord(*values, sniffer_id=self.sniffer_id)
+    # entries are rows of the arrays, not objects to iterate over
+    __iter__ = None
 
     def __eq__(self, other):
-        if isinstance(other, TimingColumns):
-            return self.sniffer_id == other.sniffer_id and all(
-                np.array_equal(getattr(self, name), getattr(other, name))
-                for name, _ in COLUMNS)
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-
-Records = Union[TimingColumns, Sequence[TimingRecord]]
-
-
-def as_columns(records: Records) -> TimingColumns:
-    """``records`` as columns; columns pass through unchanged."""
-    return records if isinstance(records, TimingColumns) else TimingColumns.from_records(records)
+        if not isinstance(other, TimingColumns):
+            return NotImplemented
+        return self.sniffer_id == other.sniffer_id and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name, _ in COLUMNS)
 
 
 def interleave(logs: Sequence[TimingColumns]) -> TimingColumns:
@@ -319,49 +269,45 @@ def _parse_lines(lines: Iterable[str], sniffer_id: str
     return TimingColumns(*(e[name][keep] for name in names), sniffer_id=sniffer_id), diagnostics
 
 
-def write_log(records: Records) -> str:
-    """Render records back to canonical text; inverse of ``parse_log``.
+def write_log(c: TimingColumns) -> str:
+    """Render a log back to canonical text; inverse of ``parse_log``.
 
     Floats are written with ``repr`` so parsing the output reproduces the
-    records bit-exactly.
+    columns bit-exactly.
     """
-    c = as_columns(records)
     return "".join(
         f"{frame:04d}.{subframe} {rnti} {delta!r} {snr!r} {cqi} {noise!r}\n"
         for frame, subframe, rnti, delta, snr, cqi, noise in zip(
             *(getattr(c, name).tolist() for name, _ in COLUMNS)))
 
 
-def filter_rnti(records: Records, rnti: int) -> TimingColumns:
-    """Order-preserving subset of records carrying the target RNTI."""
-    c = as_columns(records)
+def filter_rnti(c: TimingColumns, rnti: int) -> TimingColumns:
+    """Order-preserving subset of entries carrying the target RNTI."""
     return c[c.rnti == rnti]
 
 
-def _unwrap_frames(records: Records) -> np.ndarray:
+def _unwrap_frames(c: TimingColumns) -> np.ndarray:
     """Monotonic frame counters from a wrapped capture, in stream order.
 
-    A drop of more than half the wrap modulus between consecutive records is
-    taken as one wrap of the counter.  The result is exact while the records
+    A drop of more than half the wrap modulus between consecutive entries is
+    taken as one wrap of the counter.  The result is exact while the entries
     come in time order and consecutive ones lie fewer than ``FRAME_WRAP // 2``
     frames apart; a longer gap cannot be told apart from a shorter one by the
     counters alone.
     """
-    frames = as_columns(records).frame
-    wraps = np.cumsum(np.diff(frames) < -(FRAME_WRAP // 2))
-    return frames + FRAME_WRAP * np.concatenate(([0], wraps))
+    wraps = np.cumsum(np.diff(c.frame) < -(FRAME_WRAP // 2))
+    return c.frame + FRAME_WRAP * np.concatenate(([0], wraps))
 
 
-def match_records(records_a: Records, records_b: Records
+def match_records(a: TimingColumns, b: TimingColumns
                   ) -> Tuple[List[MatchedSample], List[str]]:
     """Pair two captures of the same RNTI by (frame, subframe).
 
     Both inputs are unwrapped and sorted by (frame, subframe); a key present
     exactly once in each capture yields one sample.  Keys appearing more than
     once in either capture are ambiguous and dropped with a diagnostic, as is
-    a matched key whose two records disagree on the RNTI.
+    a matched key whose two entries disagree on the RNTI.
     """
-    a, b = as_columns(records_a), as_columns(records_b)
     frame = np.concatenate((_unwrap_frames(a), _unwrap_frames(b)))
     subframe = np.concatenate((a.subframe, b.subframe))
     # key every entry of both captures by the rank of its (frame, subframe) in

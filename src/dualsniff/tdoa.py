@@ -147,10 +147,10 @@ def solve_constrained(system: LinearSystem, ref_sniffer: Position,
     of it is clean.  ``geometry.choose_candidate`` then prefers in-band
     candidates and raises AmbiguousSolution for two clean ones far apart.
     """
-    G, h, pairs = system.G, system.h, None
+    G, h, rows = system.G, system.h, None
     if len(G) > 2:
-        pairs = [TdoaPair(ref_sniffer, Position(ref_sniffer.x + gx, ref_sniffer.y + gy), dd)
-                 for gx, gy, dd in G.tolist()]
+        # row k is (s_k - s_1, delta_d_k)
+        rows = G.tolist()
         G, h = G[:, :2].T @ G, G[:, :2].T @ h
     roots, vertex = eliminate(G, h, ref_sniffer)
     if vertex is not None:
@@ -159,15 +159,22 @@ def solve_constrained(system: LinearSystem, ref_sniffer: Position,
         raise NoRealRoot("no non-negative reference range solves the quadratic")
     cands = []
     for pos, d in roots:
-        ghost = 2.0 * math.sqrt(sum(min(0.0, d + dd) ** 2 for dd in system.G[:, 2]))
-        resid = ghost if pairs is None else range_difference_residual(pos, pairs)
+        resid = ghost = 2.0 * math.sqrt(sum(min(0.0, d + dd) ** 2 for dd in system.G[:, 2]))
+        if rows:
+            # ``range_difference_residual`` over the rows' pairs
+            d_ref, total = distance(pos, ref_sniffer), 0.0
+            for gx, gy, dd in rows:
+                miss = dd - (math.hypot(pos.x - (ref_sniffer.x + gx),
+                                        pos.y - (ref_sniffer.y + gy)) - d_ref)
+                total += miss * miss
+            resid = math.sqrt(total)
         cands.append(Candidate(pos, d, resid, ghost <= BRANCH_TOL))
-    if pairs:
+    if rows:
         best = min((c for c in cands if c.clean), key=lambda c: c.residual, default=None)
         cands = [c._replace(clean=c is best) for c in cands]
     best = choose_candidate(cands, enb, band)
     return TdoaEstimate(position=best.position, d_ue1=best.range, residual_norm=best.residual,
-                        method="constrained-least-squares" if pairs else "constrained-elimination")
+                        method="constrained-least-squares" if rows else "constrained-elimination")
 
 
 def solve_normal_equations(system: LinearSystem) -> TdoaEstimate:

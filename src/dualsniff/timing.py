@@ -10,12 +10,12 @@ log entries and is the ground-truth generator for both estimators.
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import SPEED_OF_LIGHT, TA_BAND_M, TA_STEP_S, Position, Scenario, distance
-from .snifferlog import FRAME_WRAP, TimingColumns, TimingRecord, check_entry
+from .snifferlog import FRAME_WRAP, TimingColumns, check_entry
 
 #: Subframes per radio frame.
 SUBFRAMES_PER_FRAME = 10
@@ -177,9 +177,7 @@ class SimulatedCapture:
 
     ``dl_ul_delta`` holds one row per subframe and one column per sniffer, in
     microseconds; the other scalar fields are the same for every entry.
-    ``len`` counts entries, and iteration or an integer index gives them as
-    ``TimingRecord`` views in subframe-major order, with sniffer ids ``sn1``,
-    ``sn2``, ...  A slice gives a list of views.
+    ``len`` counts entries; ``sniffer_log`` gives one sniffer's as columns.
     """
 
     frame: np.ndarray
@@ -202,25 +200,6 @@ class SimulatedCapture:
             rnti=np.full(count, self.rnti), dl_ul_delta=self.dl_ul_delta[rows, k],
             snr=np.full(count, self.snr), cqi=np.full(count, self.cqi),
             noise_power=np.full(count, self.noise_power), sniffer_id=f"sn{k + 1}")
-
-    def __iter__(self) -> Iterator[TimingRecord]:
-        logs = [self.sniffer_log(k) for k in range(self.dl_ul_delta.shape[1])]
-        for entries in zip(*logs):
-            yield from entries
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        n, k = divmod(range(len(self))[index], self.dl_ul_delta.shape[1])
-        return self.sniffer_log(k)[n]
-
-    def __eq__(self, other):
-        if not isinstance(other, SimulatedCapture):
-            return NotImplemented
-        return ((self.rnti, self.snr, self.cqi, self.noise_power)
-                == (other.rnti, other.snr, other.cqi, other.noise_power)
-                and all(np.array_equal(getattr(self, name), getattr(other, name))
-                        for name in ("frame", "subframe", "dl_ul_delta")))
 
 
 def simulate_capture(scenario: Scenario, cfg: ClockConfig, schedule: SubframeSchedule,
@@ -276,6 +255,6 @@ def simulate_capture(scenario: Scenario, cfg: ClockConfig, schedule: SubframeSch
         raise ValueError("simulated dl_ul_delta is not finite")
     n = np.arange(schedule.count)
     return SimulatedCapture(
-        frame=(start_frame + n // SUBFRAMES_PER_FRAME) % FRAME_WRAP,
+        frame=(start_frame % FRAME_WRAP + n // SUBFRAMES_PER_FRAME) % FRAME_WRAP,
         subframe=n % SUBFRAMES_PER_FRAME, dl_ul_delta=delta, rnti=int(rnti),
         snr=float(snr_db), cqi=int(record_cqi), noise_power=float(noise_power_dbm))

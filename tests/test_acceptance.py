@@ -18,7 +18,7 @@ import helpers
 from dualsniff.bruteforce import annulus_minimum
 from dualsniff.errors import LocalizationError, RankDeficient
 from dualsniff.geometry import Position, Scenario, distance
-from dualsniff.snifferlog import (TimingRecord, filter_rnti, match_records,
+from dualsniff.snifferlog import (TimingColumns, filter_rnti, match_records,
                                   parse_log, write_log, write_matched)
 from dualsniff.stats import cdf_quantile, one_sigma_filter, summarize
 from dualsniff.tdoa import (BRANCH_TOL, build_system, form_tdoa,
@@ -219,18 +219,16 @@ def test_criterion_6_snr_monotonicity():
 
 def test_criterion_7_parser_round_trip():
     rng = np.random.default_rng(77)
-    records = [
-        TimingRecord(frame=int(rng.integers(0, 1024)),
-                     subframe=int(rng.integers(0, 10)),
-                     rnti=int(rng.integers(0, 65536)),
-                     dl_ul_delta=float(rng.normal(0.0, 3.0)),
-                     snr=float(rng.normal(15.0, 4.0)),
-                     cqi=int(rng.integers(0, 16)),
-                     noise_power=float(rng.normal(-95.0, 2.0)))
+    # one entry's fields at a time, in log-line order
+    entries = [
+        (int(rng.integers(0, 1024)), int(rng.integers(0, 10)), int(rng.integers(0, 65536)),
+         float(rng.normal(0.0, 3.0)), float(rng.normal(15.0, 4.0)), int(rng.integers(0, 16)),
+         float(rng.normal(-95.0, 2.0)))
         for _ in range(10000)
     ]
-    again, fuzz_diags = parse_log(io.StringIO(write_log(records)), "")
-    round_trip_ok = fuzz_diags == [] and again == records
+    columns = TimingColumns(*zip(*entries))
+    again, fuzz_diags = parse_log(io.StringIO(write_log(columns)), "")
+    round_trip_ok = fuzz_diags == [] and again == columns
 
     with (DATA / "golden_a.log").open() as fh:
         records_a, diags_a = parse_log(fh, "a")

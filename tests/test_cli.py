@@ -10,7 +10,7 @@ import yaml
 
 from dualsniff.cli import (ESTIMATES_HEADER, EXIT_CONFIG, EXIT_INPUT,
                            EXIT_NO_SAMPLES, EXIT_OK, main)
-from dualsniff.snifferlog import MAX_RNTI, TimingRecord, filter_rnti, parse_log
+from dualsniff.snifferlog import MAX_RNTI, filter_rnti, parse_log
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -79,11 +79,11 @@ def test_simulate_relocation_splits_configs(tmp_path):
     # the moving sniffer reports a different delta after the move
     before, _ = parse_log((out / "sn2_cfg1.log").open(), "a")
     after, _ = parse_log((out / "sn2_cfg2.log").open(), "b")
-    assert before[0].dl_ul_delta != after[0].dl_ul_delta
+    assert before.dl_ul_delta[0] != after.dl_ul_delta[0]
     # the reference sniffer does not
     ref1, _ = parse_log((out / "sn1_cfg1.log").open(), "a")
     ref2, _ = parse_log((out / "sn1_cfg2.log").open(), "b")
-    assert ref1[0].dl_ul_delta == ref2[0].dl_ul_delta
+    assert ref1.dl_ul_delta[0] == ref2.dl_ul_delta[0]
 
 
 def test_simulate_is_deterministic(tmp_path):
@@ -101,7 +101,7 @@ def test_simulate_decoys_share_timeline(tmp_path):
     records, _ = parse_log((out / "sn1_cfg1.log").open(), "sn1")
     assert len(records) == 90
     assert len(filter_rnti(records, 7423)) == 30
-    assert {r.rnti for r in records} == {7423, 7424, 7425}
+    assert set(records.rnti.tolist()) == {7423, 7424, 7425}
 
 
 def test_simulate_subframes_override_conflicts_with_relocation(tmp_path, capsys):
@@ -162,6 +162,17 @@ def test_simulate_rejects_non_finite_config_values(tmp_path, capsys, section, li
     assert not out.exists()
 
 
+def test_integer_config_fields_reject_infinity_and_fractions(tmp_path, capsys):
+    for value, reason in ((".inf", "must be finite"), ("7423.5", "must be an integer")):
+        cfg = _write(tmp_path, "exp.yaml", TOA_CONFIG.replace("rnti: 7423", f"rnti: {value}"))
+        out = tmp_path / "x"
+        for command in (["simulate"], ["locate", "--scheme", "toa", "--rnti", "7423", "a", "b"]):
+            assert main([*command, "--config", cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith(
+                f"configuration error: {cfg}: capture: rnti {reason}")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("rnti, decoys, culprit", [
     (-1, 0, "rnti"),
     (MAX_RNTI + 1, 0, "rnti"),
@@ -184,20 +195,6 @@ def test_simulate_accepts_decoys_up_to_the_largest_rnti(tmp_path):
                     "run", extra=["--decoys", "1"])
     records, diags = parse_log((out / "sn1_cfg1.log").open(), "sn1")
     assert diags == [] and sorted(set(records.rnti.tolist())) == [MAX_RNTI - 1, MAX_RNTI]
-
-
-def test_simulate_and_locate_build_no_record_per_line(tmp_path, monkeypatch, capsys):
-    built = []
-    check = TimingRecord.__post_init__
-    monkeypatch.setattr(TimingRecord, "__post_init__",
-                        lambda self: built.append(self) or check(self))
-    out = _simulate(tmp_path, TDOA_CONFIG, "run", extra=["--decoys", "2"])
-    logs = [str(out / f"sn{k}_cfg{j}.log") for j in (1, 2) for k in (1, 2)]
-    for scheme, files in (("tdoa", logs), ("toa", logs[:2])):
-        assert main(["locate", "--config", str(tmp_path / "exp.yaml"), "--scheme", scheme,
-                     "--rnti", "7423", "--out-dir", str(out), *files]) == EXIT_OK
-    capsys.readouterr()
-    assert built == []
 
 
 def test_locate_toa_noiseless(tmp_path, capsys):
@@ -367,6 +364,19 @@ def test_report_single_and_merged(tmp_path, capsys):
     lines = report_path.read_text().splitlines()
     assert "probability,estimates_tdoa_error_m,estimates_toa_error_m" in lines
     assert sum(1 for ln in lines if ln.startswith("0.80,")) == 1
+
+
+def test_report_labels_runs_with_one_stem_by_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rows = {"a": "0,1,2,3.0,4.0,5.0,1.5,ok\n", "b": "0,1,2,3.0,4.0,5.0,2.5,ok\n"}
+    for run, row in rows.items():
+        Path(run).mkdir()
+        Path(run, "estimates_tdoa.csv").write_text(ESTIMATES_HEADER + "\n" + row)
+    assert main(["report", "a/estimates_tdoa.csv", "b/estimates_tdoa.csv"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(",")[:3] for ln in lines[1:3]] == [
+        ["a/estimates_tdoa.csv", "1", "1.500000"], ["b/estimates_tdoa.csv", "1", "2.500000"]]
+    assert "probability,a/estimates_tdoa.csv_error_m,b/estimates_tdoa.csv_error_m" in lines
     assert lines[-1].startswith("1.00,")
 
 
@@ -432,7 +442,7 @@ relocations:
 """
 
 #: sha256 of every output of ``test_outputs_match_the_record_wise_pipeline``,
-#: as written by the pipeline that built one ``TimingRecord`` per log line;
+#: as written by the pipeline that built one record object per log line;
 #: the three ``locate tdoa`` entries by the constrained least-squares solve of
 #: three configurations, which replaced the free-range normal equations.
 CHANGEOVER_SHA256 = {

@@ -113,6 +113,16 @@ def test_capture_validation():
     doc["capture"]["subframes"] = 0
     with pytest.raises(ConfigError, match="subframes"):
         parse_setup(doc)
+    # integer fields take whole numbers only, never truncating a fraction
+    for section, key in (("capture", "subframes"), ("capture", "rnti"),
+                         ("capture", "start_frame"), ("clock", "rng_seed"),
+                         ("scenario", "ta_index")):
+        doc = _full_doc()
+        doc[section][key] = 17001.9
+        with pytest.raises(ConfigError, match=f"{section}: {key} must be an integer, got 17001.9"):
+            parse_setup(doc)
+        doc[section][key] = float(_full_doc()[section][key])
+        assert getattr(getattr(parse_setup(doc), section), key) == _full_doc()[section][key]
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -125,6 +135,12 @@ def test_capture_validation():
     ("capture", "snr_db", float("-inf")),
     ("capture", "noise_power_dbm", float("nan")),
     ("capture", "noise_power_dbm", float("inf")),
+    ("capture", "subframes", float("inf")),
+    ("capture", "rnti", float("inf")),
+    ("capture", "start_frame", float("-inf")),
+    ("clock", "rng_seed", float("inf")),
+    ("scenario", "ta_index", float("inf")),
+    ("capture", "rnti", float("nan")),
 ])
 def test_non_finite_values_are_config_errors(section, key, value):
     doc = _full_doc()

@@ -3,7 +3,8 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "dualsniff"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "dualsniff"
 
 
 def _unused_imports(path):
@@ -25,6 +26,7 @@ def _unused_imports(path):
     return unused
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []

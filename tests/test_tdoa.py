@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 from dualsniff import tdoa
-from dualsniff.errors import (DegenerateGeometry, InfeasibleObservation,
+from dualsniff.errors import (DegenerateGeometry, InfeasibleObservation, LocalizationError,
                               MixedReference, NoRealRoot, RankDeficient)
 from dualsniff.geometry import SPEED_OF_LIGHT, Position, Scenario, distance
 from dualsniff.snifferlog import MatchedSample
@@ -15,7 +15,6 @@ from dualsniff.tdoa import (LinearSystem, TdoaEstimate, TdoaPair, build_system,
                             estimate_tdoa, form_tdoa,
                             range_difference_residual, solve_constrained,
                             solve_normal_equations)
-from dualsniff.timing import ClockConfig, subframe_delta
 
 
 def _tri_scenario():
@@ -136,6 +135,24 @@ def test_constrained_least_squares_is_exact_without_noise(seed, n_configs):
     est = solve_constrained(build_system(_pairs_for(sc)), sc.sniffers[0], sc.band, sc.enb)
     assert helpers.position_error(est.position, sc) < 1e-6
     assert est.method == "constrained-least-squares"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_configs=st.integers(3, 5))
+def test_least_squares_residual_is_the_range_difference_residual(seed, n_configs):
+    rng = np.random.default_rng(seed)
+    sc = helpers.draw_scenario(rng, n_sniffers=n_configs + 1)
+    noisy = [TdoaPair(p.ref_sniffer, p.other_sniffer, p.delta_d + rng.normal(0.0, 2.0))
+             for p in _pairs_for(sc)]
+    system = build_system(noisy)
+    try:
+        est = solve_constrained(system, sc.sniffers[0], sc.band, sc.enb)
+    except LocalizationError:
+        return
+    # the pairs as the rows of G give them: s_k = s_1 + (G_k0, G_k1)
+    ref = sc.sniffers[0]
+    rows = [TdoaPair(ref, Position(ref.x + gx, ref.y + gy), dd) for gx, gy, dd in system.G.tolist()]
+    assert est.residual_norm == range_difference_residual(est.position, rows)
 
 
 def test_constrained_degenerate_offsets():

@@ -139,52 +139,56 @@ def test_ue_tx_time_applies_advance():
 def test_simulate_capture_shape_and_ids():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc)
-    records = simulate_capture(sc, cfg, SubframeSchedule(count=7), rnti=7423)
-    assert len(records) == 14
-    assert [r.sniffer_id for r in records[:4]] == ["sn1", "sn2", "sn1", "sn2"]
-    assert all(r.rnti == 7423 for r in records)
-    assert records[0].cqi == 15  # 20 dB default maps to the top CQI
+    capture = simulate_capture(sc, cfg, SubframeSchedule(count=7), rnti=7423)
+    assert len(capture) == 14
+    logs = [capture.sniffer_log(k) for k in (0, 1)]
+    assert [log.sniffer_id for log in logs] == ["sn1", "sn2"]
+    assert all(len(log) == 7 and set(log.rnti.tolist()) == {7423} for log in logs)
+    assert set(logs[0].cqi.tolist()) == {15}  # 20 dB default maps to the top CQI
 
 
 def test_simulate_capture_frame_counter_wraps():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc)
-    records = simulate_capture(sc, cfg, SubframeSchedule(count=25), start_frame=1023)
-    frames = [r.frame for r in records[::2]]  # one sniffer's view
+    log = simulate_capture(sc, cfg, SubframeSchedule(count=25), start_frame=1023).sniffer_log(0)
+    frames = log.frame.tolist()
     assert frames[:10] == [1023] * 10
     assert frames[10:20] == [0] * 10
     assert frames[20:] == [1] * 5
-    assert [r.subframe for r in records[::2]] == [n % 10 for n in range(25)]
+    assert log.subframe.tolist() == [n % 10 for n in range(25)]
+    # only the counter's value modulo the wrap matters, however large the start
+    far = simulate_capture(sc, cfg, SubframeSchedule(count=25),
+                           start_frame=1023 + 1024 * 10 ** 30)
+    assert far.sniffer_log(0) == log
 
 
 def test_simulate_capture_noiseless_matches_model():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc)
-    records = simulate_capture(sc, cfg, SubframeSchedule(count=5))
+    capture = simulate_capture(sc, cfg, SubframeSchedule(count=5))
     for k in (0, 1):
         want = subframe_delta(sc, k, cfg) * 1e6
-        deltas = {r.dl_ul_delta for r in records if r.sniffer_id == f"sn{k + 1}"}
-        assert deltas == {want}
+        assert set(capture.sniffer_log(k).dl_ul_delta.tolist()) == {want}
 
 
 def test_simulate_capture_deterministic_per_seed():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc, sniffer_noise_sigma=3e-8, rng_seed=11)
-    a = simulate_capture(sc, cfg, SubframeSchedule(count=40))
-    b = simulate_capture(sc, cfg, SubframeSchedule(count=40))
-    assert a == b
+    a, b = (simulate_capture(sc, cfg, SubframeSchedule(count=40)) for _ in range(2))
+    assert all(a.sniffer_log(k) == b.sniffer_log(k) for k in (0, 1))
     other = ClockConfig.for_scenario(sc, sniffer_noise_sigma=3e-8, rng_seed=12)
     c = simulate_capture(sc, other, SubframeSchedule(count=40))
-    assert any(x.dl_ul_delta != y.dl_ul_delta for x, y in zip(a, c))
+    assert all((a.sniffer_log(k).dl_ul_delta != c.sniffer_log(k).dl_ul_delta).any()
+               for k in (0, 1))
 
 
 def test_relocation_switches_position_mid_capture():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc)
     moved = Position(0, 150)
-    records = simulate_capture(sc, cfg, SubframeSchedule(count=6),
+    capture = simulate_capture(sc, cfg, SubframeSchedule(count=6),
                                relocations=[Relocation(sniffer=1, at_subframe=3, to=moved)])
-    sn2 = [r.dl_ul_delta for r in records if r.sniffer_id == "sn2"]
+    sn2 = capture.sniffer_log(1).dl_ul_delta.tolist()
     before = subframe_delta(sc, 1, cfg) * 1e6
     after_sc = Scenario(enb=sc.enb, sniffers=(sc.sniffers[0], moved),
                         ue_truth=sc.ue_truth, ta_index=sc.ta_index)
@@ -192,8 +196,7 @@ def test_relocation_switches_position_mid_capture():
     assert sn2[:3] == [before] * 3
     assert sn2[3:] == [after] * 3
     # the unmoved sniffer never changes
-    sn1 = {r.dl_ul_delta for r in records if r.sniffer_id == "sn1"}
-    assert len(sn1) == 1
+    assert len(set(capture.sniffer_log(0).dl_ul_delta.tolist())) == 1
 
 
 def test_relocation_does_not_reshuffle_noise():
@@ -203,9 +206,9 @@ def test_relocation_does_not_reshuffle_noise():
     moved = simulate_capture(sc, cfg, SubframeSchedule(count=8),
                              relocations=[Relocation(sniffer=0, at_subframe=5,
                                                      to=Position(200, 10))])
-    # records before the move are bit-identical, so noise draws are tied to
+    # entries before the move are bit-identical, so noise draws are tied to
     # (seed, subframe, sniffer) and not to the relocation plan
-    assert plain[:10] == moved[:10]
+    assert all(plain.sniffer_log(k, 0, 5) == moved.sniffer_log(k, 0, 5) for k in (0, 1))
 
 
 def test_relocation_validation():
@@ -233,10 +236,9 @@ def test_delta_microseconds_magnitude():
     # unit conversion into log records
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc)
-    rec = simulate_capture(sc, cfg, SubframeSchedule(count=1))[0]
-    assert math.isclose(rec.dl_ul_delta,
-                        subframe_delta(sc, 0, cfg) * 1e6, rel_tol=1e-12)
-    assert 0.01 < abs(rec.dl_ul_delta) < 10.0
+    (delta,) = simulate_capture(sc, cfg, SubframeSchedule(count=1)).sniffer_log(0).dl_ul_delta
+    assert math.isclose(delta, subframe_delta(sc, 0, cfg) * 1e6, rel_tol=1e-12)
+    assert 0.01 < abs(delta) < 10.0
 
 
 def test_sniffer_log_is_one_sniffers_slice():
@@ -246,8 +248,11 @@ def test_sniffer_log_is_one_sniffers_slice():
                                start_frame=1022)
     log = capture.sniffer_log(1, 5, 25)
     assert log.sniffer_id == "sn2"
-    assert log == [r for r in capture[10:50] if r.sniffer_id == "sn2"]
-    assert capture[-1] == capture.sniffer_log(1)[-1]
+    assert log == capture.sniffer_log(1)[5:25]
+    assert log.dl_ul_delta.tolist() == capture.dl_ul_delta[5:25, 1].tolist()
+    assert log.frame.tolist() == [(1022 + n // 10) % 1024 for n in range(5, 25)]
+    assert log.subframe.tolist() == [n % 10 for n in range(5, 25)]
+    assert set(log.rnti.tolist()) == {7423}
 
 
 @pytest.mark.parametrize("override", [

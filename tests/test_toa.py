@@ -11,7 +11,7 @@ import helpers
 from dualsniff.errors import (AmbiguousSolution, CollinearityWarning,
                               InfeasibleObservation, NoIntersection)
 from dualsniff.geometry import SPEED_OF_LIGHT, Position, Scenario, distance, ta_band
-from dualsniff.timing import ClockConfig, subframe_delta, ta_seconds
+from dualsniff.timing import ClockConfig, subframe_delta
 from dualsniff.toa import (ToAObservation, compose_D, ellipse_residual,
                            solve_toa)
 
