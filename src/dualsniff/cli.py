@@ -8,10 +8,10 @@ Subcommands::
                        runs/a/sn1_cfg2.log runs/a/sn2_cfg2.log
     dualsniff report   runs/a/estimates_tdoa.csv runs/b/estimates_toa.csv
 
-``simulate`` writes one canonical log per sniffer per configuration segment
-(segments are cut at relocation subframes): sn1_cfg1.log, sn2_cfg1.log, ...
-``locate`` consumes file pairs in (reference, other) order, one pair per
-configuration, and writes per-sample estimates plus an error report.
+``simulate`` writes one log per sniffer per segment of ``timing.segments``:
+sn1_cfg1.log, sn2_cfg1.log, ...  ``locate`` takes (reference, other) file
+pairs, one per configuration, and writes per-sample estimates plus an error
+report.  TDoA solves configuration j with sniffer 2 where segment j puts it.
 ``report`` merges estimate files into a comparison table and plot-ready CDF
 columns.
 
@@ -33,7 +33,7 @@ from .snifferlog import (MAX_RNTI, MatchedSample, TimingColumns, filter_rnti, in
                          match_records, parse_log, write_log)
 from .stats import EmptyInput, cdf_quantile, one_sigma_filter, summarize
 from .tdoa import estimate_tdoa
-from .timing import SimulatedCapture, SubframeSchedule, quantize_ta, simulate_capture
+from .timing import SimulatedCapture, quantize_ta, simulate_capture
 from .toa import compose_D, solve_toa
 
 EXIT_OK = 0
@@ -57,11 +57,6 @@ class NoSamples(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _segment_bounds(setup: ExperimentSetup) -> List[int]:
-    cuts = sorted({r.at_subframe for r in setup.relocations})
-    return [0] + cuts + [setup.capture.subframes]
-
-
 def _decoy_captures(setup: ExperimentSetup, count: int) -> List[SimulatedCapture]:
     """Background traffic from other devices, to make RNTI filtering real.
 
@@ -83,8 +78,7 @@ def _decoy_captures(setup: ExperimentSetup, count: int) -> List[SimulatedCapture
                               ta_value=quantize_ta(distance(ue, setup.scenario.enb))[1],
                               rng_seed=setup.clock.rng_seed + 104729 + i)
         captures.append(simulate_capture(
-            decoy_scenario, decoy_clock,
-            SubframeSchedule(count=setup.capture.subframes), setup.relocations,
+            decoy_scenario, decoy_clock, setup.capture.subframes, setup.relocations,
             rnti=setup.capture.rnti + 1 + i, snr_db=setup.capture.snr_db,
             noise_power_dbm=setup.capture.noise_power_dbm,
             start_frame=setup.capture.start_frame))
@@ -98,18 +92,17 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulation requires scenario.ue_truth")
 
     target = simulate_capture(
-        setup.scenario, setup.clock, SubframeSchedule(count=setup.capture.subframes),
+        setup.scenario, setup.clock, setup.capture.subframes,
         setup.relocations, rnti=setup.capture.rnti, snr_db=setup.capture.snr_db,
         noise_power_dbm=setup.capture.noise_power_dbm,
         start_frame=setup.capture.start_frame)
     # within a subframe, entries go in RNTI order (ties in capture order)
     captures = sorted([target, *_decoy_captures(setup, args.decoys)], key=lambda c: c.rnti)
-    bounds = _segment_bounds(setup)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for k in range(len(setup.scenario.sniffers)):
-        for j, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        for j, (start, stop, _) in enumerate(setup.segments()):
             log = interleave([c.sniffer_log(k, start, stop) for c in captures])
             path = out_dir / f"sn{k + 1}_cfg{j + 1}.log"
             path.write_text(write_log(log), encoding="utf-8")
@@ -135,13 +128,11 @@ def _apply_overrides(setup: ExperimentSetup, args) -> ExperimentSetup:
         clock = _override(clock, "--sigma", sniffer_noise_sigma=args.sigma)
     if getattr(args, "subframes", None) is not None:
         capture = _override(capture, "--subframes", subframes=args.subframes)
-        if any(r.at_subframe >= args.subframes for r in setup.relocations):
-            raise ConfigError("--subframes cuts the capture before a relocation")
     if getattr(args, "snr", None) is not None:
         capture = _override(capture, "--snr", snr_db=args.snr)
     if capture.rnti + getattr(args, "decoys", 0) > MAX_RNTI:
         raise ConfigError(f"--decoys {args.decoys} runs the decoy RNTIs past {MAX_RNTI}")
-    return replace(setup, clock=clock, capture=capture)
+    return _override(setup, "--subframes", clock=clock, capture=capture)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +206,12 @@ def _locate_tdoa(setup: ExperimentSetup, files: Sequence[str], rnti: int,
     matched_sets = [_match_pair(files[2 * j], files[2 * j + 1], rnti)
                     for j in range(n_cfg)]
     scenario = setup.scenario
-    if any(r.sniffer == 0 for r in setup.relocations):
+    if any(r.sniffer != 1 for r in setup.relocations):
         raise ConfigError(
-            "tdoa needs sniffer 1 fixed as the common reference; the "
-            "relocation plan moves it")
-    moved = [r.to for r in sorted(setup.relocations, key=lambda r: r.at_subframe)]
-    others = [scenario.sniffers[1]] + (moved if moved else list(scenario.sniffers[2:]))
+            "tdoa keeps sniffer 1 fixed as the common reference and relocates "
+            "sniffer 2 only; the relocation plan moves another sniffer")
+    plan = setup.segments()
+    others = [p[1] for _, _, p in plan] if len(plan) > 1 else list(scenario.sniffers[1:])
     if len(others) < n_cfg:
         raise ConfigError(
             f"{n_cfg} configurations but only {len(others)} known positions "
@@ -355,6 +346,7 @@ def cmd_report(args) -> int:
         out.append(f"{p:.2f},{cells}")
     text = "\n".join(out) + "\n"
     if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
     else:

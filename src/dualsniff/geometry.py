@@ -44,6 +44,14 @@ class Position:
             raise ValueError(f"position coordinates must be finite, got ({self.x}, {self.y})")
 
 
+def whole(name: str, value) -> int:
+    """``value`` as an int; a non-finite or fractional float raises ValueError."""
+    if isinstance(value, float) and value % 1 != 0:  # a fraction, or inf % 1 == nan
+        raise ValueError(f"{name} must be {'an integer' if math.isfinite(value) else 'finite'}, "
+                         f"got {value}")
+    return int(value)
+
+
 def distance(a: Position, b: Position) -> float:
     """Euclidean distance between two positions, meters."""
     return math.hypot(a.x - b.x, a.y - b.y)
@@ -87,7 +95,8 @@ class Scenario:
         object.__setattr__(self, "sniffers", tuple(self.sniffers))
         if len(self.sniffers) < 2:
             raise ValueError(f"need at least two sniffers, got {len(self.sniffers)}")
-        if int(self.ta_index) != self.ta_index or self.ta_index < 0:
+        object.__setattr__(self, "ta_index", whole("ta_index", self.ta_index))
+        if self.ta_index < 0:
             raise ValueError(f"ta_index must be a non-negative integer, got {self.ta_index}")
         for i, s in enumerate(self.sniffers):
             if distance(s, self.enb) == 0.0:

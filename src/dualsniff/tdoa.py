@@ -206,10 +206,8 @@ def solve_normal_equations(system: LinearSystem) -> TdoaEstimate:
 
 
 def estimate_tdoa(matched_sets: Sequence[Sequence[MatchedSample]],
-                  scenario: Scenario, *,
-                  ref_sniffer: Optional[Position] = None,
-                  other_positions: Optional[Sequence[Position]] = None
-                  ) -> List[SampleOutcome]:
+                  scenario: Scenario, *, ref_sniffer: Position,
+                  other_positions: Sequence[Position]) -> List[SampleOutcome]:
     """Batch driver: one estimate per aligned sample across configurations.
 
     ``matched_sets[j]`` holds configuration j's matched samples, where
@@ -221,9 +219,6 @@ def estimate_tdoa(matched_sets: Sequence[Sequence[MatchedSample]],
     if len(matched_sets) < 2:
         raise ValueError(
             f"need at least two configurations, got {len(matched_sets)}")
-    ref = ref_sniffer if ref_sniffer is not None else scenario.sniffers[0]
-    if other_positions is None:
-        other_positions = scenario.sniffers[1:1 + len(matched_sets)]
     if len(other_positions) != len(matched_sets):
         raise ValueError(
             f"{len(other_positions)} sniffer positions for "
@@ -234,11 +229,11 @@ def estimate_tdoa(matched_sets: Sequence[Sequence[MatchedSample]],
     for i in range(n_samples):
         label = matched_sets[0][i]
         try:
-            pairs = [form_tdoa(s[i].delta_a * 1e-6, s[i].delta_b * 1e-6, ref, other,
+            pairs = [form_tdoa(s[i].delta_a * 1e-6, s[i].delta_b * 1e-6, ref_sniffer, other,
                                scenario.enb, pair_id=f"cfg{j + 1}",
                                speed_of_light=scenario.speed_of_light)
                      for j, (s, other) in enumerate(zip(matched_sets, other_positions))]
-            est = solve_constrained(build_system(pairs), ref, scenario.band, scenario.enb)
+            est = solve_constrained(build_system(pairs), ref_sniffer, scenario.band, scenario.enb)
             outcomes.append(SampleOutcome(
                 index=i, frame=label.frame, subframe=label.subframe,
                 estimate=est))

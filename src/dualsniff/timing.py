@@ -10,11 +10,11 @@ log entries and is the ground-truth generator for both estimators.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT, TA_BAND_M, TA_STEP_S, Position, Scenario, distance
+from .geometry import SPEED_OF_LIGHT, TA_BAND_M, TA_STEP_S, Position, Scenario, distance, whole
 from .snifferlog import FRAME_WRAP, TimingColumns, check_entry
 
 #: Subframes per radio frame.
@@ -40,41 +40,27 @@ class ClockConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "sniffer_offsets", tuple(self.sniffer_offsets))
+        object.__setattr__(self, "sniffer_offsets", tuple(map(float, self.sniffer_offsets)))
         if not all(math.isfinite(v) for v in self.sniffer_offsets):
             raise ValueError(f"sniffer_offsets must be finite, got {self.sniffer_offsets}")
         for name in ("ue_hw_error", "sniffer_noise_sigma", "ta_value"):
+            object.__setattr__(self, name, float(getattr(self, name)))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        object.__setattr__(self, "rng_seed", whole("rng_seed", self.rng_seed))
         for name in ("sniffer_noise_sigma", "rng_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @classmethod
-    def for_scenario(cls, scenario: Scenario, *, sniffer_offsets: Optional[Sequence[float]] = None,
-                     ue_hw_error: float = 0.0, sniffer_noise_sigma: float = 0.0,
-                     rng_seed: int = 0) -> "ClockConfig":
-        """Build a config whose timing advance matches the scenario's TA index."""
-        offsets = tuple(sniffer_offsets) if sniffer_offsets is not None \
-            else (0.0,) * len(scenario.sniffers)
-        if len(offsets) != len(scenario.sniffers):
-            raise ValueError(
-                f"{len(offsets)} sniffer offsets for {len(scenario.sniffers)} sniffers"
-            )
-        return cls(sniffer_offsets=offsets, ue_hw_error=ue_hw_error,
-                   sniffer_noise_sigma=sniffer_noise_sigma,
-                   ta_value=ta_seconds(scenario.ta_index), rng_seed=rng_seed)
-
-
-@dataclass(frozen=True)
-class SubframeSchedule:
-    """Downlink subframe timeline: ``count`` subframes, one every millisecond."""
-
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"need at least one subframe, got {self.count}")
+    def for_scenario(cls, scenario: Scenario, **fields) -> "ClockConfig":
+        """The scenario's timing advance; ``fields`` set the rest (offsets default to 0)."""
+        fields.setdefault("sniffer_offsets", (0.0,) * len(scenario.sniffers))
+        cfg = cls(ta_value=ta_seconds(scenario.ta_index), **fields)
+        if len(cfg.sniffer_offsets) != len(scenario.sniffers):
+            raise ValueError(f"{len(cfg.sniffer_offsets)} sniffer offsets for "
+                             f"{len(scenario.sniffers)} sniffers")
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -87,6 +73,38 @@ class Relocation:
     sniffer: int
     at_subframe: int
     to: Position
+
+    def __post_init__(self):
+        for name in ("sniffer", "at_subframe"):
+            object.__setattr__(self, name, whole(name, getattr(self, name)))
+
+
+def segments(sniffers: Sequence[Position], relocations: Sequence[Relocation],
+             subframes: int) -> List[Tuple[int, int, Tuple[Position, ...]]]:
+    """``(start, stop, positions)``: subframes start..stop-1 see the sniffers at positions.
+
+    Raises ValueError for fewer than one subframe, or for a relocation of an
+    unknown sniffer, outside (0, subframes), or of a sniffer already moved at
+    that subframe.  Messages number sniffers from 1.
+    """
+    if subframes < 1:
+        raise ValueError(f"need at least one subframe, got {subframes}")
+    for i, r in enumerate(relocations):
+        if not 0 <= r.sniffer < len(sniffers):
+            raise ValueError(f"relocated sniffer must be 1..{len(sniffers)}, got {r.sniffer + 1}")
+        if not 0 < r.at_subframe < subframes:
+            raise ValueError(f"relocation at_subframe must be inside the capture "
+                             f"(1..{subframes - 1}), got {r.at_subframe}")
+        if any((q.sniffer, q.at_subframe) == (r.sniffer, r.at_subframe) for q in relocations[:i]):
+            raise ValueError(f"sniffer {r.sniffer + 1} relocated twice at subframe {r.at_subframe}")
+    cuts = sorted({r.at_subframe for r in relocations})
+    positions, plan = list(sniffers), []
+    for start, stop in zip([0] + cuts, cuts + [subframes]):
+        for r in relocations:
+            if r.at_subframe == start:
+                positions[r.sniffer] = r.to
+        plan.append((start, stop, tuple(positions)))
+    return plan
 
 
 def ta_seconds(ta_index: int) -> float:
@@ -202,7 +220,7 @@ class SimulatedCapture:
             noise_power=np.full(count, self.noise_power), sniffer_id=f"sn{k + 1}")
 
 
-def simulate_capture(scenario: Scenario, cfg: ClockConfig, schedule: SubframeSchedule,
+def simulate_capture(scenario: Scenario, cfg: ClockConfig, subframes: int,
                      relocations: Sequence[Relocation] = (), *,
                      rnti: int = 17001, snr_db: float = 20.0,
                      cqi: Optional[int] = None, noise_power_dbm: float = -95.0,
@@ -214,8 +232,9 @@ def simulate_capture(scenario: Scenario, cfg: ClockConfig, schedule: SubframeSch
     ``cfg.rng_seed`` so an entry's draw depends only on (seed, subframe,
     sniffer), never on evaluation order.  A relocation swaps a sniffer's
     position from its stated subframe onward, within the same clock epoch.
-    Between relocations a sniffer's noiseless delta is one number, so each
-    (segment, sniffer) costs one scalar delta plus a column of noise.
+    Within a segment (see ``segments``) a sniffer's noiseless delta is one
+    number, so each (segment, sniffer) costs one scalar delta plus a column
+    of noise.
     """
     if scenario.ue_truth is None:
         raise ValueError("simulate_capture needs a scenario with ue_truth set")
@@ -224,14 +243,7 @@ def simulate_capture(scenario: Scenario, cfg: ClockConfig, schedule: SubframeSch
         raise ValueError(
             f"{len(cfg.sniffer_offsets)} sniffer offsets for {n_sniffers} sniffers"
         )
-    for r in relocations:
-        if not 0 <= r.sniffer < n_sniffers:
-            raise ValueError(f"relocation references unknown sniffer index {r.sniffer}")
-        if not 0 < r.at_subframe < schedule.count:
-            raise ValueError(
-                f"relocation subframe {r.at_subframe} outside capture of "
-                f"{schedule.count} subframes"
-            )
+    plan = segments(scenario.sniffers, relocations, subframes)
     for name, value in (("snr_db", snr_db), ("noise_power_dbm", noise_power_dbm)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -239,21 +251,15 @@ def simulate_capture(scenario: Scenario, cfg: ClockConfig, schedule: SubframeSch
     check_entry(0, 0, rnti, 0.0, record_cqi)  # the fields every entry shares
 
     rng = np.random.default_rng(cfg.rng_seed)
-    delta = rng.normal(0.0, cfg.sniffer_noise_sigma, size=(schedule.count, n_sniffers))
-    moves = sorted(relocations, key=lambda r: r.at_subframe)
-    cuts = [0] + sorted({r.at_subframe for r in moves}) + [schedule.count]
-    positions = list(scenario.sniffers)
-    for start, stop in zip(cuts, cuts[1:]):
-        for r in moves:
-            if r.at_subframe == start:
-                positions[r.sniffer] = r.to
+    delta = rng.normal(0.0, cfg.sniffer_noise_sigma, size=(subframes, n_sniffers))
+    for start, stop, positions in plan:
         for k, sniffer in enumerate(positions):
             delta[start:stop, k] += _delta_at(scenario.enb, scenario.ue_truth, sniffer,
                                               scenario.speed_of_light, cfg)
     delta *= 1e6
     if not np.isfinite(delta).all():
         raise ValueError("simulated dl_ul_delta is not finite")
-    n = np.arange(schedule.count)
+    n = np.arange(subframes)
     return SimulatedCapture(
         frame=(start_frame % FRAME_WRAP + n // SUBFRAMES_PER_FRAME) % FRAME_WRAP,
         subframe=n % SUBFRAMES_PER_FRAME, dl_ul_delta=delta, rnti=int(rnti),

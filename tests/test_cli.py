@@ -295,6 +295,64 @@ relocations:
     assert "reference" in capsys.readouterr().err
 
 
+THREE_SNIFFERS = BASE_SCENARIO.replace("    - [0.0, 139.5]\n",
+                                        "    - [0.0, 139.5]\n    - [-120.0, 60.0]\n") + """\
+capture:
+  subframes: 20
+  rnti: 7423
+relocations:
+  - {sniffer: MOVED, at_subframe: 10, to: [154.0, 40.0]}
+"""
+
+
+def _locate_tdoa(tmp_path, out, n_cfg=2):
+    logs = [str(out / f"sn{k}_cfg{j}.log") for j in range(1, n_cfg + 1) for k in (1, 2)]
+    return main(["locate", "--config", str(tmp_path / "exp.yaml"), "--scheme", "tdoa",
+                 "--rnti", "7423", "--out-dir", str(out), *logs])
+
+
+def test_locate_tdoa_solves_configuration_j_with_segment_j(tmp_path, capsys):
+    out = _simulate(tmp_path, THREE_SNIFFERS.replace("MOVED", "2"), "run")
+    assert _locate_tdoa(tmp_path, out) == EXIT_OK
+    rows = (out / "estimates_tdoa.csv").read_text().splitlines()[1:]
+    assert len(rows) == 10
+    assert all(r.endswith(",ok") and abs(float(r.split(",")[6])) < 1e-6 for r in rows)
+    capsys.readouterr()
+
+
+def test_locate_tdoa_rejects_relocating_a_third_sniffer(tmp_path, capsys):
+    # the plan moves sniffer 3; solving cfg2 with it put the device 56 m off, all "ok"
+    out = _simulate(tmp_path, THREE_SNIFFERS.replace("MOVED", "3"), "run")
+    capsys.readouterr()
+    assert _locate_tdoa(tmp_path, out) == EXIT_CONFIG
+    assert "reference" in capsys.readouterr().err
+    assert not (out / "estimates_tdoa.csv").exists()
+
+
+def test_two_relocations_of_one_sniffer_at_one_subframe_are_config_errors(tmp_path, capsys):
+    out = _simulate(tmp_path, TDOA_CONFIG, "run")
+    cfg = _write(tmp_path, "exp.yaml", TDOA_CONFIG + "  - {sniffer: 2, at_subframe: 15, "
+                                                     "to: [60.0, 170.0]}\n")
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert _locate_tdoa(tmp_path, out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("sniffer 2 relocated twice at subframe 15") == 2
+    assert not (tmp_path / "x").exists() and not (out / "estimates_tdoa.csv").exists()
+
+
+@pytest.mark.parametrize("section, line", [
+    ("capture", "subframe: 20"), ("clock", "sniffer_noise: 2.0e-8"),
+])
+def test_misspelled_config_keys_are_config_errors(tmp_path, capsys, section, line):
+    doc = yaml.safe_load(TOA_CONFIG)
+    doc.setdefault(section, {}).update(yaml.safe_load(line))
+    cfg = _write(tmp_path, "exp.yaml", yaml.safe_dump(doc))
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
+    key = line.split(":")[0]
+    assert f"{section}: unknown keys ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_locate_reports_per_sample_failures(tmp_path, capsys):
     out = _simulate(tmp_path, TOA_CONFIG, "run")
     cfg = str(tmp_path / "exp.yaml")
@@ -364,6 +422,15 @@ def test_report_single_and_merged(tmp_path, capsys):
     lines = report_path.read_text().splitlines()
     assert "probability,estimates_tdoa_error_m,estimates_toa_error_m" in lines
     assert sum(1 for ln in lines if ln.startswith("0.80,")) == 1
+
+
+def test_report_out_creates_its_directory(tmp_path, capsys):
+    est = tmp_path / "estimates_tdoa.csv"
+    est.write_text(ESTIMATES_HEADER + "\n0,1,2,3.0,4.0,5.0,1.5,ok\n")
+    out = tmp_path / "nodir" / "sub" / "rep.txt"
+    assert main(["report", str(est), "--out", str(out)]) == EXIT_OK
+    assert out.read_text().startswith("input,count,mean_m,rmse_m,std_m,q80_m\nestimates_tdoa,1,")
+    assert f"wrote {out}" in capsys.readouterr().out
 
 
 def test_report_labels_runs_with_one_stem_by_path(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import re
 import textwrap
 
 import pytest
@@ -123,6 +124,12 @@ def test_capture_validation():
             parse_setup(doc)
         doc[section][key] = float(_full_doc()[section][key])
         assert getattr(getattr(parse_setup(doc), section), key) == _full_doc()[section][key]
+    # the dataclass itself holds the rule, not only the parser
+    for fields in (dict(rnti=17001.9), dict(start_frame=2.5), dict(subframes=float("inf")),
+                   dict(rnti=17001.9, start_frame=2.5)):
+        with pytest.raises(ValueError, match="must be (an integer|finite)"):
+            CaptureSpec(**fields)
+    assert CaptureSpec(rnti=7423.0, start_frame=2.0) == CaptureSpec(rnti=7423, start_frame=2)
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -164,6 +171,35 @@ def test_relocation_validation():
     doc = _full_doc()
     doc["relocations"] = [{"sniffer": 2}]
     with pytest.raises(ConfigError, match="needs keys"):
+        parse_setup(doc)
+    doc = _full_doc()
+    doc["relocations"].append({"sniffer": 2, "at_subframe": 20, "to": [60.0, 170.0]})
+    with pytest.raises(ConfigError, match="relocations: sniffer 2 relocated twice at subframe 20"):
+        parse_setup(doc)
+
+
+def test_relocation_numbers_are_integer_fields():
+    doc = _full_doc()
+    doc["relocations"][0].update(sniffer=2.0, at_subframe=15.0)
+    (move,) = parse_setup(doc).relocations
+    assert (move.sniffer, move.at_subframe) == (1, 15)
+    for key, value in (("at_subframe", 15.5), ("sniffer", 2.5), ("at_subframe", float("inf"))):
+        doc = _full_doc()
+        doc["relocations"][0][key] = value
+        with pytest.raises(ConfigError, match=rf"relocations\[0\]: {key} must be"):
+            parse_setup(doc)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("scenario", "speed_of_light"), ("clock", "sniffer_noise"), ("clock", "ta_value"),
+    ("capture", "subframe"), ("relocations", "at"),
+])
+def test_undocumented_keys_are_config_errors(section, key):
+    doc = _full_doc()
+    entry = doc["relocations"][0] if section == "relocations" else doc[section]
+    entry[key] = 1.0
+    where = "relocations[0]" if section == "relocations" else section
+    with pytest.raises(ConfigError, match=rf"^{re.escape(where)}: unknown keys \['{key}'\]"):
         parse_setup(doc)
 
 

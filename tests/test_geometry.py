@@ -52,6 +52,17 @@ def test_scenario_requires_two_sniffers():
         Scenario(enb=Position(0, 0), sniffers=(Position(1, 0),))
 
 
+@pytest.mark.parametrize("ta_index, reason", [
+    (float("inf"), "ta_index must be finite"), (float("nan"), "ta_index must be finite"),
+    (1.5, "ta_index must be an integer"), (-1, "ta_index must be a non-negative integer"),
+])
+def test_scenario_rejects_bad_ta_index(ta_index, reason):
+    with pytest.raises(ValueError, match=reason):
+        Scenario(enb=Position(0, 0), sniffers=(Position(1, 0), Position(0, 1)), ta_index=ta_index)
+    sc = Scenario(enb=Position(0, 0), sniffers=(Position(1, 0), Position(0, 1)), ta_index=2.0)
+    assert sc.ta_index == 2 and type(sc.ta_index) is int
+
+
 def test_scenario_rejects_sniffer_on_enb():
     with pytest.raises(ValueError):
         Scenario(enb=Position(5, 5), sniffers=(Position(5, 5), Position(1, 0)))

@@ -237,11 +237,13 @@ def test_estimate_tdoa_batch():
         [_matched(0, i, deltas[0] * 1e6, deltas[k] * 1e6) for i in range(3)]
         for k in (1, 2)
     ]
-    outcomes = estimate_tdoa(sets, sc)
+    outcomes = estimate_tdoa(sets, sc, ref_sniffer=sc.sniffers[0],
+                             other_positions=sc.sniffers[1:])
     assert [o.status for o in outcomes] == ["ok"] * 3
     for o in outcomes:
         assert helpers.position_error(o.estimate.position, sc) < 1e-9
-    again = estimate_tdoa(sets, sc)
+    again = estimate_tdoa(sets, sc, ref_sniffer=sc.sniffers[0],
+                          other_positions=sc.sniffers[1:])
     assert [o.estimate.position for o in again] == \
         [o.estimate.position for o in outcomes]
 
@@ -255,7 +257,8 @@ def test_estimate_tdoa_isolates_bad_samples():
     ]
     # sample 1 of the second configuration claims an impossible difference
     sets[1][1] = _matched(0, 1, deltas[0] * 1e6, deltas[0] * 1e6 + 100.0)
-    outcomes = estimate_tdoa(sets, sc)
+    outcomes = estimate_tdoa(sets, sc, ref_sniffer=sc.sniffers[0],
+                             other_positions=sc.sniffers[1:])
     assert [o.status for o in outcomes] == \
         ["ok", "InfeasibleObservation", "ok"]
     assert outcomes[1].estimate is None
@@ -280,10 +283,11 @@ def test_estimate_tdoa_lets_programming_errors_through(monkeypatch):
 
     monkeypatch.setattr(tdoa, "solve_constrained", broken)
     with pytest.raises(TypeError, match="solver bug"):
-        estimate_tdoa(sets, sc)
+        estimate_tdoa(sets, sc, ref_sniffer=sc.sniffers[0], other_positions=sc.sniffers[1:])
 
 
 def test_estimate_tdoa_needs_two_sets():
     sc = _tri_scenario()
     with pytest.raises(ValueError):
-        estimate_tdoa([[_matched(0, 0, 0.1, 0.2)]], sc)
+        estimate_tdoa([[_matched(0, 0, 0.1, 0.2)]], sc, ref_sniffer=sc.sniffers[0],
+                      other_positions=sc.sniffers[1:2])

@@ -4,10 +4,9 @@ import pytest
 
 from dualsniff.geometry import (LTE_TS, SPEED_OF_LIGHT, TA_BAND_M, TA_STEP_S,
                                 Position, Scenario, distance)
-from dualsniff.timing import (ClockConfig, Relocation, SubframeSchedule,
-                              dl_arrival, quantize_ta, sigma_for_snr,
-                              simulate_capture, subframe_delta, ta_seconds,
-                              ue_tx_time, ul_arrival)
+from dualsniff.timing import (ClockConfig, Relocation, dl_arrival, quantize_ta,
+                              segments, sigma_for_snr, simulate_capture,
+                              subframe_delta, ta_seconds, ue_tx_time, ul_arrival)
 
 
 def _square_scenario():
@@ -50,6 +49,11 @@ def test_clock_config_validation():
     sc = _square_scenario()
     with pytest.raises(ValueError):
         ClockConfig.for_scenario(sc, sniffer_offsets=[0.0])
+    with pytest.raises(ValueError, match="rng_seed must be an integer"):
+        ClockConfig.for_scenario(sc, rng_seed=2.5)
+    cfg = ClockConfig.for_scenario(sc, sniffer_offsets=[0, 1], ue_hw_error=1, rng_seed=3.0)
+    assert cfg.sniffer_offsets == (0.0, 1.0) and type(cfg.ue_hw_error) is float
+    assert cfg.rng_seed == 3 and type(cfg.rng_seed) is int
 
 
 def test_for_scenario_matches_ta_index():
@@ -61,9 +65,24 @@ def test_for_scenario_matches_ta_index():
     assert cfg.sniffer_offsets == (0.0, 0.0)
 
 
-def test_schedule_fixed_period():
-    with pytest.raises(ValueError):
-        SubframeSchedule(count=0)
+def test_segments_need_a_subframe():
+    sc = _square_scenario()
+    for subframes in (0, -3):
+        with pytest.raises(ValueError, match="at least one subframe"):
+            segments(sc.sniffers, (), subframes)
+    with pytest.raises(ValueError, match="at least one subframe"):
+        simulate_capture(sc, ClockConfig.for_scenario(sc), 0)
+
+
+def test_segments_cut_the_capture_at_relocations():
+    sc = _square_scenario()
+    a, b, c = Position(0, 150), Position(200, 10), Position(-50, 90)
+    moves = [Relocation(sniffer=1, at_subframe=7, to=c),
+             Relocation(sniffer=1, at_subframe=3, to=a),
+             Relocation(sniffer=0, at_subframe=3, to=b)]
+    assert segments(sc.sniffers, moves, 10) == [
+        (0, 3, sc.sniffers), (3, 7, (b, a)), (7, 10, (b, c))]
+    assert segments(sc.sniffers, (), 4) == [(0, 4, sc.sniffers)]
 
 
 def test_delta_matches_arrival_difference():
@@ -139,7 +158,7 @@ def test_ue_tx_time_applies_advance():
 def test_simulate_capture_shape_and_ids():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc)
-    capture = simulate_capture(sc, cfg, SubframeSchedule(count=7), rnti=7423)
+    capture = simulate_capture(sc, cfg, 7, rnti=7423)
     assert len(capture) == 14
     logs = [capture.sniffer_log(k) for k in (0, 1)]
     assert [log.sniffer_id for log in logs] == ["sn1", "sn2"]
@@ -150,14 +169,14 @@ def test_simulate_capture_shape_and_ids():
 def test_simulate_capture_frame_counter_wraps():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc)
-    log = simulate_capture(sc, cfg, SubframeSchedule(count=25), start_frame=1023).sniffer_log(0)
+    log = simulate_capture(sc, cfg, 25, start_frame=1023).sniffer_log(0)
     frames = log.frame.tolist()
     assert frames[:10] == [1023] * 10
     assert frames[10:20] == [0] * 10
     assert frames[20:] == [1] * 5
     assert log.subframe.tolist() == [n % 10 for n in range(25)]
     # only the counter's value modulo the wrap matters, however large the start
-    far = simulate_capture(sc, cfg, SubframeSchedule(count=25),
+    far = simulate_capture(sc, cfg, 25,
                            start_frame=1023 + 1024 * 10 ** 30)
     assert far.sniffer_log(0) == log
 
@@ -165,7 +184,7 @@ def test_simulate_capture_frame_counter_wraps():
 def test_simulate_capture_noiseless_matches_model():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc)
-    capture = simulate_capture(sc, cfg, SubframeSchedule(count=5))
+    capture = simulate_capture(sc, cfg, 5)
     for k in (0, 1):
         want = subframe_delta(sc, k, cfg) * 1e6
         assert set(capture.sniffer_log(k).dl_ul_delta.tolist()) == {want}
@@ -174,10 +193,10 @@ def test_simulate_capture_noiseless_matches_model():
 def test_simulate_capture_deterministic_per_seed():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc, sniffer_noise_sigma=3e-8, rng_seed=11)
-    a, b = (simulate_capture(sc, cfg, SubframeSchedule(count=40)) for _ in range(2))
+    a, b = (simulate_capture(sc, cfg, 40) for _ in range(2))
     assert all(a.sniffer_log(k) == b.sniffer_log(k) for k in (0, 1))
     other = ClockConfig.for_scenario(sc, sniffer_noise_sigma=3e-8, rng_seed=12)
-    c = simulate_capture(sc, other, SubframeSchedule(count=40))
+    c = simulate_capture(sc, other, 40)
     assert all((a.sniffer_log(k).dl_ul_delta != c.sniffer_log(k).dl_ul_delta).any()
                for k in (0, 1))
 
@@ -186,7 +205,7 @@ def test_relocation_switches_position_mid_capture():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc)
     moved = Position(0, 150)
-    capture = simulate_capture(sc, cfg, SubframeSchedule(count=6),
+    capture = simulate_capture(sc, cfg, 6,
                                relocations=[Relocation(sniffer=1, at_subframe=3, to=moved)])
     sn2 = capture.sniffer_log(1).dl_ul_delta.tolist()
     before = subframe_delta(sc, 1, cfg) * 1e6
@@ -202,8 +221,8 @@ def test_relocation_switches_position_mid_capture():
 def test_relocation_does_not_reshuffle_noise():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc, sniffer_noise_sigma=5e-8, rng_seed=3)
-    plain = simulate_capture(sc, cfg, SubframeSchedule(count=8))
-    moved = simulate_capture(sc, cfg, SubframeSchedule(count=8),
+    plain = simulate_capture(sc, cfg, 8)
+    moved = simulate_capture(sc, cfg, 8,
                              relocations=[Relocation(sniffer=0, at_subframe=5,
                                                      to=Position(200, 10))])
     # entries before the move are bit-identical, so noise draws are tied to
@@ -214,19 +233,35 @@ def test_relocation_does_not_reshuffle_noise():
 def test_relocation_validation():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc)
-    sched = SubframeSchedule(count=5)
-    for bad in (Relocation(sniffer=2, at_subframe=2, to=Position(1, 1)),
-                Relocation(sniffer=0, at_subframe=0, to=Position(1, 1)),
-                Relocation(sniffer=0, at_subframe=5, to=Position(1, 1))):
-        with pytest.raises(ValueError):
-            simulate_capture(sc, cfg, sched, relocations=[bad])
+    to = Position(1, 1)
+    for bad, reason in (([Relocation(sniffer=2, at_subframe=2, to=to)], "sniffer must be 1..2"),
+                        ([Relocation(sniffer=-1, at_subframe=2, to=to)], "sniffer must be 1..2"),
+                        ([Relocation(sniffer=0, at_subframe=0, to=to)], "at_subframe"),
+                        ([Relocation(sniffer=0, at_subframe=5, to=to)], "at_subframe"),
+                        ([Relocation(sniffer=1, at_subframe=2, to=to),
+                          Relocation(sniffer=1, at_subframe=2, to=Position(2, 2))],
+                         "sniffer 2 relocated twice at subframe 2")):
+        with pytest.raises(ValueError, match=reason):
+            simulate_capture(sc, cfg, 5, relocations=bad)
+    # one sniffer may move at several subframes, and two sniffers at one
+    simulate_capture(sc, cfg, 5, relocations=[Relocation(sniffer=1, at_subframe=2, to=to),
+                                              Relocation(sniffer=1, at_subframe=3, to=to),
+                                              Relocation(sniffer=0, at_subframe=2, to=to)])
+
+
+def test_relocation_fields_are_whole_numbers():
+    for sniffer, at_subframe in ((1.5, 2), (1, 2.5), (1, float("inf")), (float("nan"), 2)):
+        with pytest.raises(ValueError, match="must be (an integer|finite)"):
+            Relocation(sniffer=sniffer, at_subframe=at_subframe, to=Position(1, 1))
+    move = Relocation(sniffer=1.0, at_subframe=2.0, to=Position(1, 1))
+    assert (move.sniffer, move.at_subframe) == (1, 2) and type(move.sniffer) is int
 
 
 def test_simulate_capture_needs_truth():
     sc = Scenario(enb=Position(0, 0), sniffers=(Position(100, 0), Position(0, 100)))
     cfg = ClockConfig(sniffer_offsets=(0.0, 0.0))
     with pytest.raises(ValueError):
-        simulate_capture(sc, cfg, SubframeSchedule(count=1))
+        simulate_capture(sc, cfg, 1)
     with pytest.raises(ValueError):
         subframe_delta(sc, 0, cfg)
 
@@ -236,7 +271,7 @@ def test_delta_microseconds_magnitude():
     # unit conversion into log records
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc)
-    (delta,) = simulate_capture(sc, cfg, SubframeSchedule(count=1)).sniffer_log(0).dl_ul_delta
+    (delta,) = simulate_capture(sc, cfg, 1).sniffer_log(0).dl_ul_delta
     assert math.isclose(delta, subframe_delta(sc, 0, cfg) * 1e6, rel_tol=1e-12)
     assert 0.01 < abs(delta) < 10.0
 
@@ -244,7 +279,7 @@ def test_delta_microseconds_magnitude():
 def test_sniffer_log_is_one_sniffers_slice():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc, sniffer_noise_sigma=3e-8, rng_seed=5)
-    capture = simulate_capture(sc, cfg, SubframeSchedule(count=30), rnti=7423,
+    capture = simulate_capture(sc, cfg, 30, rnti=7423,
                                start_frame=1022)
     log = capture.sniffer_log(1, 5, 25)
     assert log.sniffer_id == "sn2"
@@ -262,7 +297,7 @@ def test_sniffer_log_is_one_sniffers_slice():
 def test_simulate_capture_rejects_bad_entry_fields(override):
     sc = _square_scenario()
     with pytest.raises(ValueError):
-        simulate_capture(sc, ClockConfig.for_scenario(sc), SubframeSchedule(count=3),
+        simulate_capture(sc, ClockConfig.for_scenario(sc), 3,
                          **override)
 
 
