@@ -27,14 +27,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .configio import ConfigError, ExperimentSetup, load_setup
-from .errors import LocalizationError
 from .geometry import Position, Scenario, distance, ta_band
-from .snifferlog import (MAX_RNTI, MatchedSample, TimingColumns, filter_rnti, interleave,
+from .snifferlog import (MAX_RNTI, MatchedColumns, TimingColumns, filter_rnti, interleave,
                          match_records, parse_log, write_log)
 from .stats import EmptyInput, cdf_quantile, one_sigma_filter, summarize
 from .tdoa import estimate_tdoa
 from .timing import SimulatedCapture, quantize_ta, simulate_capture
-from .toa import compose_D, solve_toa
+# solve_toa is not called here: the benchmark tracer wraps ``cli.solve_toa`` by name
+from .toa import compose_D, solve_toa, solve_toa_batch  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -153,7 +153,7 @@ def _read_records(path: str, rnti: int) -> TimingColumns:
     return filter_rnti(records, rnti)
 
 
-def _match_pair(ref_path: str, other_path: str, rnti: int) -> List[MatchedSample]:
+def _match_pair(ref_path: str, other_path: str, rnti: int) -> MatchedColumns:
     samples, diags = match_records(_read_records(ref_path, rnti),
                                    _read_records(other_path, rnti))
     for d in diags:
@@ -161,13 +161,20 @@ def _match_pair(ref_path: str, other_path: str, rnti: int) -> List[MatchedSample
     return samples
 
 
-def _error_of(est_pos: Position, scenario: Scenario, metric: str) -> Optional[float]:
-    if scenario.ue_truth is None:
-        return None
-    if metric == "range":
-        return abs(distance(est_pos, scenario.enb)
-                   - distance(scenario.ue_truth, scenario.enb))
-    return distance(est_pos, scenario.ue_truth)
+def _row(i: int, frame: int, subframe: int, status: str, xy, failure,
+         scenario: Scenario, metric: str) -> dict:
+    """One estimates row; a failed sample's reason goes to stderr."""
+    row = {"sample": i, "frame": frame, "subframe": subframe,
+           "status": status, "x": None, "y": None, "d_ub": None, "error": None}
+    if status != "ok":
+        print(f"sample {i}: {status}: {failure}", file=sys.stderr)
+        return row
+    pos, truth = Position(*xy), scenario.ue_truth
+    row.update(x=pos.x, y=pos.y, d_ub=distance(pos, scenario.enb))
+    if truth is not None:
+        row["error"] = abs(row["d_ub"] - distance(truth, scenario.enb)) \
+            if metric == "range" else distance(pos, truth)
+    return row
 
 
 def _locate_toa(setup: ExperimentSetup, files: Sequence[str], rnti: int,
@@ -177,23 +184,13 @@ def _locate_toa(setup: ExperimentSetup, files: Sequence[str], rnti: int,
             f"toa needs exactly 2 log files (reference, other), got {len(files)}")
     samples = _match_pair(files[0], files[1], rnti)
     scenario = setup.scenario
-    s1, s2 = scenario.sniffers[0], scenario.sniffers[1]
-    rows = []
-    for i, s in enumerate(samples):
-        row = {"sample": i, "frame": s.frame, "subframe": s.subframe,
-               "status": "ok", "x": None, "y": None, "d_ub": None, "error": None}
-        try:
-            obs1 = compose_D(s.delta_a * 1e-6, s1, scenario)
-            obs2 = compose_D(s.delta_b * 1e-6, s2, scenario)
-            est = solve_toa(obs1, obs2, scenario.enb, scenario.band)
-            row.update(x=est.position.x, y=est.position.y,
-                       d_ub=distance(est.position, scenario.enb),
-                       error=_error_of(est.position, scenario, metric))
-        except LocalizationError as exc:
-            row["status"] = type(exc).__name__
-            print(f"sample {i}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        rows.append(row)
-    return rows
+    sol = solve_toa_batch(compose_D(samples.delta_a * 1e-6, scenario.sniffers[0], scenario),
+                          compose_D(samples.delta_b * 1e-6, scenario.sniffers[1], scenario),
+                          scenario.enb, scenario.band)
+    return [_row(i, frame, subframe, status, xy, sol.failed.get(i), scenario, metric)
+            for i, (frame, subframe, status, xy) in enumerate(zip(
+                samples.frame.tolist(), samples.subframe.tolist(), sol.status.tolist(),
+                sol.chosen(sol.u).tolist()))]
 
 
 def _locate_tdoa(setup: ExperimentSetup, files: Sequence[str], rnti: int,
@@ -219,19 +216,14 @@ def _locate_tdoa(setup: ExperimentSetup, files: Sequence[str], rnti: int,
     outcomes = estimate_tdoa(matched_sets, scenario,
                              ref_sniffer=scenario.sniffers[0],
                              other_positions=others[:n_cfg])
-    rows = []
-    for o in outcomes:
-        row = {"sample": o.index, "frame": o.frame, "subframe": o.subframe,
-               "status": o.status, "x": None, "y": None, "d_ub": None, "error": None}
-        if o.estimate is not None:
-            est = o.estimate
-            row.update(x=est.position.x, y=est.position.y,
-                       d_ub=distance(est.position, scenario.enb),
-                       error=_error_of(est.position, scenario, metric))
-        else:
-            print(f"sample {o.index}: {o.status}: {o.detail}", file=sys.stderr)
-        rows.append(row)
-    return rows
+    for j, samples in enumerate(matched_sets):
+        if len(samples) > len(outcomes):
+            print(f"configuration {j + 1}: {len(samples) - len(outcomes)} of {len(samples)} "
+                  f"matched samples unused (the shortest configuration has {len(outcomes)})",
+                  file=sys.stderr)
+    return [_row(o.index, o.frame, o.subframe, o.status,
+                 (o.estimate.position.x, o.estimate.position.y) if o.estimate else None,
+                 o.detail, scenario, metric) for o in outcomes]
 
 
 def _fmt(v) -> str:
@@ -372,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, help="override clock.rng_seed")
     sim.add_argument("--sigma", type=float,
                      help="override clock.sniffer_noise_sigma (seconds)")
-    sim.add_argument("--snr", type=float, help="override capture.snr_db")
+    sim.add_argument("--snr", type=float,
+                     help="override capture.snr_db, which sets the logged SNR and CQI "
+                          "columns only; the timing noise is clock.sniffer_noise_sigma")
     sim.add_argument("--subframes", type=int, help="override capture.subframes")
     sim.add_argument("--decoys", type=int, default=0,
                      help="number of extra background RNTIs to simulate")

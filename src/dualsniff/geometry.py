@@ -6,11 +6,11 @@ times in seconds.  Microseconds appear only in the sniffer log format.
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import AmbiguousSolution, DegenerateGeometry
+from .errors import AmbiguousSolution, DegenerateGeometry, LocalizationError
 
 #: Speed of light in vacuum, m/s.
 SPEED_OF_LIGHT = 299_792_458.0
@@ -120,99 +120,121 @@ class Scenario:
         return tuple(distance(s, point) for s in self.sniffers)
 
 
-def eliminate(G: np.ndarray, h: np.ndarray, anchor: Position
-              ) -> Tuple[List[Tuple[Position, float]], Optional[Tuple[Position, float]]]:
-    """Solve two squared range rows together with r = |u - anchor|.
+#: The failed samples of a batch solve: sample -> the exception of its failure.
+Failed = Dict[int, LocalizationError]
 
-    Row i of G [x, y, r]^T = h is linear in the position u = (x, y) and its
-    range r to ``anchor``: the squared range-difference rows of
-    ``tdoa.build_system`` and, with the base station as the anchor, the
-    squared range-sum rows of ``toa`` (the spherical-intersection
-    construction of Smith & Abel 1987 and Chan & Ho 1994).  The position
-    block gives u(r) = u0 - B r; substituting into r = |u(r) - anchor|
-    leaves (|B|^2 - 1) r^2 - 2 (w . B) r + |w|^2 = 0 with w = u0 - anchor.
 
-    Returns ``(roots, vertex)``.  ``roots`` holds (u(r), r) for every
-    non-negative real root r in ascending order; squaring admits roots off
-    the true branch, which the caller tests.  ``vertex`` is None unless the
-    quadratic has no real root (discriminant below ``DISCRIMINANT_TOL``);
-    it is then (u(r), r) at the quadratic's vertex, where r and
-    |u(r) - anchor| come closest, and ``roots`` is empty.  Raises
-    DegenerateGeometry when the position block is near-singular.
+def fail(failed: Failed, rows: np.ndarray, error: Callable[[int], LocalizationError]) -> None:
+    """Fail the samples of the mask ``rows`` with ``error(i)``, unless they failed already."""
+    for i in rows.nonzero()[0].tolist():
+        failed.setdefault(i, error(i))
+
+
+def eliminate(A: np.ndarray, g: np.ndarray, h: np.ndarray, anchor: Position, failed: Failed
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve the rows A u + g_i r = h_i of N samples together with r = |u - anchor|.
+
+    The rows are linear in the position u and its range r to ``anchor``: the
+    squared rows of ``tdoa.build_system`` or their normal equations (the
+    spherical intersection of Smith & Abel 1987 and Chan & Ho 1994).  The
+    samples share the 2x2 block ``A``; ``g`` and ``h`` are (N, 2).  With
+    u(r) = u0 - B r and w = u0 - anchor, r = |u(r) - anchor| leaves
+    (|B|^2 - 1) r^2 - 2 (w . B) r + |w|^2 = 0.  Returns ``(u, r, vertex)``:
+    each sample's non-negative real roots in ascending order and their
+    positions, two columns, NaN where missing or non-finite.  Squaring admits
+    roots off the true branch, which the caller tests.  Where the quadratic
+    has no real root (discriminant below ``DISCRIMINANT_TOL``) ``vertex`` is
+    set and column 0 holds its vertex, where r and |u(r) - anchor| come
+    closest.  A near-singular block fails every sample with DegenerateGeometry.
     """
-    A = G[:, :2]
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise DegenerateGeometry(
-            f"position rows are near-collinear (condition number {cond:.2e})")
-    u0 = np.linalg.solve(A, h)
-    B = np.linalg.solve(A, G[:, 2])
-    w = u0 - np.array([anchor.x, anchor.y])
-
-    def at(r: float) -> Tuple[Position, float]:
-        u = u0 - B * r
-        return Position(float(u[0]), float(u[1])), r
-
-    alpha = float(B @ B) - 1.0
-    beta = -2.0 * float(w @ B)
-    gamma = float(w @ w)
-
-    roots: List[float] = []
-    if abs(alpha) < 1e-14:
-        if beta != 0.0:
-            roots.append(-gamma / beta)
-    else:
+        fail(failed, np.ones(len(h), dtype=bool), lambda i: DegenerateGeometry(
+            f"position rows are near-collinear (condition number {cond:.2e})"))
+        A = np.eye(2)  # every sample has failed; the rest only keeps the shapes
+    # one LAPACK solve per sample and right-hand side, which rounds as the
+    # pinned output digests were written; a multi-column solve does not
+    blocks = A[None].repeat(len(h), axis=0)
+    u0, B = (np.linalg.solve(blocks, v[:, :, None])[:, :, 0] for v in (h, g))
+    w = u0 - (anchor.x, anchor.y)
+    alpha = np.vecdot(B, B) - 1.0
+    beta = -2.0 * np.vecdot(w, B)
+    gamma = np.vecdot(w, w)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         disc = beta * beta - 4.0 * alpha * gamma
-        if disc < DISCRIMINANT_TOL:
-            return [], at(-0.5 * beta / alpha)
-        sq = math.sqrt(max(disc, 0.0))
         # citardauq ordering keeps both roots accurate when beta dominates
-        q = -0.5 * (beta + math.copysign(sq, beta))
-        roots.append(q / alpha)
-        if q != 0.0:
-            roots.append(gamma / q)
-    ranges = sorted({max(0.0, r) if r > -1e-9 else r for r in roots})
-    return [at(r) for r in ranges if r >= 0.0], None
+        q = -0.5 * (beta + np.copysign(np.sqrt(np.maximum(disc, 0.0)), beta))
+        linear = np.abs(alpha) < 1e-14
+        r = np.array([np.where(linear, -gamma / beta, q / alpha),
+                      np.where(linear | (q == 0.0), np.nan, gamma / q)]).T
+        r = np.where(r > 0.0, r, np.where(r > -1e-9, 0.0, np.nan))
+        r.sort(axis=1)
+        r[r[:, 1] == r[:, 0], 1] = np.nan  # a double root counts once
+        vertex = ~linear & (disc < DISCRIMINANT_TOL)
+        r[vertex, 0], r[vertex, 1] = (-0.5 * beta / alpha)[vertex], np.nan
+        u = u0[:, None] - B[:, None] * r[:, :, None]
+    u[~np.isfinite(u)] = np.nan
+    return u, r, vertex
 
 
-class Candidate(NamedTuple):
-    """One solution of a two-row range system, as the band check sees it."""
+@dataclass(frozen=True, eq=False)
+class Solutions:
+    """Candidates and outcome of N samples solved in one call.
 
-    position: Position
-    range: float      # range to the elimination anchor, meters
-    residual: float   # miss of the unsquared equations at ``position``, meters
-    clean: bool       # on the true branch of both unsquared equations
+    Sample i offers candidate k at ``u[i, k]`` where ``valid[i, k]``: its
+    range ``r[i, k]`` to the elimination anchor, ``residual[i, k]``, the miss
+    of the unsquared equations in meters, and ``clean[i, k]``, set on the
+    true branch of every equation.  ``pick[i]`` is the chosen candidate and
+    ``failed`` holds the exception of every failed sample.
+    """
+
+    u: np.ndarray
+    r: np.ndarray
+    residual: np.ndarray
+    valid: np.ndarray
+    clean: np.ndarray
+    pick: np.ndarray
+    failed: Failed
+
+    def chosen(self, values: np.ndarray) -> np.ndarray:
+        """The chosen candidate's entry of a per-candidate array, one per sample."""
+        return values[np.arange(len(self.pick)), self.pick]
+
+    @property
+    def status(self) -> np.ndarray:
+        """Each sample's status code: ``ok`` or the name of its failure's exception."""
+        status = np.full(len(self.pick), "ok", dtype=object)
+        status[list(self.failed)] = [type(e).__name__ for e in self.failed.values()]
+        return status
+
+    def check(self, i: int) -> None:
+        """Raise the failure of sample ``i``, if it failed, with a fresh traceback."""
+        if i in self.failed:
+            raise self.failed[i].with_traceback(None)
 
 
-def choose_candidate(cands: Sequence[Candidate], enb: Position,
-                     band: Tuple[float, float]) -> Candidate:
-    """Pick the physical candidate with the timing-advance band.
+def choose_candidate(u: np.ndarray, r: np.ndarray, residual: np.ndarray, valid: np.ndarray,
+                     clean: np.ndarray, failed: Failed, enb: Position,
+                     band: Tuple[float, float]) -> Solutions:
+    """Pick each sample's physical candidate with the timing-advance band.
 
-    Two clean candidates inside ``band`` farther apart than
-    ``AMBIGUITY_SEPARATION`` raise AmbiguousSolution, which carries every
-    clean candidate.  Otherwise the in-band candidate with the smallest
-    residual wins.  With none in band, the clean candidate whose base-station
-    distance lies nearest the band wins, ties going to the smaller residual;
-    with no clean candidate either, the smallest residual does.
+    The in-band candidate with the smallest residual wins.  With none in
+    band, the clean candidate whose base-station distance lies nearest the
+    band wins, ties going to the smaller residual; with no clean candidate
+    either, the smallest residual does; then the lower column.  Two clean
+    in-band candidates farther apart than ``AMBIGUITY_SEPARATION`` fail the
+    sample with AmbiguousSolution.  The arrays are those of ``Solutions``.
     """
     lo, hi = band
-    in_band = [c for c in cands if lo <= distance(c.position, enb) < hi]
-    clean = [c for c in in_band if c.clean]
-    if len(clean) >= 2:
-        spread = max(distance(a.position, b.position)
-                     for i, a in enumerate(clean) for b in clean[i + 1:])
-        if spread > AMBIGUITY_SEPARATION:
-            raise AmbiguousSolution(
-                f"{len(clean)} in-band candidates separated by {spread:.2f} m",
-                candidates=[c.position for c in cands if c.clean])
-    if in_band:
-        return min(in_band, key=lambda c: c.residual)
-
-    def band_gap(c: Candidate) -> float:
-        d = distance(c.position, enb)
-        return max(lo - d, d - hi)
-
-    clean = [c for c in cands if c.clean]
-    if clean:
-        return min(clean, key=lambda c: (band_gap(c), c.residual))
-    return min(cands, key=lambda c: c.residual)
+    d = np.hypot(u[..., 0] - enb.x, u[..., 1] - enb.y)
+    in_band = valid & (lo <= d) & (d < hi)
+    tier = np.where(in_band, 0, 3 - valid - (valid & clean))
+    gap = np.where(tier == 1, np.maximum(lo - d, d - hi), 0.0)
+    sure = in_band & clean
+    apart = np.hypot(*(u[:, :, None, k] - u[:, None, :, k] for k in (0, 1)))
+    spread = np.maximum.reduce(np.where(sure[:, :, None] & sure[:, None], apart, 0.0), axis=(1, 2))
+    fail(failed, spread > AMBIGUITY_SEPARATION, lambda i: AmbiguousSolution(
+        f"{np.count_nonzero(sure[i])} in-band candidates separated by {spread[i]:.2f} m",
+        candidates=[Position(x, y) for x, y in u[i][valid[i] & clean[i]].tolist()]))
+    return Solutions(u, r, residual, valid, clean, np.lexsort((residual, gap, tier))[:, 0],
+                     failed)

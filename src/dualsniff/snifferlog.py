@@ -119,20 +119,23 @@ def interleave(logs: Sequence[TimingColumns]) -> TimingColumns:
                          sniffer_id=logs[0].sniffer_id)
 
 
-@dataclass(frozen=True)
-class MatchedSample:
-    """Deltas from two sniffers for the same (frame, subframe, rnti).
+@dataclass(frozen=True, eq=False)
+class MatchedColumns:
+    """Deltas from two sniffers at their shared (frame, subframe, rnti) keys.
 
-    ``frame`` is the unwrapped frame counter, so keys increase monotonically
-    even across a 1024-frame wrap.
+    Sample i is row i of every array.  ``frame`` is the unwrapped frame
+    counter, so keys increase monotonically even across a 1024-frame wrap.
     """
 
-    frame: int
-    subframe: int
-    delta_a: float  # microseconds
-    delta_b: float  # microseconds
-    snr_a: float
-    snr_b: float
+    frame: np.ndarray
+    subframe: np.ndarray
+    delta_a: np.ndarray  # microseconds
+    delta_b: np.ndarray  # microseconds
+    snr_a: np.ndarray
+    snr_b: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.frame)
 
 
 @dataclass(frozen=True)
@@ -300,7 +303,7 @@ def _unwrap_frames(c: TimingColumns) -> np.ndarray:
 
 
 def match_records(a: TimingColumns, b: TimingColumns
-                  ) -> Tuple[List[MatchedSample], List[str]]:
+                  ) -> Tuple[MatchedColumns, List[str]]:
     """Pair two captures of the same RNTI by (frame, subframe).
 
     Both inputs are unwrapped and sorted by (frame, subframe); a key present
@@ -335,19 +338,5 @@ def match_records(a: TimingColumns, b: TimingColumns
     diagnostics.extend(f"rnti mismatch at frame={f} subframe={s}: dropped"
                        for f, s in zip(frame[i[~same]].tolist(), a.subframe[i[~same]].tolist()))
     i, j = i[same], j[same]
-    samples = [MatchedSample(*values) for values in zip(
-        frame[i].tolist(), a.subframe[i].tolist(), a.dl_ul_delta[i].tolist(),
-        b.dl_ul_delta[j].tolist(), a.snr[i].tolist(), b.snr[j].tolist())]
-    return samples, diagnostics
-
-
-MATCHED_HEADER = "frame,subframe,delta_a_us,delta_b_us,snr_a_db,snr_b_db"
-
-
-def write_matched(samples: Sequence[MatchedSample]) -> str:
-    """Matched samples as a delimited table with header."""
-    lines = [MATCHED_HEADER + "\n"]
-    for s in samples:
-        lines.append(f"{s.frame},{s.subframe},{s.delta_a!r},{s.delta_b!r},"
-                     f"{s.snr_a!r},{s.snr_b!r}\n")
-    return "".join(lines)
+    return MatchedColumns(frame[i], a.subframe[i], a.dl_ul_delta[i], b.dl_ul_delta[j],
+                          a.snr[i], b.snr[j]), diagnostics

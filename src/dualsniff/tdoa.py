@@ -18,11 +18,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (InfeasibleObservation, LocalizationError, MixedReference,
-                     NoRealRoot, RankDeficient)
-from .geometry import (CONDITION_LIMIT, SPEED_OF_LIGHT, Candidate, Position,
-                       Scenario, choose_candidate, distance, eliminate)
-from .snifferlog import MatchedSample
+from .errors import InfeasibleObservation, MixedReference, NoRealRoot, RankDeficient
+from .geometry import (CONDITION_LIMIT, SPEED_OF_LIGHT, Failed, Position, Scenario, Solutions,
+                       choose_candidate, distance, eliminate, fail)
+from .snifferlog import MatchedColumns
 
 #: Hard reject for range differences, in units of the sniffer baseline.
 BASELINE_REJECT_FACTOR = 3.0
@@ -35,7 +34,8 @@ BRANCH_TOL = 1e-6
 class TdoaPair:
     """One range-difference measurement between a moving and a fixed sniffer.
 
-    ``delta_d`` is d_UE,other - d_UE,ref in meters.
+    ``delta_d`` is d_UE,other - d_UE,ref in meters, or an array of one per
+    sample.
     """
 
     ref_sniffer: Position
@@ -50,15 +50,16 @@ class TdoaPair:
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """Linearized hyperbola system G [x_u, y_u, d_ue1]^T = h."""
+    """Linearized hyperbola system G [x_u, y_u, d_ue1]^T = h, G (n, 3); a leading
+    axis stacks N samples' systems, which share the position columns."""
 
     G: np.ndarray
     h: np.ndarray
 
     def __post_init__(self):
-        if self.G.ndim != 2 or self.G.shape[1] != 3 or self.G.shape[0] < 2:
-            raise ValueError(f"G must be (n>=2, 3), got {self.G.shape}")
-        if self.h.shape != (self.G.shape[0],):
+        if self.G.ndim not in (2, 3) or self.G.shape[-1] != 3 or self.G.shape[-2] < 2:
+            raise ValueError(f"G must be ([N,] n>=2, 3), got {self.G.shape}")
+        if self.h.shape != self.G.shape[:-1]:
             raise ValueError(f"h must match G rows, got {self.h.shape}")
 
 
@@ -86,30 +87,23 @@ class SampleOutcome:
     detail: str = ""
 
 
-def form_tdoa(delta_ref: float, delta_k: float, ref_sniffer: Position,
-              other_sniffer: Position, enb: Position, *,
-              pair_id: str = "", speed_of_light: float = SPEED_OF_LIGHT) -> TdoaPair:
-    """Range difference from two sniffers' deltas (seconds).
+def form_tdoa(delta_ref, delta_k, ref_sniffer: Position, other_sniffer: Position,
+              enb: Position, *, pair_id: str = "",
+              speed_of_light: float = SPEED_OF_LIGHT) -> TdoaPair:
+    """Range difference from two sniffers' deltas (seconds), one or one per sample.
 
     delta_d = (d_eNb,k - d_eNb,1) + c (delta_k - delta_ref); shared terms
     (timing advance, device error, eNb leg) cancel in the difference.
-    Rejects differences beyond ``BASELINE_REJECT_FACTOR`` times the sniffer
-    baseline as physically impossible.
+    ``solve_constrained_batch`` rejects a physically impossible difference.
     """
-    d_enb_ref = distance(enb, ref_sniffer)
-    d_enb_k = distance(enb, other_sniffer)
-    delta_d = (d_enb_k - d_enb_ref) + speed_of_light * (delta_k - delta_ref)
-    baseline = distance(ref_sniffer, other_sniffer)
-    if abs(delta_d) > BASELINE_REJECT_FACTOR * baseline:
-        raise InfeasibleObservation(
-            f"|range difference| {abs(delta_d):.1f} m exceeds "
-            f"{BASELINE_REJECT_FACTOR:g}x the sniffer baseline {baseline:.1f} m")
-    return TdoaPair(ref_sniffer=ref_sniffer, other_sniffer=other_sniffer,
-                    delta_d=delta_d, pair_id=pair_id)
+    delta_d = (distance(enb, other_sniffer) - distance(enb, ref_sniffer)) \
+        + speed_of_light * (delta_k - delta_ref)
+    return TdoaPair(ref_sniffer, other_sniffer, delta_d, pair_id)
 
 
 def build_system(pairs: Sequence[TdoaPair]) -> LinearSystem:
-    """Stack the squared-and-differenced hyperbola rows into G theta = h."""
+    """Stack the squared-and-differenced hyperbola rows into G theta = h,
+    one system per sample where ``delta_d`` holds one value per sample."""
     if len(pairs) < 2:
         raise ValueError(f"need at least two pairs, got {len(pairs)}")
     ref = pairs[0].ref_sniffer
@@ -117,13 +111,13 @@ def build_system(pairs: Sequence[TdoaPair]) -> LinearSystem:
         if p.ref_sniffer != ref:
             raise MixedReference(
                 f"pair {p.pair_id!r} references {p.ref_sniffer}, expected {ref}")
-    G = np.empty((len(pairs), 3))
-    h = np.empty(len(pairs))
-    for i, p in enumerate(pairs):
-        sk, dd = p.other_sniffer, p.delta_d
-        G[i] = (sk.x - ref.x, sk.y - ref.y, dd)
-        h[i] = 0.5 * ((sk.x ** 2 + sk.y ** 2) - (ref.x ** 2 + ref.y ** 2) - dd ** 2)
-    return LinearSystem(G=G, h=h)
+    others = [p.other_sniffer for p in pairs]
+    dd = np.array([p.delta_d for p in pairs], dtype=float).T
+    P = np.array([(s.x - ref.x, s.y - ref.y) for s in others])
+    const = np.array([(s.x ** 2 + s.y ** 2) - (ref.x ** 2 + ref.y ** 2) for s in others])
+    # float_power rounds as the ``** 2`` above does; np.square may differ in the last bit
+    return LinearSystem(G=np.concatenate([np.zeros(dd.shape + (2,)) + P, dd[..., None]], -1),
+                        h=0.5 * (const - np.float_power(dd, 2)))
 
 
 def range_difference_residual(u: Position, pairs: Sequence[TdoaPair]) -> float:
@@ -135,54 +129,78 @@ def range_difference_residual(u: Position, pairs: Sequence[TdoaPair]) -> float:
     return math.sqrt(total)
 
 
+def solve_constrained_batch(system: LinearSystem, ref_sniffer: Position,
+                            band: Tuple[float, float], enb: Position) -> Solutions:
+    """Solve n >= 2 rows per sample with d_UE,1 = |u - s_1| by reference-range elimination.
+
+    The samples share the position block s_k - s_1.  More rows are first
+    reduced to its normal equations (the first step of Chan & Ho 1994).  A
+    root is on the true branch when d + delta_d_k >= 0 for every k; squaring
+    also admits ghosts, whose miss 2 |d + delta_d_k| is the two-row residual.
+    With more rows the residual is ``range_difference_residual``, and only
+    the true-branch root with the least of it is clean.
+    ``geometry.choose_candidate`` picks.  A sample fails InfeasibleObservation
+    beyond ``BASELINE_REJECT_FACTOR`` baselines, NoRealRoot without a root.
+    """
+    G = system.G.reshape(-1, *system.G.shape[-2:])
+    h, n = system.h.reshape(G.shape[:2]), G.shape[1]
+    P, dd = (G[0, :, :2] if len(G) else np.zeros((n, 2))), G[:, :, 2]
+    failed: Failed = {}
+    baseline = np.hypot(P[:, 0], P[:, 1])
+    far = np.abs(dd) > BASELINE_REJECT_FACTOR * baseline
+    fail(failed, np.logical_or.reduce(far, axis=1), lambda i: InfeasibleObservation(
+        f"|range difference| {abs(dd[i][far[i]][0]):.1f} m exceeds {BASELINE_REJECT_FACTOR:g}x "
+        f"the sniffer baseline {baseline[far[i]][0]:.1f} m"))
+    A, g = P, dd
+    if n > 2:
+        # one product per sample, which rounds as the pinned outputs were written
+        Pt = G[:, :, :2].swapaxes(1, 2)
+        A, g, h = P.T @ P, (Pt @ G)[:, :, 2], (Pt @ h[:, :, None])[:, :, 0]
+    u, d, vertex = eliminate(A, g, h, ref_sniffer, failed)
+    valid = ~np.logical_or.reduce(np.isnan(u), axis=2) & ~vertex[:, None]
+    fail(failed, ~np.logical_or.reduce(valid, axis=1), lambda i: NoRealRoot(
+        "reference-range quadratic has a negative discriminant" if vertex[i]
+        else "no non-negative reference range solves the quadratic"))
+    with np.errstate(invalid="ignore"):
+        residual = 2.0 * np.sqrt(np.add.reduce(np.float_power(
+            np.minimum(0.0, d[:, :, None] + dd[:, None]), 2), axis=2))
+    clean = valid & (residual <= BRANCH_TOL)
+    if n > 2:
+        # ``range_difference_residual`` over the rows' pairs, s_k = s_1 + P_k
+        x, y = u[..., 0, None], u[..., 1, None]
+        s1 = ref_sniffer
+        miss = dd[:, None] - (np.hypot(x - (s1.x + P[:, 0]), y - (s1.y + P[:, 1]))
+                              - np.hypot(x - s1.x, y - s1.y))
+        residual = np.sqrt(np.add.reduce(miss * miss, axis=2))
+        clean &= np.arange(2) == np.where(clean, residual, np.inf).argmin(axis=1)[:, None]
+    residual[~valid] = np.inf
+    return choose_candidate(u, d, residual, valid, clean, failed, enb, band)
+
+
+def _estimates(sol: Solutions, n_rows: int) -> List[Optional[TdoaEstimate]]:
+    """The estimate of every solved sample, None for a failed one."""
+    method = "constrained-least-squares" if n_rows > 2 else "constrained-elimination"
+    return [None if i in sol.failed else TdoaEstimate(Position(x, y), d, resid, method)
+            for i, ((x, y), d, resid) in enumerate(zip(sol.chosen(sol.u).tolist(),
+                                                       sol.chosen(sol.r).tolist(),
+                                                       sol.chosen(sol.residual).tolist()))]
+
+
 def solve_constrained(system: LinearSystem, ref_sniffer: Position,
                       band: Tuple[float, float], enb: Position) -> TdoaEstimate:
-    """Solve n >= 2 rows with d_UE,1 = |u - s_1| by reference-range elimination.
-
-    More rows are first reduced to the position block's normal equations (the
-    first step of Chan & Ho 1994).  A root is on the true branch when
-    d + delta_d_k >= 0 for every k; squaring also admits ghosts, whose miss
-    2 |d + delta_d_k| is the two-row residual.  With more rows the residual is
-    ``range_difference_residual``, and only the true-branch root with the least
-    of it is clean.  ``geometry.choose_candidate`` then prefers in-band
-    candidates and raises AmbiguousSolution for two clean ones far apart.
-    """
-    G, h, rows = system.G, system.h, None
-    if len(G) > 2:
-        # row k is (s_k - s_1, delta_d_k)
-        rows = G.tolist()
-        G, h = G[:, :2].T @ G, G[:, :2].T @ h
-    roots, vertex = eliminate(G, h, ref_sniffer)
-    if vertex is not None:
-        raise NoRealRoot("reference-range quadratic has a negative discriminant")
-    if not roots:
-        raise NoRealRoot("no non-negative reference range solves the quadratic")
-    cands = []
-    for pos, d in roots:
-        resid = ghost = 2.0 * math.sqrt(sum(min(0.0, d + dd) ** 2 for dd in system.G[:, 2]))
-        if rows:
-            # ``range_difference_residual`` over the rows' pairs
-            d_ref, total = distance(pos, ref_sniffer), 0.0
-            for gx, gy, dd in rows:
-                miss = dd - (math.hypot(pos.x - (ref_sniffer.x + gx),
-                                        pos.y - (ref_sniffer.y + gy)) - d_ref)
-                total += miss * miss
-            resid = math.sqrt(total)
-        cands.append(Candidate(pos, d, resid, ghost <= BRANCH_TOL))
-    if rows:
-        best = min((c for c in cands if c.clean), key=lambda c: c.residual, default=None)
-        cands = [c._replace(clean=c is best) for c in cands]
-    best = choose_candidate(cands, enb, band)
-    return TdoaEstimate(position=best.position, d_ue1=best.range, residual_norm=best.residual,
-                        method="constrained-least-squares" if rows else "constrained-elimination")
+    """``solve_constrained_batch`` for one sample's system; raises its failure."""
+    sol = solve_constrained_batch(system, ref_sniffer, band, enb)
+    sol.check(0)
+    return _estimates(sol, system.G.shape[-2])[0]
 
 
 def solve_normal_equations(system: LinearSystem) -> TdoaEstimate:
     """Unconstrained least squares (G^T G)^-1 G^T h, the paper's LS baseline.
 
-    ``estimate_tdoa`` solves through ``solve_constrained`` instead.  Two rows
-    give singular G^T G by construction, hence the explicit redirect; d_UE,1
-    is a free parameter here and its gap to the geometric range is not enforced.
+    ``estimate_tdoa`` solves through ``solve_constrained_batch`` instead.  Two
+    rows give singular G^T G by construction, hence the explicit redirect;
+    d_UE,1 is a free parameter here and its gap to the geometric range is not
+    enforced.
     """
     n = system.G.shape[0]
     if n == 2:
@@ -205,16 +223,17 @@ def solve_normal_equations(system: LinearSystem) -> TdoaEstimate:
                         method="normal-equations")
 
 
-def estimate_tdoa(matched_sets: Sequence[Sequence[MatchedSample]],
+def estimate_tdoa(matched_sets: Sequence[MatchedColumns],
                   scenario: Scenario, *, ref_sniffer: Position,
                   other_positions: Sequence[Position]) -> List[SampleOutcome]:
     """Batch driver: one estimate per aligned sample across configurations.
 
     ``matched_sets[j]`` holds configuration j's matched samples, where
     ``delta_a`` is the fixed reference sniffer and ``delta_b`` the sniffer
-    at ``other_positions[j]``.  Sample i of every configuration is combined
-    into one constrained solve; solver failures are reported per sample
-    without aborting the batch.  Deltas are microseconds, as logged.
+    at ``other_positions[j]``.  Sample i of every configuration makes one
+    system, and one ``solve_constrained_batch`` call solves them all; a
+    failure is reported per sample.  Samples past the shortest configuration
+    are unused.  Deltas are microseconds, as logged.
     """
     if len(matched_sets) < 2:
         raise ValueError(
@@ -224,21 +243,14 @@ def estimate_tdoa(matched_sets: Sequence[Sequence[MatchedSample]],
             f"{len(other_positions)} sniffer positions for "
             f"{len(matched_sets)} configurations")
 
-    outcomes: List[SampleOutcome] = []
-    n_samples = min(len(s) for s in matched_sets)
-    for i in range(n_samples):
-        label = matched_sets[0][i]
-        try:
-            pairs = [form_tdoa(s[i].delta_a * 1e-6, s[i].delta_b * 1e-6, ref_sniffer, other,
-                               scenario.enb, pair_id=f"cfg{j + 1}",
-                               speed_of_light=scenario.speed_of_light)
-                     for j, (s, other) in enumerate(zip(matched_sets, other_positions))]
-            est = solve_constrained(build_system(pairs), ref_sniffer, scenario.band, scenario.enb)
-            outcomes.append(SampleOutcome(
-                index=i, frame=label.frame, subframe=label.subframe,
-                estimate=est))
-        except LocalizationError as exc:  # per-sample isolation
-            outcomes.append(SampleOutcome(
-                index=i, frame=label.frame, subframe=label.subframe,
-                estimate=None, status=type(exc).__name__, detail=str(exc)))
-    return outcomes
+    n = min(len(s) for s in matched_sets)
+    pairs = [form_tdoa(s.delta_a[:n] * 1e-6, s.delta_b[:n] * 1e-6, ref_sniffer, other,
+                       scenario.enb, pair_id=f"cfg{j + 1}", speed_of_light=scenario.speed_of_light)
+             for j, (s, other) in enumerate(zip(matched_sets, other_positions))]
+    sol = solve_constrained_batch(build_system(pairs), ref_sniffer, scenario.band, scenario.enb)
+    label = matched_sets[0]
+    return [SampleOutcome(index=i, frame=frame, subframe=subframe, estimate=est,
+                          status=status, detail=str(sol.failed.get(i, "")))
+            for i, (frame, subframe, status, est) in enumerate(zip(
+                label.frame[:n].tolist(), label.subframe[:n].tolist(), sol.status.tolist(),
+                _estimates(sol, len(pairs))))]

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT, TA_BAND_M, TA_STEP_S, Position, Scenario, distance, whole
+from .geometry import TA_BAND_M, TA_STEP_S, Position, Scenario, distance, whole
 from .snifferlog import FRAME_WRAP, TimingColumns, check_entry
 
 #: Subframes per radio frame.
@@ -126,45 +126,16 @@ def quantize_ta(d_ub: float) -> Tuple[int, float]:
     return index, index * TA_STEP_S
 
 
-def sigma_for_snr(snr_db: float, sigma0: float) -> float:
-    """Map an SNR to a timing-noise sigma: sigma0 * 10^(-SNR/20).
-
-    The scale ``sigma0`` is a calibration knob; only the monotone decrease
-    with SNR is relied on.
-    """
-    return sigma0 * 10.0 ** (-snr_db / 20.0)
-
-
-def ue_tx_time(t_n: float, d_ub: float, cfg: ClockConfig) -> float:
-    """Uplink transmit time for the downlink subframe sent at ``t_n``."""
-    if d_ub < 0:
-        raise ValueError("d_ub must be >= 0")
-    return t_n + d_ub / SPEED_OF_LIGHT - cfg.ta_value + cfg.ue_hw_error
-
-
-def dl_arrival(t_n: float, d_enb_k: float, offset_k: float) -> float:
-    """Downlink arrival time at a sniffer, on that sniffer's clock."""
-    if d_enb_k < 0:
-        raise ValueError("d_enb_k must be >= 0")
-    return t_n + d_enb_k / SPEED_OF_LIGHT + offset_k
-
-
-def ul_arrival(t_n: float, d_ub: float, d_ue_k: float, offset_k: float,
-               cfg: ClockConfig) -> float:
-    """Uplink arrival time at a sniffer, on that sniffer's clock."""
-    if d_ue_k < 0:
-        raise ValueError("d_ue_k must be >= 0")
-    return ue_tx_time(t_n, d_ub, cfg) + d_ue_k / SPEED_OF_LIGHT + offset_k
-
-
 def subframe_delta(scenario: Scenario, k: int, cfg: ClockConfig,
                    noise_sample: float = 0.0) -> float:
     """Downlink-uplink timing delta measured by sniffer ``k``, seconds.
 
-    Equals ul_arrival - dl_arrival + noise for the same subframe; the subframe
-    time and the sniffer's clock offset cancel, leaving pure geometry plus the
-    timing-advance and device/sniffer error terms.  Sign convention: the delta
-    grows when the uplink path lengthens, so range-sum recovery is
+    The uplink minus the downlink arrival of one subframe on the sniffer's
+    clock, plus noise.  The device transmits d_ub / c after the subframe,
+    early by the timing advance and late by its hardware error; the subframe
+    time and the sniffer's clock offset cancel, leaving pure geometry plus
+    the timing-advance and device/sniffer error terms.  Sign convention: the
+    delta grows when the uplink path lengthens, so range-sum recovery is
     d_ub + d_ue_k = d_enb_k + c * (delta + ta_value) exactly when noise and
     the device error are zero.
     """

@@ -11,7 +11,7 @@ exact scenario sequence.
 import math
 
 from dualsniff.errors import LocalizationError
-from dualsniff.geometry import Position, Scenario, distance, ta_band, triangle_area
+from dualsniff.geometry import SPEED_OF_LIGHT, Position, Scenario, distance, ta_band, triangle_area
 from dualsniff.tdoa import build_system, form_tdoa, solve_constrained
 from dualsniff.timing import ClockConfig, quantize_ta, subframe_delta
 from dualsniff.toa import compose_D, solve_toa
@@ -70,6 +70,56 @@ def noiseless_deltas(scenario: Scenario):
     return [subframe_delta(scenario, k, cfg) for k in range(len(scenario.sniffers))]
 
 
+def ue_tx_time(t_n: float, d_ub: float, cfg: ClockConfig) -> float:
+    """Uplink transmit time for the downlink subframe sent at ``t_n``."""
+    if d_ub < 0:
+        raise ValueError("d_ub must be >= 0")
+    return t_n + d_ub / SPEED_OF_LIGHT - cfg.ta_value + cfg.ue_hw_error
+
+
+def dl_arrival(t_n: float, d_enb_k: float, offset_k: float) -> float:
+    """Downlink arrival time at a sniffer, on that sniffer's clock."""
+    if d_enb_k < 0:
+        raise ValueError("d_enb_k must be >= 0")
+    return t_n + d_enb_k / SPEED_OF_LIGHT + offset_k
+
+
+def ul_arrival(t_n: float, d_ub: float, d_ue_k: float, offset_k: float,
+               cfg: ClockConfig) -> float:
+    """Uplink arrival time at a sniffer, on that sniffer's clock."""
+    if d_ue_k < 0:
+        raise ValueError("d_ue_k must be >= 0")
+    return ue_tx_time(t_n, d_ub, cfg) + d_ue_k / SPEED_OF_LIGHT + offset_k
+
+
+def sigma_for_snr(snr_db: float, sigma0: float) -> float:
+    """Map an SNR to a timing-noise sigma: sigma0 * 10^(-SNR/20).
+
+    The scale ``sigma0`` is a calibration knob; only the monotone decrease
+    with SNR is relied on.  The simulator draws its noise from
+    ``ClockConfig.sniffer_noise_sigma`` alone, so a test that wants noise
+    to follow the SNR sets that sigma from this map.
+    """
+    return sigma0 * 10.0 ** (-snr_db / 20.0)
+
+
+def ellipse_residual(u_cand: Position, obs, enb: Position) -> float:
+    """Signed miss of the range-sum constraint ``obs`` at a candidate point, meters."""
+    return distance(u_cand, enb) + distance(u_cand, obs.sniffer) - obs.D
+
+
+MATCHED_HEADER = "frame,subframe,delta_a_us,delta_b_us,snr_a_db,snr_b_db"
+
+
+def write_matched(samples) -> str:
+    """Matched columns as a delimited table with header, floats by ``repr``."""
+    return MATCHED_HEADER + "\n" + "".join(
+        f"{frame},{subframe},{delta_a!r},{delta_b!r},{snr_a!r},{snr_b!r}\n"
+        for frame, subframe, delta_a, delta_b, snr_a, snr_b in zip(
+            samples.frame.tolist(), samples.subframe.tolist(), samples.delta_a.tolist(),
+            samples.delta_b.tolist(), samples.snr_a.tolist(), samples.snr_b.tolist()))
+
+
 def run_toa(scenario: Scenario, deltas=None):
     """Range-sum solve on the first two sniffers; returns a ToAEstimate."""
     if deltas is None:
@@ -122,8 +172,8 @@ def draw_solved_scenario(rng, n_sniffers: int = 3):
 
     Draws are rejected when either solver raises (mirror candidate in the
     same band, or a tangency), the range-sum solve still sees a second
-    in-band candidate, the returned point is a closest-approach fallback
-    rather than a converged crossing, or the ellipses cross near-tangentially
+    in-band candidate, the returned point is a closest approach rather than
+    a crossing, or the ellipses cross near-tangentially
     (gradient determinant under MIN_CROSSING_DET); those layouts cannot be
     resolved from timing alone, regardless of solver quality.
     """
@@ -139,7 +189,7 @@ def draw_solved_scenario(rng, n_sniffers: int = 3):
                    if lo <= distance(q, sc.enb) < hi]
         if len(in_band) > 1:
             continue
-        if toa_est.residual > 1e-9:
+        if not toa_est.crossing:
             continue
         if crossing_det(toa_est.position, sc.enb,
                         sc.sniffers[0], sc.sniffers[1]) < MIN_CROSSING_DET:

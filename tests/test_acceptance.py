@@ -18,12 +18,11 @@ import helpers
 from dualsniff.bruteforce import annulus_minimum
 from dualsniff.errors import LocalizationError, RankDeficient
 from dualsniff.geometry import Position, Scenario, distance
-from dualsniff.snifferlog import (TimingColumns, filter_rnti, match_records,
-                                  parse_log, write_log, write_matched)
+from dualsniff.snifferlog import TimingColumns, filter_rnti, match_records, parse_log, write_log
 from dualsniff.stats import cdf_quantile, one_sigma_filter, summarize
 from dualsniff.tdoa import (BRANCH_TOL, build_system, form_tdoa,
                             solve_constrained, solve_normal_equations)
-from dualsniff.timing import ClockConfig, sigma_for_snr, subframe_delta, ta_seconds
+from dualsniff.timing import ClockConfig, subframe_delta, ta_seconds
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -199,7 +198,7 @@ def test_criterion_6_snr_monotonicity():
     counts = {}
     for snr in (15.0, 20.0):
         toa_err, tdoa_err = _noisy_pipelines(eps=1.0e-7,
-                                             sigma=sigma_for_snr(snr, sigma0),
+                                             sigma=helpers.sigma_for_snr(snr, sigma0),
                                              seed=2024)
         counts[snr] = len(toa_err)
         stats_toa, stats_tdoa = summarize(toa_err), summarize(tdoa_err)
@@ -249,7 +248,7 @@ def test_criterion_7_parser_round_trip():
                                          filter_rnti(records_b, 7423))
     matched_ok = (
         match_diags == ["duplicate key frame=1024 subframe=2 in a: dropped"]
-        and write_matched(samples) == (DATA / "golden_matched.csv").read_text())
+        and helpers.write_matched(samples) == (DATA / "golden_matched.csv").read_text())
 
     ok = round_trip_ok and diags_ok and matched_ok
     _report(7, "parser round trip", ok,

@@ -234,6 +234,20 @@ def test_locate_tdoa_noiseless(tmp_path):
         assert abs(float(parts[6])) < 1e-6
 
 
+def test_locate_tdoa_names_unused_samples(tmp_path, capsys):
+    # sample i pairs across configurations, so cfg2's last 10 samples have no partner
+    out = _simulate(tmp_path, TDOA_CONFIG.replace("at_subframe: 15", "at_subframe: 10"), "run")
+    capsys.readouterr()
+    rc = main(["locate", "--config", str(tmp_path / "exp.yaml"), "--scheme", "tdoa",
+               "--rnti", "7423", "--out-dir", str(out),
+               *(str(out / f"sn{k}_cfg{j}.log") for j in (1, 2) for k in (1, 2))])
+    assert rc == EXIT_OK
+    assert len((out / "estimates_tdoa.csv").read_text().splitlines()) == 11
+    assert capsys.readouterr().err == (
+        "configuration 2: 10 of 20 matched samples unused "
+        "(the shortest configuration has 10)\n")
+
+
 def test_locate_range_metric(tmp_path):
     out = _simulate(tmp_path, TOA_CONFIG, "run")
     cfg = str(tmp_path / "exp.yaml")

@@ -1,11 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from dualsniff.errors import AmbiguousSolution
-from dualsniff.geometry import (SPEED_OF_LIGHT, TA_BAND_M, Candidate, Position,
-                                Scenario, choose_candidate, distance, ta_band,
-                                triangle_area)
+from dualsniff.geometry import (SPEED_OF_LIGHT, TA_BAND_M, Position, Scenario,
+                                choose_candidate, distance, ta_band, triangle_area)
 
 
 def test_position_rejects_non_finite():
@@ -85,20 +85,33 @@ def test_scenario_distances_to():
     assert d[1] == pytest.approx(math.sqrt(40 ** 2 + 70 ** 2))
 
 
+def _choose(cands, band):
+    """``choose_candidate`` for one sample offering ``cands``, each
+    (position, residual, clean); raises as a solver does and returns the
+    chosen candidate."""
+    u = np.array([[(p.x, p.y) for p, _, _ in cands]])
+    residual = np.array([[e for _, e, _ in cands]])
+    clean = np.array([[c for _, _, c in cands]])
+    sol = choose_candidate(u, np.zeros_like(residual), residual, np.ones_like(clean), clean,
+                           {}, Position(0, 0), band)
+    sol.check(0)
+    return cands[sol.pick[0]]
+
+
 def test_choose_candidate_by_band():
-    enb = Position(0, 0)
-    near = Candidate(Position(30, 40), 50.0, 1e-13, True)       # 50 m out
-    far = Candidate(Position(60, 80), 100.0, 1e-14, True)       # 100 m out
-    ghost = Candidate(Position(0, 120), 120.0, 5.0, False)      # 120 m out
+    near = (Position(30, 40), 1e-13, True)       # 50 m out
+    far = (Position(60, 80), 1e-14, True)        # 100 m out
+    ghost = (Position(0, 120), 5.0, False)       # 120 m out
     # out of band, the clean candidate nearest the band beats a smaller residual
-    assert choose_candidate([far, near, ghost], enb, (100.0, 150.0)) == far
-    assert choose_candidate([far, near, ghost], enb, (0.0, 40.0)) == near
+    assert _choose([far, near, ghost], (100.0, 150.0)) == far
+    assert _choose([far, near, ghost], (0.0, 40.0)) == near
     # a ghost stands in only when no clean candidate is left
-    assert choose_candidate([ghost], enb, (0.0, 40.0)) == ghost
+    assert _choose([ghost], (0.0, 40.0)) == ghost
     # in band, the smaller residual wins, a ghost included
-    assert choose_candidate([near, ghost], enb, (40.0, 130.0)) == near
-    assert choose_candidate([far, ghost], enb, (110.0, 130.0)) == ghost
+    assert _choose([near, ghost], (40.0, 130.0)) == near
+    assert _choose([far, ghost], (110.0, 130.0)) == ghost
     # two clean in-band candidates far apart are ambiguous
     with pytest.raises(AmbiguousSolution) as exc:
-        choose_candidate([near, far, ghost], enb, (0.0, 150.0))
-    assert exc.value.candidates == [near.position, far.position]
+        _choose([near, far, ghost], (0.0, 150.0))
+    assert exc.value.candidates == [near[0], far[0]]
+    assert str(exc.value) == "2 in-band candidates separated by 50.00 m"

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualsniff.cli import _read_records
-from dualsniff.snifferlog import (COLUMNS, FRAME_WRAP, MATCHED_HEADER, MAX_RNTI,
-                                  MatchedSample, TimingColumns, _parse_clean, _parse_lines,
-                                  _unwrap_frames, check_entry, filter_rnti, interleave,
-                                  match_records, parse_log, write_log, write_matched)
+from dualsniff.snifferlog import (COLUMNS, FRAME_WRAP, MAX_RNTI, MatchedColumns, TimingColumns,
+                                  _parse_clean, _parse_lines, _unwrap_frames, check_entry,
+                                  filter_rnti, interleave, match_records, parse_log, write_log)
+from helpers import MATCHED_HEADER, write_matched
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -25,6 +25,11 @@ def _log(entries, sniffer_id=""):
     """Columns holding the entry tuples ``entries``, in order."""
     return TimingColumns(*(zip(*entries) if entries else [()] * len(COLUMNS)),
                          sniffer_id=sniffer_id)
+
+
+def _samples(matched, *names):
+    """The matched samples' values of the columns ``names``, one tuple per sample."""
+    return list(zip(*(getattr(matched, name).tolist() for name in names)))
 
 
 def _entries(log):
@@ -139,7 +144,7 @@ def test_match_basic_and_missing_keys():
     b = _log([_rec(1, 0, delta=1.5), _rec(1, 2, delta=3.5), _rec(1, 3, delta=9.0)])
     samples, diags = match_records(a, b)
     assert diags == []
-    assert [(s.frame, s.subframe, s.delta_a, s.delta_b) for s in samples] == \
+    assert _samples(samples, "frame", "subframe", "delta_a", "delta_b") == \
         [(1, 0, 1.0, 1.5), (1, 2, 3.0, 3.5)]
 
 
@@ -147,7 +152,7 @@ def test_match_drops_duplicates_with_diagnostic():
     a = _log([_rec(1, 0, delta=1.0), _rec(1, 0, delta=1.1), _rec(1, 1, delta=2.0)])
     b = _log([_rec(1, 0, delta=5.0), _rec(1, 1, delta=6.0)])
     samples, diags = match_records(a, b)
-    assert [(s.frame, s.subframe) for s in samples] == [(1, 1)]
+    assert _samples(samples, "frame", "subframe") == [(1, 1)]
     assert diags == ["duplicate key frame=1 subframe=0 in a: dropped"]
 
 
@@ -155,7 +160,7 @@ def test_match_drops_rnti_mismatch():
     a = _log([_rec(1, 0, rnti=10)])
     b = _log([_rec(1, 0, rnti=11)])
     samples, diags = match_records(a, b)
-    assert samples == []
+    assert len(samples) == 0
     assert diags == ["rnti mismatch at frame=1 subframe=0: dropped"]
 
 
@@ -163,7 +168,7 @@ def test_match_unwraps_both_sides():
     a = _log([_rec(1023, 9, delta=1.0), _rec(0, 0, delta=2.0)])
     b = _log([_rec(1023, 9, delta=1.5), _rec(0, 0, delta=2.5)])
     samples, _ = match_records(a, b)
-    assert [(s.frame, s.subframe) for s in samples] == [(1023, 9), (1024, 0)]
+    assert _samples(samples, "frame", "subframe") == [(1023, 9), (1024, 0)]
 
 
 def test_golden_parse_diagnostics():
@@ -198,13 +203,14 @@ def test_golden_matched_table_byte_exact():
 
 
 def test_write_matched_header_only_when_empty():
-    assert write_matched([]) == MATCHED_HEADER + "\n"
+    samples, _ = match_records(_log([]), _log([]))
+    assert write_matched(samples) == MATCHED_HEADER + "\n"
 
 
 def test_matched_sample_is_plain_data():
-    s = MatchedSample(frame=1, subframe=2, delta_a=0.5, delta_b=0.25,
-                      snr_a=20.0, snr_b=15.0)
-    assert s.delta_a - s.delta_b == 0.25
+    s = MatchedColumns(frame=np.array([1]), subframe=np.array([2]), delta_a=np.array([0.5]),
+                       delta_b=np.array([0.25]), snr_a=np.array([20.0]), snr_b=np.array([15.0]))
+    assert len(s) == 1 and (s.delta_a - s.delta_b).tolist() == [0.25]
 
 
 def test_columns_views_and_selections():
@@ -355,10 +361,9 @@ def test_match_is_symmetric(a, b):
     a, b = _log(a), _log(b)
     samples_ab, diags_ab = match_records(a, b)
     samples_ba, diags_ba = match_records(b, a)
-    assert [(s.frame, s.subframe) for s in samples_ab] == \
-        [(s.frame, s.subframe) for s in samples_ba]
-    assert [(s.delta_a, s.delta_b, s.snr_a, s.snr_b) for s in samples_ab] == \
-        [(s.delta_b, s.delta_a, s.snr_b, s.snr_a) for s in samples_ba]
+    assert _samples(samples_ab, "frame", "subframe") == _samples(samples_ba, "frame", "subframe")
+    assert _samples(samples_ab, "delta_a", "delta_b", "snr_a", "snr_b") == \
+        _samples(samples_ba, "delta_b", "delta_a", "snr_b", "snr_a")
     swapped = [d.replace(" in a:", " in B:").replace(" in b:", " in a:").replace(" in B:", " in b:")
                for d in diags_ba]
     assert sorted(swapped) == sorted(diags_ab)
@@ -468,7 +473,7 @@ def test_match_keys_do_not_collide_past_subframe_9():
     b = TimingColumns([2], [0], [5], [3.0], [21.0], [7], [-90.0])
     samples, diags = match_records(a, b)
     assert diags == []
-    assert samples == [MatchedSample(frame=2, subframe=0, delta_a=2.0, delta_b=3.0,
-                                     snr_a=20.0, snr_b=21.0)]
+    assert _samples(samples, "frame", "subframe", "delta_a", "delta_b", "snr_a", "snr_b") == \
+        [(2, 0, 2.0, 3.0, 20.0, 21.0)]
     samples, diags = match_records(a[:1], b)
-    assert samples == [] and diags == []
+    assert len(samples) == 0 and diags == []

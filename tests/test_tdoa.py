@@ -10,7 +10,7 @@ from dualsniff import tdoa
 from dualsniff.errors import (DegenerateGeometry, InfeasibleObservation, LocalizationError,
                               MixedReference, NoRealRoot, RankDeficient)
 from dualsniff.geometry import SPEED_OF_LIGHT, Position, Scenario, distance
-from dualsniff.snifferlog import MatchedSample
+from dualsniff.snifferlog import MatchedColumns
 from dualsniff.tdoa import (LinearSystem, TdoaEstimate, TdoaPair, build_system,
                             estimate_tdoa, form_tdoa,
                             range_difference_residual, solve_constrained,
@@ -61,10 +61,12 @@ def test_form_tdoa_cancels_shared_shifts():
 
 
 def test_form_tdoa_rejects_impossible_difference():
-    s1, s2 = Position(100, 0), Position(0, 100)
+    s1, s2, s3 = Position(100, 0), Position(0, 100), Position(-80, 40)
     # |delta_d| can never exceed the sniffer baseline; 500 m is far beyond it
-    with pytest.raises(InfeasibleObservation):
-        form_tdoa(0.0, 500.0 / SPEED_OF_LIGHT, s1, s2, Position(0, 0))
+    bad = form_tdoa(0.0, 500.0 / SPEED_OF_LIGHT, s1, s2, Position(0, 0))
+    good = form_tdoa(0.0, 0.0, s1, s3, Position(0, 0))
+    with pytest.raises(InfeasibleObservation, match="exceeds 3x the sniffer baseline 141.4 m"):
+        solve_constrained(build_system([good, bad]), s1, (0.0, 78.12), Position(0, 0))
 
 
 def test_build_system_rows_by_hand():
@@ -225,18 +227,18 @@ def test_estimate_validation():
                      method="constrained-elimination")
 
 
-def _matched(frame, subframe, da_us, db_us):
-    return MatchedSample(frame=frame, subframe=subframe, delta_a=da_us,
-                         delta_b=db_us, snr_a=20.0, snr_b=20.0)
+def _matched(samples):
+    """Matched columns of (frame, subframe, delta_a_us, delta_b_us) samples."""
+    frame, subframe, da, db = (np.array(c) for c in zip(*samples))
+    return MatchedColumns(frame=frame, subframe=subframe, delta_a=da, delta_b=db,
+                          snr_a=np.full(len(da), 20.0), snr_b=np.full(len(db), 20.0))
 
 
 def test_estimate_tdoa_batch():
     sc = _tri_scenario()
     deltas = helpers.noiseless_deltas(sc)
-    sets = [
-        [_matched(0, i, deltas[0] * 1e6, deltas[k] * 1e6) for i in range(3)]
-        for k in (1, 2)
-    ]
+    sets = [_matched([(0, i, deltas[0] * 1e6, deltas[k] * 1e6) for i in range(3)])
+            for k in (1, 2)]
     outcomes = estimate_tdoa(sets, sc, ref_sniffer=sc.sniffers[0],
                              other_positions=sc.sniffers[1:])
     assert [o.status for o in outcomes] == ["ok"] * 3
@@ -251,12 +253,10 @@ def test_estimate_tdoa_batch():
 def test_estimate_tdoa_isolates_bad_samples():
     sc = _tri_scenario()
     deltas = helpers.noiseless_deltas(sc)
-    sets = [
-        [_matched(0, i, deltas[0] * 1e6, deltas[k] * 1e6) for i in range(3)]
-        for k in (1, 2)
-    ]
+    samples = [[(0, i, deltas[0] * 1e6, deltas[k] * 1e6) for i in range(3)] for k in (1, 2)]
     # sample 1 of the second configuration claims an impossible difference
-    sets[1][1] = _matched(0, 1, deltas[0] * 1e6, deltas[0] * 1e6 + 100.0)
+    samples[1][1] = (0, 1, deltas[0] * 1e6, deltas[0] * 1e6 + 100.0)
+    sets = [_matched(s) for s in samples]
     outcomes = estimate_tdoa(sets, sc, ref_sniffer=sc.sniffers[0],
                              other_positions=sc.sniffers[1:])
     assert [o.status for o in outcomes] == \
@@ -276,12 +276,12 @@ def test_estimate_tdoa_lets_programming_errors_through(monkeypatch):
     """Only solver failures are isolated per sample; a bug stops the batch."""
     sc = _tri_scenario()
     deltas = helpers.noiseless_deltas(sc)
-    sets = [[_matched(0, 0, deltas[0] * 1e6, deltas[k] * 1e6)] for k in (1, 2)]
+    sets = [_matched([(0, 0, deltas[0] * 1e6, deltas[k] * 1e6)]) for k in (1, 2)]
 
     def broken(*args):
         raise TypeError("solver bug")
 
-    monkeypatch.setattr(tdoa, "solve_constrained", broken)
+    monkeypatch.setattr(tdoa, "solve_constrained_batch", broken)
     with pytest.raises(TypeError, match="solver bug"):
         estimate_tdoa(sets, sc, ref_sniffer=sc.sniffers[0], other_positions=sc.sniffers[1:])
 
@@ -289,5 +289,5 @@ def test_estimate_tdoa_lets_programming_errors_through(monkeypatch):
 def test_estimate_tdoa_needs_two_sets():
     sc = _tri_scenario()
     with pytest.raises(ValueError):
-        estimate_tdoa([[_matched(0, 0, 0.1, 0.2)]], sc, ref_sniffer=sc.sniffers[0],
+        estimate_tdoa([_matched([(0, 0, 0.1, 0.2)])], sc, ref_sniffer=sc.sniffers[0],
                       other_positions=sc.sniffers[1:2])

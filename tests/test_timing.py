@@ -4,9 +4,9 @@ import pytest
 
 from dualsniff.geometry import (LTE_TS, SPEED_OF_LIGHT, TA_BAND_M, TA_STEP_S,
                                 Position, Scenario, distance)
-from dualsniff.timing import (ClockConfig, Relocation, dl_arrival, quantize_ta,
-                              segments, sigma_for_snr, simulate_capture,
-                              subframe_delta, ta_seconds, ue_tx_time, ul_arrival)
+from dualsniff.timing import (ClockConfig, Relocation, quantize_ta, segments, simulate_capture,
+                              subframe_delta, ta_seconds)
+from helpers import dl_arrival, sigma_for_snr, ue_tx_time, ul_arrival
 
 
 def _square_scenario():

@@ -12,8 +12,8 @@ from dualsniff.errors import (AmbiguousSolution, CollinearityWarning,
                               InfeasibleObservation, NoIntersection)
 from dualsniff.geometry import SPEED_OF_LIGHT, Position, Scenario, distance, ta_band
 from dualsniff.timing import ClockConfig, subframe_delta
-from dualsniff.toa import (ToAObservation, compose_D, ellipse_residual,
-                           solve_toa)
+from dualsniff.toa import INTERSECTION_TOL, ToAObservation, compose_D, solve_toa
+from helpers import ellipse_residual
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -124,6 +124,29 @@ def test_collinear_tangency_closest_approach():
         est = solve_toa(obs1, obs2, enb, (0.0, 78.12))
     assert est.position.x == pytest.approx(60.0, abs=0.05)
     assert abs(est.position.y) < 0.5
+
+
+def test_crossing_flag_tells_a_crossing_from_a_closest_approach():
+    # noiseless range-sums: the ellipses cross at the device, so every
+    # answer not refused as ambiguous is a crossing
+    rng = np.random.default_rng(17)
+    solved = 0
+    for sc in [_annulus_scenario()] + [helpers.draw_scenario(rng) for _ in range(40)]:
+        try:
+            est = helpers.run_toa(sc)
+        except AmbiguousSolution:
+            continue
+        assert est.crossing
+        solved += 1
+    assert solved >= 20
+    # the small ellipse lies inside the large one and misses it by about half a meter
+    enb = Position(0, 0)
+    small = ToAObservation(sniffer=Position(100, 0), D=150.0)
+    large = ToAObservation(sniffer=Position(0, 100), D=291.9)
+    est = solve_toa(small, large, enb, (0.0, 1000.0))
+    assert not est.crossing
+    assert 0.1 < est.residual < INTERSECTION_TOL
+    assert abs(ellipse_residual(est.position, small, enb)) < 1e-9
 
 
 def test_candidates_sorted_by_residual():
