@@ -22,7 +22,7 @@ from ._kernels import annulus_grid_min  # noqa: F401
 from .geometry import Position
 from .tdoa import TdoaPair, range_difference_residual
 
-#: Default cell width, meters: ``refine=False`` stops at cells this narrow.
+#: The search stops only once its cells are no wider than this, meters.
 GRID_STEP = 0.05
 
 #: Certificate tolerance, m^2 (relative above 1 m^2, where float64 rounding
@@ -77,16 +77,14 @@ def _lower_bound(rho, th, d_rho, d_th, x, y, sx, sy, d, m, cost):
 
 
 def annulus_minimum(enb: Position, band: Tuple[float, float],
-                    pairs: Sequence[TdoaPair], step: float = GRID_STEP,
-                    refine: bool = True) -> Tuple[Position, float]:
+                    pairs: Sequence[TdoaPair]) -> Tuple[Position, float]:
     """Minimize the pairwise cost over the annulus ``band`` around ``enb``.
 
-    Returns (position, cost); the position always lies in the annulus.  With
-    ``refine=False`` the search stops once its cells are no wider than
-    ``step``.  With ``refine=True`` it goes on from the same partition until
-    the cost is certified to within ``CERT_TOL`` of the global minimum, so it
-    never returns a higher cost.  Raises ``RuntimeError`` if the certificate
-    is out of reach within ``MAX_LEVELS`` and ``MAX_CELLS``.
+    Returns (position, cost); the position always lies in the annulus.  The
+    search stops once its cells are no wider than ``GRID_STEP`` and the cost
+    is certified to within ``CERT_TOL`` of the global minimum.  Raises
+    ``RuntimeError`` if the certificate is out of reach within
+    ``MAX_LEVELS`` and ``MAX_CELLS``.
     """
     if not pairs:
         raise ValueError("need at least one pair")
@@ -121,7 +119,7 @@ def annulus_minimum(enb: Position, band: Tuple[float, float],
         bound = _lower_bound(rho, th, d_rho, d_th, x[:n], y[:n], sx, sy,
                              d[:, :n], m[:, :n], cost[:n])
         certified = best - float(bound.min()) <= CERT_TOL * max(1.0, best)
-        if max(d_rho, hi * d_th) <= step and (certified or not refine):
+        if max(d_rho, hi * d_th) <= GRID_STEP and certified:
             return Position(enb.x + best_x, enb.y + best_y), best
         keep = bound < best
         if 4 * np.count_nonzero(keep) > MAX_CELLS:

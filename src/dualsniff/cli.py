@@ -78,10 +78,8 @@ def _decoy_captures(setup: ExperimentSetup, count: int) -> List[SimulatedCapture
                               ta_value=quantize_ta(distance(ue, setup.scenario.enb))[1],
                               rng_seed=setup.clock.rng_seed + 104729 + i)
         captures.append(simulate_capture(
-            decoy_scenario, decoy_clock, setup.capture.subframes, setup.relocations,
-            rnti=setup.capture.rnti + 1 + i, snr_db=setup.capture.snr_db,
-            noise_power_dbm=setup.capture.noise_power_dbm,
-            start_frame=setup.capture.start_frame))
+            decoy_scenario, decoy_clock, replace(setup.capture, rnti=setup.capture.rnti + 1 + i),
+            setup.relocations))
     return captures
 
 
@@ -91,11 +89,7 @@ def cmd_simulate(args) -> int:
     if setup.scenario.ue_truth is None:
         raise ConfigError("simulation requires scenario.ue_truth")
 
-    target = simulate_capture(
-        setup.scenario, setup.clock, setup.capture.subframes,
-        setup.relocations, rnti=setup.capture.rnti, snr_db=setup.capture.snr_db,
-        noise_power_dbm=setup.capture.noise_power_dbm,
-        start_frame=setup.capture.start_frame)
+    target = simulate_capture(setup.scenario, setup.clock, setup.capture, setup.relocations)
     # within a subframe, entries go in RNTI order (ties in capture order)
     captures = sorted([target, *_decoy_captures(setup, args.decoys)], key=lambda c: c.rnti)
 
@@ -239,6 +233,11 @@ def _write_estimates(path: Path, rows: Sequence[dict]) -> None:
     path.write_text("".join(lines), encoding="utf-8")
 
 
+def _stats_cells(st) -> str:
+    """The ``count,mean_m,rmse_m,std_m,q80_m`` cells of one summary."""
+    return f"{st.count},{st.mean:.6f},{st.rmse:.6f},{st.std:.6f},{cdf_quantile(st, 0.8):.6f}"
+
+
 def _stats_table(errors: Sequence[float], metric: str) -> str:
     """Pre- and post-filter summary, one block of delimited text."""
     whole = summarize(errors)
@@ -252,8 +251,7 @@ def _stats_table(errors: Sequence[float], metric: str) -> str:
     out = [f"metric: {label}, meters",
            "stage,count,mean_m,rmse_m,std_m,q80_m"]
     for stage, st in (("unfiltered", whole), ("filtered", filtered)):
-        out.append(f"{stage},{st.count},{st.mean:.6f},{st.rmse:.6f},"
-                   f"{st.std:.6f},{cdf_quantile(st, 0.8):.6f}")
+        out.append(f"{stage},{_stats_cells(st)}")
     out.append(f"removed_by_filter,{len(removed)}")
     return "\n".join(out) + "\n"
 
@@ -329,8 +327,7 @@ def cmd_report(args) -> int:
 
     out = ["input,count,mean_m,rmse_m,std_m,q80_m"]
     for name, st in zip(names, all_stats):
-        out.append(f"{name},{st.count},{st.mean:.6f},{st.rmse:.6f},"
-                   f"{st.std:.6f},{cdf_quantile(st, 0.8):.6f}")
+        out.append(f"{name},{_stats_cells(st)}")
     out.append("")
     out.append("probability," + ",".join(f"{n}_error_m" for n in names))
     for p in [i / 100.0 for i in range(1, 101)]:

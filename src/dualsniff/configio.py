@@ -24,7 +24,8 @@ Schema (all lengths in meters, times in seconds)::
       - {sniffer: 2, at_subframe: 500, to: [100.0, 100.0]}
 
 Any other key is an error.  ``parse_setup`` checks shape and keys only: the
-dataclasses hold the defaults and value rules, ``timing.segments`` the plan's.
+dataclasses, ``CaptureSpec`` among them, live in ``timing`` and ``geometry``
+and hold the defaults and value rules; ``timing.segments`` holds the plan's.
 """
 
 import math
@@ -34,8 +35,7 @@ from typing import List, Tuple
 import yaml
 
 from .geometry import Position, Scenario, whole
-from .snifferlog import MAX_RNTI
-from .timing import ClockConfig, Relocation, segments
+from .timing import CaptureSpec, ClockConfig, Relocation, segments
 
 #: The documented keys of each section, and of each relocation.
 KEYS = {"scenario": {"enb", "sniffers", "ue_truth", "ta_index"},
@@ -46,29 +46,6 @@ KEYS = {"scenario": {"enb", "sniffers", "ue_truth", "ta_index"},
 
 class ConfigError(ValueError):
     """Configuration file is missing, malformed, or inconsistent."""
-
-
-@dataclass(frozen=True)
-class CaptureSpec:
-    """How long to capture and what to stamp on the records."""
-
-    subframes: int = 1000
-    rnti: int = 17001
-    snr_db: float = 20.0
-    noise_power_dbm: float = -95.0
-    start_frame: int = 0
-
-    def __post_init__(self):
-        for name in ("subframes", "rnti", "start_frame"):
-            object.__setattr__(self, name, whole(name, getattr(self, name)))
-        if self.subframes < 1:
-            raise ValueError(f"subframes must be >= 1, got {self.subframes}")
-        if not 0 <= self.rnti <= MAX_RNTI:
-            raise ValueError(f"rnti must be in [0, {MAX_RNTI}], got {self.rnti}")
-        for name in ("snr_db", "noise_power_dbm"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -82,14 +82,12 @@ class Scenario:
         sniffers: At least two sniffer positions, in capture order.
         ue_truth: True device position when known (simulation / evaluation).
         ta_index: Timing-advance index the device operates under.
-        speed_of_light: Propagation speed, m/s.
     """
 
     enb: Position
     sniffers: Tuple[Position, ...]
     ue_truth: Optional[Position] = None
     ta_index: int = 0
-    speed_of_light: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         object.__setattr__(self, "sniffers", tuple(self.sniffers))
@@ -114,10 +112,6 @@ class Scenario:
     def band(self) -> Tuple[float, float]:
         """Distance band implied by this scenario's TA index."""
         return ta_band(self.ta_index)
-
-    def distances_to(self, point: Position) -> Tuple[float, ...]:
-        """Distances from every sniffer to a point, in sniffer order."""
-        return tuple(distance(s, point) for s in self.sniffers)
 
 
 #: The failed samples of a batch solve: sample -> the exception of its failure.

@@ -65,13 +65,6 @@ def _enforce(rules: Sequence[Rule], e: dict) -> None:
             raise ValueError(message.format(e=e))
 
 
-def check_entry(frame: int, subframe: int, rnti: int, dl_ul_delta: float,
-                cqi: int) -> None:
-    """The value rules of one log entry; ``ValueError`` names the first one broken."""
-    _enforce(ENTRY_RULES, {"frame": frame, "subframe": subframe, "rnti": rnti,
-                           "dl_ul_delta": dl_ul_delta, "cqi": cqi})
-
-
 @dataclass(frozen=True, eq=False)
 class TimingColumns:
     """Log entries of one sniffer as columns: entry i is row i of every array.

@@ -88,8 +88,7 @@ class SampleOutcome:
 
 
 def form_tdoa(delta_ref, delta_k, ref_sniffer: Position, other_sniffer: Position,
-              enb: Position, *, pair_id: str = "",
-              speed_of_light: float = SPEED_OF_LIGHT) -> TdoaPair:
+              enb: Position, *, pair_id: str = "") -> TdoaPair:
     """Range difference from two sniffers' deltas (seconds), one or one per sample.
 
     delta_d = (d_eNb,k - d_eNb,1) + c (delta_k - delta_ref); shared terms
@@ -97,7 +96,7 @@ def form_tdoa(delta_ref, delta_k, ref_sniffer: Position, other_sniffer: Position
     ``solve_constrained_batch`` rejects a physically impossible difference.
     """
     delta_d = (distance(enb, other_sniffer) - distance(enb, ref_sniffer)) \
-        + speed_of_light * (delta_k - delta_ref)
+        + SPEED_OF_LIGHT * (delta_k - delta_ref)
     return TdoaPair(ref_sniffer, other_sniffer, delta_d, pair_id)
 
 
@@ -245,7 +244,7 @@ def estimate_tdoa(matched_sets: Sequence[MatchedColumns],
 
     n = min(len(s) for s in matched_sets)
     pairs = [form_tdoa(s.delta_a[:n] * 1e-6, s.delta_b[:n] * 1e-6, ref_sniffer, other,
-                       scenario.enb, pair_id=f"cfg{j + 1}", speed_of_light=scenario.speed_of_light)
+                       scenario.enb, pair_id=f"cfg{j + 1}")
              for j, (s, other) in enumerate(zip(matched_sets, other_positions))]
     sol = solve_constrained_batch(build_system(pairs), ref_sniffer, scenario.band, scenario.enb)
     label = matched_sets[0]

@@ -14,8 +14,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import TA_BAND_M, TA_STEP_S, Position, Scenario, distance, whole
-from .snifferlog import FRAME_WRAP, TimingColumns, check_entry
+from .geometry import SPEED_OF_LIGHT, TA_BAND_M, TA_STEP_S, Position, Scenario, distance, whole
+from .snifferlog import FRAME_WRAP, MAX_RNTI, TimingColumns
 
 #: Subframes per radio frame.
 SUBFRAMES_PER_FRAME = 10
@@ -61,6 +61,29 @@ class ClockConfig:
             raise ValueError(f"{len(cfg.sniffer_offsets)} sniffer offsets for "
                              f"{len(scenario.sniffers)} sniffers")
         return cfg
+
+
+@dataclass(frozen=True)
+class CaptureSpec:
+    """How long to capture and what to stamp on the records."""
+
+    subframes: int = 1000
+    rnti: int = 17001
+    snr_db: float = 20.0
+    noise_power_dbm: float = -95.0
+    start_frame: int = 0
+
+    def __post_init__(self):
+        for name in ("subframes", "rnti", "start_frame"):
+            object.__setattr__(self, name, whole(name, getattr(self, name)))
+        if self.subframes < 1:
+            raise ValueError(f"subframes must be >= 1, got {self.subframes}")
+        if not 0 <= self.rnti <= MAX_RNTI:
+            raise ValueError(f"rnti must be in [0, {MAX_RNTI}], got {self.rnti}")
+        for name in ("snr_db", "noise_power_dbm"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -126,38 +149,34 @@ def quantize_ta(d_ub: float) -> Tuple[int, float]:
     return index, index * TA_STEP_S
 
 
-def subframe_delta(scenario: Scenario, k: int, cfg: ClockConfig,
-                   noise_sample: float = 0.0) -> float:
-    """Downlink-uplink timing delta measured by sniffer ``k``, seconds.
+def subframe_delta(scenario: Scenario, k: int, cfg: ClockConfig) -> float:
+    """Noiseless downlink-uplink timing delta measured by sniffer ``k``, seconds.
 
     The uplink minus the downlink arrival of one subframe on the sniffer's
-    clock, plus noise.  The device transmits d_ub / c after the subframe,
-    early by the timing advance and late by its hardware error; the subframe
-    time and the sniffer's clock offset cancel, leaving pure geometry plus
-    the timing-advance and device/sniffer error terms.  Sign convention: the
-    delta grows when the uplink path lengthens, so range-sum recovery is
-    d_ub + d_ue_k = d_enb_k + c * (delta + ta_value) exactly when noise and
-    the device error are zero.
+    clock.  The device transmits d_ub / c after the subframe, early by the
+    timing advance and late by its hardware error; the subframe time and the
+    sniffer's clock offset cancel, leaving pure geometry plus the
+    timing-advance and device-error terms.  Sign convention: the delta grows
+    when the uplink path lengthens, so range-sum recovery is
+    d_ub + d_ue_k = d_enb_k + c * (delta + ta_value) exactly when the device
+    error is zero.  ``simulate_capture`` adds the sniffer noise.
     """
     if scenario.ue_truth is None:
         raise ValueError("subframe_delta needs a scenario with ue_truth set")
-    sniffer = scenario.sniffers[k]
-    return _delta_at(scenario.enb, scenario.ue_truth, sniffer,
-                     scenario.speed_of_light, cfg) + noise_sample
+    return _delta_at(scenario.enb, scenario.ue_truth, scenario.sniffers[k], cfg)
 
 
-def _delta_at(enb: Position, ue: Position, sniffer: Position, c: float,
-              cfg: ClockConfig) -> float:
-    """Noiseless delta, seconds; the noise sample is added last."""
+def _delta_at(enb: Position, ue: Position, sniffer: Position, cfg: ClockConfig) -> float:
+    """Noiseless delta, seconds."""
     d_enb_k = distance(enb, sniffer)
     d_ub = distance(enb, ue)
     d_ue_k = distance(ue, sniffer)
-    return (d_ub + d_ue_k - d_enb_k) / c - cfg.ta_value + cfg.ue_hw_error
+    return (d_ub + d_ue_k - d_enb_k) / SPEED_OF_LIGHT - cfg.ta_value + cfg.ue_hw_error
 
 
 def _cqi_for_snr(snr_db: float) -> int:
-    # rough CQI table fit: -6 dB -> 0, 20 dB -> 15
-    return int(min(15, max(0, round((snr_db + 6.0) * 15.0 / 26.0))))
+    # rough CQI table fit: -6 dB -> 0, 20 dB -> 15; clamped first, so no SNR overflows
+    return round((min(max(snr_db, -6.0), 20.0) + 6.0) * 15.0 / 26.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,13 +210,12 @@ class SimulatedCapture:
             noise_power=np.full(count, self.noise_power), sniffer_id=f"sn{k + 1}")
 
 
-def simulate_capture(scenario: Scenario, cfg: ClockConfig, subframes: int,
-                     relocations: Sequence[Relocation] = (), *,
-                     rnti: int = 17001, snr_db: float = 20.0,
-                     cqi: Optional[int] = None, noise_power_dbm: float = -95.0,
-                     start_frame: int = 0) -> SimulatedCapture:
+def simulate_capture(scenario: Scenario, cfg: ClockConfig, capture: CaptureSpec,
+                     relocations: Sequence[Relocation] = ()) -> SimulatedCapture:
     """Simulate one capture: one log entry per (subframe, sniffer).
 
+    ``capture`` gives the length, the first frame counter and the RNTI, SNR
+    and noise power stamped on every entry; the CQI follows from the SNR.
     Per-entry measurement noise is i.i.d. Gaussian with
     ``cfg.sniffer_noise_sigma``; the whole noise block is drawn up front from
     ``cfg.rng_seed`` so an entry's draw depends only on (seed, subframe,
@@ -214,24 +232,19 @@ def simulate_capture(scenario: Scenario, cfg: ClockConfig, subframes: int,
         raise ValueError(
             f"{len(cfg.sniffer_offsets)} sniffer offsets for {n_sniffers} sniffers"
         )
-    plan = segments(scenario.sniffers, relocations, subframes)
-    for name, value in (("snr_db", snr_db), ("noise_power_dbm", noise_power_dbm)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    record_cqi = cqi if cqi is not None else _cqi_for_snr(snr_db)
-    check_entry(0, 0, rnti, 0.0, record_cqi)  # the fields every entry shares
+    plan = segments(scenario.sniffers, relocations, capture.subframes)
 
     rng = np.random.default_rng(cfg.rng_seed)
-    delta = rng.normal(0.0, cfg.sniffer_noise_sigma, size=(subframes, n_sniffers))
+    delta = rng.normal(0.0, cfg.sniffer_noise_sigma, size=(capture.subframes, n_sniffers))
     for start, stop, positions in plan:
         for k, sniffer in enumerate(positions):
-            delta[start:stop, k] += _delta_at(scenario.enb, scenario.ue_truth, sniffer,
-                                              scenario.speed_of_light, cfg)
+            delta[start:stop, k] += _delta_at(scenario.enb, scenario.ue_truth, sniffer, cfg)
     delta *= 1e6
     if not np.isfinite(delta).all():
         raise ValueError("simulated dl_ul_delta is not finite")
-    n = np.arange(subframes)
+    n = np.arange(capture.subframes)
     return SimulatedCapture(
-        frame=(start_frame % FRAME_WRAP + n // SUBFRAMES_PER_FRAME) % FRAME_WRAP,
-        subframe=n % SUBFRAMES_PER_FRAME, dl_ul_delta=delta, rnti=int(rnti),
-        snr=float(snr_db), cqi=int(record_cqi), noise_power=float(noise_power_dbm))
+        frame=(capture.start_frame % FRAME_WRAP + n // SUBFRAMES_PER_FRAME) % FRAME_WRAP,
+        subframe=n % SUBFRAMES_PER_FRAME, dl_ul_delta=delta, rnti=capture.rnti,
+        snr=capture.snr_db, cqi=_cqi_for_snr(capture.snr_db),
+        noise_power=capture.noise_power_dbm)

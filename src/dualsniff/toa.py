@@ -18,8 +18,8 @@ import numpy as np
 # ``toa.ellipse_scan`` by name.
 from ._kernels import ellipse_scan  # noqa: F401
 from .errors import CollinearityWarning, InfeasibleObservation, NoIntersection
-from .geometry import (Failed, Position, Scenario, Solutions, choose_candidate, distance,
-                       eliminate, fail, triangle_area)
+from .geometry import (SPEED_OF_LIGHT, Failed, Position, Scenario, Solutions, choose_candidate,
+                       distance, eliminate, fail, triangle_area)
 from .tdoa import TdoaPair, build_system
 from .timing import ta_seconds
 
@@ -37,14 +37,13 @@ COLLINEAR_AREA = 1e-6
 class ToAObservation:
     """One range-sum constraint: |u - enb| + |u - sniffer| = D.
 
-    ``D`` is one range-sum, or an array of one per sample.  ``feasible`` is
-    False where D is smaller than the focal distance, in which case no
-    ellipse exists and solvers must reject the observation.
+    ``D`` is one range-sum, or an array of one per sample.  Where D is
+    smaller than the focal distance no ellipse exists, and the solver
+    rejects the observation.
     """
 
     sniffer: Position
     D: float
-    feasible: bool = True
 
 
 @dataclass(frozen=True)
@@ -67,15 +66,15 @@ def compose_D(delta: float, sniffer: Position, scenario: Scenario) -> ToAObserva
     """Range-sum D for one sniffer's measured delta (seconds), or an array of them.
 
     D = |enb - sniffer| + c * (delta + ta), with the timing advance taken
-    from the scenario's TA index.  A negative (delta + ta) would put the
-    range-sum below the focal distance; the observation is then flagged
-    infeasible rather than dropped, so callers can report it.
+    from the scenario's TA index.  A negative (delta + ta) puts the range-sum
+    below the focal distance; the observation is kept, and the solver
+    reports it infeasible.
     """
     if not np.isfinite(delta).all():
         raise ValueError(f"delta must be finite, got {delta}")
     d_focal = distance(scenario.enb, sniffer)
-    D = d_focal + scenario.speed_of_light * (delta + ta_seconds(scenario.ta_index))
-    return ToAObservation(sniffer=sniffer, D=D, feasible=D >= d_focal)
+    D = d_focal + SPEED_OF_LIGHT * (delta + ta_seconds(scenario.ta_index))
+    return ToAObservation(sniffer=sniffer, D=D)
 
 
 def _onto_ellipse(u: np.ndarray, D: np.ndarray, sniffer: Position, enb: Position) -> np.ndarray:
@@ -129,7 +128,7 @@ def solve_toa_batch(obs1: ToAObservation, obs2: ToAObservation, enb: Position,
     failed: Failed = {}
     for k, o in enumerate(obs):
         d_focal = distance(enb, o.sniffer)
-        fail(failed, ~(np.atleast_1d(o.feasible) & (D[:, k] >= d_focal)),
+        fail(failed, ~(D[:, k] >= d_focal),
              lambda i: InfeasibleObservation(f"observation {k + 1}: range-sum {D[i, k]:.3f} m "
                                              f"is below the focal distance {d_focal:.3f} m"))
     sniffers = [o.sniffer for o in obs]

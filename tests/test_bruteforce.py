@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -31,26 +29,9 @@ def test_pair_cost_zero_at_truth():
 
 def test_minimum_lands_on_truth_noiseless():
     sc = _tri_scenario()
-    pos, cost = annulus_minimum(sc.enb, sc.band, _pairs(sc), step=0.25)
+    pos, cost = annulus_minimum(sc.enb, sc.band, _pairs(sc))
     assert distance(pos, sc.ue_truth) < 1e-3
     assert cost < 1e-12
-
-
-def test_grid_only_respects_resolution():
-    sc = _tri_scenario()
-    pos, cost = annulus_minimum(sc.enb, sc.band, _pairs(sc), step=0.5,
-                                refine=False)
-    # without polish the answer can only be as good as the grid pitch
-    assert distance(pos, sc.ue_truth) < 0.5 * math.sqrt(2.0) + 1e-9
-    assert cost >= 0.0
-
-
-def test_refine_never_worse_than_grid():
-    sc = _tri_scenario()
-    _, grid_cost = annulus_minimum(sc.enb, sc.band, _pairs(sc), step=1.0,
-                                   refine=False)
-    _, polished = annulus_minimum(sc.enb, sc.band, _pairs(sc), step=1.0)
-    assert polished <= grid_cost
 
 
 def test_requires_pairs():

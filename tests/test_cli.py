@@ -51,6 +51,12 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+def _parse(path, sniffer_id):
+    """``parse_log`` of the log file at ``path``."""
+    with path.open() as fh:
+        return parse_log(fh, sniffer_id)
+
+
 def _simulate(tmp_path, config_text, out_name, extra=()):
     cfg = _write(tmp_path, "exp.yaml", config_text)
     out = tmp_path / out_name
@@ -63,7 +69,7 @@ def test_simulate_writes_segment_files(tmp_path, capsys):
     out = _simulate(tmp_path, TOA_CONFIG, "run")
     files = sorted(p.name for p in out.glob("*.log"))
     assert files == ["sn1_cfg1.log", "sn2_cfg1.log"]
-    records, diags = parse_log((out / "sn1_cfg1.log").open(), "sn1")
+    records, diags = _parse(out / "sn1_cfg1.log", "sn1")
     assert diags == []
     assert len(records) == 30
     assert "wrote" in capsys.readouterr().out
@@ -74,15 +80,15 @@ def test_simulate_relocation_splits_configs(tmp_path):
     files = sorted(p.name for p in out.glob("*.log"))
     assert files == ["sn1_cfg1.log", "sn1_cfg2.log", "sn2_cfg1.log", "sn2_cfg2.log"]
     for name in files:
-        records, _ = parse_log((out / name).open(), name)
+        records, _ = _parse(out / name, name)
         assert len(records) == 15
     # the moving sniffer reports a different delta after the move
-    before, _ = parse_log((out / "sn2_cfg1.log").open(), "a")
-    after, _ = parse_log((out / "sn2_cfg2.log").open(), "b")
+    before, _ = _parse(out / "sn2_cfg1.log", "a")
+    after, _ = _parse(out / "sn2_cfg2.log", "b")
     assert before.dl_ul_delta[0] != after.dl_ul_delta[0]
     # the reference sniffer does not
-    ref1, _ = parse_log((out / "sn1_cfg1.log").open(), "a")
-    ref2, _ = parse_log((out / "sn1_cfg2.log").open(), "b")
+    ref1, _ = _parse(out / "sn1_cfg1.log", "a")
+    ref2, _ = _parse(out / "sn1_cfg2.log", "b")
     assert ref1.dl_ul_delta[0] == ref2.dl_ul_delta[0]
 
 
@@ -98,7 +104,7 @@ def test_simulate_is_deterministic(tmp_path):
 
 def test_simulate_decoys_share_timeline(tmp_path):
     out = _simulate(tmp_path, TOA_CONFIG, "run", extra=["--decoys", "2"])
-    records, _ = parse_log((out / "sn1_cfg1.log").open(), "sn1")
+    records, _ = _parse(out / "sn1_cfg1.log", "sn1")
     assert len(records) == 90
     assert len(filter_rnti(records, 7423)) == 30
     assert set(records.rnti.tolist()) == {7423, 7424, 7425}
@@ -193,7 +199,7 @@ def test_simulate_rejects_rntis_outside_64_bits(tmp_path, capsys, rnti, decoys, 
 def test_simulate_accepts_decoys_up_to_the_largest_rnti(tmp_path):
     out = _simulate(tmp_path, TOA_CONFIG.replace("rnti: 7423", f"rnti: {MAX_RNTI - 1}"),
                     "run", extra=["--decoys", "1"])
-    records, diags = parse_log((out / "sn1_cfg1.log").open(), "sn1")
+    records, diags = _parse(out / "sn1_cfg1.log", "sn1")
     assert diags == [] and sorted(set(records.rnti.tolist())) == [MAX_RNTI - 1, MAX_RNTI]
 
 

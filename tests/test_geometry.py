@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -76,13 +74,6 @@ def test_scenario_checks_truth_against_band():
     sc = Scenario(enb=Position(0, 0), sniffers=(Position(100, 0), Position(0, 100)),
                   ue_truth=Position(40, 30), ta_index=0)
     assert sc.band == (0.0, TA_BAND_M)
-
-
-def test_scenario_distances_to():
-    sc = Scenario(enb=Position(0, 0), sniffers=(Position(100, 0), Position(0, 100)))
-    d = sc.distances_to(Position(40, 30))
-    assert d[0] == pytest.approx(math.sqrt(60 ** 2 + 30 ** 2))
-    assert d[1] == pytest.approx(math.sqrt(40 ** 2 + 70 ** 2))
 
 
 def _choose(cands, band):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from dualsniff.cli import _read_records
 from dualsniff.snifferlog import (COLUMNS, FRAME_WRAP, MAX_RNTI, MatchedColumns, TimingColumns,
-                                  _parse_clean, _parse_lines, _unwrap_frames, check_entry,
-                                  filter_rnti, interleave, match_records, parse_log, write_log)
+                                  _parse_clean, _parse_lines, _unwrap_frames, filter_rnti,
+                                  interleave, match_records, parse_log, write_log)
 from helpers import MATCHED_HEADER, write_matched
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -38,11 +38,19 @@ def _entries(log):
 
 
 def test_record_validation():
-    check_entry(0, 9, 7423, 25.0, 15)
-    for frame, subframe, delta, cqi in ((0, 10, 25.0, 12), (0, 0, 25.0, 16),
-                                        (-1, 0, 25.0, 12), (0, 0, float("nan"), 12)):
-        with pytest.raises(ValueError):
-            check_entry(frame, subframe, 7423, delta, cqi)
+    lines = ["0000.9 7423 25.0 20.0 15 -95.0",
+             "0000.10 7423 25.0 20.0 12 -95.0",
+             "0000.0 7423 25.0 20.0 16 -95.0",
+             "-001.0 7423 25.0 20.0 12 -95.0",
+             "0000.0 7423 nan 20.0 12 -95.0"]
+    records, diags = parse_log(lines, "x")
+    assert _entries(records) == [(0, 9, 7423, 25.0, 20.0, 15, -95.0)]
+    assert [(d.line, d.reason) for d in diags] == [
+        (2, "subframe must be in [0, 9], got 10"),
+        (3, "cqi must be in [0, 15], got 16"),
+        (4, "frame and rnti must be non-negative"),
+        (5, "dl_ul_delta must be finite, got nan"),
+    ]
 
 
 def test_parse_single_line():
@@ -90,7 +98,8 @@ def test_parse_rejects_frame_counter_past_the_wrap():
 
 
 def test_roundtrip_identity_small():
-    records, _ = parse_log((DATA / "golden_a.log").open(), "a")
+    with (DATA / "golden_a.log").open() as fh:
+        records, _ = parse_log(fh, "a")
     again, diags = parse_log(io.StringIO(write_log(records)), "a")
     assert diags == []
     assert again == records

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from dualsniff.geometry import (LTE_TS, SPEED_OF_LIGHT, TA_BAND_M, TA_STEP_S,
                                 Position, Scenario, distance)
-from dualsniff.timing import (ClockConfig, Relocation, quantize_ta, segments, simulate_capture,
-                              subframe_delta, ta_seconds)
+from dualsniff.timing import (CaptureSpec, ClockConfig, Relocation, quantize_ta, segments,
+                              simulate_capture, subframe_delta, ta_seconds)
 from helpers import dl_arrival, sigma_for_snr, ue_tx_time, ul_arrival
 
 
@@ -70,8 +71,8 @@ def test_segments_need_a_subframe():
     for subframes in (0, -3):
         with pytest.raises(ValueError, match="at least one subframe"):
             segments(sc.sniffers, (), subframes)
-    with pytest.raises(ValueError, match="at least one subframe"):
-        simulate_capture(sc, ClockConfig.for_scenario(sc), 0)
+    with pytest.raises(ValueError, match="subframes must be >= 1"):
+        CaptureSpec(subframes=0)
 
 
 def test_segments_cut_the_capture_at_relocations():
@@ -158,7 +159,7 @@ def test_ue_tx_time_applies_advance():
 def test_simulate_capture_shape_and_ids():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc)
-    capture = simulate_capture(sc, cfg, 7, rnti=7423)
+    capture = simulate_capture(sc, cfg, CaptureSpec(subframes=7, rnti=7423))
     assert len(capture) == 14
     logs = [capture.sniffer_log(k) for k in (0, 1)]
     assert [log.sniffer_id for log in logs] == ["sn1", "sn2"]
@@ -169,22 +170,22 @@ def test_simulate_capture_shape_and_ids():
 def test_simulate_capture_frame_counter_wraps():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc)
-    log = simulate_capture(sc, cfg, 25, start_frame=1023).sniffer_log(0)
+    log = simulate_capture(sc, cfg, CaptureSpec(subframes=25, start_frame=1023)).sniffer_log(0)
     frames = log.frame.tolist()
     assert frames[:10] == [1023] * 10
     assert frames[10:20] == [0] * 10
     assert frames[20:] == [1] * 5
     assert log.subframe.tolist() == [n % 10 for n in range(25)]
     # only the counter's value modulo the wrap matters, however large the start
-    far = simulate_capture(sc, cfg, 25,
-                           start_frame=1023 + 1024 * 10 ** 30)
+    far = simulate_capture(sc, cfg, CaptureSpec(subframes=25,
+                                                start_frame=1023 + 1024 * 10 ** 30))
     assert far.sniffer_log(0) == log
 
 
 def test_simulate_capture_noiseless_matches_model():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc)
-    capture = simulate_capture(sc, cfg, 5)
+    capture = simulate_capture(sc, cfg, CaptureSpec(subframes=5))
     for k in (0, 1):
         want = subframe_delta(sc, k, cfg) * 1e6
         assert set(capture.sniffer_log(k).dl_ul_delta.tolist()) == {want}
@@ -193,10 +194,10 @@ def test_simulate_capture_noiseless_matches_model():
 def test_simulate_capture_deterministic_per_seed():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc, sniffer_noise_sigma=3e-8, rng_seed=11)
-    a, b = (simulate_capture(sc, cfg, 40) for _ in range(2))
+    a, b = (simulate_capture(sc, cfg, CaptureSpec(subframes=40)) for _ in range(2))
     assert all(a.sniffer_log(k) == b.sniffer_log(k) for k in (0, 1))
     other = ClockConfig.for_scenario(sc, sniffer_noise_sigma=3e-8, rng_seed=12)
-    c = simulate_capture(sc, other, 40)
+    c = simulate_capture(sc, other, CaptureSpec(subframes=40))
     assert all((a.sniffer_log(k).dl_ul_delta != c.sniffer_log(k).dl_ul_delta).any()
                for k in (0, 1))
 
@@ -205,7 +206,7 @@ def test_relocation_switches_position_mid_capture():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc)
     moved = Position(0, 150)
-    capture = simulate_capture(sc, cfg, 6,
+    capture = simulate_capture(sc, cfg, CaptureSpec(subframes=6),
                                relocations=[Relocation(sniffer=1, at_subframe=3, to=moved)])
     sn2 = capture.sniffer_log(1).dl_ul_delta.tolist()
     before = subframe_delta(sc, 1, cfg) * 1e6
@@ -221,8 +222,8 @@ def test_relocation_switches_position_mid_capture():
 def test_relocation_does_not_reshuffle_noise():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc, sniffer_noise_sigma=5e-8, rng_seed=3)
-    plain = simulate_capture(sc, cfg, 8)
-    moved = simulate_capture(sc, cfg, 8,
+    plain = simulate_capture(sc, cfg, CaptureSpec(subframes=8))
+    moved = simulate_capture(sc, cfg, CaptureSpec(subframes=8),
                              relocations=[Relocation(sniffer=0, at_subframe=5,
                                                      to=Position(200, 10))])
     # entries before the move are bit-identical, so noise draws are tied to
@@ -242,11 +243,12 @@ def test_relocation_validation():
                           Relocation(sniffer=1, at_subframe=2, to=Position(2, 2))],
                          "sniffer 2 relocated twice at subframe 2")):
         with pytest.raises(ValueError, match=reason):
-            simulate_capture(sc, cfg, 5, relocations=bad)
+            simulate_capture(sc, cfg, CaptureSpec(subframes=5), relocations=bad)
     # one sniffer may move at several subframes, and two sniffers at one
-    simulate_capture(sc, cfg, 5, relocations=[Relocation(sniffer=1, at_subframe=2, to=to),
-                                              Relocation(sniffer=1, at_subframe=3, to=to),
-                                              Relocation(sniffer=0, at_subframe=2, to=to)])
+    simulate_capture(sc, cfg, CaptureSpec(subframes=5),
+                     relocations=[Relocation(sniffer=1, at_subframe=2, to=to),
+                                  Relocation(sniffer=1, at_subframe=3, to=to),
+                                  Relocation(sniffer=0, at_subframe=2, to=to)])
 
 
 def test_relocation_fields_are_whole_numbers():
@@ -261,7 +263,7 @@ def test_simulate_capture_needs_truth():
     sc = Scenario(enb=Position(0, 0), sniffers=(Position(100, 0), Position(0, 100)))
     cfg = ClockConfig(sniffer_offsets=(0.0, 0.0))
     with pytest.raises(ValueError):
-        simulate_capture(sc, cfg, 1)
+        simulate_capture(sc, cfg, CaptureSpec(subframes=1))
     with pytest.raises(ValueError):
         subframe_delta(sc, 0, cfg)
 
@@ -271,7 +273,7 @@ def test_delta_microseconds_magnitude():
     # unit conversion into log records
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc)
-    (delta,) = simulate_capture(sc, cfg, 1).sniffer_log(0).dl_ul_delta
+    (delta,) = simulate_capture(sc, cfg, CaptureSpec(subframes=1)).sniffer_log(0).dl_ul_delta
     assert math.isclose(delta, subframe_delta(sc, 0, cfg) * 1e6, rel_tol=1e-12)
     assert 0.01 < abs(delta) < 10.0
 
@@ -279,8 +281,7 @@ def test_delta_microseconds_magnitude():
 def test_sniffer_log_is_one_sniffers_slice():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc, sniffer_noise_sigma=3e-8, rng_seed=5)
-    capture = simulate_capture(sc, cfg, 30, rnti=7423,
-                               start_frame=1022)
+    capture = simulate_capture(sc, cfg, CaptureSpec(subframes=30, rnti=7423, start_frame=1022))
     log = capture.sniffer_log(1, 5, 25)
     assert log.sniffer_id == "sn2"
     assert log == capture.sniffer_log(1)[5:25]
@@ -290,15 +291,21 @@ def test_sniffer_log_is_one_sniffers_slice():
     assert set(log.rnti.tolist()) == {7423}
 
 
-@pytest.mark.parametrize("override", [
-    dict(snr_db=float("nan")), dict(snr_db=float("inf")),
-    dict(noise_power_dbm=float("nan")), dict(cqi=16), dict(rnti=-1),
-])
-def test_simulate_capture_rejects_bad_entry_fields(override):
+def test_capture_fields_change_only_their_columns():
+    """The SNR, noise power, RNTI and start frame stamp the log; the deltas ignore them."""
     sc = _square_scenario()
-    with pytest.raises(ValueError):
-        simulate_capture(sc, ClockConfig.for_scenario(sc), 3,
-                         **override)
+    cfg = ClockConfig.for_scenario(sc, sniffer_noise_sigma=3e-8, rng_seed=9)
+    base = CaptureSpec(subframes=20)
+    plain = simulate_capture(sc, cfg, base)
+    for snr_db, cqi in ((20.0, 15), (7.0, 8), (-6.0, 0), (-30.0, 0), (60.0, 15), (1e308, 15),
+                        (-1e308, 0)):
+        other = simulate_capture(sc, cfg, replace(base, rnti=42, snr_db=snr_db,
+                                                  noise_power_dbm=-120.0, start_frame=500))
+        assert other.dl_ul_delta.tobytes() == plain.dl_ul_delta.tobytes()
+        log = other.sniffer_log(1)
+        assert set(log.snr.tolist()) == {snr_db} and set(log.cqi.tolist()) == {cqi}
+        assert set(log.noise_power.tolist()) == {-120.0} and set(log.rnti.tolist()) == {42}
+        assert log.frame[0] == 500
 
 
 @pytest.mark.parametrize("field", ["ue_hw_error", "sniffer_noise_sigma", "ta_value"])
