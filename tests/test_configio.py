@@ -129,13 +129,6 @@ def test_capture_validation():
                    dict(rnti=17001.9, start_frame=2.5)):
         with pytest.raises(ValueError, match="must be (an integer|finite)"):
             CaptureSpec(**fields)
-    # every field the simulator stamps on its entries is checked here, once
-    for fields, pattern in ((dict(snr_db=float("nan")), "snr_db must be finite"),
-                            (dict(snr_db=float("inf")), "snr_db must be finite"),
-                            (dict(noise_power_dbm=float("nan")), "noise_power_dbm must be finite"),
-                            (dict(rnti=-1), r"rnti must be in \[0, ")):
-        with pytest.raises(ValueError, match=pattern):
-            CaptureSpec(**fields)
     assert CaptureSpec(rnti=7423.0, start_frame=2.0) == CaptureSpec(rnti=7423, start_frame=2)
 
 

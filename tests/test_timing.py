@@ -308,6 +308,18 @@ def test_capture_fields_change_only_their_columns():
         assert log.frame[0] == 500
 
 
+@pytest.mark.parametrize("override", [
+    dict(snr_db=float("nan")), dict(snr_db=float("inf")),
+    dict(noise_power_dbm=float("nan")), dict(noise_power_dbm=float("-inf")), dict(rnti=-1),
+])
+def test_simulate_capture_rejects_bad_entry_fields(override):
+    """Every field the simulator stamps on its entries is checked once, by CaptureSpec."""
+    sc = _square_scenario()
+    (field,) = override
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        simulate_capture(sc, ClockConfig.for_scenario(sc), CaptureSpec(subframes=3, **override))
+
+
 @pytest.mark.parametrize("field", ["ue_hw_error", "sniffer_noise_sigma", "ta_value"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_clock_config_rejects_non_finite_values(field, value):
