@@ -19,22 +19,42 @@ Exit codes: 0 success, 2 configuration error, 3 input error, 4 no samples.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
+from importlib import import_module
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-import numpy as np
-
-from .configio import ConfigError, ExperimentSetup, load_setup
-from .geometry import Position, Scenario, distance, ta_band
-from .snifferlog import (MAX_RNTI, MatchedColumns, TimingColumns, filter_rnti, interleave,
-                         match_records, parse_log, write_log)
+from .errors import ConfigError
 from .stats import EmptyInput, cdf_quantile, one_sigma_filter, summarize
-from .tdoa import estimate_tdoa
-from .timing import SimulatedCapture, quantize_ta, simulate_capture
-# solve_toa is not called here: the benchmark tracer wraps ``cli.solve_toa`` by name
-from .toa import compose_D, solve_toa, solve_toa_batch  # noqa: F401
+
+#: Names ``simulate`` and ``locate`` use, bound here on first use so ``report``
+#: loads neither numpy nor PyYAML.  They stay ``cli`` attributes: the benchmark
+#: tracer wraps ``cli.<name>``, and ``solve_toa`` is listed for it alone.
+_LAZY = {"configio": ("ExperimentSetup", "load_setup"),
+         "geometry": ("Position", "Scenario", "distance", "ta_band"),
+         "snifferlog": ("MAX_RNTI", "MatchedColumns", "TimingColumns", "filter_rnti",
+                        "interleave", "match_records", "parse_log", "write_log"),
+         "tdoa": ("estimate_tdoa",),
+         "timing": ("SimulatedCapture", "quantize_ta", "simulate_capture"),
+         "toa": ("compose_D", "solve_toa", "solve_toa_batch")}
+
+
+def _load() -> None:
+    """Bind every name of ``_LAZY``, keeping a binding already set (a tracer's wrapper)."""
+    for module, names in _LAZY.items():
+        mod = import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _LAZY.values()):
+        _load()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,12 +77,14 @@ class NoSamples(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _decoy_captures(setup: ExperimentSetup, count: int) -> List[SimulatedCapture]:
+def _decoy_captures(setup: "ExperimentSetup", count: int) -> "List[SimulatedCapture]":
     """Background traffic from other devices, to make RNTI filtering real.
 
     Each decoy is a separate device at a random in-band position with its own
     RNTI, sharing the capture timeline and relocation plan.
     """
+    import numpy as np
+
     captures = []
     lo, hi = ta_band(setup.scenario.ta_index)
     rng = np.random.default_rng(setup.clock.rng_seed + 7919)
@@ -84,6 +106,7 @@ def _decoy_captures(setup: ExperimentSetup, count: int) -> List[SimulatedCapture
 
 
 def cmd_simulate(args) -> int:
+    _load()
     setup = load_setup(args.config)
     setup = _apply_overrides(setup, args)
     if setup.scenario.ue_truth is None:
@@ -112,7 +135,7 @@ def _override(obj, flag: str, **changes):
         raise ConfigError(f"{flag}: {exc}") from exc
 
 
-def _apply_overrides(setup: ExperimentSetup, args) -> ExperimentSetup:
+def _apply_overrides(setup: "ExperimentSetup", args) -> "ExperimentSetup":
     clock, capture = setup.clock, setup.capture
     if getattr(args, "decoys", 0) < 0:
         raise ConfigError(f"--decoys must be >= 0, got {args.decoys}")
@@ -134,7 +157,8 @@ def _apply_overrides(setup: ExperimentSetup, args) -> ExperimentSetup:
 # ---------------------------------------------------------------------------
 
 
-def _read_records(path: str, rnti: int) -> TimingColumns:
+def _read_records(path: str, rnti: int) -> "TimingColumns":
+    _load()
     p = Path(path)
     if not p.is_file():
         raise InputError(f"log file not found: {path}")
@@ -147,7 +171,7 @@ def _read_records(path: str, rnti: int) -> TimingColumns:
     return filter_rnti(records, rnti)
 
 
-def _match_pair(ref_path: str, other_path: str, rnti: int) -> MatchedColumns:
+def _match_pair(ref_path: str, other_path: str, rnti: int) -> "MatchedColumns":
     samples, diags = match_records(_read_records(ref_path, rnti),
                                    _read_records(other_path, rnti))
     for d in diags:
@@ -156,7 +180,7 @@ def _match_pair(ref_path: str, other_path: str, rnti: int) -> MatchedColumns:
 
 
 def _row(i: int, frame: int, subframe: int, status: str, xy, failure,
-         scenario: Scenario, metric: str) -> dict:
+         scenario: "Scenario", metric: str) -> dict:
     """One estimates row; a failed sample's reason goes to stderr."""
     row = {"sample": i, "frame": frame, "subframe": subframe,
            "status": status, "x": None, "y": None, "d_ub": None, "error": None}
@@ -171,7 +195,7 @@ def _row(i: int, frame: int, subframe: int, status: str, xy, failure,
     return row
 
 
-def _locate_toa(setup: ExperimentSetup, files: Sequence[str], rnti: int,
+def _locate_toa(setup: "ExperimentSetup", files: Sequence[str], rnti: int,
                 metric: str) -> List[dict]:
     if len(files) != 2:
         raise InputError(
@@ -187,7 +211,7 @@ def _locate_toa(setup: ExperimentSetup, files: Sequence[str], rnti: int,
                 sol.chosen(sol.u).tolist()))]
 
 
-def _locate_tdoa(setup: ExperimentSetup, files: Sequence[str], rnti: int,
+def _locate_tdoa(setup: "ExperimentSetup", files: Sequence[str], rnti: int,
                  metric: str) -> List[dict]:
     if len(files) < 4 or len(files) % 2:
         raise InputError(
@@ -257,6 +281,7 @@ def _stats_table(errors: Sequence[float], metric: str) -> str:
 
 
 def cmd_locate(args) -> int:
+    _load()
     setup = load_setup(args.config)
     rows = (_locate_toa if args.scheme == "toa" else _locate_tdoa)(
         setup, args.logs, args.rnti, args.metric)
@@ -306,8 +331,8 @@ def _read_estimate_errors(path: str) -> List[float]:
             try:
                 error = float(parts[6])
             except ValueError:
-                error = np.nan
-            if not 0.0 <= error < np.inf:
+                error = math.nan
+            if not 0.0 <= error < math.inf:
                 raise InputError(f"{path}:{ln}: error_m {parts[6]!r} is not a finite number >= 0")
             errors.append(error)
     return errors

@@ -34,6 +34,7 @@ from typing import List, Tuple
 
 import yaml
 
+from .errors import ConfigError
 from .geometry import Position, Scenario, whole
 from .timing import CaptureSpec, ClockConfig, Relocation, segments
 
@@ -42,10 +43,6 @@ KEYS = {"scenario": {"enb", "sniffers", "ue_truth", "ta_index"},
         "clock": {"sniffer_offsets", "ue_hw_error", "sniffer_noise_sigma", "rng_seed"},
         "capture": {"subframes", "rnti", "snr_db", "noise_power_dbm", "start_frame"},
         "relocations": {"sniffer", "at_subframe", "to"}}
-
-
-class ConfigError(ValueError):
-    """Configuration file is missing, malformed, or inconsistent."""
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
-"""Exception types shared by the localization solvers."""
+"""Exception types shared by the localization solvers and the configuration reader."""
+
+
+class ConfigError(ValueError):
+    """Configuration file is missing, malformed, or inconsistent."""
 
 
 class LocalizationError(Exception):

@@ -2,14 +2,14 @@
 
 All samples are non-negative error magnitudes in meters.  Standard deviation
 is the population (divide-by-n) convention throughout, which keeps
-rmse^2 = mean^2 + std^2 an exact identity on every sample set.
+rmse^2 = mean^2 + std^2 an exact identity on every sample set.  The summary
+works on plain floats, so a caller that only summarizes never loads numpy;
+the filter loads it and returns arrays.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 
 class TooFewSamples(ValueError):
@@ -39,23 +39,26 @@ class ErrorStats:
     cdf: Tuple[Tuple[float, float], ...]
 
 
-def _as_samples(samples: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"samples must be one-dimensional, got shape {arr.shape}")
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
+def _as_samples(samples: Sequence[float]) -> List[float]:
+    try:
+        values = list(map(float, samples))
+    except TypeError as exc:
+        raise ValueError(f"samples must be a flat sequence of numbers: {exc}") from exc
+    if not all(0.0 <= v < math.inf for v in values):
         raise ValueError("samples must be finite and non-negative")
-    return arr
+    return values
 
 
-def one_sigma_filter(samples: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+def one_sigma_filter(samples: Sequence[float]) -> "Tuple[np.ndarray, np.ndarray]":
     """Single-pass outlier removal: keep samples within one std of the mean.
 
-    Returns (kept, removed) in input order.  The pass is not iterated, and
-    the sample closest to the mean always survives, so the result is never
-    empty.
+    Returns (kept, removed) arrays in input order.  The pass is not iterated,
+    and the sample closest to the mean always survives, so the result is
+    never empty.
     """
-    arr = _as_samples(samples)
+    import numpy as np
+
+    arr = np.array(_as_samples(samples))
     if arr.size < 2:
         raise TooFewSamples(f"need at least 2 samples to filter, got {arr.size}")
     mean = float(arr.mean())
@@ -66,17 +69,16 @@ def one_sigma_filter(samples: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
 
 def summarize(samples: Sequence[float]) -> ErrorStats:
     """Mean, RMSE, population std, and empirical CDF of error samples."""
-    arr = _as_samples(samples)
-    if arr.size == 0:
+    values = _as_samples(samples)
+    if not values:
         raise EmptyInput("no samples to summarize")
-    n = arr.size
-    ordered = np.sort(arr)
-    cdf = tuple((float(e), (i + 1) / n) for i, e in enumerate(ordered))
-    return ErrorStats(mean=float(arr.mean()),
-                      rmse=float(math.sqrt(np.mean(arr ** 2))),
-                      std=float(arr.std()),
-                      count=int(n),
-                      cdf=cdf)
+    n = len(values)
+    mean = math.fsum(v / n for v in values)  # cannot overflow, unlike the sum
+    return ErrorStats(mean=mean,
+                      rmse=math.hypot(*values) / math.sqrt(n),
+                      std=math.hypot(*[v - mean for v in values]) / math.sqrt(n),
+                      count=n,
+                      cdf=tuple(zip(sorted(values), [i / n for i in range(1, n + 1)])))
 
 
 def cdf_quantile(stats: ErrorStats, probability: float) -> float:

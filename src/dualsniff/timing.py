@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import SPEED_OF_LIGHT, TA_BAND_M, TA_STEP_S, Position, Scenario, distance, whole
 from .snifferlog import FRAME_WRAP, MAX_RNTI, TimingColumns
 
@@ -223,7 +224,7 @@ def simulate_capture(scenario: Scenario, cfg: ClockConfig, capture: CaptureSpec,
     position from its stated subframe onward, within the same clock epoch.
     Within a segment (see ``segments``) a sniffer's noiseless delta is one
     number, so each (segment, sniffer) costs one scalar delta plus a column
-    of noise.
+    of noise.  A clock so noisy that a delta overflows raises ConfigError.
     """
     if scenario.ue_truth is None:
         raise ValueError("simulate_capture needs a scenario with ue_truth set")
@@ -239,9 +240,11 @@ def simulate_capture(scenario: Scenario, cfg: ClockConfig, capture: CaptureSpec,
     for start, stop, positions in plan:
         for k, sniffer in enumerate(positions):
             delta[start:stop, k] += _delta_at(scenario.enb, scenario.ue_truth, sniffer, cfg)
-    delta *= 1e6
+    with np.errstate(over="ignore"):
+        delta *= 1e6
     if not np.isfinite(delta).all():
-        raise ValueError("simulated dl_ul_delta is not finite")
+        raise ConfigError(f"simulated dl_ul_delta is not finite: clock.sniffer_noise_sigma "
+                          f"{cfg.sniffer_noise_sigma!r} or another clock value is too large")
     n = np.arange(capture.subframes)
     return SimulatedCapture(
         frame=(capture.start_frame % FRAME_WRAP + n // SUBFRAMES_PER_FRAME) % FRAME_WRAP,

@@ -10,8 +10,11 @@ exact scenario sequence.
 
 import math
 
+import numpy as np
+
 from dualsniff.errors import LocalizationError
 from dualsniff.geometry import SPEED_OF_LIGHT, Position, Scenario, distance, ta_band, triangle_area
+from dualsniff.stats import ErrorStats
 from dualsniff.tdoa import build_system, form_tdoa, solve_constrained
 from dualsniff.timing import ClockConfig, quantize_ta, subframe_delta
 from dualsniff.toa import compose_D, solve_toa
@@ -204,3 +207,12 @@ def draw_solvable_scenario(rng, n_sniffers: int = 3) -> Scenario:
 
 def position_error(position: Position, scenario: Scenario) -> float:
     return distance(position, scenario.ue_truth)
+
+
+def numpy_summarize(samples) -> ErrorStats:
+    """``stats.summarize`` as numpy formulas, the reference for its plain-float sums."""
+    arr = np.asarray(samples, dtype=float)
+    return ErrorStats(mean=float(arr.mean()), rmse=float(math.sqrt(np.mean(arr ** 2))),
+                      std=float(arr.std()), count=int(arr.size),
+                      cdf=tuple((float(e), (i + 1) / arr.size)
+                                for i, e in enumerate(np.sort(arr))))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from dualsniff import cli
 from dualsniff.cli import (ESTIMATES_HEADER, EXIT_CONFIG, EXIT_INPUT,
                            EXIT_NO_SAMPLES, EXIT_OK, main)
 from dualsniff.snifferlog import MAX_RNTI, filter_rnti, parse_log
@@ -129,6 +130,7 @@ def test_simulate_subframes_override_conflicts_with_relocation(tmp_path, capsys)
     (("--snr", "inf"), "--snr"),
     (("--snr=-inf",), "--snr"),
     (("--seed", "-1"), "--seed"),
+    (("--sigma", "1e303"), "clock.sniffer_noise_sigma"),
 ])
 def test_simulate_rejects_bad_overrides(tmp_path, capsys, override, culprit):
     cfg = _write(tmp_path, "exp.yaml", TOA_CONFIG)
@@ -486,6 +488,15 @@ def test_report_rejects_bad_error_values(tmp_path, capsys, error):
     assert f"{bad}:3: error_m" in capsys.readouterr().err
 
 
+def _fresh_python(probe, *args):
+    """Standard output of ``probe`` run with ``args`` by a new interpreter on this ``src``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(probe), *args], env=env,
+                          capture_output=True, text=True, check=True, timeout=60).stdout
+
+
 def test_cli_import_loads_no_scipy():
     """Importing every module loads only the declared runtime dependencies.
 
@@ -496,10 +507,7 @@ def test_cli_import_loads_no_scipy():
     nor do modules without a file, which C extensions register at run time
     (numpy's ``cython_runtime``).
     """
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    probe = textwrap.dedent("""\
+    out = _fresh_python("""\
         import importlib, pkgutil, sys
         before = set(sys.modules)
         import dualsniff
@@ -509,9 +517,49 @@ def test_cli_import_loads_no_scipy():
         print(*(name for name in loaded - set(sys.stdlib_module_names)
                 if getattr(sys.modules[name], "__file__", None)))
         """)
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert set(out.stdout.split()) - {"dualsniff", "numpy", "yaml", "_yaml"} == set()
+    assert set(out.split()) - {"dualsniff", "numpy", "yaml", "_yaml"} == set()
+
+
+def test_report_loads_neither_numpy_nor_yaml(tmp_path):
+    """``report`` reads CSV files and prints quantiles, so it pays for neither import."""
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        path.write_text(f"{ESTIMATES_HEADER}\n0,1,2,3.0,4.0,5.0,1.5,ok\n1,1,3,3.0,4.0,5.0,2.5,ok\n")
+    out = _fresh_python("""\
+        import sys
+        from dualsniff import cli
+        rc = cli.main(["report", *sys.argv[1:]])
+        print(rc, sorted({"numpy", "yaml"} & set(sys.modules)))
+        """, *map(str, paths))
+    assert out.splitlines()[-1] == "0 []"
+
+
+def test_a_wrapper_set_on_cli_is_the_one_called(tmp_path, monkeypatch):
+    """The benchmark tracer wraps ``cli.<name>``; ``locate`` must call the wrapper."""
+    out = _simulate(tmp_path, TDOA_CONFIG, "run")
+    calls = []
+
+    def counting_parse_log(fh, sniffer_id):
+        calls.append(sniffer_id)
+        return parse_log(fh, sniffer_id)
+
+    monkeypatch.setattr(cli, "parse_log", counting_parse_log)
+    assert main(["locate", "--config", str(tmp_path / "exp.yaml"), "--scheme", "tdoa",
+                 "--rnti", "7423", "--out-dir", str(out),
+                 *(str(out / f"sn{k}_cfg{j}.log") for j in (1, 2) for k in (1, 2))]) == EXIT_OK
+    assert cli.parse_log is counting_parse_log
+    assert calls == ["sn1_cfg1", "sn2_cfg1", "sn1_cfg2", "sn2_cfg2"]
+
+
+def test_a_fresh_cli_resolves_its_lazy_names():
+    """On a fresh import, ``cli.load_setup`` resolves, an unknown name does not, and a
+    binding set before that first lookup (the tracer's wrapper) survives it."""
+    out = _fresh_python("""\
+        from dualsniff import cli
+        cli.parse_log = wrapper = object()
+        print(cli.load_setup.__module__, hasattr(cli, "no_such_name"), cli.parse_log is wrapper)
+        """)
+    assert out == "dualsniff.configio False True\n"
 
 
 CHANGEOVER_CONFIG = BASE_SCENARIO + """\

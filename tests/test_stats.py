@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualsniff.stats import (EmptyInput, ErrorStats, InvalidProbability,
                              TooFewSamples, cdf_quantile, one_sigma_filter,
                              summarize)
+from helpers import numpy_summarize
+
+#: How far the plain-float summary may sit from the numpy formulas.  fsum and
+#: hypot round about once, numpy's pairwise sums a few times: they differ by ulps.
+SUMMARY_REL = 1e-12
 
 
 def test_filter_removes_single_outlier():
@@ -50,6 +57,25 @@ def test_summarize_two_samples_by_hand():
     assert stats.std == pytest.approx(0.5)
     assert stats.count == 2
     assert stats.cdf == ((3.0, 0.5), (4.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(min_value=0.0, max_value=1e150), min_size=1, max_size=200))
+@example([76.09624449125756] * 243)  # numpy's std 1.4e-14, the exact 0.0
+def test_summarize_matches_the_numpy_formulas(samples):
+    got, ref = summarize(samples), numpy_summarize(samples)
+    assert got.mean == pytest.approx(ref.mean, rel=SUMMARY_REL)
+    assert got.rmse == pytest.approx(ref.rmse, rel=SUMMARY_REL)
+    # a mean one ulp apart moves a near-zero std by up to that ulp, so the
+    # std's floor scales with the samples, not with the std itself
+    assert got.std == pytest.approx(ref.std, rel=SUMMARY_REL, abs=SUMMARY_REL * ref.rmse)
+    assert (got.count, got.cdf) == (ref.count, ref.cdf)
+
+
+def test_summarize_does_not_overflow_near_the_float_limit():
+    stats = summarize([1e308, 1e308])
+    assert (stats.mean, stats.std) == (1e308, 0.0)
+    assert stats.rmse == pytest.approx(1e308, rel=1e-15)
 
 
 def test_rmse_identity():
