@@ -162,9 +162,12 @@ def parse_log(stream: Union[IO, Iterable], sniffer_id: str
 
     Accepts any iterable of text or byte lines; bytes are decoded as UTF-8,
     with undecodable bytes replaced.  A log whose every line is an entry, a
-    comment or blank is read by one ``np.loadtxt`` pass, and the value rules
-    are checked over whole columns.  Any other log goes through the per-line
-    parser, which names each line it skips.
+    comment or blank, and whose every ``FRAME.SUBFRAME`` token is spelled
+    canonically (ASCII digits, one dot, one subframe digit), is read by one
+    ``np.loadtxt`` pass, and the value rules are checked over whole columns.
+    Any other log goes through the per-line parser, which reads the other
+    spellings as Python's ``int`` does, with the same result, and names each
+    line it skips.
     """
     lines = [raw.decode("utf-8", errors="replace") if isinstance(raw, bytes) else raw
              for raw in stream]
@@ -177,10 +180,11 @@ def parse_log(stream: Union[IO, Iterable], sniffer_id: str
 def _parse_clean(lines: List[str], sniffer_id: str) -> Optional[TimingColumns]:
     """The columns of a log whose every line is a valid entry, a comment or blank, else None.
 
-    None means the log holds no entry, a NUL, a ``FRAME.SUBFRAME`` token that
-    is malformed or fills its column, a field ``np.loadtxt`` or ``int`` cannot
-    read or reads only with a warning, or an entry that breaks a rule:
-    something only the per-line parser reports correctly.
+    The column path reads only canonical ``FRAME.SUBFRAME`` tokens (see
+    ``_decode_tokens``).  None means the log holds no entry, a NUL, a token
+    spelled any other way, a field ``np.loadtxt`` cannot read or reads only
+    with a warning, or an entry that breaks a rule: something only the
+    per-line parser reports correctly, or reads as ``int`` does.
     """
     text = "".join(lines)
     # a U column drops a token's trailing NULs, which ``int`` rejects
@@ -196,18 +200,41 @@ def _parse_clean(lines: List[str], sniffer_id: str) -> Optional[TimingColumns]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = np.loadtxt(lines, dtype=_LINE_DTYPE, comments=None, ndmin=1)
-        # astype converts with Python's ``int``, as the per-line parser does;
-        # a token with no dot leaves an empty subframe and one with two dots a
-        # dotted one, and ``int`` rejects both
-        frame, _, subframe = np.strings.partition(table["token"], ".")
-        frame, subframe = frame.astype(np.int64), subframe.astype(np.int64)
-    except (ValueError, OverflowError, Warning):
+    except (ValueError, Warning):
         return None
-    if np.any(np.strings.str_len(table["token"]) == _TOKEN_WIDTH):
+    counters = _decode_tokens(table["token"])
+    if counters is None:
         return None
-    columns = TimingColumns(frame, subframe, *(table[name] for name, _ in COLUMNS[2:]),
+    columns = TimingColumns(*counters, *(table[name] for name, _ in COLUMNS[2:]),
                             sniffer_id=sniffer_id)
     return columns if _keeps_rules(vars(columns)).all() else None
+
+
+def _decode_tokens(tokens: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Frame and subframe counters of a column of ``FRAME.SUBFRAME`` tokens, or None.
+
+    Reads the tokens' code points.  Every token must be ASCII digits, one
+    ``.`` and one ASCII subframe digit, and be shorter than ``_TOKEN_WIDTH``
+    (one that fills its column may have been cut short).  Any other spelling,
+    such as a sign, an underscore, a non-ASCII digit or a two-digit subframe,
+    gives None; the per-line parser reads those as Python's ``int`` does.
+    """
+    codes = np.ascontiguousarray(tokens).view(np.uint32).reshape(len(tokens), _TOKEN_WIDTH)
+    # a U column pads a token with trailing NULs
+    length = np.count_nonzero(codes, axis=1)
+    dot, column, rows = length[:, None] - 2, np.arange(_TOKEN_WIDTH), np.arange(len(codes))
+    digit = (codes >= ord("0")) & (codes <= ord("9"))
+    # a digit at every place before the padding but one, a dot just before the last
+    if not (np.all((length >= 3) & (length < _TOKEN_WIDTH))
+            and np.all(digit | (column == dot) | (column >= dot + 2))
+            and np.all(codes[rows, length - 2] == ord("."))):
+        return None
+    # Horner's rule over the frame digits, which lie left of the dot
+    digits = codes.astype(np.int64) - ord("0")
+    frame = np.zeros(len(codes), dtype=np.int64)
+    for j in range(_TOKEN_WIDTH - 3):
+        frame = np.where(j < length - 2, 10 * frame + digits[:, j], frame)
+    return frame, digits[rows, length - 1]
 
 
 def _parse_lines(lines: Iterable[str], sniffer_id: str

@@ -1,5 +1,6 @@
 import io
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualsniff.cli import _read_records
-from dualsniff.snifferlog import (COLUMNS, FRAME_WRAP, MAX_RNTI, MatchedColumns, TimingColumns,
-                                  _parse_clean, _parse_lines, _unwrap_frames, filter_rnti,
-                                  interleave, match_records, parse_log, write_log)
+from dualsniff.snifferlog import (_TOKEN_WIDTH, COLUMNS, FRAME_WRAP, MAX_RNTI, MatchedColumns,
+                                  TimingColumns, _decode_tokens, _parse_clean, _parse_lines,
+                                  _unwrap_frames, filter_rnti, interleave, match_records,
+                                  parse_log, write_log)
 from helpers import MATCHED_HEADER, write_matched
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -400,6 +402,7 @@ TRICKY_FIELDS = (
     "e5", "1d3", "nan(1)", "1.00000000005", "0." + "1" * 40, "5\x00", "\x00",
     "1.2", "+1.2", "1.+2", "-1.2", "1._2", "١.٢", "1.2.3", "12", ".2", "1.",
     "00000174.4", "000017.23", "0174.4\x00", "\ufffd", "#1.2", "'1'",
+    "0174.04", "0174.40", "01023.9", "0_174.4", "+174.4", "١٧٤.٤",
 )
 
 #: Separators that Python's ``str.split`` takes as whitespace, and ones it does not.
@@ -434,6 +437,54 @@ def test_clean_logs_take_the_column_path():
     for bad in ("0174.4 5 1.0 2.0 3 4.0 # note", "00000174.4 5 1.0 2.0 3 4.0",
                 "0174.4 5 1.0 2.0 16 4.0"):
         assert _parse_clean(lines + [bad], "sn1") is None
+
+
+def _tokens(tokens):
+    """``tokens`` as the ``FRAME.SUBFRAME`` column ``np.loadtxt`` reads."""
+    return np.array(tokens, dtype=f"U{_TOKEN_WIDTH}")
+
+
+def test_every_canonical_token_is_decoded():
+    frames, subframes = np.divmod(np.arange(FRAME_WRAP * 10), 10)
+    counters = _decode_tokens(_tokens([f"{f:04d}.{s}" for f, s in zip(frames, subframes)]))
+    assert counters is not None
+    assert counters[0].tolist() == frames.tolist()
+    assert counters[1].tolist() == subframes.tolist()
+
+
+#: Tokens of characters ``int`` reads in some spellings and not in others.
+odd_tokens = st.text(alphabet="0123456789.+-_ ١²٠", max_size=_TOKEN_WIDTH - 1)
+#: Digits, a dot and a digit; the longest fill the column or are cut, as
+#: ``np.loadtxt`` cuts them.
+plain_tokens = st.tuples(st.integers(0, 10 ** (_TOKEN_WIDTH - 3) - 1), st.integers(0, 9),
+                         st.integers(0, 2)).map(lambda v: "0" * v[2] + f"{v[0]}.{v[1]}")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(tokens=st.lists(st.one_of(odd_tokens, plain_tokens), min_size=1, max_size=4))
+def test_token_decoder_reads_as_int_or_declines(tokens):
+    counters = _decode_tokens(_tokens(tokens))
+    canonical = all(re.fullmatch(r"[0-9]+\.[0-9]", token) and len(token) < _TOKEN_WIDTH
+                    for token in tokens)
+    assert (counters is not None) == canonical
+    if canonical:
+        halves = [token.split(".") for token in tokens]
+        assert counters[0].tolist() == [int(frame) for frame, _ in halves]
+        assert counters[1].tolist() == [int(subframe) for _, subframe in halves]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(entries=st.lists(st.tuples(
+    st.integers(0, FRAME_WRAP - 1), st.integers(0, 9), st.integers(0, MAX_RNTI), finite,
+    st.floats(allow_nan=False), st.integers(0, 15), st.floats(allow_nan=False)),
+    min_size=1, max_size=20))
+def test_written_logs_take_the_column_path(entries):
+    # any log write_log renders from rule-keeping columns is read by the
+    # column path, bit for bit
+    log = _log(entries, "sn1")
+    columns = _parse_clean(list(io.StringIO(write_log(log))), "sn1")
+    assert columns is not None
+    _same_parse((columns, []), (log, []))
 
 
 @pytest.mark.parametrize("lines", [[], [""], ["  \n", "\n"], ["# only a comment\n"],
