@@ -10,8 +10,8 @@ Subcommands::
 
 ``simulate`` writes one log per sniffer per segment of ``timing.segments``:
 sn1_cfg1.log, sn2_cfg1.log, ...  ``locate`` takes (reference, other) file
-pairs, one per configuration, and writes per-sample estimates plus an error
-report.  TDoA solves configuration j with sniffer 2 where segment j puts it.
+pairs, pair j for configuration j as ``_configurations`` reads it, and writes
+per-sample estimates plus an error report; ToA solves each pair on its own.
 ``report`` merges estimate files into a comparison table and plot-ready CDF
 columns.
 
@@ -158,7 +158,6 @@ def _apply_overrides(setup: "ExperimentSetup", args) -> "ExperimentSetup":
 
 
 def _read_records(path: str, rnti: int) -> "TimingColumns":
-    _load()
     p = Path(path)
     if not p.is_file():
         raise InputError(f"log file not found: {path}")
@@ -171,12 +170,32 @@ def _read_records(path: str, rnti: int) -> "TimingColumns":
     return filter_rnti(records, rnti)
 
 
-def _match_pair(ref_path: str, other_path: str, rnti: int) -> "MatchedColumns":
-    samples, diags = match_records(_read_records(ref_path, rnti),
-                                   _read_records(other_path, rnti))
-    for d in diags:
-        print(f"{ref_path} / {other_path}: {d}", file=sys.stderr)
-    return samples
+def _configurations(setup: "ExperimentSetup", files: Sequence[str], rnti: int,
+                    min_pairs: int = 1) -> "List[tuple[MatchedColumns, Position, Position]]":
+    """The matched samples and (reference, other) positions of each file pair.
+
+    Pair j is configuration j: sniffers 1 and 2 where segment j of the plan puts
+    them, or without a plan sniffer 1 and sniffer j + 1.  The plan may move
+    sniffer 2 only.  Every check runs before any log is read.
+    """
+    if len(files) % 2 or len(files) < 2 * min_pairs:
+        raise InputError(f"need (reference, other) log file pairs for at least {min_pairs} "
+                         f"configuration(s), got {len(files)} files")
+    if any(r.sniffer != 1 for r in setup.relocations):
+        raise ConfigError("sniffer 1 is the fixed reference and only sniffer 2 relocates; "
+                          "the relocation plan moves another sniffer")
+    known = ([p[:2] for _, _, p in setup.segments()] if setup.relocations else
+             [(setup.scenario.sniffers[0], s) for s in setup.scenario.sniffers[1:]])
+    if len(files) > 2 * len(known):
+        raise ConfigError(f"{len(files) // 2} file pairs but only {len(known)} configuration(s) "
+                          "(add relocations or sniffers)")
+    configs = []
+    for ref_path, other_path, (ref, other) in zip(files[::2], files[1::2], known):
+        samples, diags = match_records(*(_read_records(f, rnti) for f in (ref_path, other_path)))
+        for d in diags:
+            print(f"{ref_path} / {other_path}: {d}", file=sys.stderr)
+        configs.append((samples, ref, other))
+    return configs
 
 
 def _row(i: int, frame: int, subframe: int, status: str, xy, failure,
@@ -197,43 +216,24 @@ def _row(i: int, frame: int, subframe: int, status: str, xy, failure,
 
 def _locate_toa(setup: "ExperimentSetup", files: Sequence[str], rnti: int,
                 metric: str) -> List[dict]:
-    if len(files) != 2:
-        raise InputError(
-            f"toa needs exactly 2 log files (reference, other), got {len(files)}")
-    samples = _match_pair(files[0], files[1], rnti)
-    scenario = setup.scenario
-    sol = solve_toa_batch(compose_D(samples.delta_a * 1e-6, scenario.sniffers[0], scenario),
-                          compose_D(samples.delta_b * 1e-6, scenario.sniffers[1], scenario),
-                          scenario.enb, scenario.band)
-    return [_row(i, frame, subframe, status, xy, sol.failed.get(i), scenario, metric)
-            for i, (frame, subframe, status, xy) in enumerate(zip(
-                samples.frame.tolist(), samples.subframe.tolist(), sol.status.tolist(),
-                sol.chosen(sol.u).tolist()))]
+    scenario, rows = setup.scenario, []
+    for samples, ref, other in _configurations(setup, files, rnti):
+        sol = solve_toa_batch(compose_D(samples.delta_a * 1e-6, ref, scenario),
+                              compose_D(samples.delta_b * 1e-6, other, scenario),
+                              scenario.enb, scenario.band)
+        start = len(rows)
+        rows += [_row(start + i, frame, subframe, status, xy, sol.failed.get(i), scenario, metric)
+                 for i, (frame, subframe, status, xy) in enumerate(zip(
+                     samples.frame.tolist(), samples.subframe.tolist(), sol.status.tolist(),
+                     sol.chosen(sol.u).tolist()))]
+    return rows
 
 
 def _locate_tdoa(setup: "ExperimentSetup", files: Sequence[str], rnti: int,
                  metric: str) -> List[dict]:
-    if len(files) < 4 or len(files) % 2:
-        raise InputError(
-            "tdoa needs file pairs (reference, other) for at least two "
-            f"configurations, got {len(files)} files")
-    n_cfg = len(files) // 2
-    matched_sets = [_match_pair(files[2 * j], files[2 * j + 1], rnti)
-                    for j in range(n_cfg)]
-    scenario = setup.scenario
-    if any(r.sniffer != 1 for r in setup.relocations):
-        raise ConfigError(
-            "tdoa keeps sniffer 1 fixed as the common reference and relocates "
-            "sniffer 2 only; the relocation plan moves another sniffer")
-    plan = setup.segments()
-    others = [p[1] for _, _, p in plan] if len(plan) > 1 else list(scenario.sniffers[1:])
-    if len(others) < n_cfg:
-        raise ConfigError(
-            f"{n_cfg} configurations but only {len(others)} known positions "
-            "for the moving sniffer (add relocations or sniffers)")
-    outcomes = estimate_tdoa(matched_sets, scenario,
-                             ref_sniffer=scenario.sniffers[0],
-                             other_positions=others[:n_cfg])
+    matched_sets, refs, others = zip(*_configurations(setup, files, rnti, min_pairs=2))
+    outcomes = estimate_tdoa(matched_sets, setup.scenario, ref_sniffer=refs[0],
+                             other_positions=others)
     for j, samples in enumerate(matched_sets):
         if len(samples) > len(outcomes):
             print(f"configuration {j + 1}: {len(samples) - len(outcomes)} of {len(samples)} "
@@ -241,7 +241,7 @@ def _locate_tdoa(setup: "ExperimentSetup", files: Sequence[str], rnti: int,
                   file=sys.stderr)
     return [_row(o.index, o.frame, o.subframe, o.status,
                  (o.estimate.position.x, o.estimate.position.y) if o.estimate else None,
-                 o.detail, scenario, metric) for o in outcomes]
+                 o.detail, setup.scenario, metric) for o in outcomes]
 
 
 def _fmt(v) -> str:
@@ -286,7 +286,7 @@ def cmd_locate(args) -> int:
     rows = (_locate_toa if args.scheme == "toa" else _locate_tdoa)(
         setup, args.logs, args.rnti, args.metric)
     if not rows:
-        raise NoSamples("no matched samples between the two captures")
+        raise NoSamples("no matched samples in the given log pairs")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     est_path = out_dir / f"estimates_{args.scheme}.csv"

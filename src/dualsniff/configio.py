@@ -23,9 +23,10 @@ Schema (all lengths in meters, times in seconds)::
     relocations:                    # optional; sniffer numbers are 1-based
       - {sniffer: 2, at_subframe: 500, to: [100.0, 100.0]}
 
-Any other key is an error.  ``parse_setup`` checks shape and keys only: the
-dataclasses, ``CaptureSpec`` among them, live in ``timing`` and ``geometry``
-and hold the defaults and value rules; ``timing.segments`` holds the plan's.
+Any other key is an error, and so is a boolean anywhere: no field takes
+one.  ``parse_setup`` checks shape, keys and booleans only: the dataclasses,
+``CaptureSpec`` among them, live in ``timing`` and ``geometry`` and hold the
+defaults and value rules; ``timing.segments`` holds the plan's.
 """
 
 import math
@@ -89,10 +90,24 @@ def _build(where: str, make, *args, **fields):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _no_booleans(node, where: str) -> None:
+    """Reject a boolean anywhere in ``node``, which would pass as 1 or 0, naming its key path."""
+    if isinstance(node, bool):
+        raise ConfigError(f"{where} is the boolean {node!r}; no field takes one "
+                          "(YAML reads yes, no, on and off as booleans)")
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _no_booleans(value, f"{where}.{key}" if where else str(key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _no_booleans(value, f"{where}[{i}]")
+
+
 def parse_setup(doc) -> ExperimentSetup:
     """Build an ExperimentSetup from a parsed YAML document."""
     if not isinstance(doc, dict):
         raise ConfigError(f"top level must be a mapping, got {type(doc).__name__}")
+    _no_booleans(doc, "")
     unknown = set(doc) - set(KEYS)
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(map(str, unknown))}")

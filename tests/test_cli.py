@@ -256,6 +256,24 @@ def test_locate_tdoa_names_unused_samples(tmp_path, capsys):
         "(the shortest configuration has 10)\n")
 
 
+#: Noiseless, and sniffer 2 moves where both cfg2 ellipses cross once in the TA band.
+FAR_MOVE_CONFIG = TDOA_CONFIG.replace("to: [154.0, 40.0]", "to: [-60.0, 120.0]")
+
+
+def test_locate_solves_pair_j_with_segment_j(tmp_path, capsys):
+    # cfg2 needs segment 2's positions: with segment 1's its rows are "ok" and 35.03 m off
+    out = _simulate(tmp_path, FAR_MOVE_CONFIG, "run")
+    logs = [str(out / f"sn{k}_cfg{j}.log") for j in (1, 2) for k in (1, 2)]
+    for scheme, n_rows in (("toa", 30), ("tdoa", 15)):
+        assert main(["locate", "--config", str(tmp_path / "exp.yaml"), "--scheme", scheme,
+                     "--rnti", "7423", "--out-dir", str(out), *logs]) == EXIT_OK
+        rows = [r.split(",") for r in
+                (out / f"estimates_{scheme}.csv").read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(n_rows))
+        assert all(r[7] == "ok" and float(r[6]) < 1e-6 for r in rows)
+    capsys.readouterr()
+
+
 def test_locate_range_metric(tmp_path):
     out = _simulate(tmp_path, TOA_CONFIG, "run")
     cfg = str(tmp_path / "exp.yaml")
@@ -279,6 +297,11 @@ def test_locate_file_count_errors(tmp_path, capsys):
                  "--rnti", "7423", "--out-dir", str(out), one,
                  str(out / "missing.log")]) == EXIT_INPUT
     capsys.readouterr()
+    # two sniffers and no relocation plan know one configuration, not two
+    for scheme in ("toa", "tdoa"):
+        assert main(["locate", "--config", cfg, "--scheme", scheme,
+                     "--rnti", "7423", "--out-dir", str(out), one, one, one, one]) == EXIT_CONFIG
+        assert "2 file pairs but only 1 configuration(s)" in capsys.readouterr().err
 
 
 def test_locate_wrong_rnti_gives_no_samples(tmp_path, capsys):
@@ -299,7 +322,8 @@ def test_locate_missing_config(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_locate_tdoa_rejects_moving_reference(tmp_path, capsys):
+@pytest.mark.parametrize("scheme", ["toa", "tdoa"])
+def test_locate_rejects_moving_reference(tmp_path, capsys, monkeypatch, scheme):
     config = BASE_SCENARIO + """\
 capture:
   subframes: 30
@@ -309,12 +333,15 @@ relocations:
 """
     out = _simulate(tmp_path, config, "run")
     cfg = str(tmp_path / "exp.yaml")
-    rc = main(["locate", "--config", cfg, "--scheme", "tdoa", "--rnti", "7423",
+    parsed = []
+    monkeypatch.setattr(cli, "parse_log", lambda fh, sniffer_id: parsed.append(sniffer_id))
+    rc = main(["locate", "--config", cfg, "--scheme", scheme, "--rnti", "7423",
                "--out-dir", str(out),
                str(out / "sn1_cfg1.log"), str(out / "sn2_cfg1.log"),
                str(out / "sn1_cfg2.log"), str(out / "sn2_cfg2.log")])
     assert rc == EXIT_CONFIG
     assert "reference" in capsys.readouterr().err
+    assert parsed == []  # the plan is checked before any log is read
 
 
 THREE_SNIFFERS = BASE_SCENARIO.replace("    - [0.0, 139.5]\n",

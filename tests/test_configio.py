@@ -235,3 +235,33 @@ def test_load_setup_error_paths(tmp_path):
     incomplete.write_text("scenario:\n  enb: [0.0, 0.0]\n")
     with pytest.raises(ConfigError, match="incomplete.yaml"):
         load_setup(str(incomplete))
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("ta_index: 1", "ta_index: yes", "scenario.ta_index"),
+    ("subframes: 40", "subframes: on", "capture.subframes"),
+    ("rnti: 7423", "rnti: true", "capture.rnti"),
+    ("[0.0, 139.5]", "[off, 139.5]", "scenario.sniffers[1][0]"),
+    ("sniffer: 2", "sniffer: true", "relocations[0].sniffer"),
+], ids=["ta_index", "subframes", "rnti", "sniffer_x", "relocated_sniffer"])
+def test_yaml_booleans_are_config_errors(tmp_path, old, new, where):
+    # YAML 1.1 reads these spellings as booleans, which would pass as 1 and 0
+    text = textwrap.dedent("""\
+        scenario:
+          enb: [0.0, 0.0]
+          sniffers:
+            - [109.7, 0.0]
+            - [0.0, 139.5]
+          ta_index: 1
+        capture:
+          subframes: 40
+          rnti: 7423
+        relocations:
+          - {sniffer: 2, at_subframe: 20, to: [154.0, 40.0]}
+        """)
+    path = tmp_path / "exp.yaml"
+    path.write_text(text)
+    load_setup(str(path))
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(ConfigError, match=rf": {re.escape(where)} is the boolean (True|False);"):
+        load_setup(str(path))

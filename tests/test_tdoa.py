@@ -10,11 +10,12 @@ from dualsniff import tdoa
 from dualsniff.errors import (DegenerateGeometry, InfeasibleObservation, LocalizationError,
                               MixedReference, NoRealRoot, RankDeficient)
 from dualsniff.geometry import SPEED_OF_LIGHT, Position, Scenario, distance
-from dualsniff.snifferlog import MatchedColumns
+from dualsniff.snifferlog import MatchedColumns, match_records
 from dualsniff.tdoa import (LinearSystem, TdoaEstimate, TdoaPair, build_system,
                             estimate_tdoa, form_tdoa,
                             range_difference_residual, solve_constrained,
                             solve_normal_equations)
+from dualsniff.timing import CaptureSpec, ClockConfig, Relocation, segments, simulate_capture
 
 
 def _tri_scenario():
@@ -291,3 +292,35 @@ def test_estimate_tdoa_needs_two_sets():
     with pytest.raises(ValueError):
         estimate_tdoa([_matched([(0, 0, 0.1, 0.2)])], sc, ref_sniffer=sc.sniffers[0],
                       other_positions=sc.sniffers[1:2])
+
+
+#: The benchmark's busy-cell layout: sniffer 2 moves twice, so three segments.
+PLAN_SCENARIO = Scenario(enb=Position(0, 0), sniffers=(Position(109.7, 0), Position(0, 139.5)),
+                         ue_truth=Position(80, 82.2), ta_index=1)
+PLAN = (Relocation(1, 10, Position(154, 40)), Relocation(1, 20, Position(60, 170)))
+
+
+def _plan_fixes(clock):
+    """(status, position) of each TDoA sample of a capture cut at the plan's segments."""
+    capture = simulate_capture(PLAN_SCENARIO, clock, CaptureSpec(subframes=30), PLAN)
+    plan = segments(PLAN_SCENARIO.sniffers, PLAN, 30)
+    matched = [match_records(capture.sniffer_log(0, start, stop),
+                             capture.sniffer_log(1, start, stop))[0] for start, stop, _ in plan]
+    outcomes = estimate_tdoa(matched, PLAN_SCENARIO, ref_sniffer=plan[0][2][0],
+                             other_positions=[positions[1] for _, _, positions in plan])
+    return [(o.status, o.estimate.position if o.estimate else None) for o in outcomes]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(ue_hw_error=st.floats(-1e-6, 1e-6), ta_value=st.floats(0.0, 2e-5),
+       offsets=st.tuples(st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3)))
+def test_clock_errors_cancel_through_the_segment_plan(ue_hw_error, ta_value, offsets):
+    """Device error, timing advance and sniffer offsets leave every noisy (20 ns)
+    fix of a relocated capture within 1e-6 m of the zero-error run."""
+    noise = dict(sniffer_noise_sigma=2e-8, rng_seed=7)
+    base = _plan_fixes(ClockConfig(sniffer_offsets=(0.0, 0.0), **noise))
+    fixes = _plan_fixes(ClockConfig(sniffer_offsets=offsets, ue_hw_error=ue_hw_error,
+                                    ta_value=ta_value, **noise))
+    assert len(base) == 10 and all(status == "ok" for status, _ in base)
+    assert [status for status, _ in fixes] == [status for status, _ in base]
+    assert max(distance(p, q) for (_, p), (_, q) in zip(fixes, base)) < 1e-6
