@@ -12,6 +12,8 @@ Subcommands::
 sn1_cfg1.log, sn2_cfg1.log, ...  ``locate`` takes (reference, other) file
 pairs, pair j for configuration j as ``_configurations`` reads it, and writes
 per-sample estimates plus an error report; ToA solves each pair on its own.
+Both schemes hand the same per-sample columns to ``_estimates_csv``, which
+writes the estimates CSV and scores the solved samples against ground truth.
 ``report`` merges estimate files into a comparison table and plot-ready CDF
 columns.
 
@@ -198,63 +200,55 @@ def _configurations(setup: "ExperimentSetup", files: Sequence[str], rnti: int,
     return configs
 
 
-def _row(i: int, frame: int, subframe: int, status: str, xy, failure,
-         scenario: "Scenario", metric: str) -> dict:
-    """One estimates row; a failed sample's reason goes to stderr."""
-    row = {"sample": i, "frame": frame, "subframe": subframe,
-           "status": status, "x": None, "y": None, "d_ub": None, "error": None}
-    if status != "ok":
-        print(f"sample {i}: {status}: {failure}", file=sys.stderr)
-        return row
-    pos, truth = Position(*xy), scenario.ue_truth
-    row.update(x=pos.x, y=pos.y, d_ub=distance(pos, scenario.enb))
-    if truth is not None:
-        row["error"] = abs(row["d_ub"] - distance(truth, scenario.enb)) \
-            if metric == "range" else distance(pos, truth)
-    return row
-
-
-def _locate_toa(setup: "ExperimentSetup", files: Sequence[str], rnti: int,
-                metric: str) -> List[dict]:
-    scenario, rows = setup.scenario, []
+def _locate_toa(setup: "ExperimentSetup", files: Sequence[str], rnti: int) -> tuple:
+    scenario, columns = setup.scenario, ([], [], [], [], [])
     for samples, ref, other in _configurations(setup, files, rnti):
         sol = solve_toa_batch(compose_D(samples.delta_a * 1e-6, ref, scenario),
                               compose_D(samples.delta_b * 1e-6, other, scenario),
                               scenario.enb, scenario.band)
-        start = len(rows)
-        rows += [_row(start + i, frame, subframe, status, xy, sol.failed.get(i), scenario, metric)
-                 for i, (frame, subframe, status, xy) in enumerate(zip(
-                     samples.frame.tolist(), samples.subframe.tolist(), sol.status.tolist(),
-                     sol.chosen(sol.u).tolist()))]
-    return rows
+        for column, part in zip(columns, (
+                samples.frame.tolist(), samples.subframe.tolist(), sol.status.tolist(),
+                sol.chosen(sol.u).tolist(), [sol.failed.get(i) for i in range(len(samples))])):
+            column += part
+    return columns
 
 
-def _locate_tdoa(setup: "ExperimentSetup", files: Sequence[str], rnti: int,
-                 metric: str) -> List[dict]:
+def _locate_tdoa(setup: "ExperimentSetup", files: Sequence[str], rnti: int) -> tuple:
     matched_sets, refs, others = zip(*_configurations(setup, files, rnti, min_pairs=2))
     outcomes = estimate_tdoa(matched_sets, setup.scenario, ref_sniffer=refs[0],
                              other_positions=others)
+    n = len(outcomes)
     for j, samples in enumerate(matched_sets):
-        if len(samples) > len(outcomes):
-            print(f"configuration {j + 1}: {len(samples) - len(outcomes)} of {len(samples)} "
-                  f"matched samples unused (the shortest configuration has {len(outcomes)})",
-                  file=sys.stderr)
-    return [_row(o.index, o.frame, o.subframe, o.status,
-                 (o.estimate.position.x, o.estimate.position.y) if o.estimate else None,
-                 o.detail, setup.scenario, metric) for o in outcomes]
+        if len(samples) > n:
+            print(f"configuration {j + 1}: {len(samples) - n} of {len(samples)} matched samples "
+                  f"unused (the shortest configuration has {n})", file=sys.stderr)
+    return (matched_sets[0].frame[:n].tolist(), matched_sets[0].subframe[:n].tolist(),
+            [o.status for o in outcomes],
+            [(o.estimate.position.x, o.estimate.position.y) if o.estimate else (None, None)
+             for o in outcomes],
+            [o.detail for o in outcomes])
 
 
-def _fmt(v) -> str:
-    return "" if v is None else repr(float(v))
+def _estimates_csv(columns: tuple, scenario: "Scenario", metric: str) -> tuple:
+    """The estimates CSV text, and the errors of the solved samples (none without truth).
 
-
-def _write_estimates(path: Path, rows: Sequence[dict]) -> None:
-    lines = [ESTIMATES_HEADER + "\n"]
-    for r in rows:
-        lines.append(f"{r['sample']},{r['frame']},{r['subframe']},"
-                     f"{_fmt(r['x'])},{_fmt(r['y'])},{_fmt(r['d_ub'])},"
-                     f"{_fmt(r['error'])},{r['status']}\n")
-    path.write_text("".join(lines), encoding="utf-8")
+    ``columns`` hold each sample's frame, subframe, status, chosen (x, y) and
+    failure; a failed sample's reason goes to stderr.
+    """
+    enb, truth = scenario.enb, scenario.ue_truth
+    lines, errors = [ESTIMATES_HEADER], []
+    for i, (frame, subframe, status, (x, y), failure) in enumerate(zip(*columns)):
+        if status != "ok":
+            print(f"sample {i}: {status}: {failure}", file=sys.stderr)
+            lines.append(f"{i},{frame},{subframe},,,,,{status}")
+            continue
+        d_ub, error = math.hypot(x - enb.x, y - enb.y), ""
+        if truth is not None:
+            errors.append(abs(d_ub - distance(truth, enb)) if metric == "range"
+                          else math.hypot(x - truth.x, y - truth.y))
+            error = repr(errors[-1])
+        lines.append(f"{i},{frame},{subframe},{x!r},{y!r},{d_ub!r},{error},ok")
+    return "\n".join(lines) + "\n", errors
 
 
 def _stats_cells(st) -> str:
@@ -283,19 +277,19 @@ def _stats_table(errors: Sequence[float], metric: str) -> str:
 def cmd_locate(args) -> int:
     _load()
     setup = load_setup(args.config)
-    rows = (_locate_toa if args.scheme == "toa" else _locate_tdoa)(
-        setup, args.logs, args.rnti, args.metric)
-    if not rows:
+    columns = (_locate_toa if args.scheme == "toa" else _locate_tdoa)(setup, args.logs, args.rnti)
+    status = columns[2]
+    if not status:
         raise NoSamples("no matched samples in the given log pairs")
+    text, errors = _estimates_csv(columns, setup.scenario, args.metric)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     est_path = out_dir / f"estimates_{args.scheme}.csv"
-    _write_estimates(est_path, rows)
-    print(f"wrote {est_path} ({len(rows)} samples)")
+    est_path.write_text(text, encoding="utf-8")
+    print(f"wrote {est_path} ({len(status)} samples)")
 
-    errors = [r["error"] for r in rows if r["status"] == "ok" and r["error"] is not None]
     if not errors:
-        if any(r["status"] == "ok" for r in rows):
+        if "ok" in status:
             print("no ground truth in scenario; skipping error statistics")
             return EXIT_OK
         raise NoSamples("every sample failed to solve")

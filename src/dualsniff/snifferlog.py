@@ -40,13 +40,13 @@ COLUMNS = (("frame", np.int64), ("subframe", np.int64), ("rnti", np.int64),
 #: names to values; the test works on scalars and, element-wise, on columns.
 Rule = Tuple[Callable, str]
 
-#: The parser's rule on a line's frame counter, tested before the other
-#: fields are converted.
+#: The parser's rule on a line's frame counter, checked before its other fields are converted.
 FRAME_COUNTER_RULE: Rule = (lambda e: e["frame"] < FRAME_WRAP,
                             f"frame counter must be below {FRAME_WRAP}, got {{e[frame]}}")
 
-#: The value rules of a log entry, in the order its diagnostics name them.
-ENTRY_RULES: Tuple[Rule, ...] = (
+#: The parser's rules on a log entry, in the order a line's diagnostic names them.
+PARSER_RULES: Tuple[Rule, ...] = (
+    FRAME_COUNTER_RULE,
     (lambda e: (e["subframe"] >= 0) & (e["subframe"] <= 9),
      "subframe must be in [0, 9], got {e[subframe]}"),
     (lambda e: (e["cqi"] >= 0) & (e["cqi"] <= 15), "cqi must be in [0, 15], got {e[cqi]}"),
@@ -139,8 +139,6 @@ class ParseDiagnostic:
     reason: str
 
 
-#: The parser's rules, in the order a line's diagnostic names them.
-PARSER_RULES: Tuple[Rule, ...] = (FRAME_COUNTER_RULE, *ENTRY_RULES)
 #: Width of the ``FRAME.SUBFRAME`` column ``np.loadtxt`` reads; a token that
 #: fills it may have been cut short.
 _TOKEN_WIDTH = 8

@@ -79,9 +79,6 @@ class TdoaEstimate:
 class SampleOutcome:
     """Per-sample result of a batch estimate: either an estimate or an error."""
 
-    index: int
-    frame: int
-    subframe: int
     estimate: Optional[TdoaEstimate]
     status: str = "ok"      # "ok" or the solver exception class name
     detail: str = ""
@@ -230,9 +227,9 @@ def estimate_tdoa(matched_sets: Sequence[MatchedColumns],
     ``matched_sets[j]`` holds configuration j's matched samples, where
     ``delta_a`` is the fixed reference sniffer and ``delta_b`` the sniffer
     at ``other_positions[j]``.  Sample i of every configuration makes one
-    system, and one ``solve_constrained_batch`` call solves them all; a
-    failure is reported per sample.  Samples past the shortest configuration
-    are unused.  Deltas are microseconds, as logged.
+    system, and one ``solve_constrained_batch`` call solves them all; outcome
+    i is sample i's, and a failure is reported per sample.  Samples past the
+    shortest configuration are unused.  Deltas are microseconds, as logged.
     """
     if len(matched_sets) < 2:
         raise ValueError(
@@ -247,9 +244,5 @@ def estimate_tdoa(matched_sets: Sequence[MatchedColumns],
                        scenario.enb, pair_id=f"cfg{j + 1}")
              for j, (s, other) in enumerate(zip(matched_sets, other_positions))]
     sol = solve_constrained_batch(build_system(pairs), ref_sniffer, scenario.band, scenario.enb)
-    label = matched_sets[0]
-    return [SampleOutcome(index=i, frame=frame, subframe=subframe, estimate=est,
-                          status=status, detail=str(sol.failed.get(i, "")))
-            for i, (frame, subframe, status, est) in enumerate(zip(
-                label.frame[:n].tolist(), label.subframe[:n].tolist(), sol.status.tolist(),
-                _estimates(sol, len(pairs))))]
+    return [SampleOutcome(est, status, str(sol.failed.get(i, ""))) for i, (status, est)
+            in enumerate(zip(sol.status.tolist(), _estimates(sol, len(pairs))))]

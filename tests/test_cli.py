@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -275,14 +276,20 @@ def test_locate_solves_pair_j_with_segment_j(tmp_path, capsys):
 
 
 def test_locate_range_metric(tmp_path):
-    out = _simulate(tmp_path, TOA_CONFIG, "run")
-    cfg = str(tmp_path / "exp.yaml")
-    rc = main(["locate", "--config", cfg, "--scheme", "toa", "--rnti", "7423",
-               "--out-dir", str(out), "--metric", "range",
-               str(out / "sn1_cfg1.log"), str(out / "sn2_cfg1.log")])
-    assert rc == EXIT_OK
-    report = (out / "report_toa.txt").read_text()
-    assert "range error" in report
+    out = _simulate(tmp_path, TDOA_CONFIG + NOISY_CLOCK, "run")
+    for scheme in ("toa", "tdoa"):
+        rc = main(["locate", "--config", str(tmp_path / "exp.yaml"), "--scheme", scheme,
+                   "--rnti", "7423", "--out-dir", str(out), "--metric", "range",
+                   *(str(out / f"sn{k}_cfg{j}.log") for j in (1, 2) for k in (1, 2))])
+        assert rc == EXIT_OK
+        assert "range error" in (out / f"report_{scheme}.txt").read_text()
+        rows = [r.split(",") for r in
+                (out / f"estimates_{scheme}.csv").read_text().splitlines()[1:]]
+        solved = [r for r in rows if r[7] == "ok"]
+        assert solved and any(float(r[6]) > 0.1 for r in solved)
+        for r in solved:  # the eNb is at the origin
+            assert float(r[5]) == math.hypot(float(r[3]), float(r[4]))
+            assert float(r[6]) == abs(float(r[5]) - math.hypot(80.0, 82.2))
 
 
 def test_locate_file_count_errors(tmp_path, capsys):
@@ -417,10 +424,53 @@ def test_locate_reports_per_sample_failures(tmp_path, capsys):
                "--out-dir", str(out), str(broken), str(out / "sn2_cfg1.log")])
     assert rc == EXIT_OK
     rows = (out / "estimates_toa.csv").read_text().splitlines()[1:]
-    assert rows[0].endswith("InfeasibleObservation")
-    assert rows[0].split(",")[3] == ""  # no position for the failed sample
+    # sample 0 at frame 0, subframe 0, with no position, range or error
+    assert rows[0] == "0,0,0,,,,,InfeasibleObservation"
     assert all(r.endswith("ok") for r in rows[1:])
-    assert "InfeasibleObservation" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "sample 0: InfeasibleObservation: observation 1: range-sum -299226.824 m is below "
+        "the focal distance 109.700 m\n")
+
+
+def _break_deltas(path):
+    """Set every delta of the log at ``path`` to -999 us."""
+    lines = [line.split() for line in path.read_text().splitlines()]
+    path.write_text("".join(" ".join([*f[:2], "-999.0", *f[3:]]) + "\n" for f in lines))
+
+
+@pytest.mark.parametrize("scheme", ["toa", "tdoa"])
+def test_locate_exits_4_when_every_sample_fails(tmp_path, capsys, scheme):
+    out = _simulate(tmp_path, TDOA_CONFIG, "run")
+    logs = [out / f"sn{k}_cfg{j}.log" for j in (1, 2) for k in (1, 2)]
+    for ref in logs[::2]:
+        _break_deltas(ref)
+    capsys.readouterr()
+    rc = main(["locate", "--config", str(tmp_path / "exp.yaml"), "--scheme", scheme,
+               "--rnti", "7423", "--out-dir", str(out), *map(str, logs)])
+    assert rc == EXIT_NO_SAMPLES
+    err = capsys.readouterr().err
+    assert err.endswith("no samples: every sample failed to solve\n")
+    rows = (out / f"estimates_{scheme}.csv").read_text().splitlines()[1:]
+    assert rows and all(r.endswith(",,,,,InfeasibleObservation") for r in rows)
+    assert err.count(": InfeasibleObservation: ") == len(rows)
+    assert not (out / f"report_{scheme}.txt").exists()
+
+
+@pytest.mark.parametrize("scheme", ["toa", "tdoa"])
+def test_locate_without_ground_truth_skips_statistics(tmp_path, capsys, scheme):
+    out = _simulate(tmp_path, FAR_MOVE_CONFIG, "run")
+    cfg = _write(tmp_path, "blind.yaml", FAR_MOVE_CONFIG.replace("  ue_truth: [80.0, 82.2]\n", ""))
+    capsys.readouterr()
+    rc = main(["locate", "--config", cfg, "--scheme", scheme, "--rnti", "7423",
+               "--out-dir", str(out),
+               *(str(out / f"sn{k}_cfg{j}.log") for j in (1, 2) for k in (1, 2))])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.endswith(
+        "samples)\nno ground truth in scenario; skipping error statistics\n")
+    rows = [r.split(",") for r in
+            (out / f"estimates_{scheme}.csv").read_text().splitlines()[1:]]
+    assert rows and all(r[7] == "ok" and r[5] and r[6] == "" for r in rows)
+    assert not (out / f"report_{scheme}.txt").exists()
 
 
 def test_locate_skips_malformed_lines_with_diagnostics(tmp_path, capsys):

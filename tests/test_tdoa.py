@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -142,6 +142,8 @@ def test_constrained_least_squares_is_exact_without_noise(seed, n_configs):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_configs=st.integers(3, 5))
+# 2.5314787375873764 against 2.5314787375873906 m: not equal bit for bit
+@example(seed=3248538, n_configs=5)
 def test_least_squares_residual_is_the_range_difference_residual(seed, n_configs):
     rng = np.random.default_rng(seed)
     sc = helpers.draw_scenario(rng, n_sniffers=n_configs + 1)
@@ -155,7 +157,10 @@ def test_least_squares_residual_is_the_range_difference_residual(seed, n_configs
     # the pairs as the rows of G give them: s_k = s_1 + (G_k0, G_k1)
     ref = sc.sniffers[0]
     rows = [TdoaPair(ref, Position(ref.x + gx, ref.y + gy), dd) for gx, gy, dd in system.G.tolist()]
-    assert est.residual_norm == range_difference_residual(est.position, rows)
+    # the same misses, summed as arrays or as scalars, round apart after d_k - d_1
+    # cancels: by up to 583 ulps (7.1e-14 relative) in 3000 random draws
+    assert math.isclose(est.residual_norm, range_difference_residual(est.position, rows),
+                        rel_tol=1e-12)
 
 
 def test_constrained_degenerate_offsets():
