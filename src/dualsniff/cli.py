@@ -110,7 +110,10 @@ def _decoy_captures(setup: "ExperimentSetup", count: int) -> "List[SimulatedCapt
 def cmd_simulate(args) -> int:
     _load()
     setup = load_setup(args.config)
-    setup = _apply_overrides(setup, args)
+    if args.decoys < 0:
+        raise ConfigError(f"--decoys must be >= 0, got {args.decoys}")
+    if setup.capture.rnti + args.decoys > MAX_RNTI:
+        raise ConfigError(f"--decoys {args.decoys} runs the decoy RNTIs past {MAX_RNTI}")
     if setup.scenario.ue_truth is None:
         raise ConfigError("simulation requires scenario.ue_truth")
 
@@ -127,31 +130,6 @@ def cmd_simulate(args) -> int:
             path.write_text(write_log(log), encoding="utf-8")
             print(f"wrote {path} ({len(log)} records)")
     return EXIT_OK
-
-
-def _override(obj, flag: str, **changes):
-    """``replace`` for one command-line override, naming the flag on a bad value."""
-    try:
-        return replace(obj, **changes)
-    except ValueError as exc:  # ConfigError included
-        raise ConfigError(f"{flag}: {exc}") from exc
-
-
-def _apply_overrides(setup: "ExperimentSetup", args) -> "ExperimentSetup":
-    clock, capture = setup.clock, setup.capture
-    if getattr(args, "decoys", 0) < 0:
-        raise ConfigError(f"--decoys must be >= 0, got {args.decoys}")
-    if getattr(args, "seed", None) is not None:
-        clock = _override(clock, "--seed", rng_seed=args.seed)
-    if getattr(args, "sigma", None) is not None:
-        clock = _override(clock, "--sigma", sniffer_noise_sigma=args.sigma)
-    if getattr(args, "subframes", None) is not None:
-        capture = _override(capture, "--subframes", subframes=args.subframes)
-    if getattr(args, "snr", None) is not None:
-        capture = _override(capture, "--snr", snr_db=args.snr)
-    if capture.rnti + getattr(args, "decoys", 0) > MAX_RNTI:
-        raise ConfigError(f"--decoys {args.decoys} runs the decoy RNTIs past {MAX_RNTI}")
-    return _override(setup, "--subframes", clock=clock, capture=capture)
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate sniffer capture logs")
     sim.add_argument("--config", required=True, help="experiment YAML file")
     sim.add_argument("--out-dir", required=True, help="directory for log files")
-    sim.add_argument("--seed", type=int, help="override clock.rng_seed")
-    sim.add_argument("--sigma", type=float,
-                     help="override clock.sniffer_noise_sigma (seconds)")
-    sim.add_argument("--snr", type=float,
-                     help="override capture.snr_db, which sets the logged SNR and CQI "
-                          "columns only; the timing noise is clock.sniffer_noise_sigma")
-    sim.add_argument("--subframes", type=int, help="override capture.subframes")
     sim.add_argument("--decoys", type=int, default=0,
                      help="number of extra background RNTIs to simulate")
     sim.set_defaults(func=cmd_simulate)

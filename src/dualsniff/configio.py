@@ -10,7 +10,6 @@ Schema (all lengths in meters, times in seconds)::
       ue_truth: [40.0, 30.0]        # optional; required to simulate
       ta_index: 0
     clock:                          # optional block, defaults shown
-      sniffer_offsets: [0.0, 0.0]
       ue_hw_error: 0.0
       sniffer_noise_sigma: 0.0
       rng_seed: 0
@@ -41,7 +40,7 @@ from .timing import CaptureSpec, ClockConfig, Relocation, segments
 
 #: The documented keys of each section, and of each relocation.
 KEYS = {"scenario": {"enb", "sniffers", "ue_truth", "ta_index"},
-        "clock": {"sniffer_offsets", "ue_hw_error", "sniffer_noise_sigma", "rng_seed"},
+        "clock": {"ue_hw_error", "sniffer_noise_sigma", "rng_seed"},
         "capture": {"subframes", "rnti", "snr_db", "noise_power_dbm", "start_frame"},
         "relocations": {"sniffer", "at_subframe", "to"}}
 

@@ -2,10 +2,11 @@
 
 The base station transmits a downlink subframe every millisecond.  The device
 answers early by the timing-advance value; each sniffer timestamps both frames
-against its own (offset) clock.  The observable is the downlink-uplink delta
-per sniffer, which is independent of the subframe index and of the sniffer's
-own clock offset.  ``simulate_capture`` batches this into arrays of sniffer
-log entries and is the ground-truth generator for both estimators.
+against its own clock.  The observable is the downlink-uplink delta per
+sniffer, which is independent of the subframe index and cancels the sniffer's
+own clock offset, so ``ClockConfig`` has no offset parameter.
+``simulate_capture`` batches this into arrays of sniffer log entries and is
+the ground-truth generator for both estimators.
 """
 
 import math
@@ -27,23 +28,18 @@ class ClockConfig:
     """Clock and error parameters for one simulated capture.
 
     Attributes:
-        sniffer_offsets: Per-sniffer clock offset w.r.t. the base station, s.
         ue_hw_error: Device hardware timing error, s.
         sniffer_noise_sigma: Std. dev. of per-record sniffer measurement noise, s.
         ta_value: Timing-advance applied by the device, s.
         rng_seed: Seed for the noise generator.
     """
 
-    sniffer_offsets: Tuple[float, ...]
     ue_hw_error: float = 0.0
     sniffer_noise_sigma: float = 0.0
     ta_value: float = 0.0
     rng_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "sniffer_offsets", tuple(map(float, self.sniffer_offsets)))
-        if not all(math.isfinite(v) for v in self.sniffer_offsets):
-            raise ValueError(f"sniffer_offsets must be finite, got {self.sniffer_offsets}")
         for name in ("ue_hw_error", "sniffer_noise_sigma", "ta_value"):
             object.__setattr__(self, name, float(getattr(self, name)))
             if not math.isfinite(getattr(self, name)):
@@ -55,13 +51,8 @@ class ClockConfig:
 
     @classmethod
     def for_scenario(cls, scenario: Scenario, **fields) -> "ClockConfig":
-        """The scenario's timing advance; ``fields`` set the rest (offsets default to 0)."""
-        fields.setdefault("sniffer_offsets", (0.0,) * len(scenario.sniffers))
-        cfg = cls(ta_value=ta_seconds(scenario.ta_index), **fields)
-        if len(cfg.sniffer_offsets) != len(scenario.sniffers):
-            raise ValueError(f"{len(cfg.sniffer_offsets)} sniffer offsets for "
-                             f"{len(scenario.sniffers)} sniffers")
-        return cfg
+        """The scenario's timing advance; ``fields`` set the rest."""
+        return cls(ta_value=ta_seconds(scenario.ta_index), **fields)
 
 
 @dataclass(frozen=True)
@@ -229,10 +220,6 @@ def simulate_capture(scenario: Scenario, cfg: ClockConfig, capture: CaptureSpec,
     if scenario.ue_truth is None:
         raise ValueError("simulate_capture needs a scenario with ue_truth set")
     n_sniffers = len(scenario.sniffers)
-    if len(cfg.sniffer_offsets) != n_sniffers:
-        raise ValueError(
-            f"{len(cfg.sniffer_offsets)} sniffer offsets for {n_sniffers} sniffers"
-        )
     plan = segments(scenario.sniffers, relocations, capture.subframes)
 
     rng = np.random.default_rng(cfg.rng_seed)

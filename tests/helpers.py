@@ -142,6 +142,19 @@ def run_tdoa(scenario: Scenario, deltas=None):
                              scenario.band, scenario.enb)
 
 
+def tdoa_crlb(ref: Position, others, u: Position, sigma: float) -> np.ndarray:
+    """Cramér-Rao bound (2x2, m^2) on the position from one range difference per
+    configuration, each made of two deltas with i.i.d. noise ``sigma`` (s).
+
+    Row k of H is the gradient of |u - s_k| - |u - s_1|; the differences are
+    independent, so R = 2 sigma^2 c^2 I and the bound is (H^T R^-1 H)^-1.
+    """
+    def unit(s):
+        return np.array([u.x - s.x, u.y - s.y]) / distance(u, s)
+    H = np.array([unit(s) - unit(ref) for s in others])
+    return np.linalg.inv(H.T @ H / (2.0 * sigma ** 2 * SPEED_OF_LIGHT ** 2))
+
+
 #: Reject range-sum draws whose ellipses cross at a near-tangent angle.
 #: The determinant of the two constraint gradients is ~sin of the crossing
 #: angle (each gradient has norm <= 2); below this floor the two ellipses

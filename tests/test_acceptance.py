@@ -42,8 +42,7 @@ def _report(number: int, label: str, ok: bool, detail: str) -> None:
 
 def _anchor_deltas(dta: float = 0.0, eps: float = 0.0):
     """Clean per-sniffer deltas with an offset timing advance or device error."""
-    cfg = ClockConfig(sniffer_offsets=(0.0,) * 3, ue_hw_error=eps,
-                      ta_value=ta_seconds(ANCHOR.ta_index) + dta)
+    cfg = ClockConfig(ue_hw_error=eps, ta_value=ta_seconds(ANCHOR.ta_index) + dta)
     return [subframe_delta(ANCHOR, k, cfg) for k in range(3)]
 
 

@@ -100,7 +100,7 @@ def test_simulate_is_deterministic(tmp_path):
     out_b = _simulate(tmp_path, config, "b")
     for name in ("sn1_cfg1.log", "sn2_cfg2.log"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-    out_c = _simulate(tmp_path, config, "c", extra=["--seed", "8"])
+    out_c = _simulate(tmp_path, config.replace("rng_seed: 7", "rng_seed: 8"), "c")
     assert (out_a / "sn1_cfg1.log").read_bytes() != (out_c / "sn1_cfg1.log").read_bytes()
 
 
@@ -113,41 +113,38 @@ def test_simulate_decoys_share_timeline(tmp_path):
 
 
 def test_simulate_subframes_override_conflicts_with_relocation(tmp_path, capsys):
-    cfg = _write(tmp_path, "exp.yaml", TDOA_CONFIG)
-    rc = main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "x"),
-               "--subframes", "10"])
+    cfg = _write(tmp_path, "exp.yaml", TDOA_CONFIG.replace("subframes: 30", "subframes: 10"))
+    rc = main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "x")])
     assert rc == EXIT_CONFIG
     assert "relocation" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override, culprit", [
-    (("--subframes", "0"), "--subframes"),
-    (("--subframes", "-5"), "--subframes"),
-    (("--sigma", "-1"), "--sigma"),
-    (("--decoys", "-3"), "--decoys"),
-    (("--sigma", "nan"), "--sigma"),
-    (("--sigma", "inf"), "--sigma"),
-    (("--snr", "nan"), "--snr"),
-    (("--snr", "inf"), "--snr"),
-    (("--snr=-inf",), "--snr"),
-    (("--seed", "-1"), "--seed"),
-    (("--sigma", "1e303"), "clock.sniffer_noise_sigma"),
-])
-def test_simulate_rejects_bad_overrides(tmp_path, capsys, override, culprit):
+def test_simulate_rejects_negative_decoys(tmp_path, capsys):
     cfg = _write(tmp_path, "exp.yaml", TOA_CONFIG)
     out = tmp_path / "x"
-    rc = main(["simulate", "--config", cfg, "--out-dir", str(out), *override])
+    rc = main(["simulate", "--config", cfg, "--out-dir", str(out), "--decoys", "-3"])
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
-    assert culprit in err
+    assert "--decoys" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--seed", "8"], ["--sigma", "0"], ["--snr", "10"],
+                                  ["--subframes", "10"]])
+def test_simulate_takes_experiment_values_from_the_config_only(tmp_path, capsys, flag):
+    cfg = _write(tmp_path, "exp.yaml", TOA_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "x"), *flag])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, line", [
     ("clock", "ue_hw_error: .nan"),
     ("clock", "sniffer_noise_sigma: .inf"),
-    ("clock", "sniffer_offsets: [0.0, -.inf]"),
+    ("clock", "sniffer_noise_sigma: -1.0"),
+    ("clock", "sniffer_noise_sigma: 1.0e303"),
     ("capture", "snr_db: .nan"),
     ("capture", "noise_power_dbm: .nan"),
     ("clock", "rng_seed: -1"),

@@ -25,7 +25,6 @@ def _full_doc():
             "ta_index": 1,
         },
         "clock": {
-            "sniffer_offsets": [1e-6, -2e-6],
             "ue_hw_error": 3e-7,
             "sniffer_noise_sigma": 2e-8,
             "rng_seed": 42,
@@ -47,7 +46,6 @@ def test_minimal_document_defaults():
     setup = parse_setup(MINIMAL)
     assert setup.scenario.ue_truth is None
     assert setup.scenario.ta_index == 0
-    assert setup.clock.sniffer_offsets == (0.0, 0.0)
     assert setup.clock.sniffer_noise_sigma == 0.0
     assert setup.capture == CaptureSpec()
     assert setup.relocations == ()
@@ -102,13 +100,6 @@ def test_truth_outside_band_is_config_error():
         parse_setup(doc)
 
 
-def test_clock_offset_count_mismatch():
-    doc = _full_doc()
-    doc["clock"]["sniffer_offsets"] = [0.0]
-    with pytest.raises(ConfigError, match="clock"):
-        parse_setup(doc)
-
-
 def test_capture_validation():
     doc = _full_doc()
     doc["capture"]["subframes"] = 0
@@ -137,7 +128,6 @@ def test_capture_validation():
     ("clock", "ue_hw_error", float("inf")),
     ("clock", "sniffer_noise_sigma", float("nan")),
     ("clock", "sniffer_noise_sigma", float("inf")),
-    ("clock", "sniffer_offsets", [0.0, float("nan")]),
     ("capture", "snr_db", float("nan")),
     ("capture", "snr_db", float("-inf")),
     ("capture", "noise_power_dbm", float("nan")),
@@ -192,7 +182,7 @@ def test_relocation_numbers_are_integer_fields():
 
 @pytest.mark.parametrize("section, key", [
     ("scenario", "speed_of_light"), ("clock", "sniffer_noise"), ("clock", "ta_value"),
-    ("capture", "subframe"), ("relocations", "at"),
+    ("clock", "sniffer_offsets"), ("capture", "subframe"), ("relocations", "at"),
 ])
 def test_undocumented_keys_are_config_errors(section, key):
     doc = _full_doc()

@@ -1,10 +1,12 @@
 import ast
 import pathlib
 import sys
+import textwrap
 
 import pytest
+import yaml
 
-from dualsniff import _kernels
+from dualsniff import _kernels, configio
 from dualsniff.configio import parse_setup
 
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -53,3 +55,13 @@ def test_benchmark_entry_points_exist():
         parse_setup(inputs.config_doc(w, 401))
     (instance,) = inputs.draw_audit_instances(5, (1, 0))
     assert inputs.audit_instance(*instance) <= inputs.AUDIT_GAP_LIMIT
+
+
+def test_documented_schema_is_the_parsed_one():
+    """The YAML block of ``configio``'s docstring parses, and names exactly ``KEYS``."""
+    block = configio.__doc__.split("::\n", 1)[1].split("\n\n", 1)[0]
+    doc = yaml.safe_load(textwrap.dedent(block))
+    parse_setup(doc)
+    keys = {section: set(doc[section]) for section in ("scenario", "clock", "capture")}
+    keys["relocations"] = set(doc["relocations"][0])
+    assert keys == configio.KEYS

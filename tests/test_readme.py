@@ -1,18 +1,25 @@
-"""The README's Quick start, run as written: its transcript is the program's output."""
+"""The README's examples, run as written: the Quick start's transcript is the
+program's output, and the Library example locates its device."""
 
 import re
 import shlex
 from pathlib import Path
 
 from dualsniff.cli import EXIT_OK, main
+from dualsniff.geometry import distance
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _section(title: str) -> str:
+    """The README text under ``## title``, up to the next section."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1]
+    return section.split("\n## ", 1)[0]
+
+
 def _quick_start():
     """The Quick start's YAML, and (argv, expected stdout lines) of each ``$`` command."""
-    section = README.read_text(encoding="utf-8").split("\n## Quick start\n", 1)[1]
-    section = section.split("\n## ", 1)[0]
+    section = _section("Quick start")
     config = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
     transcript = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
     commands = []
@@ -41,3 +48,11 @@ def test_quick_start_transcript_is_the_output(tmp_path, monkeypatch, capsys):
             expected = expected[:-1]
             out = out[:len(expected)]
         assert out == expected, argv
+
+
+def test_library_example_locates_its_device():
+    code = re.search(r"```python\n(.*?)```", _section("Library"), re.S).group(1)
+    names = {}
+    exec(compile(code, "README.md", "exec"), names)
+    assert distance(names["est"].position, names["sc"].ue_truth) < 1e-6
+    assert len(names["log"]) == 200

@@ -46,14 +46,12 @@ def test_sigma_for_snr():
 
 def test_clock_config_validation():
     with pytest.raises(ValueError):
-        ClockConfig(sniffer_offsets=(0.0, 0.0), sniffer_noise_sigma=-1e-9)
+        ClockConfig(sniffer_noise_sigma=-1e-9)
     sc = _square_scenario()
-    with pytest.raises(ValueError):
-        ClockConfig.for_scenario(sc, sniffer_offsets=[0.0])
     with pytest.raises(ValueError, match="rng_seed must be an integer"):
         ClockConfig.for_scenario(sc, rng_seed=2.5)
-    cfg = ClockConfig.for_scenario(sc, sniffer_offsets=[0, 1], ue_hw_error=1, rng_seed=3.0)
-    assert cfg.sniffer_offsets == (0.0, 1.0) and type(cfg.ue_hw_error) is float
+    cfg = ClockConfig.for_scenario(sc, ue_hw_error=1, rng_seed=3.0)
+    assert cfg.ue_hw_error == 1.0 and type(cfg.ue_hw_error) is float
     assert cfg.rng_seed == 3 and type(cfg.rng_seed) is int
 
 
@@ -63,7 +61,6 @@ def test_for_scenario_matches_ta_index():
                   ue_truth=Position(80, 30), ta_index=1)
     cfg = ClockConfig.for_scenario(sc)
     assert cfg.ta_value == ta_seconds(1)
-    assert cfg.sniffer_offsets == (0.0, 0.0)
 
 
 def test_segments_need_a_subframe():
@@ -89,15 +86,15 @@ def test_segments_cut_the_capture_at_relocations():
 def test_delta_matches_arrival_difference():
     """The observable is exactly the UL-DL arrival gap on one sniffer clock."""
     sc = _square_scenario()
-    cfg = ClockConfig(sniffer_offsets=(4.2e-6, -1.7e-6), ue_hw_error=3e-7,
-                      ta_value=ta_seconds(0))
+    offsets = (4.2e-6, -1.7e-6)
+    cfg = ClockConfig(ue_hw_error=3e-7, ta_value=ta_seconds(0))
     d_ub = distance(sc.enb, sc.ue_truth)
     for k in (0, 1):
         d_enb_k = distance(sc.enb, sc.sniffers[k])
         d_ue_k = distance(sc.ue_truth, sc.sniffers[k])
         for t_n in (0.0, 0.013, 0.731):
-            ul = ul_arrival(t_n, d_ub, d_ue_k, cfg.sniffer_offsets[k], cfg)
-            dl = dl_arrival(t_n, d_enb_k, cfg.sniffer_offsets[k])
+            ul = ul_arrival(t_n, d_ub, d_ue_k, offsets[k], cfg)
+            dl = dl_arrival(t_n, d_enb_k, offsets[k])
             assert subframe_delta(sc, k, cfg) == pytest.approx(ul - dl, abs=1e-12)
 
 
@@ -106,9 +103,8 @@ def test_delta_independent_of_sniffer_offset():
     d_ub = distance(sc.enb, sc.ue_truth)
     d_enb = distance(sc.enb, sc.sniffers[0])
     d_ue = distance(sc.ue_truth, sc.sniffers[0])
-    gaps = []
+    cfg, gaps = ClockConfig(), []
     for offset in (0.0, 12.3e-6, -44.0e-6):
-        cfg = ClockConfig(sniffer_offsets=(offset, offset))
         ul = ul_arrival(0.004, d_ub, d_ue, offset, cfg)
         dl = dl_arrival(0.004, d_enb, offset)
         gaps.append(ul - dl)
@@ -119,7 +115,7 @@ def test_delta_independent_of_sniffer_offset():
 def test_delta_recovers_range_sum():
     """c * delta + d_enb_k == d_ub + d_ue_k for a clean clock."""
     sc = _square_scenario()
-    cfg = ClockConfig(sniffer_offsets=(0.0, 0.0))
+    cfg = ClockConfig()
     d_ub = distance(sc.enb, sc.ue_truth)
     for k in (0, 1):
         d_enb_k = distance(sc.enb, sc.sniffers[k])
@@ -133,23 +129,21 @@ def test_delta_zero_for_collinear_sniffer():
     # uplink detour exactly cancels and the delta collapses to zero
     sc = Scenario(enb=Position(0, 0), sniffers=(Position(60, 80), Position(0, 100)),
                   ue_truth=Position(30, 40), ta_index=0)
-    cfg = ClockConfig(sniffer_offsets=(0.0, 0.0))
+    cfg = ClockConfig()
     assert subframe_delta(sc, 0, cfg) == 0.0
 
 
 def test_ta_and_hw_error_shift_delta_linearly():
     sc = _square_scenario()
-    base = subframe_delta(sc, 0, ClockConfig(sniffer_offsets=(0.0, 0.0)))
-    with_ta = subframe_delta(sc, 0, ClockConfig(sniffer_offsets=(0.0, 0.0),
-                                                ta_value=5 * TA_STEP_S))
+    base = subframe_delta(sc, 0, ClockConfig())
+    with_ta = subframe_delta(sc, 0, ClockConfig(ta_value=5 * TA_STEP_S))
     assert base - with_ta == pytest.approx(5 * TA_STEP_S, abs=1e-18)
-    with_eps = subframe_delta(sc, 0, ClockConfig(sniffer_offsets=(0.0, 0.0),
-                                                 ue_hw_error=1e-6))
+    with_eps = subframe_delta(sc, 0, ClockConfig(ue_hw_error=1e-6))
     assert with_eps - base == pytest.approx(1e-6, abs=1e-18)
 
 
 def test_ue_tx_time_applies_advance():
-    cfg = ClockConfig(sniffer_offsets=(0.0,), ta_value=2e-6, ue_hw_error=0.0)
+    cfg = ClockConfig(ta_value=2e-6, ue_hw_error=0.0)
     t = ue_tx_time(0.010, 299.792458, cfg)
     assert t == pytest.approx(0.010 + 1e-6 - 2e-6, abs=1e-15)
     with pytest.raises(ValueError):
@@ -261,7 +255,7 @@ def test_relocation_fields_are_whole_numbers():
 
 def test_simulate_capture_needs_truth():
     sc = Scenario(enb=Position(0, 0), sniffers=(Position(100, 0), Position(0, 100)))
-    cfg = ClockConfig(sniffer_offsets=(0.0, 0.0))
+    cfg = ClockConfig()
     with pytest.raises(ValueError):
         simulate_capture(sc, cfg, CaptureSpec(subframes=1))
     with pytest.raises(ValueError):
@@ -324,6 +318,4 @@ def test_simulate_capture_rejects_bad_entry_fields(override):
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_clock_config_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        ClockConfig(sniffer_offsets=(0.0, 0.0), **{field: value})
-    with pytest.raises(ValueError, match="sniffer_offsets must be finite"):
-        ClockConfig(sniffer_offsets=(0.0, value))
+        ClockConfig(**{field: value})
