@@ -124,51 +124,58 @@ def fail(failed: Failed, rows: np.ndarray, error: Callable[[int], LocalizationEr
         failed.setdefault(i, error(i))
 
 
-def eliminate(A: np.ndarray, g: np.ndarray, h: np.ndarray, anchor: Position, failed: Failed
+def eliminate(A, g: np.ndarray, h: np.ndarray, anchor: Position, failed: Failed
               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the rows A u + g_i r = h_i of N samples together with r = |u - anchor|.
 
-    The rows are linear in the position u and its range r to ``anchor``: the
-    squared rows of ``tdoa.build_system`` or their normal equations (the
-    spherical intersection of Smith & Abel 1987 and Chan & Ho 1994).  The
-    samples share the 2x2 block ``A``; ``g`` and ``h`` are (N, 2).  With
-    u(r) = u0 - B r and w = u0 - anchor, r = |u(r) - anchor| leaves
-    (|B|^2 - 1) r^2 - 2 (w . B) r + |w|^2 = 0.  Returns ``(u, r, vertex)``:
-    each sample's non-negative real roots in ascending order and their
-    positions, two columns, NaN where missing or non-finite.  Squaring admits
-    roots off the true branch, which the caller tests.  Where the quadratic
-    has no real root (discriminant below ``DISCRIMINANT_TOL``) ``vertex`` is
-    set and column 0 holds its vertex, where r and |u(r) - anchor| come
-    closest.  A near-singular block fails every sample with DegenerateGeometry.
+    The rows are linear in theta = (u, r): the squared rows of
+    ``tdoa.build_system`` or their normal equations (the spherical
+    intersection of Smith & Abel 1987 and Chan & Ho 1994).  The samples share
+    the 2x2 block ``A``; ``g`` and ``h`` are (N, 2).  A sample's rows
+    a_k = (A_k, g_k) meet in the line theta_0 + t n along their null direction
+    m = a_0 x a_1, n = m / |m|, from its point nearest the origin,
+    theta_0 = m x (h_1 a_0 - h_0 a_1) / |m|^2.  With w = u_0 - anchor, r = |u - anchor|
+    leaves (|n_u|^2 - n_r^2) t^2 + 2 (w . n_u - r_0 n_r) t + |w|^2 - r_0^2 = 0,
+    well posed also for a singular A (collinear stations: n_r = 0, a mirror
+    pair of equal range).  Returns ``(u, r, vertex)``: each sample's roots of
+    non-negative range in ascending range and their positions, two columns,
+    NaN where missing or non-finite; the caller tests them for the true
+    branch.  Without a real root (discriminant below ``DISCRIMINANT_TOL``)
+    ``vertex`` is set and column 0 holds the vertex, where r and |u - anchor|
+    come closest.  Dependent rows (m = 0) fail their sample with
+    DegenerateGeometry.  Every step is element-wise: a batch gives each
+    sample the bits of its one-sample call.
     """
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        fail(failed, np.ones(len(h), dtype=bool), lambda i: DegenerateGeometry(
-            f"position rows are near-collinear (condition number {cond:.2e})"))
-        A = np.eye(2)  # every sample has failed; the rest only keeps the shapes
-    # one LAPACK solve per sample and right-hand side, which rounds as the
-    # pinned output digests were written; a multi-column solve does not
-    blocks = A[None].repeat(len(h), axis=0)
-    u0, B = (np.linalg.solve(blocks, v[:, :, None])[:, :, 0] for v in (h, g))
-    w = u0 - (anchor.x, anchor.y)
-    alpha = np.vecdot(B, B) - 1.0
-    beta = -2.0 * np.vecdot(w, B)
-    gamma = np.vecdot(w, w)
+    (a0, a1), (b0, b1) = A
+    det, g0, g1, h0, h1 = a0 * b1 - a1 * b0, g[:, :1], g[:, 1:], h[:, :1], h[:, 1:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m0, m1 = a1 * g1 - b1 * g0, b0 * g0 - a0 * g1  # and det, its range component
+        mm = m0 * m0 + m1 * m1 + det * det
+        fail(failed, ~(mm[:, 0] > 0.0), lambda i: DegenerateGeometry("the two rows are dependent"))
+        v0, v1, v2 = h1 * a0 - h0 * b0, h1 * a1 - h0 * b1, h1 * g0 - h0 * g1
+        x0, y0, r0 = (m1 * v2 - det * v1) / mm, (det * v0 - m0 * v2) / mm, (m0 * v1 - m1 * v0) / mm
+        norm = np.sqrt(mm)
+        nx, ny, nr = m0 / norm, m1 / norm, det / norm
+        wx, wy = x0 - anchor.x, y0 - anchor.y
+        alpha = nx * nx + ny * ny - nr * nr
+        beta = 2.0 * (wx * nx + wy * ny - r0 * nr)
+        gamma = wx * wx + wy * wy - r0 * r0
         disc = beta * beta - 4.0 * alpha * gamma
         # citardauq ordering keeps both roots accurate when beta dominates
         q = -0.5 * (beta + np.copysign(np.sqrt(np.maximum(disc, 0.0)), beta))
         linear = np.abs(alpha) < 1e-14
-        r = np.array([np.where(linear, -gamma / beta, q / alpha),
-                      np.where(linear | (q == 0.0), np.nan, gamma / q)]).T
-        r = np.where(r > 0.0, r, np.where(r > -1e-9, 0.0, np.nan))
-        r.sort(axis=1)
-        r[r[:, 1] == r[:, 0], 1] = np.nan  # a double root counts once
         vertex = ~linear & (disc < DISCRIMINANT_TOL)
-        r[vertex, 0], r[vertex, 1] = (-0.5 * beta / alpha)[vertex], np.nan
-        u = u0[:, None] - B[:, None] * r[:, :, None]
+        t0 = np.where(linear, -gamma / beta, np.where(vertex, -0.5 * beta, q) / alpha)
+        t = np.concatenate([t0, np.where(linear | vertex | (q == 0.0), np.nan, gamma / q)], 1)
+        t[(r0 + nr * t <= -1e-9) & ~vertex] = np.nan
+        # r = r0 + nr t ascends with t sign(nr); NaN sorts last
+        sign = np.copysign(1.0, nr)
+        t = np.sort(sign * t, axis=1) * sign
+        t[t[:, 1] == t[:, 0], 1] = np.nan  # a double root counts once; a mirror pair's r agree
+        r = np.maximum(r0 + nr * t, 0.0)
+        u = np.concatenate([(x0 + nx * t)[..., None], (y0 + ny * t)[..., None]], axis=2)
     u[~np.isfinite(u)] = np.nan
-    return u, r, vertex
+    return u, r, vertex[:, 0]
 
 
 @dataclass(frozen=True, eq=False)

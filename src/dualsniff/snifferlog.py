@@ -124,8 +124,6 @@ class MatchedColumns:
     subframe: np.ndarray
     delta_a: np.ndarray  # microseconds
     delta_b: np.ndarray  # microseconds
-    snr_a: np.ndarray
-    snr_b: np.ndarray
 
     def __len__(self) -> int:
         return len(self.frame)
@@ -356,5 +354,4 @@ def match_records(a: TimingColumns, b: TimingColumns
     diagnostics.extend(f"rnti mismatch at frame={f} subframe={s}: dropped"
                        for f, s in zip(frame[i[~same]].tolist(), a.subframe[i[~same]].tolist()))
     i, j = i[same], j[same]
-    return MatchedColumns(frame[i], a.subframe[i], a.dl_ul_delta[i], b.dl_ul_delta[j],
-                          a.snr[i], b.snr[j]), diagnostics
+    return MatchedColumns(frame[i], a.subframe[i], a.dl_ul_delta[i], b.dl_ul_delta[j]), diagnostics

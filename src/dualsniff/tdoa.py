@@ -18,7 +18,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InfeasibleObservation, MixedReference, NoRealRoot, RankDeficient
+from .errors import (DegenerateGeometry, InfeasibleObservation, MixedReference, NoRealRoot,
+                     RankDeficient)
 from .geometry import (CONDITION_LIMIT, SPEED_OF_LIGHT, Failed, Position, Scenario, Solutions,
                        choose_candidate, distance, eliminate, fail)
 from .snifferlog import MatchedColumns
@@ -111,9 +112,8 @@ def build_system(pairs: Sequence[TdoaPair]) -> LinearSystem:
     dd = np.array([p.delta_d for p in pairs], dtype=float).T
     P = np.array([(s.x - ref.x, s.y - ref.y) for s in others])
     const = np.array([(s.x ** 2 + s.y ** 2) - (ref.x ** 2 + ref.y ** 2) for s in others])
-    # float_power rounds as the ``** 2`` above does; np.square may differ in the last bit
     return LinearSystem(G=np.concatenate([np.zeros(dd.shape + (2,)) + P, dd[..., None]], -1),
-                        h=0.5 * (const - np.float_power(dd, 2)))
+                        h=0.5 * (const - dd * dd))
 
 
 def range_difference_residual(u: Position, pairs: Sequence[TdoaPair]) -> float:
@@ -125,14 +125,22 @@ def range_difference_residual(u: Position, pairs: Sequence[TdoaPair]) -> float:
     return math.sqrt(total)
 
 
+def _condition_number(A) -> float:
+    """s1 / s2 of a 2x2 block, whose s1^2 + s2^2 = |A|_F^2 = f and s1 s2 = |det A|."""
+    f, det = sum(v * v for row in A for v in row), abs(A[0][0] * A[1][1] - A[0][1] * A[1][0])
+    return (f + math.sqrt(max(f * f - 4.0 * det * det, 0.0))) / (2.0 * det) if det else math.inf
+
+
 def solve_constrained_batch(system: LinearSystem, ref_sniffer: Position,
                             band: Tuple[float, float], enb: Position) -> Solutions:
     """Solve n >= 2 rows per sample with d_UE,1 = |u - s_1| by reference-range elimination.
 
-    The samples share the position block s_k - s_1.  More rows are first
-    reduced to its normal equations (the first step of Chan & Ho 1994).  A
-    root is on the true branch when d + delta_d_k >= 0 for every k; squaring
-    also admits ghosts, whose miss 2 |d + delta_d_k| is the two-row residual.
+    The samples share the position block s_k - s_1, and more rows are first
+    reduced to its normal equations (the first step of Chan & Ho 1994); a
+    block conditioned worse than ``CONDITION_LIMIT`` (collinear sniffers)
+    fails every sample with DegenerateGeometry.  A root is on the true branch
+    when d + delta_d_k >= 0 for every k; squaring also admits ghosts, whose
+    miss 2 |d + delta_d_k| is the two-row residual.
     With more rows the residual is ``range_difference_residual``, and only
     the true-branch root with the least of it is clean.
     ``geometry.choose_candidate`` picks.  A sample fails InfeasibleObservation
@@ -147,19 +155,20 @@ def solve_constrained_batch(system: LinearSystem, ref_sniffer: Position,
     fail(failed, np.logical_or.reduce(far, axis=1), lambda i: InfeasibleObservation(
         f"|range difference| {abs(dd[i][far[i]][0]):.1f} m exceeds {BASELINE_REJECT_FACTOR:g}x "
         f"the sniffer baseline {baseline[far[i]][0]:.1f} m"))
-    A, g = P, dd
-    if n > 2:
-        # one product per sample, which rounds as the pinned outputs were written
-        Pt = G[:, :, :2].swapaxes(1, 2)
-        A, g, h = P.T @ P, (Pt @ G)[:, :, 2], (Pt @ h[:, :, None])[:, :, 0]
+    A, g = P.tolist(), dd
+    if n > 2:  # the normal equations P^T P u + P^T dd r = P^T h, summed element-wise per sample
+        A, g, h = (P.T @ P).tolist(), *(sum(v[:, k, None] * p for k, p in enumerate(P))
+                                        for v in (dd, h))
+    cond = _condition_number(A)
+    fail(failed, np.full(len(h), not cond <= CONDITION_LIMIT), lambda i: DegenerateGeometry(
+        f"position rows are near-collinear (condition number {cond:.2e})"))
     u, d, vertex = eliminate(A, g, h, ref_sniffer, failed)
     valid = ~np.logical_or.reduce(np.isnan(u), axis=2) & ~vertex[:, None]
     fail(failed, ~np.logical_or.reduce(valid, axis=1), lambda i: NoRealRoot(
         "reference-range quadratic has a negative discriminant" if vertex[i]
         else "no non-negative reference range solves the quadratic"))
-    with np.errstate(invalid="ignore"):
-        residual = 2.0 * np.sqrt(np.add.reduce(np.float_power(
-            np.minimum(0.0, d[:, :, None] + dd[:, None]), 2), axis=2))
+    ghost = np.minimum(0.0, d[:, :, None] + dd[:, None])
+    residual = 2.0 * np.sqrt(np.add.reduce(ghost * ghost, axis=2))
     clean = valid & (residual <= BRANCH_TOL)
     if n > 2:
         # ``range_difference_residual`` over the rows' pairs, s_k = s_1 + P_k

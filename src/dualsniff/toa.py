@@ -4,13 +4,13 @@ Each sniffer's timing delta fixes the sum D_i of device-to-eNb and
 device-to-sniffer distances, an ellipse with foci at the eNb and that
 sniffer.  With r = |u - enb|, |u - s_i| = D_i - r squares to the row of
 ``tdoa.build_system`` with the eNb as reference and delta_d = -D_i, so the
-intersections come in closed form from ``geometry.eliminate``.
+intersections come in closed form from ``geometry.eliminate``, collinear or not.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -82,32 +82,8 @@ def _onto_ellipse(u: np.ndarray, D: np.ndarray, sniffer: Position, enb: Position
     through ``u``: r = (D^2 - |f|^2) / (2 (D - f.e)) along unit ray e, f = sniffer - eNb."""
     e = (u - (enb.x, enb.y)) / np.hypot(u[:, 0] - enb.x, u[:, 1] - enb.y)[:, None]
     fx, fy = sniffer.x - enb.x, sniffer.y - enb.y
-    r = 0.5 * (np.float_power(D, 2) - fx * fx - fy * fy) / (D - fx * e[:, 0] - fy * e[:, 1])
+    r = 0.5 * (D * D - fx * fx - fy * fy) / (D - fx * e[:, 0] - fy * e[:, 1])
     return (enb.x, enb.y) + r[:, None] * e
-
-
-def _on_common_line(D: np.ndarray, sniffers: Sequence[Position], enb: Position, failed: Failed):
-    """Crossings, or else the closest approach, of ellipses with collinear foci.
-
-    With x along the line from the eNb and a_i the sniffer offsets on it, the
-    squared rows a_i x - D_i r = (a_i^2 - D_i^2) / 2 fix x and the range r.
-    The crossings are the mirror pair y = +-sqrt(r^2 - x^2) off the line; at
-    y^2 <= 0 the point on the line, column 0, is a tangency or the closest
-    approach.  Returns the candidates, their ranges and which ones cross.
-    """
-    far = max(sniffers, key=lambda s: distance(s, enb))
-    ex, ey = (far.x - enb.x) / distance(far, enb), (far.y - enb.y) / distance(far, enb)
-    a1, a2 = ((s.x - enb.x) * ex + (s.y - enb.y) * ey for s in sniffers)
-    D1, D2 = D[:, :1], D[:, 1:]
-    det = D1 * a2 - a1 * D2
-    fail(failed, det[:, 0] == 0.0,
-         lambda i: NoIntersection("collinear ellipses of equal eccentricity are nested"))
-    b1, b2 = 0.5 * (a1 * a1 - D1 * D1), 0.5 * (a2 * a2 - D2 * D2)
-    x, r = (D1 * b2 - D2 * b1) / det, (a1 * b2 - a2 * b1) / det
-    y = np.sqrt(np.maximum(r * r - x * x, 0.0))
-    side = np.array([1.0, -1.0])
-    u = np.array([enb.x + x * ex - side * y * ey, enb.y + x * ey + side * y * ex])
-    return u.transpose(1, 2, 0), np.hstack([r, r]), np.hstack([y > 0.0, y > 0.0])
 
 
 def solve_toa_batch(obs1: ToAObservation, obs2: ToAObservation, enb: Position,
@@ -115,13 +91,13 @@ def solve_toa_batch(obs1: ToAObservation, obs2: ToAObservation, enb: Position,
     """Intersect the range-sum ellipses of every sample: ``D`` holds one per sample.
 
     The crossings are the roots of ``geometry.eliminate`` on the true branch
-    D_i - r >= 0 of both ellipses, or of the common line of a collinear
-    layout, which warns CollinearityWarning once.  Without a crossing, the
-    elimination vertex carried along its ray from the eNb onto the first
-    ellipse is the closest approach, an unclean candidate.
+    D_i - r >= 0 of both ellipses; a collinear layout warns
+    CollinearityWarning once.  Without a crossing, the elimination vertex
+    carried along its ray from the eNb onto the first ellipse is the closest
+    approach, an unclean candidate, collinear or not.
     ``geometry.choose_candidate`` picks.  A sample fails InfeasibleObservation
-    for a range-sum below the focal distance and NoIntersection for ellipses
-    that miss by more than ``INTERSECTION_TOL``.
+    for a range-sum below the focal distance, DegenerateGeometry for dependent
+    rows and NoIntersection for ellipses that miss by more than ``INTERSECTION_TOL``.
     """
     obs = (obs1, obs2)
     D = np.column_stack([np.atleast_1d(o.D) for o in obs]).astype(float)
@@ -132,21 +108,16 @@ def solve_toa_batch(obs1: ToAObservation, obs2: ToAObservation, enb: Position,
              lambda i: InfeasibleObservation(f"observation {k + 1}: range-sum {D[i, k]:.3f} m "
                                              f"is below the focal distance {d_focal:.3f} m"))
     sniffers = [o.sniffer for o in obs]
+    if triangle_area(enb, *sniffers) < COLLINEAR_AREA:
+        warnings.warn(CollinearityWarning("base station and sniffers are collinear; intersections "
+                                          "are mirror-symmetric about their common line"))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if triangle_area(enb, *sniffers) < COLLINEAR_AREA:
-            warnings.warn(CollinearityWarning(
-                "base station and sniffers are collinear; intersections are "
-                "mirror-symmetric about their common line"))
-            u, r, clean = _on_common_line(D, sniffers, enb, failed)
-            valid = clean | [True, False]
-        else:
-            system = build_system([TdoaPair(enb, s, -D[:, k]) for k, s in enumerate(sniffers)])
-            A = np.array([(s.x - enb.x, s.y - enb.y) for s in sniffers])
-            u, r, vertex = eliminate(A, -D, system.h, enb, failed)
-            clean = (np.minimum(D[:, :1], D[:, 1:]) - r >= -CROSSING_TOL) & ~vertex[:, None]
-            u[vertex, 0] = _onto_ellipse(u[vertex, 0], D[vertex, 0], sniffers[0], enb)
-            valid = clean | (vertex[:, None] & [True, False])
-        valid &= np.logical_and.reduce(np.isfinite(u), axis=2)
+        system = build_system([TdoaPair(enb, s, -D[:, k]) for k, s in enumerate(sniffers)])
+        A = [(s.x - enb.x, s.y - enb.y) for s in sniffers]
+        u, r, vertex = eliminate(A, -D, system.h, enb, failed)
+        clean = (np.minimum(D[:, :1], D[:, 1:]) - r >= -CROSSING_TOL) & ~vertex[:, None]
+        u[vertex, 0] = _onto_ellipse(u[vertex, 0], D[vertex, 0], sniffers[0], enb)
+        valid = (clean | vertex[:, None] & [True, False]) & np.isfinite(u).all(axis=2)
         to_enb = np.hypot(u[..., 0] - enb.x, u[..., 1] - enb.y)
         residual = np.maximum(*(np.abs(to_enb + np.hypot(u[..., 0] - s.x, u[..., 1] - s.y)
                                        - D[:, k, None]) for k, s in enumerate(sniffers)))
@@ -159,8 +130,8 @@ def solve_toa_batch(obs1: ToAObservation, obs2: ToAObservation, enb: Position,
 
 def solve_toa(obs1: ToAObservation, obs2: ToAObservation, enb: Position,
               band: Tuple[float, float]) -> ToAEstimate:
-    """``solve_toa_batch`` for one sample; raises its failure
-    (InfeasibleObservation, NoIntersection or AmbiguousSolution)."""
+    """``solve_toa_batch`` for one sample; raises its failure (InfeasibleObservation,
+    DegenerateGeometry, NoIntersection or AmbiguousSolution)."""
     sol = solve_toa_batch(obs1, obs2, enb, band)
     sol.check(0)
     k, valid = sol.pick[0], sol.valid[0]

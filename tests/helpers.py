@@ -111,16 +111,16 @@ def ellipse_residual(u_cand: Position, obs, enb: Position) -> float:
     return distance(u_cand, enb) + distance(u_cand, obs.sniffer) - obs.D
 
 
-MATCHED_HEADER = "frame,subframe,delta_a_us,delta_b_us,snr_a_db,snr_b_db"
+MATCHED_HEADER = "frame,subframe,delta_a_us,delta_b_us"
 
 
 def write_matched(samples) -> str:
     """Matched columns as a delimited table with header, floats by ``repr``."""
     return MATCHED_HEADER + "\n" + "".join(
-        f"{frame},{subframe},{delta_a!r},{delta_b!r},{snr_a!r},{snr_b!r}\n"
-        for frame, subframe, delta_a, delta_b, snr_a, snr_b in zip(
+        f"{frame},{subframe},{delta_a!r},{delta_b!r}\n"
+        for frame, subframe, delta_a, delta_b in zip(
             samples.frame.tolist(), samples.subframe.tolist(), samples.delta_a.tolist(),
-            samples.delta_b.tolist(), samples.snr_a.tolist(), samples.snr_b.tolist()))
+            samples.delta_b.tolist()))
 
 
 def run_toa(scenario: Scenario, deltas=None):

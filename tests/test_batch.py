@@ -145,3 +145,24 @@ def test_collinear_layout_warns_once_per_call():
                               (0.0, 78.12))
     assert [w.category for w in caught] == [CollinearityWarning]
     assert sol.status.tolist() == ["AmbiguousSolution"] * 3
+
+
+def test_dependent_rows_fail_only_their_sample():
+    """Collinear stations with range-sums in proportion to the sniffer offsets give
+    dependent rows: that sample alone fails DegenerateGeometry, the rest solve
+    and equal their one-sample calls."""
+    enb, s1, s2 = Position(0, 0), Position(100, 0), Position(50, 0)
+    truth = [Position(30, 40), Position(35, -38), Position(20, 50)]
+    D = np.array([[distance(t, enb) + distance(t, s) for s in (s1, s2)] for t in truth])
+    D = np.insert(D, 1, [200.0, 100.0], axis=0)
+    band = (0.0, 78.12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CollinearityWarning)
+        sol = solve_toa_batch(ToAObservation(s1, D[:, 0]), ToAObservation(s2, D[:, 1]), enb,
+                              band)
+        alone = _one_by_one(
+            lambda a, b: solve_toa(ToAObservation(s1, a), ToAObservation(s2, b), enb, band),
+            D.tolist())
+    assert _batch(sol) == alone
+    assert sol.status.tolist() == ["AmbiguousSolution", "DegenerateGeometry",
+                                   "AmbiguousSolution", "AmbiguousSolution"]

@@ -653,7 +653,9 @@ relocations:
 #: sha256 of every output of ``test_outputs_match_the_record_wise_pipeline``,
 #: as written by the pipeline that built one record object per log line;
 #: the three ``locate tdoa`` entries by the constrained least-squares solve of
-#: three configurations, which replaced the free-range normal equations.
+#: three configurations, which replaced the free-range normal equations; the
+#: two estimates files by the null-direction elimination, within 1e-9 m of
+#: ``REFERENCE_ESTIMATES_SHA256``'s files.
 CHANGEOVER_SHA256 = {
     "simulate stdout":
         "088832e451bf4655b8f934d572027c1334eb47c872c4c05f7c3e899425d140ef",
@@ -678,14 +680,43 @@ CHANGEOVER_SHA256 = {
     "run/sn2_cfg3.log":
         "6ba0377bc35edea6915a215b001594c03b7465cf96c75f36c0bc471c3a679cb2",
     "run/estimates_tdoa.csv":
-        "e3210b8f1d8f5b027c0a4a453c37ea37769cf45c5ad056daa13e318a4acbc80b",
+        "e780ec509959e63ca934f8056f408196a5d766192888cc6e29d05e9efef292ca",
     "run/estimates_toa.csv":
-        "39286a058358df8bbb0d7db36915867a8f8e8a8a1c6efde06e0ada26a0ff744e",
+        "0d07ca2791c719857f846dad239ce508250bce962191fb11e4be1a51335647d6",
 }
 
 
 def _sha256(data) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+#: The estimates of the changeover runs as the inverse-block elimination wrote
+#: them, kept in ``tests/data`` with the digest each was pinned at.
+REFERENCE_ESTIMATES_SHA256 = {
+    "changeover_estimates_tdoa.csv":
+        "e3210b8f1d8f5b027c0a4a453c37ea37769cf45c5ad056daa13e318a4acbc80b",
+    "changeover_estimates_toa.csv":
+        "39286a058358df8bbb0d7db36915867a8f8e8a8a1c6efde06e0ada26a0ff744e",
+    "two_config_estimates_tdoa.csv":
+        "911e3aafa0f335b621ad391f2ad0b46811737bc90106b57db056e1e3e7e38a43",
+}
+
+
+def test_reference_estimates_are_the_former_pins():
+    assert {name: _sha256((DATA / name).read_bytes())
+            for name in REFERENCE_ESTIMATES_SHA256} == REFERENCE_ESTIMATES_SHA256
+
+
+def _assert_near_reference(path, reference):
+    """Row by row, the estimates at ``path`` give the same sample, frame, subframe and
+    status as ``tests/data/<reference>``, and x, y, d_ub and error within 1e-9 m."""
+    new, old = (Path(p).read_text().splitlines() for p in (path, DATA / reference))
+    assert len(new) == len(old) and new[0] == old[0] == ESTIMATES_HEADER
+    for got, want in zip(new[1:], old[1:]):
+        got, want = got.split(","), want.split(",")
+        assert got[:3] + got[7:] == want[:3] + want[7:]
+        for a, b in zip(got[3:7], want[3:7]):
+            assert a == b == "" or abs(float(a) - float(b)) <= 1e-9, (got, want)
 
 
 def test_outputs_match_the_record_wise_pipeline(tmp_path, monkeypatch, capsys):
@@ -705,16 +736,19 @@ def test_outputs_match_the_record_wise_pipeline(tmp_path, monkeypatch, capsys):
         digests[f"locate {scheme} stderr"] = _sha256(captured.err)
     for path in [*logs, "run/estimates_tdoa.csv", "run/estimates_toa.csv"]:
         digests[path] = _sha256(Path(path).read_bytes())
+    _assert_near_reference("run/estimates_tdoa.csv", "changeover_estimates_tdoa.csv")
+    _assert_near_reference("run/estimates_toa.csv", "changeover_estimates_toa.csv")
     assert digests == CHANGEOVER_SHA256
 
 
 #: sha256 of ``locate --scheme tdoa`` on the first two configurations of the
-#: changeover logs, as written before the solve took more than two rows.
+#: changeover logs, as written before the solve took more than two rows; the
+#: estimates by the null-direction elimination, within 1e-9 m of the reference.
 TWO_CONFIG_SHA256 = {
     "stdout": "d3d30cbd50239adab90afca4146817a694897c4d89561d448bcb3b1a60331e02",
     "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "run/estimates_tdoa.csv":
-        "911e3aafa0f335b621ad391f2ad0b46811737bc90106b57db056e1e3e7e38a43",
+        "3698a96eeee762f20b8e50fe4cb25b8c608b2769820c5fe79de875fddb8d4fbf",
 }
 
 
@@ -728,6 +762,7 @@ def test_two_configuration_tdoa_is_unchanged(tmp_path, monkeypatch, capsys):
     assert main(["locate", "--config", "exp.yaml", "--scheme", "tdoa",
                  "--rnti", "7423", "--out-dir", "run", *logs]) == EXIT_OK
     captured = capsys.readouterr()
+    _assert_near_reference("run/estimates_tdoa.csv", "two_config_estimates_tdoa.csv")
     assert {"stdout": _sha256(captured.out), "stderr": _sha256(captured.err),
             "run/estimates_tdoa.csv": _sha256(Path("run/estimates_tdoa.csv").read_bytes())
             } == TWO_CONFIG_SHA256

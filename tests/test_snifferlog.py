@@ -220,7 +220,7 @@ def test_write_matched_header_only_when_empty():
 
 def test_matched_sample_is_plain_data():
     s = MatchedColumns(frame=np.array([1]), subframe=np.array([2]), delta_a=np.array([0.5]),
-                       delta_b=np.array([0.25]), snr_a=np.array([20.0]), snr_b=np.array([15.0]))
+                       delta_b=np.array([0.25]))
     assert len(s) == 1 and (s.delta_a - s.delta_b).tolist() == [0.25]
 
 
@@ -373,8 +373,7 @@ def test_match_is_symmetric(a, b):
     samples_ab, diags_ab = match_records(a, b)
     samples_ba, diags_ba = match_records(b, a)
     assert _samples(samples_ab, "frame", "subframe") == _samples(samples_ba, "frame", "subframe")
-    assert _samples(samples_ab, "delta_a", "delta_b", "snr_a", "snr_b") == \
-        _samples(samples_ba, "delta_b", "delta_a", "snr_b", "snr_a")
+    assert _samples(samples_ab, "delta_a", "delta_b") == _samples(samples_ba, "delta_b", "delta_a")
     swapped = [d.replace(" in a:", " in B:").replace(" in b:", " in a:").replace(" in B:", " in b:")
                for d in diags_ba]
     assert sorted(swapped) == sorted(diags_ab)
@@ -533,7 +532,6 @@ def test_match_keys_do_not_collide_past_subframe_9():
     b = TimingColumns([2], [0], [5], [3.0], [21.0], [7], [-90.0])
     samples, diags = match_records(a, b)
     assert diags == []
-    assert _samples(samples, "frame", "subframe", "delta_a", "delta_b", "snr_a", "snr_b") == \
-        [(2, 0, 2.0, 3.0, 20.0, 21.0)]
+    assert _samples(samples, "frame", "subframe", "delta_a", "delta_b") == [(2, 0, 2.0, 3.0)]
     samples, diags = match_records(a[:1], b)
     assert len(samples) == 0 and diags == []

@@ -11,8 +11,8 @@ from dualsniff.errors import (DegenerateGeometry, InfeasibleObservation, Localiz
                               MixedReference, NoRealRoot, RankDeficient)
 from dualsniff.geometry import SPEED_OF_LIGHT, Position, Scenario, distance
 from dualsniff.snifferlog import MatchedColumns, match_records
-from dualsniff.tdoa import (LinearSystem, TdoaEstimate, TdoaPair, build_system,
-                            estimate_tdoa, form_tdoa,
+from dualsniff.tdoa import (LinearSystem, TdoaEstimate, TdoaPair, _condition_number,
+                            build_system, estimate_tdoa, form_tdoa,
                             range_difference_residual, solve_constrained,
                             solve_constrained_batch, solve_normal_equations)
 from dualsniff.timing import CaptureSpec, ClockConfig, Relocation, segments, simulate_capture
@@ -171,6 +171,15 @@ def test_constrained_degenerate_offsets():
         solve_constrained(build_system(pairs), ref, (0.0, 78.12), Position(0, 0))
 
 
+def test_condition_number_is_the_svd_ratio():
+    """The closed-form 2x2 condition number agrees with the singular values."""
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        block = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-3, 3)
+        assert math.isclose(_condition_number(block.tolist()), np.linalg.cond(block), rel_tol=1e-8)
+    assert _condition_number([[100.0, 0.0], [200.0, 0.0]]) == math.inf
+
+
 def test_constrained_no_real_root():
     # hand-built system: u(d) = u0 - B d with B = (2, 0) and w = (-1.5, 0.5)
     # gives 3 d^2 + 6 d + 2.5 = 0, whose roots are both negative
@@ -236,8 +245,7 @@ def test_estimate_validation():
 def _matched(samples):
     """Matched columns of (frame, subframe, delta_a_us, delta_b_us) samples."""
     frame, subframe, da, db = (np.array(c) for c in zip(*samples))
-    return MatchedColumns(frame=frame, subframe=subframe, delta_a=da, delta_b=db,
-                          snr_a=np.full(len(da), 20.0), snr_b=np.full(len(db), 20.0))
+    return MatchedColumns(frame=frame, subframe=subframe, delta_a=da, delta_b=db)
 
 
 def test_estimate_tdoa_batch():

@@ -206,6 +206,20 @@ def test_collinear_mirror_pair_is_ambiguous():
     assert distance(mirrors[1], truth) < 1e-9
 
 
+@pytest.mark.filterwarnings("ignore::dualsniff.errors.CollinearityWarning")
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 0.0])
+def test_near_collinear_layout_keeps_its_mirror_pair(eps):
+    """Sniffer 2 eps off the eNb-sniffer-1 line, on both sides of the collinearity
+    warning's threshold and down to a singular position block: a noiseless
+    device and its near-mirror both lie in the band, and the truth is exact."""
+    enb, truth = Position(0, 0), Position(30, 40)
+    obs = [ToAObservation(sniffer=s, D=distance(truth, enb) + distance(truth, s))
+           for s in (Position(100, 0), Position(-50, eps))]
+    with pytest.raises(AmbiguousSolution) as exc:
+        solve_toa(obs[0], obs[1], enb, (0.0, 78.12))
+    assert min(distance(q, truth) for q in exc.value.candidates) < 1e-9
+
+
 def test_out_of_band_pick_is_nearest_the_band():
     """Two exact crossings outside the band: the one nearer the band wins.
 
