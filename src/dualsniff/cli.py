@@ -39,7 +39,7 @@ _LAZY = {"configio": ("ExperimentSetup", "load_setup"),
          "snifferlog": ("MAX_RNTI", "MatchedColumns", "TimingColumns", "filter_rnti",
                         "interleave", "match_records", "parse_log", "write_log"),
          "tdoa": ("estimate_tdoa",),
-         "timing": ("SimulatedCapture", "quantize_ta", "simulate_capture"),
+         "timing": ("SimulatedCapture", "simulate_capture"),
          "toa": ("compose_D", "solve_toa", "solve_toa_batch")}
 
 
@@ -82,8 +82,8 @@ class NoSamples(Exception):
 def _decoy_captures(setup: "ExperimentSetup", count: int) -> "List[SimulatedCapture]":
     """Background traffic from other devices, to make RNTI filtering real.
 
-    Each decoy is a separate device at a random in-band position with its own
-    RNTI, sharing the capture timeline and relocation plan.
+    Each decoy is a separate device in the target's TA band with its own RNTI
+    and noise seed, sharing the clock, capture timeline and relocation plan.
     """
     import numpy as np
 
@@ -95,15 +95,10 @@ def _decoy_captures(setup: "ExperimentSetup", count: int) -> "List[SimulatedCapt
         phi = rng.uniform(0.0, 2.0 * np.pi)
         ue = Position(setup.scenario.enb.x + r * np.cos(phi),
                       setup.scenario.enb.y + r * np.sin(phi))
-        decoy_scenario = Scenario(enb=setup.scenario.enb,
-                                  sniffers=setup.scenario.sniffers,
-                                  ue_truth=ue, ta_index=setup.scenario.ta_index)
-        decoy_clock = replace(setup.clock,
-                              ta_value=quantize_ta(distance(ue, setup.scenario.enb))[1],
-                              rng_seed=setup.clock.rng_seed + 104729 + i)
         captures.append(simulate_capture(
-            decoy_scenario, decoy_clock, replace(setup.capture, rnti=setup.capture.rnti + 1 + i),
-            setup.relocations))
+            replace(setup.scenario, ue_truth=ue),
+            replace(setup.clock, rng_seed=setup.clock.rng_seed + 104729 + i),
+            replace(setup.capture, rnti=setup.capture.rnti + 1 + i), setup.relocations))
     return captures
 
 
@@ -118,8 +113,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulation requires scenario.ue_truth")
 
     target = simulate_capture(setup.scenario, setup.clock, setup.capture, setup.relocations)
-    # within a subframe, entries go in RNTI order (ties in capture order)
-    captures = sorted([target, *_decoy_captures(setup, args.decoys)], key=lambda c: c.rnti)
+    # within a subframe, entries go in RNTI order: the decoys' RNTIs follow the target's
+    captures = [target, *_decoy_captures(setup, args.decoys)]
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -138,11 +133,12 @@ def cmd_simulate(args) -> int:
 
 
 def _read_records(path: str, rnti: int) -> "TimingColumns":
+    _load()
     p = Path(path)
     if not p.is_file():
         raise InputError(f"log file not found: {path}")
     with p.open("r", encoding="utf-8", errors="replace") as fh:
-        records, diags = parse_log(fh, sniffer_id=p.stem)
+        records, diags = parse_log(fh)
     for d in diags:
         print(f"{path}:{d.line}: skipped: {d.reason}", file=sys.stderr)
     if not records:
@@ -287,7 +283,10 @@ def _read_estimate_errors(path: str) -> List[float]:
     p = Path(path)
     if not p.is_file():
         raise InputError(f"estimates file not found: {path}")
-    lines = p.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = p.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0] != ESTIMATES_HEADER:
         raise InputError(
             f"{path}: expected header {ESTIMATES_HEADER!r}, "

@@ -80,7 +80,6 @@ class TimingColumns:
     snr: np.ndarray           # dB
     cqi: np.ndarray
     noise_power: np.ndarray   # dBm
-    sniffer_id: str = ""
 
     def __post_init__(self):
         for name, dtype in COLUMNS:
@@ -92,8 +91,7 @@ class TimingColumns:
         return len(self.frame)
 
     def __getitem__(self, index):
-        return TimingColumns(*(getattr(self, name)[index] for name, _ in COLUMNS),
-                             sniffer_id=self.sniffer_id)
+        return TimingColumns(*(getattr(self, name)[index] for name, _ in COLUMNS))
 
     # entries are rows of the arrays, not objects to iterate over
     __iter__ = None
@@ -101,15 +99,14 @@ class TimingColumns:
     def __eq__(self, other):
         if not isinstance(other, TimingColumns):
             return NotImplemented
-        return self.sniffer_id == other.sniffer_id and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name, _ in COLUMNS)
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name, _ in COLUMNS)
 
 
 def interleave(logs: Sequence[TimingColumns]) -> TimingColumns:
     """Merge logs of equal length entry by entry: entry 0 of each, in order, then entry 1..."""
     return TimingColumns(*(np.stack([getattr(log, name) for log in logs], axis=1).ravel()
-                           for name, _ in COLUMNS),
-                         sniffer_id=logs[0].sniffer_id)
+                           for name, _ in COLUMNS))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +149,7 @@ def _keeps_rules(e) -> np.ndarray:
     return keep
 
 
-def parse_log(stream: Union[IO, Iterable], sniffer_id: str
-              ) -> Tuple[TimingColumns, List[ParseDiagnostic]]:
+def parse_log(stream: Union[IO, Iterable]) -> Tuple[TimingColumns, List[ParseDiagnostic]]:
     """Parse a capture log into columns and the diagnostics of its bad lines.
 
     Accepts any iterable of text or byte lines; bytes are decoded as UTF-8,
@@ -163,17 +159,18 @@ def parse_log(stream: Union[IO, Iterable], sniffer_id: str
     ``np.loadtxt`` pass, and the value rules are checked over whole columns.
     Any other log goes through the per-line parser, which reads the other
     spellings as Python's ``int`` does, with the same result, and names each
-    line it skips.
+    line it skips.  The columns hold the log's fields only: which sniffer
+    wrote the log is the caller's to know, from where it read it.
     """
     lines = [raw.decode("utf-8", errors="replace") if isinstance(raw, bytes) else raw
              for raw in stream]
-    columns = _parse_clean(lines, sniffer_id)
+    columns = _parse_clean(lines)
     if columns is not None:
         return columns, []
-    return _parse_lines(lines, sniffer_id)
+    return _parse_lines(lines)
 
 
-def _parse_clean(lines: List[str], sniffer_id: str) -> Optional[TimingColumns]:
+def _parse_clean(lines: List[str]) -> Optional[TimingColumns]:
     """The columns of a log whose every line is a valid entry, a comment or blank, else None.
 
     The column path reads only canonical ``FRAME.SUBFRAME`` tokens (see
@@ -201,8 +198,7 @@ def _parse_clean(lines: List[str], sniffer_id: str) -> Optional[TimingColumns]:
     counters = _decode_tokens(table["token"])
     if counters is None:
         return None
-    columns = TimingColumns(*counters, *(table[name] for name, _ in COLUMNS[2:]),
-                            sniffer_id=sniffer_id)
+    columns = TimingColumns(*counters, *(table[name] for name, _ in COLUMNS[2:]))
     return columns if _keeps_rules(vars(columns)).all() else None
 
 
@@ -233,8 +229,7 @@ def _decode_tokens(tokens: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]
     return frame, digits[rows, length - 1]
 
 
-def _parse_lines(lines: Iterable[str], sniffer_id: str
-                 ) -> Tuple[TimingColumns, List[ParseDiagnostic]]:
+def _parse_lines(lines: Iterable[str]) -> Tuple[TimingColumns, List[ParseDiagnostic]]:
     """Parse a log line by line, skipping each bad line with a diagnostic.
 
     Blank lines and ``#`` comments are ignored.  A line's checks run in a
@@ -285,7 +280,7 @@ def _parse_lines(lines: Iterable[str], sniffer_id: str
         except ValueError as exc:
             diagnostics.append(ParseDiagnostic(line=row_lines[k], reason=str(exc)))
     diagnostics.sort(key=lambda d: d.line)
-    return TimingColumns(*(e[name][keep] for name in names), sniffer_id=sniffer_id), diagnostics
+    return TimingColumns(*(e[name][keep] for name in names)), diagnostics
 
 
 def write_log(c: TimingColumns) -> str:

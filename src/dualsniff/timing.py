@@ -176,30 +176,25 @@ class SimulatedCapture:
     """One device's simulated capture: entry (n, k) is subframe n at sniffer k.
 
     ``dl_ul_delta`` holds one row per subframe and one column per sniffer, in
-    microseconds; the other scalar fields are the same for every entry.
+    microseconds; every other field of an entry follows from ``capture``.
     ``len`` counts entries; ``sniffer_log`` gives one sniffer's as columns.
     """
 
-    frame: np.ndarray
-    subframe: np.ndarray
+    capture: CaptureSpec
     dl_ul_delta: np.ndarray
-    rnti: int
-    snr: float
-    cqi: int
-    noise_power: float
 
     def __len__(self) -> int:
         return self.dl_ul_delta.size
 
     def sniffer_log(self, k: int, start: int = 0, stop: Optional[int] = None) -> TimingColumns:
         """Sniffer ``k``'s entries for subframes ``start`` to ``stop`` (exclusive)."""
-        rows = slice(start, stop)
-        count = len(self.frame[rows])
+        spec, n = self.capture, np.arange(self.capture.subframes)[start:stop]
         return TimingColumns(
-            frame=self.frame[rows], subframe=self.subframe[rows],
-            rnti=np.full(count, self.rnti), dl_ul_delta=self.dl_ul_delta[rows, k],
-            snr=np.full(count, self.snr), cqi=np.full(count, self.cqi),
-            noise_power=np.full(count, self.noise_power), sniffer_id=f"sn{k + 1}")
+            frame=(spec.start_frame % FRAME_WRAP + n // SUBFRAMES_PER_FRAME) % FRAME_WRAP,
+            subframe=n % SUBFRAMES_PER_FRAME, rnti=np.full(len(n), spec.rnti),
+            dl_ul_delta=self.dl_ul_delta[start:stop, k], snr=np.full(len(n), spec.snr_db),
+            cqi=np.full(len(n), _cqi_for_snr(spec.snr_db)),
+            noise_power=np.full(len(n), spec.noise_power_dbm))
 
 
 def simulate_capture(scenario: Scenario, cfg: ClockConfig, capture: CaptureSpec,
@@ -207,7 +202,7 @@ def simulate_capture(scenario: Scenario, cfg: ClockConfig, capture: CaptureSpec,
     """Simulate one capture: one log entry per (subframe, sniffer).
 
     ``capture`` gives the length, the first frame counter and the RNTI, SNR
-    and noise power stamped on every entry; the CQI follows from the SNR.
+    and noise power stamped on every entry; the result keeps it as is.
     Per-entry measurement noise is i.i.d. Gaussian with
     ``cfg.sniffer_noise_sigma``; the whole noise block is drawn up front from
     ``cfg.rng_seed`` so an entry's draw depends only on (seed, subframe,
@@ -232,9 +227,4 @@ def simulate_capture(scenario: Scenario, cfg: ClockConfig, capture: CaptureSpec,
     if not np.isfinite(delta).all():
         raise ConfigError(f"simulated dl_ul_delta is not finite: clock.sniffer_noise_sigma "
                           f"{cfg.sniffer_noise_sigma!r} or another clock value is too large")
-    n = np.arange(capture.subframes)
-    return SimulatedCapture(
-        frame=(capture.start_frame % FRAME_WRAP + n // SUBFRAMES_PER_FRAME) % FRAME_WRAP,
-        subframe=n % SUBFRAMES_PER_FRAME, dl_ul_delta=delta, rnti=capture.rnti,
-        snr=capture.snr_db, cqi=_cqi_for_snr(capture.snr_db),
-        noise_power=capture.noise_power_dbm)
+    return SimulatedCapture(capture, delta)

@@ -225,13 +225,13 @@ def test_criterion_7_parser_round_trip():
         for _ in range(10000)
     ]
     columns = TimingColumns(*zip(*entries))
-    again, fuzz_diags = parse_log(io.StringIO(write_log(columns)), "")
+    again, fuzz_diags = parse_log(io.StringIO(write_log(columns)))
     round_trip_ok = fuzz_diags == [] and again == columns
 
     with (DATA / "golden_a.log").open() as fh:
-        records_a, diags_a = parse_log(fh, "a")
+        records_a, diags_a = parse_log(fh)
     with (DATA / "golden_b.log").open() as fh:
-        records_b, diags_b = parse_log(fh, "b")
+        records_b, diags_b = parse_log(fh)
     diags_ok = (
         [(d.line, d.reason) for d in diags_a] == [
             (9, "could not convert string to float: 'bad'"),

@@ -53,10 +53,10 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
-def _parse(path, sniffer_id):
+def _parse(path):
     """``parse_log`` of the log file at ``path``."""
     with path.open() as fh:
-        return parse_log(fh, sniffer_id)
+        return parse_log(fh)
 
 
 def _simulate(tmp_path, config_text, out_name, extra=()):
@@ -71,7 +71,7 @@ def test_simulate_writes_segment_files(tmp_path, capsys):
     out = _simulate(tmp_path, TOA_CONFIG, "run")
     files = sorted(p.name for p in out.glob("*.log"))
     assert files == ["sn1_cfg1.log", "sn2_cfg1.log"]
-    records, diags = _parse(out / "sn1_cfg1.log", "sn1")
+    records, diags = _parse(out / "sn1_cfg1.log")
     assert diags == []
     assert len(records) == 30
     assert "wrote" in capsys.readouterr().out
@@ -82,15 +82,15 @@ def test_simulate_relocation_splits_configs(tmp_path):
     files = sorted(p.name for p in out.glob("*.log"))
     assert files == ["sn1_cfg1.log", "sn1_cfg2.log", "sn2_cfg1.log", "sn2_cfg2.log"]
     for name in files:
-        records, _ = _parse(out / name, name)
+        records, _ = _parse(out / name)
         assert len(records) == 15
     # the moving sniffer reports a different delta after the move
-    before, _ = _parse(out / "sn2_cfg1.log", "a")
-    after, _ = _parse(out / "sn2_cfg2.log", "b")
+    before, _ = _parse(out / "sn2_cfg1.log")
+    after, _ = _parse(out / "sn2_cfg2.log")
     assert before.dl_ul_delta[0] != after.dl_ul_delta[0]
     # the reference sniffer does not
-    ref1, _ = _parse(out / "sn1_cfg1.log", "a")
-    ref2, _ = _parse(out / "sn1_cfg2.log", "b")
+    ref1, _ = _parse(out / "sn1_cfg1.log")
+    ref2, _ = _parse(out / "sn1_cfg2.log")
     assert ref1.dl_ul_delta[0] == ref2.dl_ul_delta[0]
 
 
@@ -106,10 +106,12 @@ def test_simulate_is_deterministic(tmp_path):
 
 def test_simulate_decoys_share_timeline(tmp_path):
     out = _simulate(tmp_path, TOA_CONFIG, "run", extra=["--decoys", "2"])
-    records, _ = _parse(out / "sn1_cfg1.log", "sn1")
+    records, _ = _parse(out / "sn1_cfg1.log")
     assert len(records) == 90
     assert len(filter_rnti(records, 7423)) == 30
     assert set(records.rnti.tolist()) == {7423, 7424, 7425}
+    # within a subframe, the target's entry and then the decoys' in RNTI order
+    assert records.rnti.tolist() == [7423, 7424, 7425] * 30
 
 
 def test_simulate_subframes_override_conflicts_with_relocation(tmp_path, capsys):
@@ -199,7 +201,7 @@ def test_simulate_rejects_rntis_outside_64_bits(tmp_path, capsys, rnti, decoys, 
 def test_simulate_accepts_decoys_up_to_the_largest_rnti(tmp_path):
     out = _simulate(tmp_path, TOA_CONFIG.replace("rnti: 7423", f"rnti: {MAX_RNTI - 1}"),
                     "run", extra=["--decoys", "1"])
-    records, diags = _parse(out / "sn1_cfg1.log", "sn1")
+    records, diags = _parse(out / "sn1_cfg1.log")
     assert diags == [] and sorted(set(records.rnti.tolist())) == [MAX_RNTI - 1, MAX_RNTI]
 
 
@@ -326,6 +328,16 @@ def test_locate_missing_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [["simulate"],
+                                     ["locate", "--scheme", "toa", "--rnti", "1", "a.log", "b.log"]],
+                         ids=["simulate", "locate"])
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_bytes(b"\xff")
+    assert main([*command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert f"cannot read {cfg}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scheme", ["toa", "tdoa"])
 def test_locate_rejects_moving_reference(tmp_path, capsys, monkeypatch, scheme):
     config = BASE_SCENARIO + """\
@@ -338,7 +350,7 @@ relocations:
     out = _simulate(tmp_path, config, "run")
     cfg = str(tmp_path / "exp.yaml")
     parsed = []
-    monkeypatch.setattr(cli, "parse_log", lambda fh, sniffer_id: parsed.append(sniffer_id))
+    monkeypatch.setattr(cli, "parse_log", lambda fh: parsed.append(Path(fh.name).stem))
     rc = main(["locate", "--config", cfg, "--scheme", scheme, "--rnti", "7423",
                "--out-dir", str(out),
                str(out / "sn1_cfg1.log"), str(out / "sn2_cfg1.log"),
@@ -554,6 +566,13 @@ def test_report_rejects_bad_schema(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_report_rejects_an_estimates_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(f"{ESTIMATES_HEADER}\n0,1,2,3.0,4.0,5.0,1.5,ok\n".encode() + b"\xff\n")
+    assert main(["report", str(bad)]) == EXIT_INPUT
+    assert f"cannot read {bad}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("error", ["abc", "nan", "-4.0"])
 def test_report_rejects_bad_error_values(tmp_path, capsys, error):
     bad = tmp_path / "bad.csv"
@@ -613,9 +632,9 @@ def test_a_wrapper_set_on_cli_is_the_one_called(tmp_path, monkeypatch):
     out = _simulate(tmp_path, TDOA_CONFIG, "run")
     calls = []
 
-    def counting_parse_log(fh, sniffer_id):
-        calls.append(sniffer_id)
-        return parse_log(fh, sniffer_id)
+    def counting_parse_log(fh):
+        calls.append(Path(fh.name).stem)
+        return parse_log(fh)
 
     monkeypatch.setattr(cli, "parse_log", counting_parse_log)
     assert main(["locate", "--config", str(tmp_path / "exp.yaml"), "--scheme", "tdoa",

@@ -23,10 +23,9 @@ def _rec(frame, subframe, rnti=7423, delta=25.0, snr=20.0, cqi=12, noise=-94.0):
     return (frame, subframe, rnti, delta, snr, cqi, noise)
 
 
-def _log(entries, sniffer_id=""):
+def _log(entries):
     """Columns holding the entry tuples ``entries``, in order."""
-    return TimingColumns(*(zip(*entries) if entries else [()] * len(COLUMNS)),
-                         sniffer_id=sniffer_id)
+    return TimingColumns(*(zip(*entries) if entries else [()] * len(COLUMNS)))
 
 
 def _samples(matched, *names):
@@ -45,7 +44,7 @@ def test_record_validation():
              "0000.0 7423 25.0 20.0 16 -95.0",
              "-001.0 7423 25.0 20.0 12 -95.0",
              "0000.0 7423 nan 20.0 12 -95.0"]
-    records, diags = parse_log(lines, "x")
+    records, diags = parse_log(lines)
     assert _entries(records) == [(0, 9, 7423, 25.0, 20.0, 15, -95.0)]
     assert [(d.line, d.reason) for d in diags] == [
         (2, "subframe must be in [0, 9], got 10"),
@@ -56,22 +55,21 @@ def test_record_validation():
 
 
 def test_parse_single_line():
-    records, diags = parse_log(["0012.3 17001 -0.25 20.0 12 -95.0"], "sn1")
+    records, diags = parse_log(["0012.3 17001 -0.25 20.0 12 -95.0"])
     assert diags == []
     assert _entries(records) == [(12, 3, 17001, -0.25, 20.0, 12, -95.0)]
-    assert records.sniffer_id == "sn1"
 
 
 def test_parse_accepts_bytes_and_streams():
     text = "0001.0 5 1.5 10.0 7 -90.0\n"
-    from_text = parse_log(io.StringIO(text), "x")[0]
-    from_bytes = parse_log(io.BytesIO(text.encode()), "x")[0]
+    from_text = parse_log(io.StringIO(text))[0]
+    from_bytes = parse_log(io.BytesIO(text.encode()))[0]
     assert from_text == from_bytes
 
 
 def test_parse_skips_comments_and_blanks():
     lines = ["# header", "", "   ", "0001.1 5 1.0 10.0 7 -90.0", "# tail"]
-    records, diags = parse_log(lines, "x")
+    records, diags = parse_log(lines)
     assert len(records) == 1
     assert diags == []
 
@@ -80,7 +78,7 @@ def test_parse_never_aborts_on_garbage():
     lines = ["0001.1 5 1.0 10.0 7 -90.0",
              "complete nonsense",
              "0001.2 5 1.0 10.0 7 -90.0"]
-    records, diags = parse_log(lines, "x")
+    records, diags = parse_log(lines)
     assert records.subframe.tolist() == [1, 2]
     assert [d.line for d in diags] == [2]
 
@@ -90,7 +88,7 @@ def test_parse_rejects_frame_counter_past_the_wrap():
              "1500.0 5 1.0 10.0 7 -90.0",
              "1024.0 5 1.0 10.0 7 -90.0",
              "0000.1 5 1.0 10.0 7 -90.0"]
-    records, diags = parse_log(lines, "x")
+    records, diags = parse_log(lines)
     assert [e[:2] for e in _entries(records)] == [(1023, 9), (0, 1)]
     assert [(d.line, d.reason) for d in diags] == [
         (2, "frame counter must be below 1024, got 1500"),
@@ -101,8 +99,8 @@ def test_parse_rejects_frame_counter_past_the_wrap():
 
 def test_roundtrip_identity_small():
     with (DATA / "golden_a.log").open() as fh:
-        records, _ = parse_log(fh, "a")
-    again, diags = parse_log(io.StringIO(write_log(records)), "a")
+        records, _ = parse_log(fh)
+    again, diags = parse_log(io.StringIO(write_log(records)))
     assert diags == []
     assert again == records
 
@@ -115,7 +113,7 @@ def test_roundtrip_identity_fuzzed():
          float(rng.normal(-95.0, 2.0)))
         for _ in range(500)
     ])
-    again, diags = parse_log(io.StringIO(write_log(records)), "")
+    again, diags = parse_log(io.StringIO(write_log(records)))
     assert diags == []
     assert again == records
 
@@ -184,7 +182,7 @@ def test_match_unwraps_both_sides():
 
 def test_golden_parse_diagnostics():
     with (DATA / "golden_a.log").open() as fh:
-        records_a, diags_a = parse_log(fh, "a")
+        records_a, diags_a = parse_log(fh)
     assert [(d.line, d.reason) for d in diags_a] == [
         (9, "could not convert string to float: 'bad'"),
         (10, "expected 6 fields, got 7"),
@@ -193,7 +191,7 @@ def test_golden_parse_diagnostics():
     assert len(records_a) == 7
 
     with (DATA / "golden_b.log").open() as fh:
-        records_b, diags_b = parse_log(fh, "b")
+        records_b, diags_b = parse_log(fh)
     assert [(d.line, d.reason) for d in diags_b] == [
         (4, "bad frame.subframe token '1023'"),
         (5, "could not convert string to float: 'os.10'"),
@@ -203,9 +201,9 @@ def test_golden_parse_diagnostics():
 
 def test_golden_matched_table_byte_exact():
     with (DATA / "golden_a.log").open() as fh:
-        records_a, _ = parse_log(fh, "a")
+        records_a, _ = parse_log(fh)
     with (DATA / "golden_b.log").open() as fh:
-        records_b, _ = parse_log(fh, "b")
+        records_b, _ = parse_log(fh)
     samples, diags = match_records(filter_rnti(records_a, 7423),
                                    filter_rnti(records_b, 7423))
     assert diags == ["duplicate key frame=1024 subframe=2 in a: dropped"]
@@ -232,7 +230,7 @@ def test_columns_views_and_selections():
     assert c[1:] == _log(entries[1:])
     assert c[c.rnti == 1] == _log([entries[0], entries[2]])
     assert c[[2, 0]] == _log([entries[2], entries[0]])
-    assert c == _log(entries) and c != _log(entries[:2]) and c != _log(entries, "sn2")
+    assert c == _log(entries) and c != _log(entries[:2])
     with pytest.raises(ValueError, match="one length"):
         TimingColumns([0], [0], [1], [1.0], [20.0], [3], [])
 
@@ -246,7 +244,7 @@ def test_interleave_takes_one_entry_of_each_log_in_turn():
 
 def test_parse_rejects_an_rnti_beyond_64_bits():
     records, diags = parse_log([f"0001.0 {MAX_RNTI} 1.0 10.0 7 -90.0",
-                                f"0001.1 {MAX_RNTI + 1} 1.0 10.0 7 -90.0"], "x")
+                                f"0001.1 {MAX_RNTI + 1} 1.0 10.0 7 -90.0"])
     assert records.rnti.tolist() == [MAX_RNTI]
     assert [(d.line, d.reason) for d in diags] == [
         (2, f"rnti must be at most {MAX_RNTI}, got {MAX_RNTI + 1}")]
@@ -259,7 +257,7 @@ def test_parse_names_the_first_broken_check_of_a_line():
                                 f"0001.{big} {big} 1.0 10.0 {big} -90.0",
                                 f"0001.2 {-big} 1.0 10.0 {big} -90.0",
                                 f"{big}.{big} 5 1.0 10.0 7 -90.0",
-                                "0001.3 5 1.0 10.0 7 -90.0"], "x")
+                                "0001.3 5 1.0 10.0 7 -90.0"])
     assert records.subframe.tolist() == [3]
     # the frame counter is checked before the fields after it are converted,
     # and the value rules in their order
@@ -311,13 +309,13 @@ MIXED_DIAGNOSTICS = [
 
 
 def test_diagnostics_of_every_reason_survive_the_rnti_filter(tmp_path, capsys):
-    records, diags = parse_log(io.StringIO(MIXED_LOG), "sn1")
+    records, diags = parse_log(io.StringIO(MIXED_LOG))
     assert [(d.line, d.reason) for d in diags] == MIXED_DIAGNOSTICS
     assert records.rnti.tolist() == [7423] * 7
     assert records.dl_ul_delta.tolist() == [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
     assert len(filter_rnti(records, 7424)) == 0
 
-    from_bytes = parse_log(io.BytesIO(MIXED_LOG.encode()), "sn1")
+    from_bytes = parse_log(io.BytesIO(MIXED_LOG.encode()))
     assert from_bytes[0] == records and from_bytes[1] == diags
 
     # the command line reports every malformed line, decoys included, before
@@ -350,8 +348,8 @@ def logs(draw, rntis=(7423, 7424, 7425), max_step=300, subframes=10):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(entries=logs())
 def test_columns_survive_write_and_parse(entries):
-    log = _log(entries, "sn1")
-    again, diags = parse_log(io.StringIO(write_log(log)), "sn1")
+    log = _log(entries)
+    again, diags = parse_log(io.StringIO(write_log(log)))
     assert diags == []
     assert again == log
     # equal columns may still differ in the sign of a zero
@@ -361,8 +359,8 @@ def test_columns_survive_write_and_parse(entries):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(entries=logs(), rnti=st.sampled_from((7423, 7424, 7425, 1)))
 def test_column_mask_equals_the_record_filter(entries, rnti):
-    assert filter_rnti(_log(entries, "sn1"), rnti) == \
-        _log([e for e in entries if e[2] == rnti], "sn1")
+    assert filter_rnti(_log(entries), rnti) == \
+        _log([e for e in entries if e[2] == rnti])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -382,7 +380,6 @@ def test_match_is_symmetric(a, b):
 def _same_parse(got, want):
     """Equal columns, bit for bit (NaN payloads and signed zeros too), and equal diagnostics."""
     (columns, diags), (want_columns, want_diags) = got, want
-    assert columns.sniffer_id == want_columns.sniffer_id
     for name, dtype in COLUMNS:
         got_col, want_col = getattr(columns, name), getattr(want_columns, name)
         assert got_col.dtype == want_col.dtype == dtype
@@ -414,13 +411,13 @@ SEPARATORS = (" ", "\t", "\xa0", "\u3000", "\x0b", "\x0c", "\x1c", "\x1f", "\x85
 def test_parse_paths_agree_on_every_tricky_field(position, field):
     line = " ".join(VALID_LINE[:position] + (field,) + VALID_LINE[position + 1:])
     lines = [" ".join(VALID_LINE), line + "\n", "0174.5 7423 1.0 2.0 3 4.0"]
-    _same_parse(parse_log(lines, "sn1"), _parse_lines(lines, "sn1"))
+    _same_parse(parse_log(lines), _parse_lines(lines))
 
 
 @pytest.mark.parametrize("separator", SEPARATORS)
 def test_parse_paths_agree_on_every_separator(separator):
     lines = [" ".join(VALID_LINE), separator.join(VALID_LINE) + separator + "\n"]
-    _same_parse(parse_log(lines, "sn1"), _parse_lines(lines, "sn1"))
+    _same_parse(parse_log(lines), _parse_lines(lines))
 
 
 def test_clean_logs_take_the_column_path():
@@ -428,14 +425,14 @@ def test_clean_logs_take_the_column_path():
     # and so do whole-line comments, such as a capture's header
     lines = ["# sniffer sn1 capture\n", "0174.4\xa0+5 .5 nan -0 Infinity\r\n", "", " \t",
              "\xa0#1023.9 7 1 2 3 4\n", "1023.9 7 1e3 -nan 015 1e400\n"]
-    columns = _parse_clean(lines, "sn1")
+    columns = _parse_clean(lines)
     assert columns is not None and len(columns) == 2
-    _same_parse((columns, []), _parse_lines(lines, "sn1"))
+    _same_parse((columns, []), _parse_lines(lines))
     # a trailing comment, a cut token or a broken rule sends the log to the
     # per-line parser
     for bad in ("0174.4 5 1.0 2.0 3 4.0 # note", "00000174.4 5 1.0 2.0 3 4.0",
                 "0174.4 5 1.0 2.0 16 4.0"):
-        assert _parse_clean(lines + [bad], "sn1") is None
+        assert _parse_clean(lines + [bad]) is None
 
 
 def _tokens(tokens):
@@ -480,8 +477,8 @@ def test_token_decoder_reads_as_int_or_declines(tokens):
 def test_written_logs_take_the_column_path(entries):
     # any log write_log renders from rule-keeping columns is read by the
     # column path, bit for bit
-    log = _log(entries, "sn1")
-    columns = _parse_clean(list(io.StringIO(write_log(log))), "sn1")
+    log = _log(entries)
+    columns = _parse_clean(list(io.StringIO(write_log(log))))
     assert columns is not None
     _same_parse((columns, []), (log, []))
 
@@ -491,7 +488,7 @@ def test_written_logs_take_the_column_path(entries):
 def test_logs_without_entries_parse_quietly(lines):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        records, diags = parse_log(lines, "sn1")
+        records, diags = parse_log(lines)
     assert len(records) == 0 and diags == []
 
 
@@ -523,7 +520,7 @@ def test_parse_log_agrees_with_the_per_line_parser(lines, as_bytes, bad_byte):
         lines_in, decoded = raw, [r.decode("utf-8", errors="replace") for r in raw]
     else:
         lines_in, decoded = lines, lines
-    _same_parse(parse_log(lines_in, "sn1"), _parse_lines(decoded, "sn1"))
+    _same_parse(parse_log(lines_in), _parse_lines(decoded))
 
 
 def test_match_keys_do_not_collide_past_subframe_9():
