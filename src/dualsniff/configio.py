@@ -127,7 +127,7 @@ def parse_setup(doc) -> ExperimentSetup:
     capture = _build("capture", CaptureSpec,
                      **_mapping(doc.get("capture"), "capture", KEYS["capture"]))
 
-    raw_moves = doc.get("relocations") or []
+    raw_moves = [] if doc.get("relocations") is None else doc["relocations"]
     if not isinstance(raw_moves, list):
         raise ConfigError("relocations must be a list")
     moves = []

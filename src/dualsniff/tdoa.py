@@ -42,26 +42,23 @@ class TdoaPair:
     ref_sniffer: Position
     other_sniffer: Position
     delta_d: float
-    pair_id: str = ""
-
-    @property
-    def baseline(self) -> float:
-        return distance(self.ref_sniffer, self.other_sniffer)
 
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """Linearized hyperbola system G [x_u, y_u, d_ue1]^T = h, G (n, 3); a leading
-    axis stacks N samples' systems, which share the position columns."""
+    """Linearized hyperbola rows P_k u + dd_k d_ue1 = h_k: the position block P of
+    s_k - s_1 (n, 2) held once, dd and h (n,), or (N, n) for N samples sharing P."""
 
-    G: np.ndarray
+    P: np.ndarray
+    dd: np.ndarray
     h: np.ndarray
 
     def __post_init__(self):
-        if self.G.ndim not in (2, 3) or self.G.shape[-1] != 3 or self.G.shape[-2] < 2:
-            raise ValueError(f"G must be ([N,] n>=2, 3), got {self.G.shape}")
-        if self.h.shape != self.G.shape[:-1]:
-            raise ValueError(f"h must match G rows, got {self.h.shape}")
+        n = len(self.P)
+        if n < 2 or self.P.shape != (n, 2) or self.dd.shape[-1:] != (n,) or self.dd.ndim > 2 \
+                or self.h.shape != self.dd.shape:
+            raise ValueError(f"need P (n>=2, 2) and dd, h ([N,] n), got P {self.P.shape}, "
+                             f"dd {self.dd.shape}, h {self.h.shape}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +83,8 @@ class SampleOutcome:
 
 
 def form_tdoa(delta_ref, delta_k, ref_sniffer: Position, other_sniffer: Position,
-              enb: Position, *, pair_id: str = "") -> TdoaPair:
-    """Range difference from two sniffers' deltas (seconds), one or one per sample.
+              enb: Position) -> TdoaPair:
+    """The range difference of two sniffers' deltas (seconds), one or one per sample.
 
     delta_d = (d_eNb,k - d_eNb,1) + c (delta_k - delta_ref); shared terms
     (timing advance, device error, eNb leg) cancel in the difference.
@@ -95,25 +92,23 @@ def form_tdoa(delta_ref, delta_k, ref_sniffer: Position, other_sniffer: Position
     """
     delta_d = (distance(enb, other_sniffer) - distance(enb, ref_sniffer)) \
         + SPEED_OF_LIGHT * (delta_k - delta_ref)
-    return TdoaPair(ref_sniffer, other_sniffer, delta_d, pair_id)
+    return TdoaPair(ref_sniffer, other_sniffer, delta_d)
 
 
 def build_system(pairs: Sequence[TdoaPair]) -> LinearSystem:
-    """Stack the squared-and-differenced hyperbola rows into G theta = h,
-    one system per sample where ``delta_d`` holds one value per sample."""
+    """The squared-and-differenced hyperbola rows of ``pairs`` about their one reference
+    s_1, with (N, n) ``dd`` and ``h`` where each ``delta_d`` holds N samples' values."""
     if len(pairs) < 2:
         raise ValueError(f"need at least two pairs, got {len(pairs)}")
     ref = pairs[0].ref_sniffer
-    for p in pairs[1:]:
+    for k, p in enumerate(pairs):
         if p.ref_sniffer != ref:
-            raise MixedReference(
-                f"pair {p.pair_id!r} references {p.ref_sniffer}, expected {ref}")
+            raise MixedReference(f"pair {k} references {p.ref_sniffer}, expected {ref}")
     others = [p.other_sniffer for p in pairs]
     dd = np.array([p.delta_d for p in pairs], dtype=float).T
-    P = np.array([(s.x - ref.x, s.y - ref.y) for s in others])
+    P = np.array([(s.x - ref.x, s.y - ref.y) for s in others], dtype=float)
     const = np.array([(s.x ** 2 + s.y ** 2) - (ref.x ** 2 + ref.y ** 2) for s in others])
-    return LinearSystem(G=np.concatenate([np.zeros(dd.shape + (2,)) + P, dd[..., None]], -1),
-                        h=0.5 * (const - dd * dd))
+    return LinearSystem(P, dd, 0.5 * (const - dd * dd))
 
 
 def range_difference_residual(u: Position, pairs: Sequence[TdoaPair]) -> float:
@@ -135,7 +130,7 @@ def solve_constrained_batch(system: LinearSystem, ref_sniffer: Position,
                             band: Tuple[float, float], enb: Position) -> Solutions:
     """Solve n >= 2 rows per sample with d_UE,1 = |u - s_1| by reference-range elimination.
 
-    The samples share the position block s_k - s_1, and more rows are first
+    The samples share the position block ``system.P``, and more rows are first
     reduced to its normal equations (the first step of Chan & Ho 1994); a
     block conditioned worse than ``CONDITION_LIMIT`` (collinear sniffers)
     fails every sample with DegenerateGeometry.  A root is on the true branch
@@ -146,9 +141,8 @@ def solve_constrained_batch(system: LinearSystem, ref_sniffer: Position,
     ``geometry.choose_candidate`` picks.  A sample fails InfeasibleObservation
     beyond ``BASELINE_REJECT_FACTOR`` baselines, NoRealRoot without a root.
     """
-    G = system.G.reshape(-1, *system.G.shape[-2:])
-    h, n = system.h.reshape(G.shape[:2]), G.shape[1]
-    P, dd = (G[0, :, :2] if len(G) else np.zeros((n, 2))), G[:, :, 2]
+    P, n = system.P, len(system.P)
+    dd, h = np.atleast_2d(system.dd, system.h)
     failed: Failed = {}
     baseline = np.hypot(P[:, 0], P[:, 1])
     far = np.abs(dd) > BASELINE_REJECT_FACTOR * baseline
@@ -196,33 +190,33 @@ def solve_constrained(system: LinearSystem, ref_sniffer: Position,
     """``solve_constrained_batch`` for one sample's system; raises its failure."""
     sol = solve_constrained_batch(system, ref_sniffer, band, enb)
     sol.check(0)
-    return _estimates(sol, system.G.shape[-2])[0]
+    return _estimates(sol, len(system.P))[0]
 
 
 def solve_normal_equations(system: LinearSystem) -> TdoaEstimate:
-    """Unconstrained least squares (G^T G)^-1 G^T h, the paper's LS baseline.
+    """Unconstrained least squares (G^T G)^-1 G^T h, G = [P dd], the paper's LS baseline.
 
     ``estimate_tdoa`` solves through ``solve_constrained_batch`` instead.  Two
     rows give singular G^T G by construction, hence the explicit redirect;
     d_UE,1 is a free parameter here and its gap to the geometric range is not
     enforced.
     """
-    n = system.G.shape[0]
-    if n == 2:
+    G = np.column_stack([system.P, system.dd])
+    if len(G) == 2:
         raise RankDeficient(
             "a 2x3 system has singular normal equations by construction; "
             "use solve_constrained for the two-pair setup")
-    gram = system.G.T @ system.G
+    gram = G.T @ G
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise RankDeficient(
             f"normal equations condition number {cond:.2e} exceeds "
             f"{CONDITION_LIMIT:.0e}; rows are not independent")
-    theta = np.linalg.solve(gram, system.G.T @ system.h)
+    theta = np.linalg.solve(gram, G.T @ system.h)
     if theta[2] < 0:
         raise InfeasibleObservation(
             f"least-squares reference range d_ue1 = {theta[2]:.3f} m is negative")
-    residual = float(np.linalg.norm(system.G @ theta - system.h))
+    residual = float(np.linalg.norm(G @ theta - system.h))
     return TdoaEstimate(position=Position(float(theta[0]), float(theta[1])),
                         d_ue1=float(theta[2]), residual_norm=residual,
                         method="normal-equations")
@@ -250,8 +244,7 @@ def estimate_tdoa(matched_sets: Sequence[MatchedColumns],
 
     n = min(len(s) for s in matched_sets)
     pairs = [form_tdoa(s.delta_a[:n] * 1e-6, s.delta_b[:n] * 1e-6, ref_sniffer, other,
-                       scenario.enb, pair_id=f"cfg{j + 1}")
-             for j, (s, other) in enumerate(zip(matched_sets, other_positions))]
+                       scenario.enb) for s, other in zip(matched_sets, other_positions)]
     sol = solve_constrained_batch(build_system(pairs), ref_sniffer, scenario.band, scenario.enb)
     return [SampleOutcome(est, status, str(sol.failed.get(i, ""))) for i, (status, est)
             in enumerate(zip(sol.status.tolist(), _estimates(sol, len(pairs))))]

@@ -113,8 +113,7 @@ def solve_toa_batch(obs1: ToAObservation, obs2: ToAObservation, enb: Position,
                                           "are mirror-symmetric about their common line"))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         system = build_system([TdoaPair(enb, s, -D[:, k]) for k, s in enumerate(sniffers)])
-        A = [(s.x - enb.x, s.y - enb.y) for s in sniffers]
-        u, r, vertex = eliminate(A, -D, system.h, enb, failed)
+        u, r, vertex = eliminate(system.P, system.dd, system.h, enb, failed)
         clean = (np.minimum(D[:, :1], D[:, 1:]) - r >= -CROSSING_TOL) & ~vertex[:, None]
         u[vertex, 0] = _onto_ellipse(u[vertex, 0], D[vertex, 0], sniffers[0], enb)
         valid = (clean | vertex[:, None] & [True, False]) & np.isfinite(u).all(axis=2)

@@ -94,6 +94,19 @@ def test_tdoa_batch_equals_its_samples_solved_alone(third, offsets):
         assert [status for status, _ in alone[:2]] == ["NoRealRoot", "InfeasibleObservation"]
 
 
+def test_batches_of_no_samples_solve_to_no_solutions():
+    """Zero samples, as a log without the target's RNTI gives, are an empty result."""
+    ref, enb, band, none = Position(0, 50), Position(0, 0), (0.0, 78.12), np.zeros(0)
+    others = [Position(1, 50), Position(0, 51), Position(-1, 49)]
+    sols = [solve_constrained_batch(build_system([TdoaPair(ref, o, none) for o in others[:n]]),
+                                    ref, band, enb) for n in (2, 3)]
+    sols.append(solve_toa_batch(ToAObservation(others[0], none), ToAObservation(others[1], none),
+                                enb, band))
+    for sol in sols:
+        assert (sol.u.shape, sol.pick.shape, sol.failed) == ((0, 2, 2), (0,), {})
+        assert sol.status.tolist() == [] and sol.chosen(sol.u).shape == (0, 2)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), phi=st.floats(0.0, 2.0 * math.pi),
        dx=st.floats(-1e3, 1e3), dy=st.floats(-1e3, 1e3))

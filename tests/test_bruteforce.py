@@ -52,7 +52,8 @@ def test_certified_minimum_never_above_a_fine_grid():
         deltas = np.array(helpers.noiseless_deltas(sc)) + rng.normal(0.0, 1e-7, 3)
         pairs = [form_tdoa(deltas[0], deltas[k], sc.sniffers[0], sc.sniffers[k], sc.enb)
                  for k in (1, 2)]
-        if any(abs(p.delta_d) > BASELINE_REJECT_FACTOR * p.baseline for p in pairs):
+        if any(abs(p.delta_d) > BASELINE_REJECT_FACTOR * distance(p.ref_sniffer, p.other_sniffer)
+               for p in pairs):
             continue  # an impossible difference, which the solvers reject
         wanted[sc.ta_index] -= 1
         pos, cost = annulus_minimum(sc.enb, sc.band, pairs)

@@ -310,12 +310,14 @@ def test_locate_file_count_errors(tmp_path, capsys):
         assert "2 file pairs but only 1 configuration(s)" in capsys.readouterr().err
 
 
-def test_locate_wrong_rnti_gives_no_samples(tmp_path, capsys):
-    out = _simulate(tmp_path, TOA_CONFIG, "run")
-    cfg = str(tmp_path / "exp.yaml")
-    rc = main(["locate", "--config", cfg, "--scheme", "toa", "--rnti", "9999",
-               "--out-dir", str(out),
-               str(out / "sn1_cfg1.log"), str(out / "sn2_cfg1.log")])
+@pytest.mark.parametrize("scheme, config, n_cfg", [("toa", TOA_CONFIG, 1),
+                                                   ("tdoa", TDOA_CONFIG, 2)],
+                         ids=["toa", "tdoa"])
+def test_locate_wrong_rnti_gives_no_samples(tmp_path, capsys, scheme, config, n_cfg):
+    out = _simulate(tmp_path, config, "run")
+    logs = [str(out / f"sn{k}_cfg{j}.log") for j in range(1, n_cfg + 1) for k in (1, 2)]
+    rc = main(["locate", "--config", str(tmp_path / "exp.yaml"), "--scheme", scheme,
+               "--rnti", "9999", "--out-dir", str(out), *logs])
     assert rc == EXIT_NO_SAMPLES
     assert "no samples" in capsys.readouterr().err
 

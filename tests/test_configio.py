@@ -180,6 +180,13 @@ def test_relocation_numbers_are_integer_fields():
             parse_setup(doc)
 
 
+@pytest.mark.parametrize("value", [0, 0.0, "", {}, "none", {"sniffer": 2}],
+                         ids=repr)
+def test_relocations_that_are_not_a_list_are_config_errors(value):
+    with pytest.raises(ConfigError, match="^relocations must be a list$"):
+        parse_setup(dict(_full_doc(), relocations=value))
+
+
 @pytest.mark.parametrize("section, key", [
     ("scenario", "speed_of_light"), ("clock", "sniffer_noise"), ("clock", "ta_value"),
     ("clock", "sniffer_offsets"), ("capture", "subframe"), ("relocations", "at"),

@@ -39,6 +39,45 @@ def test_every_import_is_used(path):
     assert _unused_imports(path) == []
 
 
+def _defined_names(path):
+    """The functions, classes and constants ``path`` defines at module level, dunders aside."""
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _read_names(path):
+    """Every name ``path`` loads, reads as an attribute, imports from a module or
+    spells as an identifier string (as ``cli._LAZY`` and the benchmark tracer do)."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            read.add(node.value)
+    return read
+
+
+def test_every_package_name_is_read():
+    """A module-level name of the package that nothing in the package, the tests
+    or the benchmark reads is dead code."""
+    files = [*PACKAGE.glob("*.py"), *TESTS.glob("*.py"), *PERFBENCH.glob("*.py")]
+    read = set().union(*map(_read_names, files))
+    unread = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+              for name in _defined_names(path) if name not in read]
+    assert unread == []
+
+
 def test_benchmark_entry_points_exist():
     """The benchmark's tracer and inputs still find every package name they use."""
     sys.path.insert(0, str(PERFBENCH))

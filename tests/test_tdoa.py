@@ -38,7 +38,7 @@ def test_form_tdoa_known_value():
     # d_ue2 - d_ue1 = sqrt(40^2 + 70^2) - sqrt(60^2 + 30^2)
     want = math.sqrt(6500.0) - math.sqrt(4500.0)
     assert pair.delta_d == pytest.approx(want, abs=1e-9)
-    assert pair.baseline == pytest.approx(math.sqrt(2.0) * 100.0)
+    assert distance(pair.ref_sniffer, pair.other_sniffer) == pytest.approx(math.sqrt(2.0) * 100.0)
 
 
 def test_form_tdoa_zero_for_equidistant_sniffers():
@@ -75,24 +75,25 @@ def test_build_system_rows_by_hand():
     pairs = [TdoaPair(ref_sniffer=ref, other_sniffer=Position(1, 0), delta_d=0.0),
              TdoaPair(ref_sniffer=ref, other_sniffer=Position(0, 2), delta_d=1.0)]
     system = build_system(pairs)
-    assert np.allclose(system.G, [[1.0, 0.0, 0.0], [0.0, 2.0, 1.0]])
+    assert system.P.tolist() == [[1.0, 0.0], [0.0, 2.0]]
+    assert system.dd.tolist() == [0.0, 1.0]
     assert np.allclose(system.h, [0.5, 1.5])
 
 
 def test_build_system_truth_satisfies_rows():
     sc = _tri_scenario()
     system = build_system(_pairs_for(sc))
-    theta = np.array([40.0, 30.0, distance(sc.ue_truth, sc.sniffers[0])])
-    assert np.allclose(system.G @ theta, system.h, atol=1e-7)
+    rows = system.P @ [40.0, 30.0] + system.dd * distance(sc.ue_truth, sc.sniffers[0])
+    assert np.allclose(rows, system.h, atol=1e-7)
 
 
 def test_build_system_rejects_mixed_reference():
     p1 = TdoaPair(ref_sniffer=Position(0, 0), other_sniffer=Position(1, 0),
                   delta_d=0.0)
     p2 = TdoaPair(ref_sniffer=Position(5, 5), other_sniffer=Position(0, 1),
-                  delta_d=0.0, pair_id="cfg2")
-    with pytest.raises(MixedReference):
-        build_system([p1, p2])
+                  delta_d=0.0)
+    with pytest.raises(MixedReference, match=r"^pair 2 references"):
+        build_system([p1, p1, p2])
     with pytest.raises(ValueError):
         build_system([p1])
 
@@ -154,9 +155,10 @@ def test_least_squares_residual_is_the_range_difference_residual(seed, n_configs
         est = solve_constrained(system, sc.sniffers[0], sc.band, sc.enb)
     except LocalizationError:
         return
-    # the pairs as the rows of G give them: s_k = s_1 + (G_k0, G_k1)
+    # the pairs as the rows give them: s_k = s_1 + P_k
     ref = sc.sniffers[0]
-    rows = [TdoaPair(ref, Position(ref.x + gx, ref.y + gy), dd) for gx, gy, dd in system.G.tolist()]
+    rows = [TdoaPair(ref, Position(ref.x + px, ref.y + py), dd)
+            for (px, py), dd in zip(system.P.tolist(), system.dd.tolist())]
     # the same misses, summed as arrays or as scalars, round apart after d_k - d_1
     # cancels: by up to 583 ulps (7.1e-14 relative) in 3000 random draws
     assert math.isclose(est.residual_norm, range_difference_residual(est.position, rows),
@@ -200,7 +202,7 @@ def test_range_difference_residual_zero_at_truth():
 def test_normal_equations_three_rows():
     sc = _tri_scenario()
     system = build_system(_pairs_for(sc))
-    assert system.G.shape == (2, 3)
+    assert (system.P.shape, system.dd.shape, system.h.shape) == ((2, 2), (2,), (2,))
     # widen to three rows with a fourth sniffer
     wide = Scenario(enb=sc.enb, sniffers=sc.sniffers + (Position(30, -110),),
                     ue_truth=sc.ue_truth, ta_index=0)
@@ -230,10 +232,13 @@ def test_normal_equations_duplicate_rows_rank_deficient():
 
 
 def test_linear_system_shape_validation():
+    LinearSystem(P=np.zeros((2, 2)), dd=np.zeros((4, 2)), h=np.zeros((4, 2)))
     with pytest.raises(ValueError):
-        LinearSystem(G=np.zeros((1, 3)), h=np.zeros(1))
+        LinearSystem(P=np.zeros((1, 2)), dd=np.zeros(1), h=np.zeros(1))
     with pytest.raises(ValueError):
-        LinearSystem(G=np.zeros((2, 3)), h=np.zeros(3))
+        LinearSystem(P=np.zeros((2, 2)), dd=np.zeros(3), h=np.zeros(3))
+    with pytest.raises(ValueError):
+        LinearSystem(P=np.zeros((2, 2)), dd=np.zeros((4, 2)), h=np.zeros(2))
 
 
 def test_estimate_validation():
@@ -281,7 +286,7 @@ def test_estimate_tdoa_isolates_bad_samples():
 
 def test_normal_equations_reject_negative_reference_range():
     # an identity system whose least-squares d_ue1 is -5 m
-    system = LinearSystem(G=np.eye(3), h=np.array([0.0, 0.0, -5.0]))
+    system = LinearSystem(P=np.eye(3)[:, :2], dd=np.eye(3)[:, 2], h=np.array([0.0, 0.0, -5.0]))
     with pytest.raises(InfeasibleObservation):
         solve_normal_equations(system)
 
