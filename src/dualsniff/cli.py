@@ -160,7 +160,7 @@ def _configurations(setup: "ExperimentSetup", files: Sequence[str], rnti: int,
     if any(r.sniffer != 1 for r in setup.relocations):
         raise ConfigError("sniffer 1 is the fixed reference and only sniffer 2 relocates; "
                           "the relocation plan moves another sniffer")
-    known = ([p[:2] for _, _, p in setup.segments()] if setup.relocations else
+    known = ([layout.sniffers[:2] for _, _, layout in setup.segments()] if setup.relocations else
              [(setup.scenario.sniffers[0], s) for s in setup.scenario.sniffers[1:]])
     if len(files) > 2 * len(known):
         raise ConfigError(f"{len(files) // 2} file pairs but only {len(known)} configuration(s) "

@@ -28,7 +28,6 @@ one.  ``parse_setup`` checks shape, keys and booleans only: the dataclasses,
 defaults and value rules; ``timing.segments`` holds the plan's.
 """
 
-import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -57,16 +56,16 @@ class ExperimentSetup:
     def __post_init__(self):
         self.segments()
 
-    def segments(self) -> List[Tuple[int, int, Tuple[Position, ...]]]:
+    def segments(self) -> List[Tuple[int, int, Scenario]]:
         """The capture's stretches between relocations; see ``timing.segments``."""
-        return segments(self.scenario.sniffers, self.relocations, self.capture.subframes)
+        return segments(self.scenario, self.relocations, self.capture.subframes)
 
 
 def _position(raw, where: str) -> Position:
     if (not isinstance(raw, (list, tuple)) or len(raw) != 2
-            or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in raw)):
-        raise ConfigError(f"{where} must be a [x, y] pair of finite numbers, got {raw!r}")
-    return Position(float(raw[0]), float(raw[1]))
+            or not all(isinstance(v, (int, float)) for v in raw)):
+        raise ConfigError(f"{where} must be a [x, y] pair of numbers, got {raw!r}")
+    return _build(where, lambda: Position(float(raw[0]), float(raw[1])))
 
 
 def _mapping(raw, where: str, known) -> dict:
@@ -82,10 +81,11 @@ def _mapping(raw, where: str, known) -> dict:
 
 
 def _build(where: str, make, *args, **fields):
-    """``make(*args, **fields)``, reporting a bad value as a ConfigError at ``where``."""
+    """``make(*args, **fields)``, reporting a bad value as a ConfigError at ``where``;
+    a number too large for a float is one."""
     try:
         return make(*args, **fields)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 

@@ -24,7 +24,9 @@ TA_STEP_S = 16.0 * LTE_TS
 #: Width of one timing-advance distance band, meters.
 TA_BAND_M = 78.12
 
-#: Condition-number limit for the solvable linear systems.
+#: Condition-number limit for the solvable linear systems, the two rows of
+#: ``eliminate`` among them: rows of like length are dependent when the sine
+#: of their angle is at most 1 / CONDITION_LIMIT.
 CONDITION_LIMIT = 1e12
 #: Discriminant values above this (negative) floor are clamped to zero, m^2.
 DISCRIMINANT_TOL = -1e-9
@@ -98,10 +100,10 @@ class Scenario:
             raise ValueError(f"ta_index must be a non-negative integer, got {self.ta_index}")
         for i, s in enumerate(self.sniffers):
             if distance(s, self.enb) == 0.0:
-                raise ValueError(f"sniffer {i} coincides with the base station")
+                raise ValueError(f"sniffer {i + 1} coincides with the base station")
+        lo, hi = ta_band(self.ta_index)  # an index too large for a float overflows here
         if self.ue_truth is not None:
             d = distance(self.ue_truth, self.enb)
-            lo, hi = ta_band(self.ta_index)
             if not (lo <= d < hi):
                 raise ValueError(
                     f"ue_truth is {d:.2f} m from the base station, outside the "
@@ -142,16 +144,22 @@ def eliminate(A, g: np.ndarray, h: np.ndarray, anchor: Position, failed: Failed
     NaN where missing or non-finite; the caller tests them for the true
     branch.  Without a real root (discriminant below ``DISCRIMINANT_TOL``)
     ``vertex`` is set and column 0 holds the vertex, where r and |u - anchor|
-    come closest.  Dependent rows (m = 0) fail their sample with
-    DegenerateGeometry.  Every step is element-wise: a batch gives each
-    sample the bits of its one-sample call.
+    come closest.  The one degeneracy rule of both schemes: a sample fails
+    DegenerateGeometry when its rows' condition number c, by
+    c + 1/c = (|a_0|^2 + |a_1|^2) / |m|, reaches ``CONDITION_LIMIT``: a sine
+    of their angle of at most 1 / ``CONDITION_LIMIT`` for rows of like
+    length, or one row at the rounding floor of the other, as the normal
+    equations of sniffers on an axis-parallel line give.  Every step is
+    element-wise: a batch gives each sample the bits of its one-sample call.
     """
     (a0, a1), (b0, b1) = A
     det, g0, g1, h0, h1 = a0 * b1 - a1 * b0, g[:, :1], g[:, 1:], h[:, :1], h[:, 1:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m0, m1 = a1 * g1 - b1 * g0, b0 * g0 - a0 * g1  # and det, its range component
         mm = m0 * m0 + m1 * m1 + det * det
-        fail(failed, ~(mm[:, 0] > 0.0), lambda i: DegenerateGeometry("the two rows are dependent"))
+        f = a0 * a0 + a1 * a1 + g0 * g0 + b0 * b0 + b1 * b1 + g1 * g1
+        fail(failed, ~(mm * CONDITION_LIMIT ** 2 > f * f)[:, 0],
+             lambda i: DegenerateGeometry("the two rows are dependent"))
         v0, v1, v2 = h1 * a0 - h0 * b0, h1 * a1 - h0 * b1, h1 * g0 - h0 * g1
         x0, y0, r0 = (m1 * v2 - det * v1) / mm, (det * v0 - m0 * v2) / mm, (m0 * v1 - m1 * v0) / mm
         norm = np.sqrt(mm)

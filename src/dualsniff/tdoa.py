@@ -18,8 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (DegenerateGeometry, InfeasibleObservation, MixedReference, NoRealRoot,
-                     RankDeficient)
+from .errors import InfeasibleObservation, MixedReference, NoRealRoot, RankDeficient
 from .geometry import (CONDITION_LIMIT, SPEED_OF_LIGHT, Failed, Position, Scenario, Solutions,
                        choose_candidate, distance, eliminate, fail)
 from .snifferlog import MatchedColumns
@@ -120,22 +119,18 @@ def range_difference_residual(u: Position, pairs: Sequence[TdoaPair]) -> float:
     return math.sqrt(total)
 
 
-def _condition_number(A) -> float:
-    """s1 / s2 of a 2x2 block, whose s1^2 + s2^2 = |A|_F^2 = f and s1 s2 = |det A|."""
-    f, det = sum(v * v for row in A for v in row), abs(A[0][0] * A[1][1] - A[0][1] * A[1][0])
-    return (f + math.sqrt(max(f * f - 4.0 * det * det, 0.0))) / (2.0 * det) if det else math.inf
-
-
 def solve_constrained_batch(system: LinearSystem, ref_sniffer: Position,
                             band: Tuple[float, float], enb: Position) -> Solutions:
     """Solve n >= 2 rows per sample with d_UE,1 = |u - s_1| by reference-range elimination.
 
     The samples share the position block ``system.P``, and more rows are first
-    reduced to its normal equations (the first step of Chan & Ho 1994); a
-    block conditioned worse than ``CONDITION_LIMIT`` (collinear sniffers)
-    fails every sample with DegenerateGeometry.  A root is on the true branch
-    when d + delta_d_k >= 0 for every k; squaring also admits ghosts, whose
-    miss 2 |d + delta_d_k| is the two-row residual.
+    reduced to its normal equations (the first step of Chan & Ho 1994).
+    ``geometry.eliminate`` fails a sample whose two rows are dependent with
+    DegenerateGeometry, as every sample of three or more collinear
+    configurations does; two collinear configurations give a mirror pair, as
+    in ToA.  A root is on the true branch when d + delta_d_k >= 0 for every k;
+    squaring also admits ghosts, whose miss 2 |d + delta_d_k| is the two-row
+    residual.
     With more rows the residual is ``range_difference_residual``, and only
     the true-branch root with the least of it is clean.
     ``geometry.choose_candidate`` picks.  A sample fails InfeasibleObservation
@@ -153,9 +148,6 @@ def solve_constrained_batch(system: LinearSystem, ref_sniffer: Position,
     if n > 2:  # the normal equations P^T P u + P^T dd r = P^T h, summed element-wise per sample
         A, g, h = (P.T @ P).tolist(), *(sum(v[:, k, None] * p for k, p in enumerate(P))
                                         for v in (dd, h))
-    cond = _condition_number(A)
-    fail(failed, np.full(len(h), not cond <= CONDITION_LIMIT), lambda i: DegenerateGeometry(
-        f"position rows are near-collinear (condition number {cond:.2e})"))
     u, d, vertex = eliminate(A, g, h, ref_sniffer, failed)
     valid = ~np.logical_or.reduce(np.isnan(u), axis=2) & ~vertex[:, None]
     fail(failed, ~np.logical_or.reduce(valid, axis=1), lambda i: NoRealRoot(

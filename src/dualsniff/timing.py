@@ -10,7 +10,7 @@ the ground-truth generator for both estimators.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -94,14 +94,17 @@ class Relocation:
             object.__setattr__(self, name, whole(name, getattr(self, name)))
 
 
-def segments(sniffers: Sequence[Position], relocations: Sequence[Relocation],
-             subframes: int) -> List[Tuple[int, int, Tuple[Position, ...]]]:
-    """``(start, stop, positions)``: subframes start..stop-1 see the sniffers at positions.
+def segments(scenario: Scenario, relocations: Sequence[Relocation],
+             subframes: int) -> List[Tuple[int, int, Scenario]]:
+    """``(start, stop, layout)``: subframes start..stop-1 see the sniffers of ``layout``,
+    the scenario with the sniffers moved as the relocations say.
 
-    Raises ValueError for fewer than one subframe, or for a relocation of an
+    Raises ValueError for fewer than one subframe, for a relocation of an
     unknown sniffer, outside (0, subframes), or of a sniffer already moved at
-    that subframe.  Messages number sniffers from 1.
+    that subframe, and for a layout that ``Scenario`` refuses, such as a
+    sniffer moved onto the base station.  Messages number sniffers from 1.
     """
+    sniffers = scenario.sniffers
     if subframes < 1:
         raise ValueError(f"need at least one subframe, got {subframes}")
     for i, r in enumerate(relocations):
@@ -118,7 +121,7 @@ def segments(sniffers: Sequence[Position], relocations: Sequence[Relocation],
         for r in relocations:
             if r.at_subframe == start:
                 positions[r.sniffer] = r.to
-        plan.append((start, stop, tuple(positions)))
+        plan.append((start, stop, replace(scenario, sniffers=tuple(positions))))
     return plan
 
 
@@ -154,12 +157,8 @@ def subframe_delta(scenario: Scenario, k: int, cfg: ClockConfig) -> float:
     error is zero.  ``simulate_capture`` adds the sniffer noise.
     """
     if scenario.ue_truth is None:
-        raise ValueError("subframe_delta needs a scenario with ue_truth set")
-    return _delta_at(scenario.enb, scenario.ue_truth, scenario.sniffers[k], cfg)
-
-
-def _delta_at(enb: Position, ue: Position, sniffer: Position, cfg: ClockConfig) -> float:
-    """Noiseless delta, seconds."""
+        raise ValueError("a simulated delta needs a scenario with ue_truth set")
+    enb, ue, sniffer = scenario.enb, scenario.ue_truth, scenario.sniffers[k]
     d_enb_k = distance(enb, sniffer)
     d_ub = distance(enb, ue)
     d_ue_k = distance(ue, sniffer)
@@ -212,16 +211,14 @@ def simulate_capture(scenario: Scenario, cfg: ClockConfig, capture: CaptureSpec,
     number, so each (segment, sniffer) costs one scalar delta plus a column
     of noise.  A clock so noisy that a delta overflows raises ConfigError.
     """
-    if scenario.ue_truth is None:
-        raise ValueError("simulate_capture needs a scenario with ue_truth set")
     n_sniffers = len(scenario.sniffers)
-    plan = segments(scenario.sniffers, relocations, capture.subframes)
+    plan = segments(scenario, relocations, capture.subframes)
 
     rng = np.random.default_rng(cfg.rng_seed)
     delta = rng.normal(0.0, cfg.sniffer_noise_sigma, size=(capture.subframes, n_sniffers))
-    for start, stop, positions in plan:
-        for k, sniffer in enumerate(positions):
-            delta[start:stop, k] += _delta_at(scenario.enb, scenario.ue_truth, sniffer, cfg)
+    for start, stop, layout in plan:
+        for k in range(n_sniffers):
+            delta[start:stop, k] += subframe_delta(layout, k, cfg)
     with np.errstate(over="ignore"):
         delta *= 1e6
     if not np.isfinite(delta).all():

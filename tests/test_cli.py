@@ -170,6 +170,34 @@ def test_simulate_rejects_non_finite_config_values(tmp_path, capsys, section, li
     assert not out.exists()
 
 
+#: An integer literal too large for a float.
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("section, line, where", [
+    ("scenario", f"enb: [{HUGE}, 0.0]", "scenario.enb"),
+    ("scenario", f"sniffers: [[109.7, 0.0], [0.0, {HUGE}]]", "scenario.sniffers[1]"),
+    ("scenario", f"ue_truth: [80.0, -{HUGE}]", "scenario.ue_truth"),
+    ("scenario", f"ta_index: {HUGE}", "scenario"),
+    ("clock", f"ue_hw_error: {HUGE}", "clock"),
+    ("clock", f"sniffer_noise_sigma: {HUGE}", "clock"),
+    ("capture", f"snr_db: -{HUGE}", "capture"),
+    ("capture", f"noise_power_dbm: {HUGE}", "capture"),
+    ("relocations", f"to: [{HUGE}, 40.0]", "relocations[0].to"),
+], ids=["enb", "sniffers", "ue_truth", "ta_index", "ue_hw_error", "sniffer_noise_sigma",
+        "snr_db", "noise_power_dbm", "to"])
+def test_integers_too_large_for_a_float_are_config_errors(tmp_path, capsys, section, line,
+                                                          where):
+    doc = yaml.safe_load(TDOA_CONFIG)
+    entry = doc["relocations"][0] if section == "relocations" else doc.setdefault(section, {})
+    entry.update(yaml.safe_load(line))
+    cfg = _write(tmp_path, "exp.yaml", yaml.safe_dump(doc))
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"configuration error: {cfg}: {where}: ")
+    assert not out.exists()
+
+
 def test_integer_config_fields_reject_infinity_and_fractions(tmp_path, capsys):
     for value, reason in ((".inf", "must be finite"), ("7423.5", "must be an integer")):
         cfg = _write(tmp_path, "exp.yaml", TOA_CONFIG.replace("rnti: 7423", f"rnti: {value}"))
@@ -405,6 +433,18 @@ def test_two_relocations_of_one_sniffer_at_one_subframe_are_config_errors(tmp_pa
     err = capsys.readouterr().err
     assert err.count("sniffer 2 relocated twice at subframe 15") == 2
     assert not (tmp_path / "x").exists() and not (out / "estimates_tdoa.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["simulate"],
+                                     ["locate", "--scheme", "toa", "--rnti", "7423", "a", "b"]],
+                         ids=["simulate", "locate"])
+def test_a_relocation_onto_the_base_station_is_a_config_error(tmp_path, capsys, command):
+    cfg = _write(tmp_path, "exp.yaml", TDOA_CONFIG.replace("[154.0, 40.0]", "[0.0, 0.0]"))
+    out = tmp_path / "x"
+    assert main([*command, "--config", cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"configuration error: {cfg}: relocations: sniffer 2 "
+                                       "coincides with the base station\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section, line", [

@@ -100,6 +100,19 @@ def test_truth_outside_band_is_config_error():
         parse_setup(doc)
 
 
+@pytest.mark.parametrize("section, number", [("scenario", 1), ("scenario", 2),
+                                             ("relocations", 2)])
+def test_a_sniffer_on_the_base_station_is_numbered_from_1(section, number):
+    doc = _full_doc()
+    if section == "scenario":
+        doc["scenario"]["sniffers"][number - 1] = [0.0, 0.0]
+    else:
+        doc["relocations"][0]["to"] = [0.0, 0.0]
+    with pytest.raises(ConfigError,
+                       match=f"^{section}: sniffer {number} coincides with the base station$"):
+        parse_setup(doc)
+
+
 def test_capture_validation():
     doc = _full_doc()
     doc["capture"]["subframes"] = 0

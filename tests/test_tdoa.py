@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 
 import helpers
 from dualsniff import tdoa
-from dualsniff.errors import (DegenerateGeometry, InfeasibleObservation, LocalizationError,
-                              MixedReference, NoRealRoot, RankDeficient)
-from dualsniff.geometry import SPEED_OF_LIGHT, Position, Scenario, distance
+from dualsniff.errors import (InfeasibleObservation, LocalizationError, MixedReference,
+                              NoRealRoot, RankDeficient)
+from dualsniff.geometry import (AMBIGUITY_SEPARATION, SPEED_OF_LIGHT, Position, Scenario,
+                                distance, ta_band)
 from dualsniff.snifferlog import MatchedColumns, match_records
-from dualsniff.tdoa import (LinearSystem, TdoaEstimate, TdoaPair, _condition_number,
+from dualsniff.tdoa import (LinearSystem, TdoaEstimate, TdoaPair,
                             build_system, estimate_tdoa, form_tdoa,
                             range_difference_residual, solve_constrained,
                             solve_constrained_batch, solve_normal_equations)
-from dualsniff.timing import CaptureSpec, ClockConfig, Relocation, segments, simulate_capture
+from dualsniff.timing import (CaptureSpec, ClockConfig, Relocation, quantize_ta, segments,
+                              simulate_capture)
 
 
 def _tri_scenario():
@@ -165,21 +167,72 @@ def test_least_squares_residual_is_the_range_difference_residual(seed, n_configs
                         rel_tol=1e-12)
 
 
-def test_constrained_degenerate_offsets():
-    ref = Position(50, 50)
-    pairs = [TdoaPair(ref_sniffer=ref, other_sniffer=Position(150, 50), delta_d=10.0),
-             TdoaPair(ref_sniffer=ref, other_sniffer=Position(250, 50), delta_d=-5.0)]
-    with pytest.raises(DegenerateGeometry):
-        solve_constrained(build_system(pairs), ref, (0.0, 78.12), Position(0, 0))
+#: Orientations of the collinear layouts, radians: axis-parallel and not.
+LINE_ANGLES = (0.0, 0.4, 1.1, math.pi / 2, 2.0, 2.8, math.pi, 4.0, 5.3)
 
 
-def test_condition_number_is_the_svd_ratio():
-    """The closed-form 2x2 condition number agrees with the singular values."""
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        block = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-3, 3)
-        assert math.isclose(_condition_number(block.tolist()), np.linalg.cond(block), rel_tol=1e-8)
-    assert _condition_number([[100.0, 0.0], [200.0, 0.0]]) == math.inf
+def _on_line(through: Position, theta: float, offsets) -> tuple:
+    """Positions ``offsets`` meters along the line through ``through`` at angle ``theta``."""
+    c, s = math.cos(theta), math.sin(theta)
+    return tuple(Position(through.x + t * c, through.y + t * s) for t in offsets)
+
+
+def _solve_draws(sc, draws, sigma, rng):
+    """``solve_constrained_batch`` of ``draws`` samples of ``sc``: the first noiseless,
+    the rest with ``sigma`` seconds of timing noise, sniffer 1 the reference."""
+    clean = np.array(helpers.noiseless_deltas(sc))
+    deltas = clean + rng.normal(0.0, sigma, (draws, len(clean)))
+    deltas[0] = clean
+    pairs = [form_tdoa(deltas[:, 0], deltas[:, k], sc.sniffers[0], sc.sniffers[k], sc.enb)
+             for k in range(1, len(clean))]
+    return solve_constrained_batch(build_system(pairs), sc.sniffers[0], sc.band, sc.enb)
+
+
+@pytest.mark.parametrize("theta", LINE_ANGLES, ids="{:.2f}".format)
+@pytest.mark.parametrize("n_configs", [3, 4])
+def test_collinear_sniffers_fail_every_sample(n_configs, theta):
+    """n > 2 sniffers on one line make the normal-equation rows dependent, so
+    every sample, noiseless or noisy, fails DegenerateGeometry on its own."""
+    offsets = (0.0, 60.0, 130.0, -90.0, 210.0)[:n_configs + 1]
+    sc = Scenario(enb=Position(0, 0), sniffers=_on_line(Position(50, -40), theta, offsets),
+                  ue_truth=Position(20, 90), ta_index=1)
+    sol = _solve_draws(sc, 50, 2e-8, np.random.default_rng(3))
+    assert sol.status.tolist() == ["DegenerateGeometry"] * 50
+
+
+#: The device keeps this far from the sniffers' line, m.  Nearer, the mirror pair
+#: is a near-double root: rounding moves it by up to 1.2 cm at 0.1 m off the line,
+#: and within 1 cm it can push the pair below DISCRIMINANT_TOL (NoRealRoot).
+LINE_MARGIN = 1.0
+
+
+@pytest.mark.parametrize("theta", LINE_ANGLES, ids="{:.2f}".format)
+def test_collinear_two_configurations_give_a_mirror_pair(theta):
+    """Sniffer 2 relocated along the line through sniffer 1, noiseless: the rows
+    meet in a mirror pair about that line, as ToA's collinear stations do.  The
+    truth is a candidate, and the band picks an answer within
+    AMBIGUITY_SEPARATION of it or the sample fails AmbiguousSolution."""
+    rng, enb, outcomes = np.random.default_rng(11), Position(0, 0), []
+    while len(outcomes) < 200:
+        ref, ue = (Position(*rng.uniform(-helpers.BOX_HALF, helpers.BOX_HALF, 2).tolist())
+                   for _ in range(2))
+        nodes = (enb, *_on_line(ref, theta, [0.0, *rng.uniform(-300.0, 300.0, 2).tolist()]))
+        ta_index = quantize_ta(distance(ue, enb))[0]
+        lo, hi = ta_band(ta_index)
+        if (min(distance(p, q) for i, p in enumerate(nodes) for q in nodes[i + 1:])
+                < helpers.MIN_SEPARATION
+                or min(distance(ue, p) for p in nodes) < helpers.NODE_MARGIN
+                or abs((ue.x - ref.x) * math.sin(theta) - (ue.y - ref.y) * math.cos(theta))
+                < LINE_MARGIN
+                or not lo + helpers.BAND_MARGIN <= distance(ue, enb) <= hi - helpers.BAND_MARGIN):
+            continue
+        sol = _solve_draws(Scenario(enb, nodes[1:], ue, ta_index), 1, 0.0, rng)
+        candidates = sol.u[0][sol.valid[0]].tolist()
+        assert min(distance(Position(x, y), ue) for x, y in candidates) < 1e-4
+        outcomes.append(sol.status[0])
+        if sol.status[0] == "ok":
+            assert distance(Position(*sol.chosen(sol.u)[0].tolist()), ue) <= AMBIGUITY_SEPARATION
+    assert set(outcomes) == {"ok", "AmbiguousSolution"}
 
 
 def test_constrained_no_real_root():
@@ -321,11 +374,11 @@ PLAN = (Relocation(1, 10, Position(154, 40)), Relocation(1, 20, Position(60, 170
 def _plan_fixes(clock):
     """(status, position) of each TDoA sample of a capture cut at the plan's segments."""
     capture = simulate_capture(PLAN_SCENARIO, clock, CaptureSpec(subframes=30), PLAN)
-    plan = segments(PLAN_SCENARIO.sniffers, PLAN, 30)
+    plan = segments(PLAN_SCENARIO, PLAN, 30)
     matched = [match_records(capture.sniffer_log(0, start, stop),
                              capture.sniffer_log(1, start, stop))[0] for start, stop, _ in plan]
-    outcomes = estimate_tdoa(matched, PLAN_SCENARIO, ref_sniffer=plan[0][2][0],
-                             other_positions=[positions[1] for _, _, positions in plan])
+    outcomes = estimate_tdoa(matched, PLAN_SCENARIO, ref_sniffer=PLAN_SCENARIO.sniffers[0],
+                             other_positions=[layout.sniffers[1] for _, _, layout in plan])
     return [(o.status, o.estimate.position if o.estimate else None) for o in outcomes]
 
 

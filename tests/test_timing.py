@@ -67,7 +67,7 @@ def test_segments_need_a_subframe():
     sc = _square_scenario()
     for subframes in (0, -3):
         with pytest.raises(ValueError, match="at least one subframe"):
-            segments(sc.sniffers, (), subframes)
+            segments(sc, (), subframes)
     with pytest.raises(ValueError, match="subframes must be >= 1"):
         CaptureSpec(subframes=0)
 
@@ -78,9 +78,18 @@ def test_segments_cut_the_capture_at_relocations():
     moves = [Relocation(sniffer=1, at_subframe=7, to=c),
              Relocation(sniffer=1, at_subframe=3, to=a),
              Relocation(sniffer=0, at_subframe=3, to=b)]
-    assert segments(sc.sniffers, moves, 10) == [
-        (0, 3, sc.sniffers), (3, 7, (b, a)), (7, 10, (b, c))]
-    assert segments(sc.sniffers, (), 4) == [(0, 4, sc.sniffers)]
+    assert segments(sc, moves, 10) == [
+        (0, 3, sc), (3, 7, replace(sc, sniffers=(b, a))), (7, 10, replace(sc, sniffers=(b, c)))]
+    assert segments(sc, (), 4) == [(0, 4, sc)]
+
+
+def test_segments_hold_the_scenario_rules():
+    """Each segment's layout is a Scenario, so a relocation onto the base station
+    is refused as such a sniffer in the scenario is."""
+    sc = _square_scenario()
+    for sniffer in (0, 1):
+        with pytest.raises(ValueError, match=f"^sniffer {sniffer + 1} coincides with the base"):
+            segments(sc, [Relocation(sniffer=sniffer, at_subframe=5, to=sc.enb)], 10)
 
 
 def test_delta_matches_arrival_difference():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from dualsniff.errors import (AmbiguousSolution, CollinearityWarning,
+from dualsniff.errors import (AmbiguousSolution, CollinearityWarning, DegenerateGeometry,
                               InfeasibleObservation, NoIntersection)
 from dualsniff.geometry import SPEED_OF_LIGHT, Position, Scenario, distance, ta_band
 from dualsniff.timing import ClockConfig, subframe_delta
@@ -218,6 +218,19 @@ def test_near_collinear_layout_keeps_its_mirror_pair(eps):
     with pytest.raises(AmbiguousSolution) as exc:
         solve_toa(obs[0], obs[1], enb, (0.0, 78.12))
     assert min(distance(q, truth) for q in exc.value.candidates) < 1e-9
+
+
+@pytest.mark.filterwarnings("ignore::dualsniff.errors.CollinearityWarning")
+@pytest.mark.parametrize("theta", [0.0, 0.3, 0.7, 1.1, math.pi / 2, 2.0, 2.5, 4.0, 5.5],
+                         ids="{:.2f}".format)
+def test_range_sums_in_proportion_are_degenerate(theta):
+    """Sniffer 2 at 0.3 s_1 from the eNb with range-sums D = (200, 60) in the same
+    proportion: the rows are dependent, up to rounding, in every orientation."""
+    s1 = Position(100.0 * math.cos(theta), 100.0 * math.sin(theta))
+    s2 = Position(0.3 * s1.x, 0.3 * s1.y)
+    with pytest.raises(DegenerateGeometry):
+        solve_toa(ToAObservation(s1, 200.0), ToAObservation(s2, 60.0), Position(0, 0),
+                  (0.0, 78.12))
 
 
 def test_out_of_band_pick_is_nearest_the_band():
