@@ -5,10 +5,10 @@ station (the Lipschitz bound-and-prune of Piyavskii 1972 and Shubert 1972,
 in 2-D).  The annulus is tiled exactly by polar cells.  Each cell's cost is
 evaluated at its centre and, on the inner and outer rings, at its rim point;
 the best of these is the incumbent.  A cell is dropped once a lower bound on
-the cost anywhere in it reaches the incumbent, and the rest are split into
-quarters until the incumbent is within ``CERT_TOL`` of the smallest bound, so
-the returned cost is the global minimum over the annulus to that tolerance.
-The search shares no algebra with the closed-form solvers it audits.
+the cost anywhere in it reaches the incumbent.  Each round halves the rest
+twice, into 4 x 4 children, until the incumbent is within ``CERT_TOL`` of the
+smallest bound: the returned cost is the global minimum over the annulus to
+that tolerance.  The search shares no algebra with the solvers it audits.
 """
 
 import math
@@ -33,13 +33,16 @@ CERT_TOL = 1e-12
 #: outer rim.
 _RINGS = 8
 
-#: Limits on the search: a halving count that takes a starting cell below
-#: float64 resolution, and a live-cell count that bounds memory.  A smooth
-#: isolated minimum is certified long before either; a flat curve of
-#: minimizers, or a positive minimum on a sniffer (where the cost has a
-#: kink), can reach them.
+#: Limits on the search: a halving count (two per round) that takes a starting
+#: cell below float64 resolution, and a live-cell count that bounds memory.
+#: A smooth isolated minimum is certified long before either; a flat curve of
+#: minimizers, or a positive minimum on a sniffer (where the cost has a kink),
+#: can reach them.
 MAX_LEVELS = 48
 MAX_CELLS = 1 << 18
+
+#: (radial, angular) offsets of a cell's 4 x 4 children, in children's widths.
+_CHILD_RHO, _CHILD_TH = np.repeat(np.arange(4) - 1.5, 4), np.tile(np.arange(4) - 1.5, 4)
 
 
 def pair_cost(u: Position, pairs: Sequence[TdoaPair]) -> float:
@@ -47,7 +50,7 @@ def pair_cost(u: Position, pairs: Sequence[TdoaPair]) -> float:
     return range_difference_residual(u, pairs) ** 2
 
 
-def _lower_bound(rho, th, d_rho, d_th, x, y, sx, sy, d, m, cost):
+def _lower_bound(rho, d_rho, d_th, x, y, dx, dy, d, m, cost):
     """Lower bound on the cost over each polar cell, from its centre's values.
 
     Every point of a cell lies within ``reach`` of its centre.  Each miss has
@@ -61,18 +64,17 @@ def _lower_bound(rho, th, d_rho, d_th, x, y, sx, sy, d, m, cost):
     reach = 0.5 * d_rho + 0.5 * d_th * r_out
     bound = np.maximum(np.sqrt(cost) - 2.0 * math.sqrt(n_pairs) * reach, 0.0) ** 2
     clear = d - reach
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ux, uy = (x - sx) / d, (y - sy) / d
-        gx = -2.0 * (m * (ux[1:] - ux[0])).sum(axis=0)
-        gy = -2.0 * (m * (uy[1:] - uy[0])).sum(axis=0)
-        cos_t, sin_t = np.cos(th), np.sin(th)
-        g_rho = gx * cos_t + gy * sin_t
-        g_th = gy * cos_t - gx * sin_t
-        hess = 2.0 * (4.0 * n_pairs + ((np.abs(m) + 2.0 * reach)
-                                       * (1.0 / clear[1:] + 1.0 / clear[0])).sum(axis=0))
-        slope = (np.abs(g_rho) * (0.5 * d_rho + r_out * d_th ** 2 / 8.0)
-                 + np.abs(g_th) * r_out * 0.5 * d_th)
-        taylor = cost - slope - 0.5 * hess * reach ** 2
+    inv_clear = 1.0 / clear
+    ux, uy = dx / d, dy / d
+    gx = -2.0 * (m * (ux[1:] - ux[0])).sum(axis=0)
+    gy = -2.0 * (m * (uy[1:] - uy[0])).sum(axis=0)
+    g_rho = (gx * x + gy * y) / rho  # radial and angular parts: (x, y) / rho
+    g_th = (gy * x - gx * y) / rho   # is (cos, sin) of the centre's angle
+    hess = 2.0 * (4.0 * n_pairs + ((np.abs(m) + 2.0 * reach)
+                                   * (inv_clear[1:] + inv_clear[0])).sum(axis=0))
+    slope = (np.abs(g_rho) * (0.5 * d_rho + r_out * d_th ** 2 / 8.0)
+             + np.abs(g_th) * r_out * 0.5 * d_th)
+    taylor = cost - slope - 0.5 * hess * reach ** 2
     return np.where(clear.min(axis=0) > 0.0, np.maximum(bound, taylor), bound)
 
 
@@ -82,9 +84,9 @@ def annulus_minimum(enb: Position, band: Tuple[float, float],
 
     Returns (position, cost); the position always lies in the annulus.  The
     search stops once its cells are no wider than ``GRID_STEP`` and the cost
-    is certified to within ``CERT_TOL`` of the global minimum.  Raises
-    ``RuntimeError`` if the certificate is out of reach within
-    ``MAX_LEVELS`` and ``MAX_CELLS``.
+    is certified to within ``CERT_TOL`` of the global minimum; each round
+    halves every kept cell twice, into 16.  Raises ``RuntimeError`` if that
+    takes over ``MAX_LEVELS`` halvings or ``MAX_CELLS`` live cells.
     """
     if not pairs:
         raise ValueError("need at least one pair")
@@ -102,31 +104,32 @@ def annulus_minimum(enb: Position, band: Tuple[float, float],
                           np.arange(0.5 * d_th, 2.0 * math.pi, d_th))
     rho, th = rho.ravel(), th.ravel()
     best, best_x, best_y = math.inf, 0.0, 0.0
-    for _ in range(MAX_LEVELS):
-        # centres, then the rim point of each cell in the first and last ring
-        inner, outer = rho < lo + d_rho, rho > hi - d_rho
-        p_rho = np.concatenate([rho, np.full(np.count_nonzero(inner), lo),
-                                np.full(np.count_nonzero(outer), hi)])
-        p_th = np.concatenate([th, th[inner], th[outer]])
-        x, y = p_rho * np.cos(p_th), p_rho * np.sin(p_th)
-        d = np.hypot(x - sx, y - sy)  # row 0: reference sniffer
-        m = dd - (d[1:] - d[0])
-        cost = (m * m).sum(axis=0)
-        i = int(np.argmin(cost))
-        if cost[i] < best:
-            best, best_x, best_y = float(cost[i]), float(x[i]), float(y[i])
-        n = rho.size
-        bound = _lower_bound(rho, th, d_rho, d_th, x[:n], y[:n], sx, sy,
-                             d[:, :n], m[:, :n], cost[:n])
-        certified = best - float(bound.min()) <= CERT_TOL * max(1.0, best)
-        if max(d_rho, hi * d_th) <= GRID_STEP and certified:
-            return Position(enb.x + best_x, enb.y + best_y), best
-        keep = bound < best
-        if 4 * np.count_nonzero(keep) > MAX_CELLS:
-            break
-        d_rho, d_th = 0.5 * d_rho, 0.5 * d_th
-        rho, th = rho[keep], th[keep]
-        rho = np.concatenate([rho - 0.5 * d_rho, rho + 0.5 * d_rho] * 2)
-        th = np.concatenate([th - 0.5 * d_th] * 2 + [th + 0.5 * d_th] * 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(0, MAX_LEVELS, 2):
+            # centres, then the rim point of each cell in the first and last ring
+            inner = rho < lo + d_rho
+            rim = inner | (rho > hi - d_rho)
+            p_rho = np.concatenate([rho, np.where(inner[rim], lo, hi)])
+            p_th = np.concatenate([th, th[rim]])
+            x, y = p_rho * np.cos(p_th), p_rho * np.sin(p_th)
+            dx, dy = x - sx, y - sy  # row 0: reference sniffer
+            d = np.hypot(dx, dy)
+            m = dd - (d[1:] - d[0])
+            cost = (m * m).sum(axis=0)
+            i = int(np.argmin(cost))
+            if cost[i] < best:
+                best, best_x, best_y = float(cost[i]), float(x[i]), float(y[i])
+            n = rho.size
+            bound = _lower_bound(rho, d_rho, d_th, x[:n], y[:n], dx[:, :n], dy[:, :n],
+                                 d[:, :n], m[:, :n], cost[:n])
+            certified = best - float(bound.min()) <= CERT_TOL * max(1.0, best)
+            if max(d_rho, hi * d_th) <= GRID_STEP and certified:
+                return Position(enb.x + best_x, enb.y + best_y), best
+            keep = bound < best
+            if 16 * np.count_nonzero(keep) > MAX_CELLS:
+                break
+            d_rho, d_th = 0.25 * d_rho, 0.25 * d_th
+            rho = (rho[keep][:, None] + d_rho * _CHILD_RHO).ravel()
+            th = (th[keep][:, None] + d_th * _CHILD_TH).ravel()
     raise RuntimeError("annulus_minimum: no certificate within the search limits "
                        "(flat or non-smooth minimum)")

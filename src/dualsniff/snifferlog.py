@@ -287,12 +287,16 @@ def write_log(c: TimingColumns) -> str:
     """Render a log back to canonical text; inverse of ``parse_log``.
 
     Floats are written with ``repr`` so parsing the output reproduces the
-    columns bit-exactly.
+    columns bit-exactly.  Each distinct value, told apart by its bits so that
+    ``-0.0`` keeps its sign, is formatted once.
     """
-    return "".join(
-        f"{frame:04d}.{subframe} {rnti} {delta!r} {snr!r} {cqi} {noise!r}\n"
-        for frame, subframe, rnti, delta, snr, cqi, noise in zip(
-            *(getattr(c, name).tolist() for name, _ in COLUMNS)))
+    columns = []
+    for (name, dtype), fmt in zip(COLUMNS, ("{:04d}".format, str, str, repr, repr, str, repr)):
+        values, inverse = np.unique(getattr(c, name).view(np.int64), return_inverse=True)
+        tokens = np.array([fmt(v) for v in values.view(dtype).tolist()], dtype=object)
+        columns.append(tokens[inverse].tolist())
+    return "".join(f"{frame}.{subframe} {rnti} {delta} {snr} {cqi} {noise}\n"
+                   for frame, subframe, rnti, delta, snr, cqi, noise in zip(*columns))
 
 
 def filter_rnti(c: TimingColumns, rnti: int) -> TimingColumns:

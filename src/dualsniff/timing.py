@@ -22,6 +22,9 @@ from .snifferlog import FRAME_WRAP, MAX_RNTI, TimingColumns
 #: Subframes per radio frame.
 SUBFRAMES_PER_FRAME = 10
 
+#: Longest capture, subframes (1000 s): refused before anything is allocated.
+MAX_SUBFRAMES = 1_000_000
+
 
 @dataclass(frozen=True)
 class ClockConfig:
@@ -68,8 +71,8 @@ class CaptureSpec:
     def __post_init__(self):
         for name in ("subframes", "rnti", "start_frame"):
             object.__setattr__(self, name, whole(name, getattr(self, name)))
-        if self.subframes < 1:
-            raise ValueError(f"subframes must be >= 1, got {self.subframes}")
+        if not 1 <= self.subframes <= MAX_SUBFRAMES:
+            raise ValueError(f"subframes must be >= 1 and <= {MAX_SUBFRAMES}, got {self.subframes}")
         if not 0 <= self.rnti <= MAX_RNTI:
             raise ValueError(f"rnti must be in [0, {MAX_RNTI}], got {self.rnti}")
         for name in ("snr_db", "noise_power_dbm"):

@@ -198,6 +198,23 @@ def test_integers_too_large_for_a_float_are_config_errors(tmp_path, capsys, sect
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subframes", [HUGE, str(10 ** 12)], ids=["400_digits", "1e12"])
+def test_a_capture_too_long_to_simulate_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                          subframes):
+    # refused by the config check: nothing the length of the capture is allocated
+    def unreachable(*args):
+        raise AssertionError("simulate_capture reached")
+
+    monkeypatch.setattr(cli, "simulate_capture", unreachable)
+    cfg = _write(tmp_path, "exp.yaml",
+                 TOA_CONFIG.replace("subframes: 30", f"subframes: {subframes}"))
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: {cfg}: capture: subframes must be >= 1 and <= 1000000, got ")
+    assert not out.exists()
+
+
 def test_integer_config_fields_reject_infinity_and_fractions(tmp_path, capsys):
     for value, reason in ((".inf", "must be finite"), ("7423.5", "must be an integer")):
         cfg = _write(tmp_path, "exp.yaml", TOA_CONFIG.replace("rnti: 7423", f"rnti: {value}"))

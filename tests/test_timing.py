@@ -5,8 +5,8 @@ import pytest
 
 from dualsniff.geometry import (LTE_TS, SPEED_OF_LIGHT, TA_BAND_M, TA_STEP_S,
                                 Position, Scenario, distance)
-from dualsniff.timing import (CaptureSpec, ClockConfig, Relocation, quantize_ta, segments,
-                              simulate_capture, subframe_delta, ta_seconds)
+from dualsniff.timing import (MAX_SUBFRAMES, CaptureSpec, ClockConfig, Relocation, quantize_ta,
+                              segments, simulate_capture, subframe_delta, ta_seconds)
 from helpers import dl_arrival, sigma_for_snr, ue_tx_time, ul_arrival
 
 
@@ -70,6 +70,12 @@ def test_segments_need_a_subframe():
             segments(sc, (), subframes)
     with pytest.raises(ValueError, match="subframes must be >= 1"):
         CaptureSpec(subframes=0)
+
+
+def test_capture_length_has_a_ceiling():
+    assert CaptureSpec(subframes=MAX_SUBFRAMES).subframes == MAX_SUBFRAMES
+    with pytest.raises(ValueError, match=f"subframes must be >= 1 and <= {MAX_SUBFRAMES}"):
+        CaptureSpec(subframes=MAX_SUBFRAMES + 1)
 
 
 def test_segments_cut_the_capture_at_relocations():
