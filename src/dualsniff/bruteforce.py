@@ -1,14 +1,16 @@
 """Reference minimizer for the range-difference cost, used to audit solvers.
 
 A certified branch-and-bound over the timing-advance annulus around the base
-station (the Lipschitz bound-and-prune of Piyavskii 1972 and Shubert 1972,
-in 2-D).  The annulus is tiled exactly by polar cells.  Each cell's cost is
-evaluated at its centre and, on the inner and outer rings, at its rim point;
-the best of these is the incumbent.  A cell is dropped once a lower bound on
-the cost anywhere in it reaches the incumbent.  Each round halves the rest
-twice, into 4 x 4 children, until the incumbent is within ``CERT_TOL`` of the
-smallest bound: the returned cost is the global minimum over the annulus to
-that tolerance.  The search shares no algebra with the solvers it audits.
+station (the Lipschitz bound-and-prune of Piyavskii 1972 and Shubert 1972, in
+2-D).  The annulus is tiled exactly by polar cells.  Each cell's cost is taken
+at its centre and, on the inner and outer rings, at its rim point; when the
+best of these beats the incumbent, Gauss-Newton steps on the misses polish it
+into the new incumbent (a zero of the cost usually falls to rounding in the
+first round).  A cell is dropped once a lower bound on the cost anywhere in it
+reaches the incumbent.  Each round halves the rest twice, into 4 x 4 children,
+until the incumbent is within ``CERT_TOL`` of the smallest bound, or no cell is
+left: the returned cost is the global minimum over the annulus to that
+tolerance.  The search shares no algebra with the solvers it audits.
 """
 
 import math
@@ -22,7 +24,7 @@ from ._kernels import annulus_grid_min  # noqa: F401
 from .geometry import Position
 from .tdoa import TdoaPair, range_difference_residual
 
-#: The search stops only once its cells are no wider than this, meters.
+#: The search goes on until its cells are no wider than this (or none is left), m.
 GRID_STEP = 0.05
 
 #: Certificate tolerance, m^2 (relative above 1 m^2, where float64 rounding
@@ -78,32 +80,58 @@ def _lower_bound(rho, d_rho, d_th, x, y, dx, dy, d, m, cost):
     return np.where(clear.min(axis=0) > 0.0, np.maximum(bound, taylor), bound)
 
 
+def _polish(w, z, dd, lo, hi):
+    """Gauss-Newton steps from ``w`` while they land in the annulus, lower the
+    cost and J^T J is regular (never, with one pair): the last point kept and
+    its cost.  Points are complex, x + iy, and ``z`` the sniffers, reference
+    first; miss k has gradient -(u_k - u_0), u the unit vectors from them
+    (zero on a sniffer).  Plain Python beats numpy calls on a few sniffers."""
+    best = math.inf
+    while True:
+        r0 = w - z[0]
+        u0, cost, s, t, g = r0 / (abs(r0) or 1.0), 0.0, 0.0, 0j, 0j
+        for zk, e in zip(z[1:], dd):
+            mk, jk = e - (abs(w - zk) - abs(r0)), (w - zk) / (abs(w - zk) or 1.0) - u0
+            cost, s, t, g = cost + mk * mk, s + abs(jk) ** 2, t + jk * jk, g + jk * mk
+        if not cost < best:
+            break
+        kept, best = w, cost
+        # J^T J step = J^T m, in complex form: (s step + t conj(step)) / 2 = g
+        if not abs(t) < (1.0 - 1e-9) * s:
+            break
+        w += 2.0 * (s * g - t * g.conjugate()) / (s * s - abs(t) ** 2)
+        if not lo <= abs(w) <= hi:
+            break
+    return kept, best
+
+
 def annulus_minimum(enb: Position, band: Tuple[float, float],
                     pairs: Sequence[TdoaPair]) -> Tuple[Position, float]:
     """Minimize the pairwise cost over the annulus ``band`` around ``enb``.
 
-    Returns (position, cost); the position always lies in the annulus.  The
-    search stops once its cells are no wider than ``GRID_STEP`` and the cost
-    is certified to within ``CERT_TOL`` of the global minimum; each round
-    halves every kept cell twice, into 16.  Raises ``RuntimeError`` if that
-    takes over ``MAX_LEVELS`` halvings or ``MAX_CELLS`` live cells.
+    Returns the incumbent (position, cost), the best centre or rim point seen
+    as polished by ``_polish``; it lies in the annulus.  That cost is certified
+    to within ``CERT_TOL`` of the global minimum once the cells are no wider
+    than ``GRID_STEP``, or sooner if no cell is left (every bound reached the
+    incumbent); each round halves every kept cell twice, into 16.  Raises
+    ``RuntimeError`` past ``MAX_LEVELS`` halvings or ``MAX_CELLS`` live cells.
     """
     if not pairs:
         raise ValueError("need at least one pair")
     lo, hi = float(band[0]), float(band[1])
     if not 0.0 <= lo < hi:
         raise ValueError(f"band must satisfy 0 <= lo < hi, got {band}")
-    ref = pairs[0].ref_sniffer
-    # coordinates relative to the base station
-    sx = np.array([ref.x] + [p.other_sniffer.x for p in pairs])[:, None] - enb.x
-    sy = np.array([ref.y] + [p.other_sniffer.y for p in pairs])[:, None] - enb.y
+    # coordinates relative to the base station, reference sniffer first
+    z = [complex(s.x - enb.x, s.y - enb.y)
+         for s in [pairs[0].ref_sniffer] + [p.other_sniffer for p in pairs]]
+    sx, sy = np.real(z)[:, None], np.imag(z)[:, None]
     dd = np.array([p.delta_d for p in pairs])[:, None]
     d_rho = (hi - lo) / _RINGS
     d_th = 2.0 * math.pi / math.ceil(2.0 * math.pi * hi / d_rho)
     rho, th = np.meshgrid(lo + d_rho * (np.arange(_RINGS) + 0.5),
                           np.arange(0.5 * d_th, 2.0 * math.pi, d_th))
     rho, th = rho.ravel(), th.ravel()
-    best, best_x, best_y = math.inf, 0.0, 0.0
+    best, best_w = math.inf, 0j
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(0, MAX_LEVELS, 2):
             # centres, then the rim point of each cell in the first and last ring
@@ -118,14 +146,14 @@ def annulus_minimum(enb: Position, band: Tuple[float, float],
             cost = (m * m).sum(axis=0)
             i = int(np.argmin(cost))
             if cost[i] < best:
-                best, best_x, best_y = float(cost[i]), float(x[i]), float(y[i])
+                best_w, best = _polish(complex(x[i], y[i]), z, dd[:, 0].tolist(), lo, hi)
             n = rho.size
             bound = _lower_bound(rho, d_rho, d_th, x[:n], y[:n], dx[:, :n], dy[:, :n],
                                  d[:, :n], m[:, :n], cost[:n])
             certified = best - float(bound.min()) <= CERT_TOL * max(1.0, best)
-            if max(d_rho, hi * d_th) <= GRID_STEP and certified:
-                return Position(enb.x + best_x, enb.y + best_y), best
             keep = bound < best
+            if certified and (max(d_rho, hi * d_th) <= GRID_STEP or not keep.any()):
+                return Position(enb.x + best_w.real, enb.y + best_w.imag), best
             if 16 * np.count_nonzero(keep) > MAX_CELLS:
                 break
             d_rho, d_th = 0.25 * d_rho, 0.25 * d_th

@@ -39,7 +39,7 @@ _LAZY = {"configio": ("ExperimentSetup", "load_setup"),
          "snifferlog": ("MAX_RNTI", "MatchedColumns", "TimingColumns", "filter_rnti",
                         "interleave", "match_records", "parse_log", "write_log"),
          "tdoa": ("estimate_tdoa",),
-         "timing": ("SimulatedCapture", "simulate_capture"),
+         "timing": ("MAX_SUBFRAMES", "SimulatedCapture", "simulate_capture"),
          "toa": ("compose_D", "solve_toa", "solve_toa_batch")}
 
 
@@ -109,6 +109,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--decoys must be >= 0, got {args.decoys}")
     if setup.capture.rnti + args.decoys > MAX_RNTI:
         raise ConfigError(f"--decoys {args.decoys} runs the decoy RNTIs past {MAX_RNTI}")
+    if (1 + args.decoys) * setup.capture.subframes > MAX_SUBFRAMES:
+        raise ConfigError(f"--decoys {args.decoys} takes the captures past {MAX_SUBFRAMES} subframes")
     if setup.scenario.ue_truth is None:
         raise ConfigError("simulation requires scenario.ue_truth")
 

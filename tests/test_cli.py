@@ -215,6 +215,38 @@ def test_a_capture_too_long_to_simulate_is_a_config_error(tmp_path, capsys, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize("decoys", [33_333, 10 ** 9])
+def test_decoys_past_the_capture_ceiling_are_a_config_error(tmp_path, capsys, monkeypatch,
+                                                            decoys):
+    # 1 + N captures of 30 subframes each, refused before any is simulated
+    def unreachable(*args):
+        raise AssertionError("simulate_capture reached")
+
+    monkeypatch.setattr(cli, "simulate_capture", unreachable)
+    cfg = _write(tmp_path, "exp.yaml", TOA_CONFIG)
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out),
+                 "--decoys", str(decoys)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"configuration error: --decoys {decoys} takes the "
+                                       f"captures past 1000000 subframes\n")
+    assert not out.exists()
+
+
+def test_decoys_up_to_the_capture_ceiling_are_simulated(tmp_path, monkeypatch):
+    # 33 333 captures of 30 subframes fit under the ceiling: the check lets them through
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(cli, "simulate_capture", reached)
+    cfg = _write(tmp_path, "exp.yaml", TOA_CONFIG)
+    with pytest.raises(Reached):
+        main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "x"),
+              "--decoys", "33332"])
+
+
 def test_integer_config_fields_reject_infinity_and_fractions(tmp_path, capsys):
     for value, reason in ((".inf", "must be finite"), ("7423.5", "must be an integer")):
         cfg = _write(tmp_path, "exp.yaml", TOA_CONFIG.replace("rnti: 7423", f"rnti: {value}"))
