@@ -36,8 +36,8 @@ from .stats import EmptyInput, cdf_quantile, one_sigma_filter, summarize
 #: tracer wraps ``cli.<name>``, and ``solve_toa`` is listed for it alone.
 _LAZY = {"configio": ("ExperimentSetup", "load_setup"),
          "geometry": ("Position", "Scenario", "distance", "ta_band"),
-         "snifferlog": ("MAX_RNTI", "MatchedColumns", "TimingColumns", "filter_rnti",
-                        "interleave", "match_records", "parse_log", "write_log"),
+         "snifferlog": ("MAX_RNTI", "filter_rnti", "interleave", "match_records", "parse_log",
+                        "write_log"),
          "tdoa": ("estimate_tdoa",),
          "timing": ("MAX_SUBFRAMES", "SimulatedCapture", "simulate_capture"),
          "toa": ("compose_D", "solve_toa", "solve_toa_batch")}
@@ -134,7 +134,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_records(path: str, rnti: int) -> "TimingColumns":
+def _read_records(path: str, rnti: int) -> "np.ndarray":
     _load()
     p = Path(path)
     if not p.is_file():
@@ -143,13 +143,13 @@ def _read_records(path: str, rnti: int) -> "TimingColumns":
         records, diags = parse_log(fh)
     for d in diags:
         print(f"{path}:{d.line}: skipped: {d.reason}", file=sys.stderr)
-    if not records:
+    if len(records) == 0:
         raise InputError(f"{path}: no parseable records")
     return filter_rnti(records, rnti)
 
 
 def _configurations(setup: "ExperimentSetup", files: Sequence[str], rnti: int,
-                    min_pairs: int = 1) -> "List[tuple[MatchedColumns, Position, Position]]":
+                    min_pairs: int = 1) -> "List[tuple[np.ndarray, Position, Position]]":
     """The matched samples and (reference, other) positions of each file pair.
 
     Pair j is configuration j: sniffers 1 and 2 where segment j of the plan puts
@@ -179,11 +179,11 @@ def _configurations(setup: "ExperimentSetup", files: Sequence[str], rnti: int,
 def _locate_toa(setup: "ExperimentSetup", files: Sequence[str], rnti: int) -> tuple:
     scenario, columns = setup.scenario, ([], [], [], [], [])
     for samples, ref, other in _configurations(setup, files, rnti):
-        sol = solve_toa_batch(compose_D(samples.delta_a * 1e-6, ref, scenario),
-                              compose_D(samples.delta_b * 1e-6, other, scenario),
+        sol = solve_toa_batch(compose_D(samples["delta_a"] * 1e-6, ref, scenario),
+                              compose_D(samples["delta_b"] * 1e-6, other, scenario),
                               scenario.enb, scenario.band)
         for column, part in zip(columns, (
-                samples.frame.tolist(), samples.subframe.tolist(), sol.status.tolist(),
+                samples["frame"].tolist(), samples["subframe"].tolist(), sol.status.tolist(),
                 sol.chosen(sol.u).tolist(), [sol.failed.get(i) for i in range(len(samples))])):
             column += part
     return columns
@@ -198,7 +198,7 @@ def _locate_tdoa(setup: "ExperimentSetup", files: Sequence[str], rnti: int) -> t
         if len(samples) > n:
             print(f"configuration {j + 1}: {len(samples) - n} of {len(samples)} matched samples "
                   f"unused (the shortest configuration has {n})", file=sys.stderr)
-    return (matched_sets[0].frame[:n].tolist(), matched_sets[0].subframe[:n].tolist(),
+    return (matched_sets[0]["frame"][:n].tolist(), matched_sets[0]["subframe"][:n].tolist(),
             [o.status for o in outcomes],
             [(o.estimate.position.x, o.estimate.position.y) if o.estimate else (None, None)
              for o in outcomes],

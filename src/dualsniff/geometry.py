@@ -232,7 +232,8 @@ def choose_candidate(u: np.ndarray, r: np.ndarray, residual: np.ndarray, valid: 
     band wins, ties going to the smaller residual; with no clean candidate
     either, the smallest residual does; then the lower column.  Two clean
     in-band candidates farther apart than ``AMBIGUITY_SEPARATION`` fail the
-    sample with AmbiguousSolution.  The arrays are those of ``Solutions``.
+    sample with AmbiguousSolution.  The arrays are those of ``Solutions``,
+    with the two candidate columns that ``eliminate`` gives.
     """
     lo, hi = band
     d = np.hypot(u[..., 0] - enb.x, u[..., 1] - enb.y)
@@ -240,8 +241,7 @@ def choose_candidate(u: np.ndarray, r: np.ndarray, residual: np.ndarray, valid: 
     tier = np.where(in_band, 0, 3 - valid - (valid & clean))
     gap = np.where(tier == 1, np.maximum(lo - d, d - hi), 0.0)
     sure = in_band & clean
-    apart = np.hypot(*(u[:, :, None, k] - u[:, None, :, k] for k in (0, 1)))
-    spread = np.maximum.reduce(np.where(sure[:, :, None] & sure[:, None], apart, 0.0), axis=(1, 2))
+    spread = np.where(sure[:, 0] & sure[:, 1], np.hypot(*(u[:, 0] - u[:, 1]).T), 0.0)
     fail(failed, spread > AMBIGUITY_SEPARATION, lambda i: AmbiguousSolution(
         f"{np.count_nonzero(sure[i])} in-band candidates separated by {spread[i]:.2f} m",
         candidates=[Position(x, y) for x, y in u[i][valid[i] & clean[i]].tolist()]))

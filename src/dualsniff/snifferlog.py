@@ -11,8 +11,9 @@ timing delta in microseconds.  Real sniffer builds print their own layout;
 converting it to this format is the adapter's job, everything downstream
 consumes only the canonical form.
 
-A log is held as ``TimingColumns``, one numpy array per field, so parsing,
-writing and filtering cost one array operation per field, not per line.
+A log is a one-dimensional numpy array of the ``ENTRY`` dtype, one element
+per entry, so parsing, writing and filtering cost one array operation per
+field, not per line.  Two matched logs give an array of ``SAMPLE``.
 
 Malformed lines never abort a parse: they are skipped and reported as
 diagnostics carrying the line number and reason.
@@ -27,17 +28,24 @@ import numpy as np
 
 #: Radio frame counter modulus used when unwrapping sort keys.
 FRAME_WRAP = 1024
-#: Largest RNTI a log entry may carry: columns hold 64-bit integers.
+#: Largest RNTI a log entry may carry: the field is a 64-bit integer.
 MAX_RNTI = 2 ** 63 - 1
 
-#: Column names in log-line order, with their dtypes.
-COLUMNS = (("frame", np.int64), ("subframe", np.int64), ("rnti", np.int64),
-           ("dl_ul_delta", np.float64), ("snr", np.float64), ("cqi", np.int64),
-           ("noise_power", np.float64))
+#: One log entry, its fields in log-line order; ``dl_ul_delta`` is in
+#: microseconds, ``snr`` in dB and ``noise_power`` in dBm.
+ENTRY = np.dtype([("frame", np.int64), ("subframe", np.int64), ("rnti", np.int64),
+                  ("dl_ul_delta", np.float64), ("snr", np.float64), ("cqi", np.int64),
+                  ("noise_power", np.float64)])
+
+#: One sample of two matched logs: the deltas of both at one (frame, subframe)
+#: key, in microseconds.  ``frame`` is the unwrapped frame counter, so keys
+#: increase monotonically even across a 1024-frame wrap.
+SAMPLE = np.dtype([("frame", np.int64), ("subframe", np.int64), ("delta_a", np.float64),
+                   ("delta_b", np.float64)])
 
 #: A rule on log entries: a test that holds for a valid entry, and a
 #: ``str.format`` template over ``e`` naming a broken one.  ``e`` maps field
-#: names to values; the test works on scalars and, element-wise, on columns.
+#: names to values; the test works on scalars and, element-wise, on arrays.
 Rule = Tuple[Callable, str]
 
 #: The parser's rule on a line's frame counter, checked before its other fields are converted.
@@ -65,65 +73,9 @@ def _enforce(rules: Sequence[Rule], e: dict) -> None:
             raise ValueError(message.format(e=e))
 
 
-@dataclass(frozen=True, eq=False)
-class TimingColumns:
-    """Log entries of one sniffer as columns: entry i is row i of every array.
-
-    A slice, an index array or a boolean mask gives the selected entries as
-    new columns.  Columns compare equal to columns with the same values.
-    """
-
-    frame: np.ndarray
-    subframe: np.ndarray
-    rnti: np.ndarray
-    dl_ul_delta: np.ndarray   # microseconds
-    snr: np.ndarray           # dB
-    cqi: np.ndarray
-    noise_power: np.ndarray   # dBm
-
-    def __post_init__(self):
-        for name, dtype in COLUMNS:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        if len({getattr(self, name).shape for name, _ in COLUMNS}) != 1 or self.frame.ndim != 1:
-            raise ValueError("columns must be one-dimensional and of one length")
-
-    def __len__(self) -> int:
-        return len(self.frame)
-
-    def __getitem__(self, index):
-        return TimingColumns(*(getattr(self, name)[index] for name, _ in COLUMNS))
-
-    # entries are rows of the arrays, not objects to iterate over
-    __iter__ = None
-
-    def __eq__(self, other):
-        if not isinstance(other, TimingColumns):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, name), getattr(other, name))
-                   for name, _ in COLUMNS)
-
-
-def interleave(logs: Sequence[TimingColumns]) -> TimingColumns:
+def interleave(logs: Sequence[np.ndarray]) -> np.ndarray:
     """Merge logs of equal length entry by entry: entry 0 of each, in order, then entry 1..."""
-    return TimingColumns(*(np.stack([getattr(log, name) for log in logs], axis=1).ravel()
-                           for name, _ in COLUMNS))
-
-
-@dataclass(frozen=True, eq=False)
-class MatchedColumns:
-    """Deltas from two sniffers at their shared (frame, subframe, rnti) keys.
-
-    Sample i is row i of every array.  ``frame`` is the unwrapped frame
-    counter, so keys increase monotonically even across a 1024-frame wrap.
-    """
-
-    frame: np.ndarray
-    subframe: np.ndarray
-    delta_a: np.ndarray  # microseconds
-    delta_b: np.ndarray  # microseconds
-
-    def __len__(self) -> int:
-        return len(self.frame)
+    return np.stack(logs, axis=1).ravel()
 
 
 @dataclass(frozen=True)
@@ -138,40 +90,40 @@ class ParseDiagnostic:
 #: fills it may have been cut short.
 _TOKEN_WIDTH = 8
 #: One log line as ``np.loadtxt`` reads it.
-_LINE_DTYPE = np.dtype([("token", f"U{_TOKEN_WIDTH}")] + list(COLUMNS[2:]))
+_LINE_DTYPE = np.dtype([("token", f"U{_TOKEN_WIDTH}")] + ENTRY.descr[2:])
 
 
 def _keeps_rules(e) -> np.ndarray:
-    """Which entries of the columns ``e`` keep every parser rule."""
+    """Which entries of ``e``, a log or a dict of field arrays, keep every parser rule."""
     keep = np.ones(len(e["frame"]), dtype=bool)
     for holds, _ in PARSER_RULES:
         keep &= holds(e)
     return keep
 
 
-def parse_log(stream: Union[IO, Iterable]) -> Tuple[TimingColumns, List[ParseDiagnostic]]:
-    """Parse a capture log into columns and the diagnostics of its bad lines.
+def parse_log(stream: Union[IO, Iterable]) -> Tuple[np.ndarray, List[ParseDiagnostic]]:
+    """Parse a capture log into an ``ENTRY`` array and the diagnostics of its bad lines.
 
     Accepts any iterable of text or byte lines; bytes are decoded as UTF-8,
     with undecodable bytes replaced.  A log whose every line is an entry, a
     comment or blank, and whose every ``FRAME.SUBFRAME`` token is spelled
     canonically (ASCII digits, one dot, one subframe digit), is read by one
-    ``np.loadtxt`` pass, and the value rules are checked over whole columns.
+    ``np.loadtxt`` pass, and the value rules are checked over whole fields.
     Any other log goes through the per-line parser, which reads the other
     spellings as Python's ``int`` does, with the same result, and names each
-    line it skips.  The columns hold the log's fields only: which sniffer
+    line it skips.  The entries hold the log's fields only: which sniffer
     wrote the log is the caller's to know, from where it read it.
     """
     lines = [raw.decode("utf-8", errors="replace") if isinstance(raw, bytes) else raw
              for raw in stream]
-    columns = _parse_clean(lines)
-    if columns is not None:
-        return columns, []
+    log = _parse_clean(lines)
+    if log is not None:
+        return log, []
     return _parse_lines(lines)
 
 
-def _parse_clean(lines: List[str]) -> Optional[TimingColumns]:
-    """The columns of a log whose every line is a valid entry, a comment or blank, else None.
+def _parse_clean(lines: List[str]) -> Optional[np.ndarray]:
+    """The entries of a log whose every line is a valid entry, a comment or blank, else None.
 
     The column path reads only canonical ``FRAME.SUBFRAME`` tokens (see
     ``_decode_tokens``).  None means the log holds no entry, a NUL, a token
@@ -198,8 +150,11 @@ def _parse_clean(lines: List[str]) -> Optional[TimingColumns]:
     counters = _decode_tokens(table["token"])
     if counters is None:
         return None
-    columns = TimingColumns(*counters, *(table[name] for name, _ in COLUMNS[2:]))
-    return columns if _keeps_rules(vars(columns)).all() else None
+    log = np.empty(len(table), ENTRY)
+    log["frame"], log["subframe"] = counters
+    for name in ENTRY.names[2:]:
+        log[name] = table[name]
+    return log if _keeps_rules(log).all() else None
 
 
 def _decode_tokens(tokens: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -229,7 +184,7 @@ def _decode_tokens(tokens: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]
     return frame, digits[rows, length - 1]
 
 
-def _parse_lines(lines: Iterable[str]) -> Tuple[TimingColumns, List[ParseDiagnostic]]:
+def _parse_lines(lines: Iterable[str]) -> Tuple[np.ndarray, List[ParseDiagnostic]]:
     """Parse a log line by line, skipping each bad line with a diagnostic.
 
     Blank lines and ``#`` comments are ignored.  A line's checks run in a
@@ -265,46 +220,48 @@ def _parse_lines(lines: Iterable[str]) -> Tuple[TimingColumns, List[ParseDiagnos
         rows.append(row)
         row_lines.append(line_no)
 
-    names = [name for name, _ in COLUMNS]
     e = {}
-    for (name, dtype), values in zip(COLUMNS, zip(*rows) if rows else [()] * len(COLUMNS)):
+    for name, values in zip(ENTRY.names, zip(*rows) if rows else [()] * len(ENTRY)):
         try:
-            e[name] = np.array(values, dtype=dtype)
+            e[name] = np.array(values, dtype=ENTRY[name])
         except OverflowError:
             # an integer past 64 bits breaks a rule; hold it to name the rule
             e[name] = np.array(values, dtype=object)
     keep = _keeps_rules(e)
     for k in np.flatnonzero(~keep).tolist():
         try:
-            _enforce(PARSER_RULES, dict(zip(names, rows[k])))
+            _enforce(PARSER_RULES, dict(zip(ENTRY.names, rows[k])))
         except ValueError as exc:
             diagnostics.append(ParseDiagnostic(line=row_lines[k], reason=str(exc)))
     diagnostics.sort(key=lambda d: d.line)
-    return TimingColumns(*(e[name][keep] for name in names)), diagnostics
+    log = np.empty(np.count_nonzero(keep), ENTRY)
+    for name in ENTRY.names:
+        log[name] = e[name][keep]
+    return log, diagnostics
 
 
-def write_log(c: TimingColumns) -> str:
+def write_log(log: np.ndarray) -> str:
     """Render a log back to canonical text; inverse of ``parse_log``.
 
     Floats are written with ``repr`` so parsing the output reproduces the
-    columns bit-exactly.  Each distinct value, told apart by its bits so that
+    entries bit-exactly.  Each distinct value, told apart by its bits so that
     ``-0.0`` keeps its sign, is formatted once.
     """
     columns = []
-    for (name, dtype), fmt in zip(COLUMNS, ("{:04d}".format, str, str, repr, repr, str, repr)):
-        values, inverse = np.unique(getattr(c, name).view(np.int64), return_inverse=True)
-        tokens = np.array([fmt(v) for v in values.view(dtype).tolist()], dtype=object)
+    for name, fmt in zip(ENTRY.names, ("{:04d}".format, str, str, repr, repr, str, repr)):
+        values, inverse = np.unique(log[name].view(np.int64), return_inverse=True)
+        tokens = np.array([fmt(v) for v in values.view(ENTRY[name]).tolist()], dtype=object)
         columns.append(tokens[inverse].tolist())
     return "".join(f"{frame}.{subframe} {rnti} {delta} {snr} {cqi} {noise}\n"
                    for frame, subframe, rnti, delta, snr, cqi, noise in zip(*columns))
 
 
-def filter_rnti(c: TimingColumns, rnti: int) -> TimingColumns:
+def filter_rnti(log: np.ndarray, rnti: int) -> np.ndarray:
     """Order-preserving subset of entries carrying the target RNTI."""
-    return c[c.rnti == rnti]
+    return log[log["rnti"] == rnti]
 
 
-def _unwrap_frames(c: TimingColumns) -> np.ndarray:
+def _unwrap_frames(log: np.ndarray) -> np.ndarray:
     """Monotonic frame counters from a wrapped capture, in stream order.
 
     A drop of more than half the wrap modulus between consecutive entries is
@@ -313,13 +270,12 @@ def _unwrap_frames(c: TimingColumns) -> np.ndarray:
     frames apart; a longer gap cannot be told apart from a shorter one by the
     counters alone.
     """
-    wraps = np.cumsum(np.diff(c.frame) < -(FRAME_WRAP // 2))
-    return c.frame + FRAME_WRAP * np.concatenate(([0], wraps))
+    wraps = np.cumsum(np.diff(log["frame"]) < -(FRAME_WRAP // 2))
+    return log["frame"] + FRAME_WRAP * np.concatenate(([0], wraps))
 
 
-def match_records(a: TimingColumns, b: TimingColumns
-                  ) -> Tuple[MatchedColumns, List[str]]:
-    """Pair two captures of the same RNTI by (frame, subframe).
+def match_records(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, List[str]]:
+    """Pair two captures of the same RNTI by (frame, subframe) into a ``SAMPLE`` array.
 
     Both inputs are unwrapped and sorted by (frame, subframe); a key present
     exactly once in each capture yields one sample.  Keys appearing more than
@@ -327,7 +283,7 @@ def match_records(a: TimingColumns, b: TimingColumns
     a matched key whose two entries disagree on the RNTI.
     """
     frame = np.concatenate((_unwrap_frames(a), _unwrap_frames(b)))
-    subframe = np.concatenate((a.subframe, b.subframe))
+    subframe = np.concatenate((a["subframe"], b["subframe"]))
     # key every entry of both captures by the rank of its (frame, subframe) in
     # sorted order: equal pairs share a key, different ones never collide
     order = np.lexsort((subframe, frame))
@@ -349,8 +305,11 @@ def match_records(a: TimingColumns, b: TimingColumns
     (keys_a, rows_a), (keys_b, rows_b) = unique
     _, in_a, in_b = np.intersect1d(keys_a, keys_b, assume_unique=True, return_indices=True)
     i, j = rows_a[in_a], rows_b[in_b]
-    same = a.rnti[i] == b.rnti[j]
+    same = a["rnti"][i] == b["rnti"][j]
     diagnostics.extend(f"rnti mismatch at frame={f} subframe={s}: dropped"
-                       for f, s in zip(frame[i[~same]].tolist(), a.subframe[i[~same]].tolist()))
+                       for f, s in zip(frame[i[~same]].tolist(), subframe[i[~same]].tolist()))
     i, j = i[same], j[same]
-    return MatchedColumns(frame[i], a.subframe[i], a.dl_ul_delta[i], b.dl_ul_delta[j]), diagnostics
+    samples = np.empty(len(i), SAMPLE)
+    samples["frame"], samples["subframe"] = frame[i], subframe[i]
+    samples["delta_a"], samples["delta_b"] = a["dl_ul_delta"][i], b["dl_ul_delta"][j]
+    return samples, diagnostics

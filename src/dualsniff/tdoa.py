@@ -21,7 +21,6 @@ import numpy as np
 from .errors import InfeasibleObservation, MixedReference, NoRealRoot, RankDeficient
 from .geometry import (CONDITION_LIMIT, SPEED_OF_LIGHT, Failed, Position, Scenario, Solutions,
                        choose_candidate, distance, eliminate, fail)
-from .snifferlog import MatchedColumns
 
 #: Hard reject for range differences, in units of the sniffer baseline.
 BASELINE_REJECT_FACTOR = 3.0
@@ -214,14 +213,14 @@ def solve_normal_equations(system: LinearSystem) -> TdoaEstimate:
                         method="normal-equations")
 
 
-def estimate_tdoa(matched_sets: Sequence[MatchedColumns],
+def estimate_tdoa(matched_sets: Sequence[np.ndarray],
                   scenario: Scenario, *, ref_sniffer: Position,
                   other_positions: Sequence[Position]) -> List[SampleOutcome]:
     """Batch driver: one estimate per aligned sample across configurations.
 
-    ``matched_sets[j]`` holds configuration j's matched samples, where
-    ``delta_a`` is the fixed reference sniffer and ``delta_b`` the sniffer
-    at ``other_positions[j]``.  Sample i of every configuration makes one
+    ``matched_sets[j]`` holds configuration j's matched samples, a
+    ``snifferlog.SAMPLE`` array whose ``delta_a`` is the fixed reference
+    sniffer and ``delta_b`` the sniffer at ``other_positions[j]``.  Sample i of every configuration makes one
     system, and one ``solve_constrained_batch`` call solves them all; outcome
     i is sample i's, and a failure is reported per sample.  Samples past the
     shortest configuration are unused.  Deltas are microseconds, as logged.
@@ -235,7 +234,7 @@ def estimate_tdoa(matched_sets: Sequence[MatchedColumns],
             f"{len(matched_sets)} configurations")
 
     n = min(len(s) for s in matched_sets)
-    pairs = [form_tdoa(s.delta_a[:n] * 1e-6, s.delta_b[:n] * 1e-6, ref_sniffer, other,
+    pairs = [form_tdoa(s["delta_a"][:n] * 1e-6, s["delta_b"][:n] * 1e-6, ref_sniffer, other,
                        scenario.enb) for s, other in zip(matched_sets, other_positions)]
     sol = solve_constrained_batch(build_system(pairs), ref_sniffer, scenario.band, scenario.enb)
     return [SampleOutcome(est, status, str(sol.failed.get(i, ""))) for i, (status, est)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import SPEED_OF_LIGHT, TA_BAND_M, TA_STEP_S, Position, Scenario, distance, whole
-from .snifferlog import FRAME_WRAP, MAX_RNTI, TimingColumns
+from .snifferlog import ENTRY, FRAME_WRAP, MAX_RNTI
 
 #: Subframes per radio frame.
 SUBFRAMES_PER_FRAME = 10
@@ -179,7 +179,7 @@ class SimulatedCapture:
 
     ``dl_ul_delta`` holds one row per subframe and one column per sniffer, in
     microseconds; every other field of an entry follows from ``capture``.
-    ``len`` counts entries; ``sniffer_log`` gives one sniffer's as columns.
+    ``len`` counts entries; ``sniffer_log`` gives one sniffer's as an ``ENTRY`` array.
     """
 
     capture: CaptureSpec
@@ -188,15 +188,15 @@ class SimulatedCapture:
     def __len__(self) -> int:
         return self.dl_ul_delta.size
 
-    def sniffer_log(self, k: int, start: int = 0, stop: Optional[int] = None) -> TimingColumns:
+    def sniffer_log(self, k: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         """Sniffer ``k``'s entries for subframes ``start`` to ``stop`` (exclusive)."""
         spec, n = self.capture, np.arange(self.capture.subframes)[start:stop]
-        return TimingColumns(
-            frame=(spec.start_frame % FRAME_WRAP + n // SUBFRAMES_PER_FRAME) % FRAME_WRAP,
-            subframe=n % SUBFRAMES_PER_FRAME, rnti=np.full(len(n), spec.rnti),
-            dl_ul_delta=self.dl_ul_delta[start:stop, k], snr=np.full(len(n), spec.snr_db),
-            cqi=np.full(len(n), _cqi_for_snr(spec.snr_db)),
-            noise_power=np.full(len(n), spec.noise_power_dbm))
+        log = np.empty(len(n), ENTRY)
+        log["frame"] = (spec.start_frame % FRAME_WRAP + n // SUBFRAMES_PER_FRAME) % FRAME_WRAP
+        log["subframe"], log["dl_ul_delta"] = n % SUBFRAMES_PER_FRAME, self.dl_ul_delta[start:stop, k]
+        log["rnti"], log["snr"], log["cqi"] = spec.rnti, spec.snr_db, _cqi_for_snr(spec.snr_db)
+        log["noise_power"] = spec.noise_power_dbm
+        return log
 
 
 def simulate_capture(scenario: Scenario, cfg: ClockConfig, capture: CaptureSpec,

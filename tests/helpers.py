@@ -115,12 +115,10 @@ MATCHED_HEADER = "frame,subframe,delta_a_us,delta_b_us"
 
 
 def write_matched(samples) -> str:
-    """Matched columns as a delimited table with header, floats by ``repr``."""
+    """Matched samples as a delimited table with header, floats by ``repr``."""
     return MATCHED_HEADER + "\n" + "".join(
         f"{frame},{subframe},{delta_a!r},{delta_b!r}\n"
-        for frame, subframe, delta_a, delta_b in zip(
-            samples.frame.tolist(), samples.subframe.tolist(), samples.delta_a.tolist(),
-            samples.delta_b.tolist()))
+        for frame, subframe, delta_a, delta_b in samples.tolist())
 
 
 def run_toa(scenario: Scenario, deltas=None):

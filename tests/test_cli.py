@@ -87,11 +87,11 @@ def test_simulate_relocation_splits_configs(tmp_path):
     # the moving sniffer reports a different delta after the move
     before, _ = _parse(out / "sn2_cfg1.log")
     after, _ = _parse(out / "sn2_cfg2.log")
-    assert before.dl_ul_delta[0] != after.dl_ul_delta[0]
+    assert before["dl_ul_delta"][0] != after["dl_ul_delta"][0]
     # the reference sniffer does not
     ref1, _ = _parse(out / "sn1_cfg1.log")
     ref2, _ = _parse(out / "sn1_cfg2.log")
-    assert ref1.dl_ul_delta[0] == ref2.dl_ul_delta[0]
+    assert ref1["dl_ul_delta"][0] == ref2["dl_ul_delta"][0]
 
 
 def test_simulate_is_deterministic(tmp_path):
@@ -109,9 +109,9 @@ def test_simulate_decoys_share_timeline(tmp_path):
     records, _ = _parse(out / "sn1_cfg1.log")
     assert len(records) == 90
     assert len(filter_rnti(records, 7423)) == 30
-    assert set(records.rnti.tolist()) == {7423, 7424, 7425}
+    assert set(records["rnti"].tolist()) == {7423, 7424, 7425}
     # within a subframe, the target's entry and then the decoys' in RNTI order
-    assert records.rnti.tolist() == [7423, 7424, 7425] * 30
+    assert records["rnti"].tolist() == [7423, 7424, 7425] * 30
 
 
 def test_simulate_subframes_override_conflicts_with_relocation(tmp_path, capsys):
@@ -279,7 +279,7 @@ def test_simulate_accepts_decoys_up_to_the_largest_rnti(tmp_path):
     out = _simulate(tmp_path, TOA_CONFIG.replace("rnti: 7423", f"rnti: {MAX_RNTI - 1}"),
                     "run", extra=["--decoys", "1"])
     records, diags = _parse(out / "sn1_cfg1.log")
-    assert diags == [] and sorted(set(records.rnti.tolist())) == [MAX_RNTI - 1, MAX_RNTI]
+    assert diags == [] and sorted(set(records["rnti"].tolist())) == [MAX_RNTI - 1, MAX_RNTI]
 
 
 def test_locate_toa_noiseless(tmp_path, capsys):

@@ -77,7 +77,7 @@ def test_scenario_checks_truth_against_band():
 
 
 def _choose(cands, band):
-    """``choose_candidate`` for one sample offering ``cands``, each
+    """``choose_candidate`` for one sample offering ``cands``, two
     (position, residual, clean); raises as a solver does and returns the
     chosen candidate."""
     u = np.array([[(p.x, p.y) for p, _, _ in cands]])
@@ -94,15 +94,15 @@ def test_choose_candidate_by_band():
     far = (Position(60, 80), 1e-14, True)        # 100 m out
     ghost = (Position(0, 120), 5.0, False)       # 120 m out
     # out of band, the clean candidate nearest the band beats a smaller residual
-    assert _choose([far, near, ghost], (100.0, 150.0)) == far
-    assert _choose([far, near, ghost], (0.0, 40.0)) == near
+    assert _choose([far, near], (100.0, 150.0)) == far
+    assert _choose([far, near], (0.0, 40.0)) == near
     # a ghost stands in only when no clean candidate is left
-    assert _choose([ghost], (0.0, 40.0)) == ghost
+    assert _choose([ghost, ghost], (0.0, 40.0)) == ghost
     # in band, the smaller residual wins, a ghost included
     assert _choose([near, ghost], (40.0, 130.0)) == near
     assert _choose([far, ghost], (110.0, 130.0)) == ghost
     # two clean in-band candidates far apart are ambiguous
     with pytest.raises(AmbiguousSolution) as exc:
-        _choose([near, far, ghost], (0.0, 150.0))
+        _choose([near, far], (0.0, 150.0))
     assert exc.value.candidates == [near[0], far[0]]
     assert str(exc.value) == "2 in-band candidates separated by 50.00 m"

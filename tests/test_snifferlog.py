@@ -9,33 +9,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualsniff.cli import _read_records
-from dualsniff.snifferlog import (_TOKEN_WIDTH, COLUMNS, FRAME_WRAP, MAX_RNTI, MatchedColumns,
-                                  TimingColumns, _decode_tokens, _parse_clean, _parse_lines,
-                                  _unwrap_frames, filter_rnti, interleave, match_records,
-                                  parse_log, write_log)
+from dualsniff.snifferlog import (_TOKEN_WIDTH, ENTRY, FRAME_WRAP, MAX_RNTI, SAMPLE,
+                                  _decode_tokens, _parse_clean, _parse_lines, _unwrap_frames,
+                                  filter_rnti, interleave, match_records, parse_log, write_log)
+from dualsniff.timing import CaptureSpec, SimulatedCapture
 from helpers import MATCHED_HEADER, write_matched
 
 DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _rec(frame, subframe, rnti=7423, delta=25.0, snr=20.0, cqi=12, noise=-94.0):
-    """One log entry as a tuple, in column order."""
+    """One log entry as a tuple, in field order."""
     return (frame, subframe, rnti, delta, snr, cqi, noise)
 
 
 def _log(entries):
-    """Columns holding the entry tuples ``entries``, in order."""
-    return TimingColumns(*(zip(*entries) if entries else [()] * len(COLUMNS)))
+    """A log of the entry tuples ``entries``, in order."""
+    return np.array(entries, ENTRY)
 
 
 def _samples(matched, *names):
-    """The matched samples' values of the columns ``names``, one tuple per sample."""
-    return list(zip(*(getattr(matched, name).tolist() for name in names)))
+    """The matched samples' values of the fields ``names``, one tuple per sample."""
+    return matched[list(names)].tolist()
 
 
 def _entries(log):
-    """The entries of ``log`` as tuples of plain scalars, in column order."""
-    return list(zip(*(getattr(log, name).tolist() for name, _ in COLUMNS)))
+    """The entries of ``log`` as tuples of plain scalars, in field order."""
+    return log.tolist()
 
 
 def test_record_validation():
@@ -64,7 +64,7 @@ def test_parse_accepts_bytes_and_streams():
     text = "0001.0 5 1.5 10.0 7 -90.0\n"
     from_text = parse_log(io.StringIO(text))[0]
     from_bytes = parse_log(io.BytesIO(text.encode()))[0]
-    assert from_text == from_bytes
+    assert np.array_equal(from_text, from_bytes)
 
 
 def test_parse_skips_comments_and_blanks():
@@ -79,7 +79,7 @@ def test_parse_never_aborts_on_garbage():
              "complete nonsense",
              "0001.2 5 1.0 10.0 7 -90.0"]
     records, diags = parse_log(lines)
-    assert records.subframe.tolist() == [1, 2]
+    assert records["subframe"].tolist() == [1, 2]
     assert [d.line for d in diags] == [2]
 
 
@@ -102,7 +102,7 @@ def test_roundtrip_identity_small():
         records, _ = parse_log(fh)
     again, diags = parse_log(io.StringIO(write_log(records)))
     assert diags == []
-    assert again == records
+    assert np.array_equal(again, records)
 
 
 def test_roundtrip_identity_fuzzed():
@@ -115,13 +115,13 @@ def test_roundtrip_identity_fuzzed():
     ])
     again, diags = parse_log(io.StringIO(write_log(records)))
     assert diags == []
-    assert again == records
+    assert np.array_equal(again, records)
 
 
 def test_filter_rnti():
     records = _log([_rec(0, 0, rnti=1), _rec(0, 1, rnti=2), _rec(0, 2, rnti=1)])
     kept = filter_rnti(records, 1)
-    assert kept.subframe.tolist() == [0, 2]
+    assert kept["subframe"].tolist() == [0, 2]
 
 
 def test_unwrap_frames():
@@ -216,23 +216,33 @@ def test_write_matched_header_only_when_empty():
     assert write_matched(samples) == MATCHED_HEADER + "\n"
 
 
-def test_matched_sample_is_plain_data():
-    s = MatchedColumns(frame=np.array([1]), subframe=np.array([2]), delta_a=np.array([0.5]),
-                       delta_b=np.array([0.25]))
-    assert len(s) == 1 and (s.delta_a - s.delta_b).tolist() == [0.25]
+def _capture_log():
+    """A three-entry log of one simulated sniffer."""
+    return SimulatedCapture(CaptureSpec(subframes=3), np.zeros((3, 2))).sniffer_log(1)
 
 
-def test_columns_views_and_selections():
-    entries = [_rec(0, 0, rnti=1, delta=0.5), _rec(0, 1, rnti=2), _rec(0, 2, rnti=1)]
-    c = _log(entries)
-    assert len(c) == 3 and c.frame.dtype == np.int64 and c.dl_ul_delta.dtype == np.float64
-    assert _entries(c) == entries
-    assert c[1:] == _log(entries[1:])
-    assert c[c.rnti == 1] == _log([entries[0], entries[2]])
-    assert c[[2, 0]] == _log([entries[2], entries[0]])
-    assert c == _log(entries) and c != _log(entries[:2])
-    with pytest.raises(ValueError, match="one length"):
-        TimingColumns([0], [0], [1], [1.0], [20.0], [3], [])
+CLEAN_LINES = ["0001.0 5 1.5 10.0 7 -90.0", "0001.1 5 2.5 10.0 7 -90.0"]
+
+#: Every producer of logs and matched samples, with the dtype its array has.
+PRODUCERS = {
+    "column path": (lambda: _parse_clean(CLEAN_LINES), ENTRY),
+    "per-line path": (lambda: parse_log(CLEAN_LINES + ["garbage"])[0], ENTRY),
+    "no entries": (lambda: parse_log(["# no entries"])[0], ENTRY),
+    "sniffer_log": (_capture_log, ENTRY),
+    "interleave": (lambda: interleave([_capture_log(), _capture_log()]), ENTRY),
+    "filter_rnti": (lambda: filter_rnti(_capture_log(), 17001), ENTRY),
+    "match_records": (lambda: match_records(_capture_log(), _capture_log())[0], SAMPLE),
+    "no matches": (lambda: match_records(_capture_log()[:0], _capture_log())[0], SAMPLE),
+}
+
+
+@pytest.mark.parametrize("producer", PRODUCERS)
+def test_logs_and_samples_are_plain_structured_arrays(producer):
+    make, dtype = PRODUCERS[producer]
+    array = make()
+    assert type(array) is np.ndarray and array.ndim == 1 and array.dtype == dtype
+    # a record array's dtype compares equal to its plain one
+    assert array.dtype.type is np.void
 
 
 def test_interleave_takes_one_entry_of_each_log_in_turn():
@@ -245,7 +255,7 @@ def test_interleave_takes_one_entry_of_each_log_in_turn():
 def test_parse_rejects_an_rnti_beyond_64_bits():
     records, diags = parse_log([f"0001.0 {MAX_RNTI} 1.0 10.0 7 -90.0",
                                 f"0001.1 {MAX_RNTI + 1} 1.0 10.0 7 -90.0"])
-    assert records.rnti.tolist() == [MAX_RNTI]
+    assert records["rnti"].tolist() == [MAX_RNTI]
     assert [(d.line, d.reason) for d in diags] == [
         (2, f"rnti must be at most {MAX_RNTI}, got {MAX_RNTI + 1}")]
 
@@ -258,7 +268,7 @@ def test_parse_names_the_first_broken_check_of_a_line():
                                 f"0001.2 {-big} 1.0 10.0 {big} -90.0",
                                 f"{big}.{big} 5 1.0 10.0 7 -90.0",
                                 "0001.3 5 1.0 10.0 7 -90.0"])
-    assert records.subframe.tolist() == [3]
+    assert records["subframe"].tolist() == [3]
     # the frame counter is checked before the fields after it are converted,
     # and the value rules in their order
     assert [(d.line, d.reason) for d in diags] == [
@@ -311,19 +321,19 @@ MIXED_DIAGNOSTICS = [
 def test_diagnostics_of_every_reason_survive_the_rnti_filter(tmp_path, capsys):
     records, diags = parse_log(io.StringIO(MIXED_LOG))
     assert [(d.line, d.reason) for d in diags] == MIXED_DIAGNOSTICS
-    assert records.rnti.tolist() == [7423] * 7
-    assert records.dl_ul_delta.tolist() == [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+    assert records["rnti"].tolist() == [7423] * 7
+    assert records["dl_ul_delta"].tolist() == [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
     assert len(filter_rnti(records, 7424)) == 0
 
     from_bytes = parse_log(io.BytesIO(MIXED_LOG.encode()))
-    assert from_bytes[0] == records and from_bytes[1] == diags
+    assert np.array_equal(from_bytes[0], records) and from_bytes[1] == diags
 
     # the command line reports every malformed line, decoys included, before
     # it keeps the target's entries
     path = tmp_path / "sn1.log"
     path.write_text(MIXED_LOG)
     kept = _read_records(str(path), 7423)
-    assert kept == filter_rnti(records, 7423)
+    assert np.array_equal(kept, filter_rnti(records, 7423))
     assert capsys.readouterr().err.splitlines() == [
         f"{path}:{line}: skipped: {reason}" for line, reason in MIXED_DIAGNOSTICS]
 
@@ -351,16 +361,16 @@ def test_columns_survive_write_and_parse(entries):
     log = _log(entries)
     again, diags = parse_log(io.StringIO(write_log(log)))
     assert diags == []
-    assert again == log
-    # equal columns may still differ in the sign of a zero
+    assert np.array_equal(again, log)
+    # equal entries may still differ in the sign of a zero
     assert write_log(again) == write_log(log)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(entries=logs(), rnti=st.sampled_from((7423, 7424, 7425, 1)))
 def test_column_mask_equals_the_record_filter(entries, rnti):
-    assert filter_rnti(_log(entries), rnti) == \
-        _log([e for e in entries if e[2] == rnti])
+    assert np.array_equal(filter_rnti(_log(entries), rnti),
+                          _log([e for e in entries if e[2] == rnti]))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -378,12 +388,11 @@ def test_match_is_symmetric(a, b):
 
 
 def _same_parse(got, want):
-    """Equal columns, bit for bit (NaN payloads and signed zeros too), and equal diagnostics."""
-    (columns, diags), (want_columns, want_diags) = got, want
-    for name, dtype in COLUMNS:
-        got_col, want_col = getattr(columns, name), getattr(want_columns, name)
-        assert got_col.dtype == want_col.dtype == dtype
-        assert got_col.tobytes() == want_col.tobytes(), name
+    """Equal entries, bit for bit (NaN payloads and signed zeros too), and equal diagnostics."""
+    (log, diags), (want_log, want_diags) = got, want
+    assert log.dtype == want_log.dtype == ENTRY
+    for name in ENTRY.names:
+        assert log[name].tobytes() == want_log[name].tobytes(), name
     assert diags == want_diags
 
 
@@ -425,9 +434,9 @@ def test_clean_logs_take_the_column_path():
     # and so do whole-line comments, such as a capture's header
     lines = ["# sniffer sn1 capture\n", "0174.4\xa0+5 .5 nan -0 Infinity\r\n", "", " \t",
              "\xa0#1023.9 7 1 2 3 4\n", "1023.9 7 1e3 -nan 015 1e400\n"]
-    columns = _parse_clean(lines)
-    assert columns is not None and len(columns) == 2
-    _same_parse((columns, []), _parse_lines(lines))
+    log = _parse_clean(lines)
+    assert log is not None and len(log) == 2
+    _same_parse((log, []), _parse_lines(lines))
     # a trailing comment, a cut token or a broken rule sends the log to the
     # per-line parser
     for bad in ("0174.4 5 1.0 2.0 3 4.0 # note", "00000174.4 5 1.0 2.0 3 4.0",
@@ -475,12 +484,12 @@ def test_token_decoder_reads_as_int_or_declines(tokens):
     st.floats(allow_nan=False), st.integers(0, 15), st.floats(allow_nan=False)),
     min_size=1, max_size=20))
 def test_written_logs_take_the_column_path(entries):
-    # any log write_log renders from rule-keeping columns is read by the
+    # any log write_log renders from rule-keeping entries is read by the
     # column path, bit for bit
     log = _log(entries)
-    columns = _parse_clean(list(io.StringIO(write_log(log))))
-    assert columns is not None
-    _same_parse((columns, []), (log, []))
+    again = _parse_clean(list(io.StringIO(write_log(log))))
+    assert again is not None
+    _same_parse((again, []), (log, []))
 
 
 @pytest.mark.parametrize("lines", [[], [""], ["  \n", "\n"], ["# only a comment\n"],
@@ -525,8 +534,8 @@ def test_parse_log_agrees_with_the_per_line_parser(lines, as_bytes, bad_byte):
 
 def test_match_keys_do_not_collide_past_subframe_9():
     # frame*10 + subframe would give (1, 10) and (2, 0) the same key
-    a = TimingColumns([1, 2], [10, 0], [5, 5], [1.0, 2.0], [20.0, 20.0], [7, 7], [-90.0, -90.0])
-    b = TimingColumns([2], [0], [5], [3.0], [21.0], [7], [-90.0])
+    a = _log([(1, 10, 5, 1.0, 20.0, 7, -90.0), (2, 0, 5, 2.0, 20.0, 7, -90.0)])
+    b = _log([(2, 0, 5, 3.0, 21.0, 7, -90.0)])
     samples, diags = match_records(a, b)
     assert diags == []
     assert _samples(samples, "frame", "subframe", "delta_a", "delta_b") == [(2, 0, 2.0, 3.0)]

@@ -11,7 +11,7 @@ from dualsniff.errors import (InfeasibleObservation, LocalizationError, MixedRef
                               NoRealRoot, RankDeficient)
 from dualsniff.geometry import (AMBIGUITY_SEPARATION, SPEED_OF_LIGHT, Position, Scenario,
                                 distance, ta_band)
-from dualsniff.snifferlog import MatchedColumns, match_records
+from dualsniff.snifferlog import SAMPLE, match_records
 from dualsniff.tdoa import (LinearSystem, TdoaEstimate, TdoaPair,
                             build_system, estimate_tdoa, form_tdoa,
                             range_difference_residual, solve_constrained,
@@ -301,9 +301,8 @@ def test_estimate_validation():
 
 
 def _matched(samples):
-    """Matched columns of (frame, subframe, delta_a_us, delta_b_us) samples."""
-    frame, subframe, da, db = (np.array(c) for c in zip(*samples))
-    return MatchedColumns(frame=frame, subframe=subframe, delta_a=da, delta_b=db)
+    """Matched samples of (frame, subframe, delta_a_us, delta_b_us) tuples."""
+    return np.array(samples, SAMPLE)
 
 
 def test_estimate_tdoa_batch():
