@@ -47,7 +47,3 @@ class DegenerateGeometry(LocalizationError):
 
 class RankDeficient(LocalizationError):
     """Normal-equations system is rank deficient (needs at least 3 independent rows)."""
-
-
-class CollinearityWarning(UserWarning):
-    """Base station and both sniffers are (nearly) collinear; mirror candidates coincide."""

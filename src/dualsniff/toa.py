@@ -8,7 +8,6 @@ intersections come in closed form from ``geometry.eliminate``, collinear or not.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -17,9 +16,9 @@ import numpy as np
 # Not called here: kept importable for the benchmark tracer, which wraps
 # ``toa.ellipse_scan`` by name.
 from ._kernels import ellipse_scan  # noqa: F401
-from .errors import CollinearityWarning, InfeasibleObservation, NoIntersection
+from .errors import InfeasibleObservation, NoIntersection
 from .geometry import (SPEED_OF_LIGHT, Failed, Position, Scenario, Solutions, choose_candidate,
-                       distance, eliminate, fail, triangle_area)
+                       distance, eliminate, fail)
 from .tdoa import TdoaPair, build_system
 from .timing import ta_seconds
 
@@ -29,8 +28,6 @@ CROSSING_TOL = 1e-9
 NEWTON_TOL = CROSSING_TOL
 #: Above this residual a closest approach is declared no intersection, meters.
 INTERSECTION_TOL = 1.0
-#: Triangle area below which eNb and sniffers count as collinear, m^2.
-COLLINEAR_AREA = 1e-6
 
 
 @dataclass(frozen=True)
@@ -44,22 +41,6 @@ class ToAObservation:
 
     sniffer: Position
     D: float
-
-
-@dataclass(frozen=True)
-class ToAEstimate:
-    """Chosen intersection plus every candidate the solver saw.
-
-    ``residual`` is the worse of the two range-sum residuals at the returned
-    position; exact intersections have residual at rounding level.
-    ``crossing`` is False when ``position`` is the closest approach of
-    ellipses that do not cross.
-    """
-
-    position: Position
-    residual: float
-    candidates: Tuple[Position, ...]
-    crossing: bool
 
 
 def compose_D(delta: float, sniffer: Position, scenario: Scenario) -> ToAObservation:
@@ -91,10 +72,11 @@ def solve_toa_batch(obs1: ToAObservation, obs2: ToAObservation, enb: Position,
     """Intersect the range-sum ellipses of every sample: ``D`` holds one per sample.
 
     The crossings are the roots of ``geometry.eliminate`` on the true branch
-    D_i - r >= 0 of both ellipses; a collinear layout warns
-    CollinearityWarning once.  Without a crossing, the elimination vertex
-    carried along its ray from the eNb onto the first ellipse is the closest
-    approach, an unclean candidate, collinear or not.
+    D_i - r >= 0 of both ellipses; a collinear layout gives a mirror pair of
+    equal range, residual and ``clean`` flag, which the band keeps together.
+    Without a crossing, the elimination vertex carried along its ray from
+    the eNb onto the first ellipse is the closest approach, an unclean
+    candidate, collinear or not.
     ``geometry.choose_candidate`` picks.  A sample fails InfeasibleObservation
     for a range-sum below the focal distance, DegenerateGeometry for dependent
     rows and NoIntersection for ellipses that miss by more than ``INTERSECTION_TOL``.
@@ -108,9 +90,6 @@ def solve_toa_batch(obs1: ToAObservation, obs2: ToAObservation, enb: Position,
              lambda i: InfeasibleObservation(f"observation {k + 1}: range-sum {D[i, k]:.3f} m "
                                              f"is below the focal distance {d_focal:.3f} m"))
     sniffers = [o.sniffer for o in obs]
-    if triangle_area(enb, *sniffers) < COLLINEAR_AREA:
-        warnings.warn(CollinearityWarning("base station and sniffers are collinear; intersections "
-                                          "are mirror-symmetric about their common line"))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         system = build_system([TdoaPair(enb, s, -D[:, k]) for k, s in enumerate(sniffers)])
         u, r, vertex = eliminate(system.P, system.dd, system.h, enb, failed)
@@ -128,13 +107,9 @@ def solve_toa_batch(obs1: ToAObservation, obs2: ToAObservation, enb: Position,
 
 
 def solve_toa(obs1: ToAObservation, obs2: ToAObservation, enb: Position,
-              band: Tuple[float, float]) -> ToAEstimate:
+              band: Tuple[float, float]) -> Solutions:
     """``solve_toa_batch`` for one sample; raises its failure (InfeasibleObservation,
     DegenerateGeometry, NoIntersection or AmbiguousSolution)."""
     sol = solve_toa_batch(obs1, obs2, enb, band)
     sol.check(0)
-    k, valid = sol.pick[0], sol.valid[0]
-    order = np.argsort(sol.residual[0][valid], kind="stable")
-    return ToAEstimate(Position(*sol.u[0, k].tolist()), float(sol.residual[0, k]),
-                       tuple(Position(*p) for p in sol.u[0][valid][order].tolist()),
-                       crossing=bool(sol.clean[0, k]))
+    return sol

@@ -122,7 +122,8 @@ def write_matched(samples) -> str:
 
 
 def run_toa(scenario: Scenario, deltas=None):
-    """Range-sum solve on the first two sniffers; returns a ToAEstimate."""
+    """Range-sum solve on the first two sniffers: the one-sample ``Solutions``, which
+    raises the sample's failure."""
     if deltas is None:
         deltas = noiseless_deltas(scenario)
     obs = [compose_D(deltas[k], scenario.sniffers[k], scenario) for k in (0, 1)]
@@ -182,7 +183,8 @@ def crossing_det(point: Position, enb: Position, s1: Position, s2: Position) -> 
 
 
 def draw_solved_scenario(rng, n_sniffers: int = 3):
-    """A non-degenerate scenario plus both noiseless solver outputs.
+    """A non-degenerate scenario plus both noiseless solver outputs, the range-sum
+    one a one-sample ``Solutions``.
 
     Draws are rejected when either solver raises (mirror candidate in the
     same band, or a tangency), the range-sum solve still sees a second
@@ -194,21 +196,21 @@ def draw_solved_scenario(rng, n_sniffers: int = 3):
     while True:
         sc = draw_scenario(rng, n_sniffers)
         try:
-            toa_est = run_toa(sc)
+            toa = run_toa(sc)
             tdoa_est = run_tdoa(sc)
         except LocalizationError:
             continue
         lo, hi = sc.band
-        in_band = [q for q in toa_est.candidates
-                   if lo <= distance(q, sc.enb) < hi]
+        in_band = [q for q in toa.u[0][toa.valid[0]].tolist()
+                   if lo <= distance(Position(*q), sc.enb) < hi]
         if len(in_band) > 1:
             continue
-        if not toa_est.crossing:
+        if not toa.clean[0, toa.pick[0]]:
             continue
-        if crossing_det(toa_est.position, sc.enb,
+        if crossing_det(Position(*toa.chosen(toa.u)[0].tolist()), sc.enb,
                         sc.sniffers[0], sc.sniffers[1]) < MIN_CROSSING_DET:
             continue
-        return sc, toa_est, tdoa_est
+        return sc, toa, tdoa_est
 
 
 def draw_solvable_scenario(rng, n_sniffers: int = 3) -> Scenario:

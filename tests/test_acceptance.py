@@ -59,11 +59,11 @@ def _noisy_pipelines(eps: float, sigma: float, seed: int, count: int = 400):
     for row in base + noise:
         deltas = list(row)
         try:
-            toa_est = helpers.run_toa(ANCHOR, deltas)
+            toa = helpers.run_toa(ANCHOR, deltas)
             tdoa_est = helpers.run_tdoa(ANCHOR, deltas)
         except LocalizationError:
             continue
-        toa_err.append(helpers.position_error(toa_est.position, ANCHOR))
+        toa_err.append(helpers.position_error(Position(*toa.chosen(toa.u)[0]), ANCHOR))
         tdoa_err.append(helpers.position_error(tdoa_est.position, ANCHOR))
     return np.array(toa_err), np.array(tdoa_err)
 
@@ -73,8 +73,8 @@ def test_criterion_1_noiseless_exactness():
     t0 = time.perf_counter()
     worst_toa = worst_tdoa = 0.0
     for _ in range(1000):
-        sc, toa_est, tdoa_est = helpers.draw_solved_scenario(rng)
-        worst_toa = max(worst_toa, helpers.position_error(toa_est.position, sc))
+        sc, toa, tdoa_est = helpers.draw_solved_scenario(rng)
+        worst_toa = max(worst_toa, helpers.position_error(Position(*toa.chosen(toa.u)[0]), sc))
         worst_tdoa = max(worst_tdoa, helpers.position_error(tdoa_est.position, sc))
     elapsed = time.perf_counter() - t0
     ok = worst_toa < 1e-6 and worst_tdoa < 1e-6 and elapsed < 10.0
@@ -84,7 +84,8 @@ def test_criterion_1_noiseless_exactness():
 
 
 def test_criterion_2_cancellation_invariants():
-    base_toa = helpers.run_toa(ANCHOR, _anchor_deltas())
+    base = helpers.run_toa(ANCHOR, _anchor_deltas())
+    base_toa = Position(*base.chosen(base.u)[0])
     base_tdoa = helpers.run_tdoa(ANCHOR, _anchor_deltas())
 
     perturbations = [("ta+5us", dict(dta=+5e-6)), ("ta-5us", dict(dta=-5e-6)),
@@ -98,8 +99,8 @@ def test_criterion_2_cancellation_invariants():
         worst_tdoa_shift = max(worst_tdoa_shift,
                                distance(tdoa_est.position, base_tdoa.position))
         try:
-            toa_est = helpers.run_toa(ANCHOR, deltas)
-            shift = distance(toa_est.position, base_toa.position)
+            toa = helpers.run_toa(ANCHOR, deltas)
+            shift = distance(Position(*toa.chosen(toa.u)[0]), base_toa)
             toa_material.append(shift > 100.0)
         except LocalizationError:
             # an ellipse pair turning infeasible is as material as it gets

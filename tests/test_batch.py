@@ -1,16 +1,18 @@
 """Properties of the batch solvers: a batch is its samples solved one by one,
-the estimates move with the scene, and a collinear layout warns once per call."""
+the estimates move with the scene, and a collinear layout's mirror candidates
+are kept or refused together."""
 
 import math
-import warnings
+from dataclasses import astuple
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from dualsniff.errors import CollinearityWarning, LocalizationError
-from dualsniff.geometry import Position, Scenario, distance
+from dualsniff.errors import LocalizationError
+from dualsniff.geometry import (AMBIGUITY_SEPARATION, TA_BAND_M, Position, Scenario, distance,
+                                ta_band)
 from dualsniff.tdoa import (TdoaPair, build_system, solve_constrained,
                             solve_constrained_batch)
 from dualsniff.toa import ToAObservation, solve_toa, solve_toa_batch
@@ -20,16 +22,25 @@ OFFSETS = st.lists(st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)),
 
 
 def _one_by_one(solve, rows):
-    """(status, position) of each row solved alone; the position as a tuple of floats."""
+    """(status, position) of each row solved alone by ``solve``, which gives the
+    chosen (x, y); the position as a tuple of floats."""
     out = []
     for row in rows:
         try:
-            est = solve(*row)
+            x, y = solve(*row)
         except LocalizationError as exc:
             out.append((type(exc).__name__, None))
         else:
-            out.append(("ok", (est.position.x, est.position.y)))
+            out.append(("ok", (float(x), float(y))))
     return out
+
+
+def _toa_alone(s1, s2, enb, band):
+    """A ``_one_by_one`` solve of (D1, D2) rows through the one-sample ``solve_toa``."""
+    def solve(D1, D2):
+        sol = solve_toa(ToAObservation(s1, D1), ToAObservation(s2, D2), enb, band)
+        return sol.chosen(sol.u)[0]
+    return solve
 
 
 def _batch(sol):
@@ -59,9 +70,7 @@ def test_toa_batch_equals_its_samples_solved_alone(phi, shift, offsets):
          *([truth[0] + a, truth[1] + b] for a, b in offsets)]
     D1, D2 = np.array(D).T
     sol = solve_toa_batch(ToAObservation(s1, D1), ToAObservation(s2, D2), enb, band)
-    alone = _one_by_one(
-        lambda a, b: solve_toa(ToAObservation(s1, a), ToAObservation(s2, b), enb, band),
-        zip(D1.tolist(), D2.tolist()))
+    alone = _one_by_one(_toa_alone(s1, s2, enb, band), zip(D1.tolist(), D2.tolist()))
     assert _batch(sol) == alone
     assert [status for status, _ in alone[:3]] == [
         "AmbiguousSolution", "InfeasibleObservation", "NoIntersection"]
@@ -86,9 +95,9 @@ def test_tdoa_batch_equals_its_samples_solved_alone(third, offsets):
     pairs = [TdoaPair(ref, other, dd[:, k]) for k, other in enumerate(others)]
     sol = solve_constrained_batch(build_system(pairs), ref, (0.0, 78.12), enb)
     alone = _one_by_one(
-        lambda row: solve_constrained(
+        lambda row: astuple(solve_constrained(
             build_system([TdoaPair(ref, o, d) for o, d in zip(others, row)]), ref,
-            (0.0, 78.12), enb), ([row] for row in dd.tolist()))
+            (0.0, 78.12), enb).position), ([row] for row in dd.tolist()))
     assert _batch(sol) == alone
     if not third:
         assert [status for status, _ in alone[:2]] == ["NoRealRoot", "InfeasibleObservation"]
@@ -147,17 +156,40 @@ def test_batch_estimates_move_with_the_scene(seed, phi, dx, dy):
                 assert distance(move(Position(x, y)), Position(*want)) < 1e-6
 
 
-def test_collinear_layout_warns_once_per_call():
-    # eNb and both sniffers on the x-axis; every sample has a mirror pair
-    enb, s1, s2 = Position(0, 0), Position(100, 0), Position(-50, 0)
-    truth = [Position(30, 40), Position(35, 38), Position(20, 50)]
-    D = np.array([[distance(t, enb) + distance(t, s) for s in (s1, s2)] for t in truth])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sol = solve_toa_batch(ToAObservation(s1, D[:, 0]), ToAObservation(s2, D[:, 1]), enb,
-                              (0.0, 78.12))
-    assert [w.category for w in caught] == [CollinearityWarning]
-    assert sol.status.tolist() == ["AmbiguousSolution"] * 3
+def test_collinear_mirror_pairs_are_kept_or_refused_together():
+    """Stations on one line give each sample's two crossings as a mirror pair about
+    it: both candidates share their range (to 1e-12 relative), residual (to
+    1e-9 m) and ``clean`` flag.  So the device's TA band keeps both or neither,
+    and a sample with both in band fails AmbiguousSolution unless they lie within
+    AMBIGUITY_SEPARATION.  300 random layouts on lines through the eNb, 50
+    range-sum pairs each with 20 ns of noise."""
+    rng = np.random.default_rng(25)
+    pairs = in_band_pairs = 0
+    for _ in range(300):
+        enb = Position(*rng.uniform(-200.0, 200.0, 2).tolist())
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        s1, s2 = (Position(enb.x + t * math.cos(phi), enb.y + t * math.sin(phi))
+                  for t in (rng.uniform(20.0, 250.0, 2) * rng.choice([-1.0, 1.0], 2)).tolist())
+        ue = Position(*rng.uniform(-250.0, 250.0, 2).tolist())
+        band = ta_band(int(distance(ue, enb) // TA_BAND_M))
+        D = [distance(ue, enb) + distance(ue, s) + rng.normal(0.0, 6.0, 50) for s in (s1, s2)]
+        sol = solve_toa_batch(ToAObservation(s1, D[0]), ToAObservation(s2, D[1]), enb, band)
+        two = np.isfinite(sol.r).all(axis=1)
+        r, clean = sol.r[two], sol.clean[two]
+        assert (np.abs(r[:, 0] - r[:, 1]) <= 1e-12 * r[:, 0]).all()
+        assert (clean[:, 0] == clean[:, 1]).all()
+        residual = sol.residual[two][clean[:, 0]]
+        assert (np.abs(residual[:, 0] - residual[:, 1]) <= 1e-9).all()
+        lo, hi = band
+        d = np.hypot(sol.u[..., 0] - enb.x, sol.u[..., 1] - enb.y)
+        in_band = sol.valid & (lo <= d) & (d < hi)
+        assert (in_band[two, 0] == in_band[two, 1]).all()
+        both = in_band.all(axis=1)
+        spread = np.hypot(*(sol.u[:, 0] - sol.u[:, 1]).T)
+        assert ((sol.status == "AmbiguousSolution") | (spread <= AMBIGUITY_SEPARATION))[both].all()
+        pairs += np.count_nonzero(two)
+        in_band_pairs += np.count_nonzero(both)
+    assert pairs > 10_000 and in_band_pairs > 5_000
 
 
 def test_dependent_rows_fail_only_their_sample():
@@ -169,13 +201,8 @@ def test_dependent_rows_fail_only_their_sample():
     D = np.array([[distance(t, enb) + distance(t, s) for s in (s1, s2)] for t in truth])
     D = np.insert(D, 1, [200.0, 100.0], axis=0)
     band = (0.0, 78.12)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CollinearityWarning)
-        sol = solve_toa_batch(ToAObservation(s1, D[:, 0]), ToAObservation(s2, D[:, 1]), enb,
-                              band)
-        alone = _one_by_one(
-            lambda a, b: solve_toa(ToAObservation(s1, a), ToAObservation(s2, b), enb, band),
-            D.tolist())
+    sol = solve_toa_batch(ToAObservation(s1, D[:, 0]), ToAObservation(s2, D[:, 1]), enb, band)
+    alone = _one_by_one(_toa_alone(s1, s2, enb, band), D.tolist())
     assert _batch(sol) == alone
     assert sol.status.tolist() == ["AmbiguousSolution", "DegenerateGeometry",
                                    "AmbiguousSolution", "AmbiguousSolution"]

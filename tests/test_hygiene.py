@@ -78,6 +78,22 @@ def test_every_package_name_is_read():
     assert unread == []
 
 
+def test_the_package_issues_no_warnings():
+    """Outcomes travel in ``Solutions.status`` and typed exceptions: the package
+    calls no ``warnings.warn`` and defines no ``Warning`` subclass."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "warn" or \
+                    isinstance(node, ast.ImportFrom) and node.module == "warnings" and \
+                    any(alias.name == "warn" for alias in node.names):
+                found.append(f"{path.name}:{node.lineno}: warn")
+            elif isinstance(node, ast.ClassDef) and \
+                    any(ast.unparse(base).endswith("Warning") for base in node.bases):
+                found.append(f"{path.name}:{node.lineno}: class {node.name}")
+    assert found == []
+
+
 def test_benchmark_entry_points_exist():
     """The benchmark's tracer and inputs still find every package name they use."""
     sys.path.insert(0, str(PERFBENCH))

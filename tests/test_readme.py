@@ -6,7 +6,7 @@ import shlex
 from pathlib import Path
 
 from dualsniff.cli import EXIT_OK, main
-from dualsniff.geometry import distance
+from dualsniff.geometry import Position, distance
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -54,5 +54,5 @@ def test_library_example_locates_its_device():
     code = re.search(r"```python\n(.*?)```", _section("Library"), re.S).group(1)
     names = {}
     exec(compile(code, "README.md", "exec"), names)
-    assert distance(names["est"].position, names["sc"].ue_truth) < 1e-6
+    assert distance(Position(names["x"], names["y"]), names["sc"].ue_truth) < 1e-6
     assert len(names["log"]) == 200

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from dualsniff.errors import (AmbiguousSolution, CollinearityWarning, DegenerateGeometry,
-                              InfeasibleObservation, NoIntersection)
+from dualsniff.errors import (AmbiguousSolution, DegenerateGeometry, InfeasibleObservation,
+                              NoIntersection)
 from dualsniff.geometry import SPEED_OF_LIGHT, Position, Scenario, distance, ta_band
 from dualsniff.timing import ClockConfig, subframe_delta
 from dualsniff.toa import INTERSECTION_TOL, ToAObservation, compose_D, solve_toa
@@ -68,12 +68,13 @@ def test_ellipse_residual_sign():
 
 def test_solve_recovers_annulus_truth():
     sc = _annulus_scenario()
-    est = helpers.run_toa(sc)
-    assert helpers.position_error(est.position, sc) < 1e-6
-    assert est.residual < 1e-6
+    sol = helpers.run_toa(sc)
+    position = Position(*sol.chosen(sol.u)[0])
+    assert helpers.position_error(position, sc) < 1e-6
+    assert sol.chosen(sol.residual)[0] < 1e-6
     lo, hi = sc.band
-    assert lo <= distance(est.position, sc.enb) < hi
-    assert est.position in est.candidates
+    assert lo <= distance(position, sc.enb) < hi
+    assert sol.chosen(sol.u)[0].tolist() in sol.u[0][sol.valid[0]].tolist()
 
 
 def test_solve_raises_on_infeasible_observation():
@@ -116,10 +117,10 @@ def test_collinear_tangency_closest_approach():
     enb = Position(0, 0)
     obs1 = ToAObservation(sniffer=Position(30, 0), D=90.0)
     obs2 = ToAObservation(sniffer=Position(-40, 0), D=160.0)
-    with pytest.warns(CollinearityWarning):
-        est = solve_toa(obs1, obs2, enb, (0.0, 78.12))
-    assert est.position.x == pytest.approx(60.0, abs=0.05)
-    assert abs(est.position.y) < 0.5
+    sol = solve_toa(obs1, obs2, enb, (0.0, 78.12))
+    x, y = sol.chosen(sol.u)[0]
+    assert x == pytest.approx(60.0, abs=0.05)
+    assert abs(y) < 0.5
 
 
 def test_crossing_flag_tells_a_crossing_from_a_closest_approach():
@@ -129,30 +130,33 @@ def test_crossing_flag_tells_a_crossing_from_a_closest_approach():
     solved = 0
     for sc in [_annulus_scenario()] + [helpers.draw_scenario(rng) for _ in range(40)]:
         try:
-            est = helpers.run_toa(sc)
+            sol = helpers.run_toa(sc)
         except AmbiguousSolution:
             continue
-        assert est.crossing
+        assert sol.clean[0, sol.pick[0]]
         solved += 1
     assert solved >= 20
     # the small ellipse lies inside the large one and misses it by about half a meter
     enb = Position(0, 0)
     small = ToAObservation(sniffer=Position(100, 0), D=150.0)
     large = ToAObservation(sniffer=Position(0, 100), D=291.9)
-    est = solve_toa(small, large, enb, (0.0, 1000.0))
-    assert not est.crossing
-    assert 0.1 < est.residual < INTERSECTION_TOL
-    assert abs(ellipse_residual(est.position, small, enb)) < 1e-9
+    sol = solve_toa(small, large, enb, (0.0, 1000.0))
+    assert not sol.clean[0, sol.pick[0]]
+    assert 0.1 < sol.chosen(sol.residual)[0] < INTERSECTION_TOL
+    assert abs(ellipse_residual(Position(*sol.chosen(sol.u)[0]), small, enb)) < 1e-9
 
 
 def test_candidates_sorted_by_residual():
+    """Sorted by the solver's ``residual``, the candidates' own misses ascend too."""
     sc = _annulus_scenario()
     cfg = ClockConfig.for_scenario(sc)
     obs = [compose_D(subframe_delta(sc, k, cfg), sc.sniffers[k], sc)
            for k in (0, 1)]
-    est = solve_toa(obs[0], obs[1], sc.enb, sc.band)
-    rs = [max(abs(ellipse_residual(q, obs[0], sc.enb)),
-              abs(ellipse_residual(q, obs[1], sc.enb))) for q in est.candidates]
+    sol = solve_toa(obs[0], obs[1], sc.enb, sc.band)
+    valid = sol.valid[0]
+    candidates = sol.u[0][valid][np.argsort(sol.residual[0][valid], kind="stable")]
+    rs = [max(abs(ellipse_residual(Position(*q), obs[0], sc.enb)),
+              abs(ellipse_residual(Position(*q), obs[1], sc.enb))) for q in candidates.tolist()]
     assert rs == sorted(rs)
 
 
@@ -160,8 +164,8 @@ def test_random_scenarios_recover_truth():
     rng = np.random.default_rng(61)
     for _ in range(50):
         sc = helpers.draw_solvable_scenario(rng)
-        est = helpers.run_toa(sc)
-        assert helpers.position_error(est.position, sc) < 1e-6
+        sol = helpers.run_toa(sc)
+        assert helpers.position_error(Position(*sol.chosen(sol.u)[0]), sc) < 1e-6
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -187,9 +191,11 @@ def test_solution_is_frame_equivariant(phi, dx, dy, noise):
     moved = Scenario(enb=move(base.enb), sniffers=tuple(move(s) for s in base.sniffers),
                      ue_truth=move(base.ue_truth), ta_index=base.ta_index)
     deltas = [d + n for d, n in zip(helpers.noiseless_deltas(base), noise)]
-    for solve in (helpers.run_toa, helpers.run_tdoa):
-        fix = solve(base, deltas).position
-        assert distance(solve(moved, deltas).position, move(fix)) < 1e-6
+    toa = [helpers.run_toa(sc, deltas) for sc in (base, moved)]
+    tdoa = [helpers.run_tdoa(sc, deltas) for sc in (base, moved)]
+    for fix, moved_fix in ([Position(*sol.chosen(sol.u)[0]) for sol in toa],
+                           [est.position for est in tdoa]):
+        assert distance(moved_fix, move(fix)) < 1e-6
 
 
 def test_collinear_mirror_pair_is_ambiguous():
@@ -199,19 +205,18 @@ def test_collinear_mirror_pair_is_ambiguous():
     truth = Position(30, 40)
     obs = [ToAObservation(sniffer=s, D=distance(truth, enb) + distance(truth, s))
            for s in (Position(100, 0), Position(-50, 0))]
-    with pytest.warns(CollinearityWarning), pytest.raises(AmbiguousSolution) as exc:
+    with pytest.raises(AmbiguousSolution) as exc:
         solve_toa(obs[0], obs[1], enb, (0.0, 78.12))
     mirrors = sorted(exc.value.candidates, key=lambda q: q.y)
     assert distance(mirrors[0], Position(30, -40)) < 1e-9
     assert distance(mirrors[1], truth) < 1e-9
 
 
-@pytest.mark.filterwarnings("ignore::dualsniff.errors.CollinearityWarning")
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 0.0])
 def test_near_collinear_layout_keeps_its_mirror_pair(eps):
-    """Sniffer 2 eps off the eNb-sniffer-1 line, on both sides of the collinearity
-    warning's threshold and down to a singular position block: a noiseless
-    device and its near-mirror both lie in the band, and the truth is exact."""
+    """Sniffer 2 eps off the eNb-sniffer-1 line, down to a singular position
+    block: a noiseless device and its near-mirror both lie in the band, and
+    the truth is exact."""
     enb, truth = Position(0, 0), Position(30, 40)
     obs = [ToAObservation(sniffer=s, D=distance(truth, enb) + distance(truth, s))
            for s in (Position(100, 0), Position(-50, eps))]
@@ -220,7 +225,6 @@ def test_near_collinear_layout_keeps_its_mirror_pair(eps):
     assert min(distance(q, truth) for q in exc.value.candidates) < 1e-9
 
 
-@pytest.mark.filterwarnings("ignore::dualsniff.errors.CollinearityWarning")
 @pytest.mark.parametrize("theta", [0.0, 0.3, 0.7, 1.1, math.pi / 2, 2.0, 2.5, 4.0, 5.5],
                          ids="{:.2f}".format)
 def test_range_sums_in_proportion_are_degenerate(theta):
@@ -244,9 +248,9 @@ def test_out_of_band_pick_is_nearest_the_band():
     cfg = ClockConfig.for_scenario(sc)
     obs = [compose_D(subframe_delta(sc, k, cfg), sc.sniffers[k], sc) for k in (0, 1)]
     for band, want in (((100.0, 178.12), 50.0), ((20.0, 40.0), 15.3165)):
-        est = solve_toa(obs[0], obs[1], sc.enb, band)
-        assert len(est.candidates) == 2
-        assert distance(est.position, sc.enb) == pytest.approx(want, abs=1e-3)
+        sol = solve_toa(obs[0], obs[1], sc.enb, band)
+        assert np.count_nonzero(sol.valid[0]) == 2
+        assert distance(Position(*sol.chosen(sol.u)[0]), sc.enb) == pytest.approx(want, abs=1e-3)
 
 
 def test_matches_the_scan_solver_reference():
@@ -276,8 +280,9 @@ def test_matches_the_scan_solver_reference():
         old = [Position(*map(float, p.split())) for p in row["candidates"].split(";") if p]
         where = f"draw {row['draw']} at {row['sigma_ns']} ns"
         try:
-            est = solve_toa(obs[0], obs[1], enb, band)
-            status, new = "ok", list(est.candidates)
+            sol = solve_toa(obs[0], obs[1], enb, band)
+            position = Position(*sol.chosen(sol.u)[0])
+            status, new = "ok", [Position(*q) for q in sol.u[0][sol.valid[0]].tolist()]
         except AmbiguousSolution as exc:
             status, new = type(exc).__name__, exc.candidates
         except (InfeasibleObservation, NoIntersection) as exc:
@@ -285,7 +290,7 @@ def test_matches_the_scan_solver_reference():
         if row["status"] == "ok" and float(row["residual"]) > 1e-9:
             exempt["closest approach"] += 1
             if status == "ok":
-                moved = distance(est.position, Position(float(row["x"]), float(row["y"])))
+                moved = distance(position, Position(float(row["x"]), float(row["y"])))
                 assert moved <= 1.0, where
             else:
                 assert status == "NoIntersection", where
@@ -300,10 +305,10 @@ def test_matches_the_scan_solver_reference():
         if len(in_band or old) >= 2:
             exempt["two exact"] += 1
             if in_band:
-                assert min(distance(est.position, q) for q in in_band) < 1e-6, where
+                assert min(distance(position, q) for q in in_band) < 1e-6, where
             else:
                 nearest = min(old, key=lambda q: max(lo - distance(q, enb), distance(q, enb) - hi))
-                assert distance(est.position, nearest) < 1e-6, where
+                assert distance(position, nearest) < 1e-6, where
             continue
-        assert distance(est.position, Position(float(row["x"]), float(row["y"]))) < 1e-6, where
+        assert distance(position, Position(float(row["x"]), float(row["y"]))) < 1e-6, where
     assert exempt == {"two exact": 54, "closest approach": 1}
