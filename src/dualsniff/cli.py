@@ -140,10 +140,18 @@ def _read_records(path: str, rnti: int) -> "np.ndarray":
     if not p.is_file():
         raise InputError(f"log file not found: {path}")
     with p.open("r", encoding="utf-8", errors="replace") as fh:
-        records, diags = parse_log(fh)
+        lines = fh.readlines()
+    # skip another device's line unparsed: its RNTI field is plain ASCII-decimal and not
+    # the target's value (compared as digits: int() refuses 4300+ digits); keeping a line
+    # is always safe, as filter_rnti makes the exact test, so " rnti " keeps it at once
+    target, spaced = str(rnti), f" {rnti} "
+    kept = [i for i, line in enumerate(lines) if spaced in line
+            or len(f := line.split(None, 2)) < 2 or f[0][0] == "#"
+            or not (f[1].isdecimal() and f[1].isascii() and (f[1].lstrip("0") or "0") != target)]
+    records, diags = parse_log([lines[i] for i in kept])
     for d in diags:
-        print(f"{path}:{d.line}: skipped: {d.reason}", file=sys.stderr)
-    if len(records) == 0:
+        print(f"{path}:{kept[d.line - 1] + 1}: skipped: {d.reason}", file=sys.stderr)
+    if len(records) == 0 and len(kept) == len(lines):
         raise InputError(f"{path}: no parseable records")
     return filter_rnti(records, rnti)
 

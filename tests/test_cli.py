@@ -399,6 +399,46 @@ def test_locate_wrong_rnti_gives_no_samples(tmp_path, capsys, scheme, config, n_
     assert "no samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, rc, message", [
+    ("0100.0 7424 1.5 20.0 12 -95.0\n0100.0 7425 1.5 20.0 12 -95.0\n", EXIT_NO_SAMPLES,
+     "no samples: no matched samples in the given log pairs"),
+    # another device's malformed lines are skipped unparsed and not named
+    ("0100.0 7424 x 20.0 12 -95.0\n0100.1 7424 1.5\n", EXIT_NO_SAMPLES,
+     "no samples: no matched samples in the given log pairs"),
+    ("", EXIT_INPUT, "input error: {path}: no parseable records"),
+    ("# 7424 comment\n\n# note\n", EXIT_INPUT, "input error: {path}: no parseable records"),
+], ids=["other-devices", "other-devices-malformed", "empty", "comments"])
+def test_locate_exit_code_of_a_log_without_target_lines(tmp_path, capsys, text, rc, message):
+    cfg = _write(tmp_path, "exp.yaml", TDOA_CONFIG)
+    path = tmp_path / "sn1.log"
+    path.write_text(text)
+    for scheme in ("toa", "tdoa"):
+        assert main(["locate", "--config", cfg, "--scheme", scheme, "--rnti", "7423",
+                     "--out-dir", str(tmp_path), *[str(path)] * 4]) == rc
+        assert capsys.readouterr().err == message.format(path=path) + "\n"
+
+
+def test_locate_estimates_ignore_other_devices_lines(tmp_path, capsys):
+    """Deleting the decoys' lines from the logs leaves every output file byte-identical."""
+    out = _simulate(tmp_path, TDOA_CONFIG + NOISY_CLOCK, "run", extra=["--decoys", "3"])
+    names = [f"sn{k}_cfg{j}.log" for j in (1, 2) for k in (1, 2)]
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for name in names:
+        lines = (out / name).read_text().splitlines(keepends=True)
+        target = [line for line in lines if line.split()[1] == "7423"]
+        assert len(target) == len(lines) // 4 == 15
+        (bare / name).write_text("".join(target))
+    for scheme in ("toa", "tdoa"):
+        for run in (out, bare):
+            assert main(["locate", "--config", str(tmp_path / "exp.yaml"), "--scheme", scheme,
+                         "--rnti", "7423", "--out-dir", str(run),
+                         *(str(run / name) for name in names)]) == EXIT_OK
+        for name in (f"estimates_{scheme}.csv", f"report_{scheme}.txt"):
+            assert (out / name).read_bytes() == (bare / name).read_bytes()
+    capsys.readouterr()
+
+
 def test_locate_missing_config(tmp_path, capsys):
     rc = main(["locate", "--config", str(tmp_path / "nope.yaml"),
                "--scheme", "toa", "--rnti", "1", "--out-dir", str(tmp_path),
@@ -721,18 +761,20 @@ def test_report_loads_neither_numpy_nor_yaml(tmp_path):
 def test_a_wrapper_set_on_cli_is_the_one_called(tmp_path, monkeypatch):
     """The benchmark tracer wraps ``cli.<name>``; ``locate`` must call the wrapper."""
     out = _simulate(tmp_path, TDOA_CONFIG, "run")
+    logs = [out / f"sn{k}_cfg{j}.log" for j in (1, 2) for k in (1, 2)]
     calls = []
 
-    def counting_parse_log(fh):
-        calls.append(Path(fh.name).stem)
-        return parse_log(fh)
+    def counting_parse_log(lines):
+        calls.append(list(lines))
+        return parse_log(lines)
 
     monkeypatch.setattr(cli, "parse_log", counting_parse_log)
     assert main(["locate", "--config", str(tmp_path / "exp.yaml"), "--scheme", "tdoa",
-                 "--rnti", "7423", "--out-dir", str(out),
-                 *(str(out / f"sn{k}_cfg{j}.log") for j in (1, 2) for k in (1, 2))]) == EXIT_OK
+                 "--rnti", "7423", "--out-dir", str(out), *map(str, logs)]) == EXIT_OK
     assert cli.parse_log is counting_parse_log
-    assert calls == ["sn1_cfg1", "sn2_cfg1", "sn1_cfg2", "sn2_cfg2"]
+    # one call per log, in pair order; every line is the target's, so each call gets
+    # its whole log
+    assert calls == [path.read_text().splitlines(keepends=True) for path in logs]
 
 
 def test_a_fresh_cli_resolves_its_lazy_names():

@@ -1,14 +1,17 @@
+import contextlib
 import io
 import pathlib
 import re
+import tempfile
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualsniff.cli import _read_records
+from dualsniff.cli import InputError, _read_records
 from dualsniff.snifferlog import (_TOKEN_WIDTH, ENTRY, FRAME_WRAP, MAX_RNTI, SAMPLE,
                                   _decode_tokens, _parse_clean, _parse_lines, _unwrap_frames,
                                   filter_rnti, interleave, match_records, parse_log, write_log)
@@ -328,14 +331,87 @@ def test_diagnostics_of_every_reason_survive_the_rnti_filter(tmp_path, capsys):
     from_bytes = parse_log(io.BytesIO(MIXED_LOG.encode()))
     assert np.array_equal(from_bytes[0], records) and from_bytes[1] == diags
 
-    # the command line reports every malformed line, decoys included, before
-    # it keeps the target's entries
+    # the command line skips the decoys' lines whose RNTI field is a plain
+    # decimal unparsed, and names the malformed lines it keeps at their line
     path = tmp_path / "sn1.log"
     path.write_text(MIXED_LOG)
     kept = _read_records(str(path), 7423)
     assert np.array_equal(kept, filter_rnti(records, 7423))
     assert capsys.readouterr().err.splitlines() == [
-        f"{path}:{line}: skipped: {reason}" for line, reason in MIXED_DIAGNOSTICS]
+        f"{path}:8: skipped: invalid literal for int() with base 10: '7424z'",
+        f"{path}:16: skipped: frame and rnti must be non-negative"]
+
+
+def test_a_malformed_target_line_is_named_at_its_file_line(tmp_path, capsys):
+    path = tmp_path / "sn1.log"
+    path.write_text("0100.0 7424 1.0 20.0 12 -95.0\n"
+                    "0100.0\t7425\t1.0\t20.0\t12\t-95.0\n"
+                    "0100.0 7423 1.0 20.0 12 -95.0\n"
+                    "0100.1 7424 1.0 20.0 12 -95.0\n"
+                    "0100.1 07423 x 20.0 12 -95.0\n"
+                    "0100.2 7424 1.0 20.0 12 -95.0\n"
+                    "0100.2 7423 2.0 20.0 16 -95.0\n")
+    kept = _read_records(str(path), 7423)
+    assert _entries(kept) == [(100, 0, 7423, 1.0, 20.0, 12, -95.0)]
+    assert capsys.readouterr().err.splitlines() == [
+        f"{path}:5: skipped: could not convert string to float: 'x'",
+        f"{path}:7: skipped: cqi must be in [0, 15], got 16"]
+
+
+#: Spellings of an RNTI field: canonical, then others ``int`` reads as the same
+#: value (non-ASCII digits too), then a 5000-digit field ``int`` refuses.
+RNTI_SPELLINGS = (str, lambda v: f"00{v}", lambda v: f"+{v}", lambda v: "_".join(str(v)),
+                  lambda v: str(v).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+                  lambda v: str(v).zfill(5000))
+
+
+@st.composite
+def mixed_lines(draw):
+    """A blank, comment or garbage line, or an entry line of the target RNTI 7423 or
+    another device: its RNTI spelled as one of ``RNTI_SPELLINGS``, its fields tab-
+    or space-separated, at times malformed or a field short or long."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(["\n", " \t \n", "# note\n", "# 7424 comment\n",
+                                     "garbage\n", "0100.1 7424\n", "7424\n"]))
+    rnti = draw(st.sampled_from([7423, 7424, 742, 74230, 0]))
+    fields = [draw(st.sampled_from(["0100.1", "1023.9", "0100.1.2", "1024.0"])),
+              draw(st.sampled_from(RNTI_SPELLINGS))(rnti),
+              draw(st.sampled_from(["1.5", "7423", "x", "nan"])), "20.0",
+              draw(st.sampled_from(["12", "16"])), "-95.0"]
+    fields = fields[:draw(st.sampled_from([5, 6, 6, 6]))] + draw(
+        st.sampled_from([[], [], ["extra"]]))
+    return draw(st.sampled_from([" ", "\t", "  "])).join(fields) + "\n"
+
+
+def _skipped(line: str, rnti: int) -> bool:
+    """The skip rule: the RNTI field is plain ASCII-decimal, its value not ``rnti``."""
+    fields = line.split()
+    return (len(fields) >= 2 and re.fullmatch("[0-9]+", fields[1]) is not None
+            and Decimal(fields[1]) != rnti)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lines=st.lists(mixed_lines(), max_size=30))
+def test_reading_by_rnti_first_keeps_entries_and_diagnostics(lines):
+    full, diags = parse_log(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "sn1.log"
+        path.write_text("".join(lines), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                kept = _read_records(str(path), 7423)
+            except InputError:
+                # no line was skipped, and none holds an entry
+                assert len(full) == 0
+                kept = full
+    assert np.array_equal(kept, filter_rnti(full, 7423))
+    named = err.getvalue().splitlines()
+    # each diagnostic named is the full parse's, at its file line; none of a line
+    # the rule keeps is lost
+    assert set(named) <= {f"{path}:{d.line}: skipped: {d.reason}" for d in diags}
+    assert set(named) >= {f"{path}:{d.line}: skipped: {d.reason}" for d in diags
+                          if not _skipped(lines[d.line - 1], 7423)}
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
