@@ -8,9 +8,9 @@ best of these beats the incumbent, Gauss-Newton steps on the misses polish it
 into the new incumbent (a zero of the cost usually falls to rounding in the
 first round).  A cell is dropped once a lower bound on the cost anywhere in it
 reaches the incumbent.  Each round halves the rest twice, into 4 x 4 children,
-until the incumbent is within ``CERT_TOL`` of the smallest bound, or no cell is
-left: the returned cost is the global minimum over the annulus to that
-tolerance.  The search shares no algebra with the solvers it audits.
+until the incumbent is within ``CERT_TOL`` of the smallest bound: the returned
+cost is the global minimum over the annulus to that tolerance.  The search
+shares no algebra with the solvers it audits.
 """
 
 import math
@@ -24,7 +24,7 @@ from ._kernels import annulus_grid_min  # noqa: F401
 from .geometry import Position
 from .tdoa import TdoaPair, range_difference_residual
 
-#: The search goes on until its cells are no wider than this (or none is left), m.
+#: Step of the grid oracle this search replaced, m: only the benchmark's ``grid_points`` reads it.
 GRID_STEP = 0.05
 
 #: Certificate tolerance, m^2 (relative above 1 m^2, where float64 rounding
@@ -110,11 +110,10 @@ def annulus_minimum(enb: Position, band: Tuple[float, float],
     """Minimize the pairwise cost over the annulus ``band`` around ``enb``.
 
     Returns the incumbent (position, cost), the best centre or rim point seen
-    as polished by ``_polish``; it lies in the annulus.  That cost is certified
-    to within ``CERT_TOL`` of the global minimum once the cells are no wider
-    than ``GRID_STEP``, or sooner if no cell is left (every bound reached the
-    incumbent); each round halves every kept cell twice, into 16.  Raises
-    ``RuntimeError`` past ``MAX_LEVELS`` halvings or ``MAX_CELLS`` live cells.
+    as polished by ``_polish``; it lies in the annulus.  It returns once no
+    cell's bound is more than ``CERT_TOL`` below that cost, so no later round
+    could lower it by more; each round halves every kept cell twice, into 16.
+    Raises ``RuntimeError`` past ``MAX_LEVELS`` halvings or ``MAX_CELLS`` live cells.
     """
     if not pairs:
         raise ValueError("need at least one pair")
@@ -150,10 +149,9 @@ def annulus_minimum(enb: Position, band: Tuple[float, float],
             n = rho.size
             bound = _lower_bound(rho, d_rho, d_th, x[:n], y[:n], dx[:, :n], dy[:, :n],
                                  d[:, :n], m[:, :n], cost[:n])
-            certified = best - float(bound.min()) <= CERT_TOL * max(1.0, best)
-            keep = bound < best
-            if certified and (max(d_rho, hi * d_th) <= GRID_STEP or not keep.any()):
+            if best - float(bound.min()) <= CERT_TOL * max(1.0, best):
                 return Position(enb.x + best_w.real, enb.y + best_w.imag), best
+            keep = bound < best
             if 16 * np.count_nonzero(keep) > MAX_CELLS:
                 break
             d_rho, d_th = 0.25 * d_rho, 0.25 * d_th

@@ -260,6 +260,8 @@ def _stats_table(errors: Sequence[float], metric: str) -> str:
 
 def cmd_locate(args) -> int:
     _load()
+    if not 0 <= args.rnti <= MAX_RNTI:
+        raise ConfigError(f"--rnti must be in [0, {MAX_RNTI}], got {args.rnti}")
     setup = load_setup(args.config)
     columns = (_locate_toa if args.scheme == "toa" else _locate_tdoa)(setup, args.logs, args.rnti)
     status = columns[2]

@@ -15,7 +15,7 @@ import numpy as np
 from dualsniff.errors import LocalizationError
 from dualsniff.geometry import SPEED_OF_LIGHT, Position, Scenario, distance, ta_band, triangle_area
 from dualsniff.stats import ErrorStats
-from dualsniff.tdoa import build_system, form_tdoa, solve_constrained
+from dualsniff.tdoa import BRANCH_TOL, build_system, form_tdoa, solve_constrained
 from dualsniff.timing import ClockConfig, quantize_ta, subframe_delta
 from dualsniff.toa import compose_D, solve_toa
 
@@ -211,6 +211,36 @@ def draw_solved_scenario(rng, n_sniffers: int = 3):
                         sc.sniffers[0], sc.sniffers[1]) < MIN_CROSSING_DET:
             continue
         return sc, toa, tdoa_est
+
+
+def draw_audited_instance(rng, sigma: float):
+    """One audited noisy instance: (scenario, pairs, constrained estimate).
+
+    Instances are redrawn when: the device falls beyond TA band 1 (keeps the
+    oracle's search over the annulus small); forming or solving the noisy
+    system raises; the solver lands on a squaring ghost (residual over
+    BRANCH_TOL); or the solution leaves the TA annulus.  The oracle searches
+    exactly that annulus for the same cost, so the comparison is only
+    well-posed for in-annulus, true-branch solutions.
+    """
+    while True:
+        sc = draw_scenario(rng)
+        if sc.ta_index > 1:
+            continue
+        deltas = np.array(noiseless_deltas(sc)) + rng.normal(0.0, sigma, 3)
+        try:
+            pairs = [form_tdoa(deltas[0], deltas[k], sc.sniffers[0],
+                               sc.sniffers[k], sc.enb) for k in (1, 2)]
+            est = solve_constrained(build_system(pairs), sc.sniffers[0],
+                                    sc.band, sc.enb)
+        except LocalizationError:
+            continue
+        if est.residual_norm > BRANCH_TOL:
+            continue
+        lo, hi = sc.band
+        if not lo <= distance(est.position, sc.enb) < hi:
+            continue
+        return sc, pairs, est
 
 
 def draw_solvable_scenario(rng, n_sniffers: int = 3) -> Scenario:

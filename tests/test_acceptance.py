@@ -20,8 +20,7 @@ from dualsniff.errors import LocalizationError, RankDeficient
 from dualsniff.geometry import Position, Scenario, distance
 from dualsniff.snifferlog import ENTRY, filter_rnti, match_records, parse_log, write_log
 from dualsniff.stats import cdf_quantile, one_sigma_filter, summarize
-from dualsniff.tdoa import (BRANCH_TOL, build_system, form_tdoa,
-                            solve_constrained, solve_normal_equations)
+from dualsniff.tdoa import build_system, form_tdoa, solve_constrained, solve_normal_equations
 from dualsniff.timing import ClockConfig, subframe_delta, ta_seconds
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -117,43 +116,13 @@ def test_criterion_2_cancellation_invariants():
             f"{'n/a' if shift_1us is None else f'{shift_1us:.1f} m'}")
 
 
-def _draw_noisy_instance(rng, sigma: float):
-    """One audited noisy instance: (scenario, pairs, constrained estimate).
-
-    Instances are redrawn when: the device falls beyond TA band 1 (keeps the
-    oracle's search over the annulus small); forming or solving the noisy
-    system raises; the solver lands on a squaring ghost (residual over
-    BRANCH_TOL); or the solution leaves the TA annulus.  The oracle searches
-    exactly that annulus for the same cost, so the comparison is only
-    well-posed for in-annulus, true-branch solutions.
-    """
-    while True:
-        sc = helpers.draw_scenario(rng)
-        if sc.ta_index > 1:
-            continue
-        deltas = np.array(helpers.noiseless_deltas(sc)) + rng.normal(0.0, sigma, 3)
-        try:
-            pairs = [form_tdoa(deltas[0], deltas[k], sc.sniffers[0],
-                               sc.sniffers[k], sc.enb) for k in (1, 2)]
-            est = solve_constrained(build_system(pairs), sc.sniffers[0],
-                                    sc.band, sc.enb)
-        except LocalizationError:
-            continue
-        if est.residual_norm > BRANCH_TOL:
-            continue
-        lo, hi = sc.band
-        if not lo <= distance(est.position, sc.enb) < hi:
-            continue
-        return sc, pairs, est
-
-
 def test_criterion_3_oracle_equivalence():
     sigma = 1e-7  # c * sigma ~ 30 m of range noise per record
     rng = np.random.default_rng(3003)
     t0 = time.perf_counter()
     worst_gap = 0.0
     for _ in range(100):
-        sc, pairs, est = _draw_noisy_instance(rng, sigma)
+        sc, pairs, est = helpers.draw_audited_instance(rng, sigma)
         _, brute_cost = annulus_minimum(sc.enb, sc.band, pairs)
         worst_gap = max(worst_gap, abs(est.residual_norm ** 2 - brute_cost))
     elapsed = time.perf_counter() - t0

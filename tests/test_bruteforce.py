@@ -1,4 +1,6 @@
+import csv
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from dualsniff import bruteforce
 from dualsniff._kernels import annulus_grid_min
-from dualsniff.bruteforce import CERT_TOL, _lower_bound, annulus_minimum, pair_cost
-from dualsniff.geometry import Position, Scenario, distance
+from dualsniff.bruteforce import _RINGS, CERT_TOL, _lower_bound, annulus_minimum, pair_cost
+from dualsniff.geometry import Position, Scenario, distance, ta_band
 from dualsniff.tdoa import BASELINE_REJECT_FACTOR, TdoaPair, form_tdoa
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _tri_scenario():
@@ -36,6 +41,22 @@ def test_minimum_lands_on_truth_noiseless():
     pos, cost = annulus_minimum(sc.enb, sc.band, _pairs(sc))
     assert distance(pos, sc.ue_truth) < 1e-3
     assert cost < 1e-12
+
+
+def test_a_certified_search_stops_in_that_round(monkeypatch):
+    # the polish certifies the zero of the cost in the first round, and the
+    # search returns there: one round of cell bounds, not one per refinement
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _lower_bound(*args)
+
+    monkeypatch.setattr(bruteforce, "_lower_bound", counted)
+    sc = _tri_scenario()
+    pos, cost = annulus_minimum(sc.enb, sc.band, _pairs(sc))
+    assert cost < 1e-20 and distance(pos, sc.ue_truth) < 1e-6
+    assert len(calls) == 1
 
 
 def test_requires_pairs():
@@ -67,15 +88,31 @@ def _grid_min(sc, pairs):
                             [p.delta_d for p in pairs])[0]
 
 
-def test_certified_minimum_never_above_a_fine_grid():
-    # an exhaustive 0.5 m grid over the same annulus is an independent
-    # reference: the certified minimum is never above its best point.
-    # Unfiltered noisy draws put some minima on the annulus rims.
+def _rim_draws():
+    """Four noisy draws in each of TA bands 0 and 1.  They are not filtered,
+    so some minima lie on the annulus rims."""
     rng = np.random.default_rng(808)
     wanted = {0: 4, 1: 4}
     while any(wanted.values()):
         sc, pairs = _noisy_pairs(rng, {band for band, n in wanted.items() if n})
         wanted[sc.ta_index] -= 1
+        yield sc, pairs
+
+
+def _three_pair_draws():
+    """Three pairs from four sniffers with 100 ns of noise: positive minima."""
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        sc = helpers.draw_scenario(rng, 4)
+        deltas = np.array(helpers.noiseless_deltas(sc)) + rng.normal(0.0, 1e-7, 4)
+        yield sc, [form_tdoa(deltas[0], deltas[k], sc.sniffers[0], sc.sniffers[k], sc.enb)
+                   for k in (1, 2, 3)]
+
+
+def test_certified_minimum_never_above_a_fine_grid():
+    # an exhaustive 0.5 m grid over the same annulus is an independent
+    # reference: the certified minimum is never above its best point
+    for sc, pairs in _rim_draws():
         pos, cost = annulus_minimum(sc.enb, sc.band, pairs)
         grid_cost = _grid_min(sc, pairs)
         assert cost <= grid_cost + CERT_TOL * max(1.0, cost)
@@ -138,6 +175,73 @@ def test_lower_bound_holds_over_each_cell():
         assert np.all(cost.reshape(rho.size, 64).min(axis=1) >= bound)
 
 
+class _FirstRound(Exception):
+    pass
+
+
+def _first_round_cells(enb, band, pairs):
+    """The arguments of the search's first ``_lower_bound`` call: its starting
+    partition of the annulus, with the centres' offsets, misses and costs."""
+    def stop(*args):
+        raise _FirstRound(args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bruteforce, "_lower_bound", stop)
+        with pytest.raises(_FirstRound) as caught:
+            annulus_minimum(enb, band, pairs)
+    return caught.value.args[0]
+
+
+def test_lower_bound_holds_over_the_starting_partition():
+    # the first round's cells certify a zero of the cost, and band 0's inner
+    # ring touches the base station, which the sampled cells above keep clear
+    # of: over TA bands 0-3, no point of a 12 x 12 grid over each starting
+    # cell, edges and corners included, costs less than the cell's bound
+    rng = np.random.default_rng(41)
+    edge = np.linspace(-0.5, 0.5, 12)
+    for _ in range(10):
+        sc, pairs = _noisy_pairs(rng, {0, 1})  # the base station is at the origin
+        for band in range(4):
+            lo, hi = ta_band(band)
+            cells = _first_round_cells(sc.enb, (lo, hi), pairs)
+            rho, d_rho, d_th = cells[:3]
+            assert rho.size == _RINGS * math.ceil(2.0 * math.pi * hi / d_rho)
+            assert rho.min() - 0.5 * d_rho == pytest.approx(lo, abs=1e-9)
+            th = np.arctan2(cells[4], cells[3])
+            bound = _lower_bound(*cells)
+            p_rho = (rho[:, None] + d_rho * np.repeat(edge, 12)).ravel()
+            p_th = (th[:, None] + d_th * np.tile(edge, 12)).ravel()
+            cost = _misses(p_rho * np.cos(p_th), p_rho * np.sin(p_th), pairs, sc.enb)[-1]
+            assert np.all(cost.reshape(rho.size, 144).min(axis=1) >= bound)
+
+
+def _reference_draws():
+    """The instances of ``data/oracle_reference.csv``, each under its (draw, index) key."""
+    rng = np.random.default_rng(3003)
+    for i in range(100):
+        yield ("criterion3", i), helpers.draw_audited_instance(rng, 1e-7)[:2]
+    yield from ((("rim", i), draw) for i, draw in enumerate(_rim_draws()))
+    yield from ((("three_pair", i), draw) for i, draw in enumerate(_three_pair_draws()))
+
+
+def test_matches_the_reference_oracle():
+    # data/oracle_reference.csv holds the cost and point (repr) of acceptance
+    # criterion 3's 100 instances and of the rim and three-pair draws above, as
+    # a search that went on refining until its cells were 0.05 m wide returned
+    # them: stopping at the certificate keeps the cost to the certificate's
+    # tolerance and the point to 1e-6 m
+    with open(DATA / "oracle_reference.csv", newline="") as fh:
+        reference = {(r["draw"], int(r["index"])): r for r in csv.DictReader(fh)}
+    seen = set()
+    for key, (sc, pairs) in _reference_draws():
+        ref = reference[key]
+        pos, cost = annulus_minimum(sc.enb, sc.band, pairs)
+        assert abs(cost - float(ref["cost"])) <= CERT_TOL * max(1.0, cost)
+        assert math.hypot(pos.x - float(ref["x"]), pos.y - float(ref["y"])) <= 1e-6
+        seen.add(key)
+    assert seen == set(reference) and len(seen) == 112
+
+
 def test_a_zero_of_the_cost_is_certified_to_rounding():
     # the polish takes the incumbent to the zero of the cost, far below the
     # certificate's tolerance, on noiseless layouts in any TA band
@@ -155,14 +259,9 @@ def test_a_zero_of_the_cost_is_certified_to_rounding():
 
 
 def test_overdetermined_minimum_is_never_above_a_fine_grid():
-    # three pairs from four sniffers with 100 ns of noise: the least-squares
-    # minimum is positive, and no 0.5 m grid point of the annulus beats it
-    rng = np.random.default_rng(31)
-    for _ in range(4):
-        sc = helpers.draw_scenario(rng, 4)
-        deltas = np.array(helpers.noiseless_deltas(sc)) + rng.normal(0.0, 1e-7, 4)
-        pairs = [form_tdoa(deltas[0], deltas[k], sc.sniffers[0], sc.sniffers[k], sc.enb)
-                 for k in (1, 2, 3)]
+    # the least-squares minimum of three pairs is positive, and no 0.5 m grid
+    # point of the annulus beats it
+    for sc, pairs in _three_pair_draws():
         pos, cost = annulus_minimum(sc.enb, sc.band, pairs)
         grid_cost = _grid_min(sc, pairs)
         assert cost > 1e-6

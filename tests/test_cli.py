@@ -399,6 +399,23 @@ def test_locate_wrong_rnti_gives_no_samples(tmp_path, capsys, scheme, config, n_
     assert "no samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rnti, rc", [(-1, EXIT_CONFIG), (MAX_RNTI + 1, EXIT_CONFIG),
+                                      (0, EXIT_INPUT), (MAX_RNTI, EXIT_INPUT)])
+def test_locate_refuses_an_rnti_outside_64_bits_before_reading_a_log(tmp_path, capsys, rnti, rc):
+    # no entry can carry an RNTI outside [0, MAX_RNTI]: a configuration error, raised before
+    # any log is read (these logs do not exist); the bounds themselves go on to the logs
+    cfg = _write(tmp_path, "exp.yaml", TOA_CONFIG)
+    logs = [str(tmp_path / "sn1_cfg1.log"), str(tmp_path / "sn2_cfg1.log")]
+    assert main(["locate", "--config", cfg, "--scheme", "toa", "--rnti", str(rnti),
+                 "--out-dir", str(tmp_path / "out"), *logs]) == rc
+    err = capsys.readouterr().err
+    if rc == EXIT_CONFIG:
+        assert err == f"configuration error: --rnti must be in [0, {MAX_RNTI}], got {rnti}\n"
+    else:
+        assert err == f"input error: log file not found: {logs[0]}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text, rc, message", [
     ("0100.0 7424 1.5 20.0 12 -95.0\n0100.0 7425 1.5 20.0 12 -95.0\n", EXIT_NO_SAMPLES,
      "no samples: no matched samples in the given log pairs"),
