@@ -935,3 +935,29 @@ def test_two_configuration_tdoa_is_unchanged(tmp_path, monkeypatch, capsys):
     assert {"stdout": _sha256(captured.out), "stderr": _sha256(captured.err),
             "run/estimates_tdoa.csv": _sha256(Path("run/estimates_tdoa.csv").read_bytes())
             } == TWO_CONFIG_SHA256
+
+
+#: sha256 of ``locate --scheme toa`` on all three changeover configurations, each
+#: pair solved with its own segment's sniffer positions.
+EVERY_PAIR_TOA_SHA256 = {
+    "stdout": "6cc7a4ff27b6e5e6863694fb5ddb18b4115533eb78057b9aaab0eebc5a97bdd0",
+    "stderr": "904332f98ee6505787606fe0eb026ed454f71479ac7d627f33fb0da0e84cc679",
+    "run/estimates_toa.csv":
+        "0170a31068321c2089fa1dda290d96ddb67266a06b28b5ee7160ea7ddcd92271",
+}
+
+
+def test_toa_over_every_configuration_is_unchanged(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("exp.yaml").write_text(CHANGEOVER_CONFIG)
+    assert main(["simulate", "--config", "exp.yaml", "--out-dir", "run",
+                 "--decoys", "3"]) == EXIT_OK
+    capsys.readouterr()
+    logs = [f"run/sn{k}_cfg{j}.log" for j in (1, 2, 3) for k in (1, 2)]
+    assert main(["locate", "--config", "exp.yaml", "--scheme", "toa",
+                 "--rnti", "7423", "--out-dir", "run", *logs]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert len(Path("run/estimates_toa.csv").read_text().splitlines()) == 1 + 90
+    assert {"stdout": _sha256(captured.out), "stderr": _sha256(captured.err),
+            "run/estimates_toa.csv": _sha256(Path("run/estimates_toa.csv").read_bytes())
+            } == EVERY_PAIR_TOA_SHA256
