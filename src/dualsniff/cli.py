@@ -186,10 +186,9 @@ def _configurations(setup: "ExperimentSetup", files: Sequence[str], rnti: int,
 
 def _locate_toa(setup: "ExperimentSetup", files: Sequence[str], rnti: int) -> tuple:
     scenario, columns = setup.scenario, ([], [], [], [], [])
-    for samples, ref, other in _configurations(setup, files, rnti):
-        sol = solve_toa_batch(compose_D(samples["delta_a"] * 1e-6, ref, scenario),
-                              compose_D(samples["delta_b"] * 1e-6, other, scenario),
-                              scenario.enb, scenario.band)
+    for samples, *sniffers in _configurations(setup, files, rnti):
+        D = compose_D((samples["delta_a"] * 1e-6, samples["delta_b"] * 1e-6), sniffers, scenario)
+        sol = solve_toa_batch(sniffers, D, scenario.enb, scenario.band)
         for column, part in zip(columns, (
                 samples["frame"].tolist(), samples["subframe"].tolist(), sol.status.tolist(),
                 sol.chosen(sol.u).tolist(), [sol.failed.get(i) for i in range(len(samples))])):

@@ -93,20 +93,25 @@ def form_tdoa(delta_ref, delta_k, ref_sniffer: Position, other_sniffer: Position
     return TdoaPair(ref_sniffer, other_sniffer, delta_d)
 
 
+def rows(ref: Position, others: Sequence[Position], dd) -> LinearSystem:
+    """The squared-and-differenced hyperbola rows about the reference s_1 = ``ref``: row k
+    of s_k = ``others[k]`` and range differences ``dd[..., k]``, dd (N, n) or one sample's (n,)."""
+    dd = np.asarray(dd, dtype=float)
+    P = np.array([(s.x - ref.x, s.y - ref.y) for s in others], dtype=float)
+    const = np.array([(s.x ** 2 + s.y ** 2) - (ref.x ** 2 + ref.y ** 2) for s in others])
+    return LinearSystem(P, dd, 0.5 * (const - dd * dd))
+
+
 def build_system(pairs: Sequence[TdoaPair]) -> LinearSystem:
-    """The squared-and-differenced hyperbola rows of ``pairs`` about their one reference
-    s_1, with (N, n) ``dd`` and ``h`` where each ``delta_d`` holds N samples' values."""
+    """The ``rows`` of ``pairs`` about their one reference, with (N, n) ``dd`` and ``h``
+    where each ``delta_d`` holds N samples' values."""
     if len(pairs) < 2:
         raise ValueError(f"need at least two pairs, got {len(pairs)}")
     ref = pairs[0].ref_sniffer
     for k, p in enumerate(pairs):
         if p.ref_sniffer != ref:
             raise MixedReference(f"pair {k} references {p.ref_sniffer}, expected {ref}")
-    others = [p.other_sniffer for p in pairs]
-    dd = np.array([p.delta_d for p in pairs], dtype=float).T
-    P = np.array([(s.x - ref.x, s.y - ref.y) for s in others], dtype=float)
-    const = np.array([(s.x ** 2 + s.y ** 2) - (ref.x ** 2 + ref.y ** 2) for s in others])
-    return LinearSystem(P, dd, 0.5 * (const - dd * dd))
+    return rows(ref, [p.other_sniffer for p in pairs], np.array([p.delta_d for p in pairs]).T)
 
 
 def range_difference_residual(u: Position, pairs: Sequence[TdoaPair]) -> float:

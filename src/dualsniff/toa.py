@@ -1,15 +1,15 @@
 """Range-sum (ToA) estimator: intersect two ellipses sharing the eNb focus.
 
-Each sniffer's timing delta fixes the sum D_i of device-to-eNb and
+Each sniffer's timing delta fixes the sum D_k of device-to-eNb and
 device-to-sniffer distances, an ellipse with foci at the eNb and that
-sniffer.  With r = |u - enb|, |u - s_i| = D_i - r squares to the row of
-``tdoa.build_system`` with the eNb as reference and delta_d = -D_i, so the
+sniffer.  With r = |u - enb|, |u - s_k| = D_k - r squares to the row that
+``tdoa.rows`` gives with the eNb as reference and delta_d = -D_k, so the
 intersections come in closed form from ``geometry.eliminate``, collinear or not.
+The range-sums of N samples are one (N, 2) array, column k for sniffer k.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -19,10 +19,10 @@ from ._kernels import ellipse_scan  # noqa: F401
 from .errors import InfeasibleObservation, NoIntersection
 from .geometry import (SPEED_OF_LIGHT, Failed, Position, Scenario, Solutions, choose_candidate,
                        distance, eliminate, fail)
-from .tdoa import TdoaPair, build_system
+from .tdoa import rows
 from .timing import ta_seconds
 
-#: Rounding allowance of the true-branch test D_i - r >= 0, meters.
+#: Rounding allowance of the true-branch test D_k - r >= 0, meters.
 CROSSING_TOL = 1e-9
 #: Former name of ``CROSSING_TOL``, still read by the benchmark tracer.
 NEWTON_TOL = CROSSING_TOL
@@ -30,32 +30,19 @@ NEWTON_TOL = CROSSING_TOL
 INTERSECTION_TOL = 1.0
 
 
-@dataclass(frozen=True)
-class ToAObservation:
-    """One range-sum constraint: |u - enb| + |u - sniffer| = D.
+def compose_D(deltas, sniffers: Sequence[Position], scenario: Scenario) -> np.ndarray:
+    """The (N, 2) range-sums of ``deltas[k]``, sniffer k's measured delta (seconds) or N of them.
 
-    ``D`` is one range-sum, or an array of one per sample.  Where D is
-    smaller than the focal distance no ellipse exists, and the solver
-    rejects the observation.
+    Column k is D_k = |enb - s_k| + c * (delta_k + ta) for ``sniffers[k]``,
+    with the timing advance taken from the scenario's TA index.  A negative
+    (delta_k + ta) puts the range-sum below the focal distance; it is kept,
+    and the solver reports it infeasible.
     """
-
-    sniffer: Position
-    D: float
-
-
-def compose_D(delta: float, sniffer: Position, scenario: Scenario) -> ToAObservation:
-    """Range-sum D for one sniffer's measured delta (seconds), or an array of them.
-
-    D = |enb - sniffer| + c * (delta + ta), with the timing advance taken
-    from the scenario's TA index.  A negative (delta + ta) puts the range-sum
-    below the focal distance; the observation is kept, and the solver
-    reports it infeasible.
-    """
-    if not np.isfinite(delta).all():
-        raise ValueError(f"delta must be finite, got {delta}")
-    d_focal = distance(scenario.enb, sniffer)
-    D = d_focal + SPEED_OF_LIGHT * (delta + ta_seconds(scenario.ta_index))
-    return ToAObservation(sniffer=sniffer, D=D)
+    deltas = np.column_stack(deltas)
+    if not np.isfinite(deltas).all():
+        raise ValueError(f"deltas must be finite, got {deltas}")
+    d_focal = np.array([distance(scenario.enb, s) for s in sniffers])
+    return d_focal + SPEED_OF_LIGHT * (deltas + ta_seconds(scenario.ta_index))
 
 
 def _onto_ellipse(u: np.ndarray, D: np.ndarray, sniffer: Position, enb: Position) -> np.ndarray:
@@ -67,12 +54,13 @@ def _onto_ellipse(u: np.ndarray, D: np.ndarray, sniffer: Position, enb: Position
     return (enb.x, enb.y) + r[:, None] * e
 
 
-def solve_toa_batch(obs1: ToAObservation, obs2: ToAObservation, enb: Position,
+def solve_toa_batch(sniffers: Sequence[Position], D, enb: Position,
                     band: Tuple[float, float]) -> Solutions:
-    """Intersect the range-sum ellipses of every sample: ``D`` holds one per sample.
+    """Intersect the range-sum ellipses of every sample: ``D`` is (N, 2), a row per
+    sample and column k the range-sum of ``sniffers[k]``, or one sample's (2,).
 
     The crossings are the roots of ``geometry.eliminate`` on the true branch
-    D_i - r >= 0 of both ellipses; a collinear layout gives a mirror pair of
+    D_k - r >= 0 of both ellipses; a collinear layout gives a mirror pair of
     equal range, residual and ``clean`` flag, which the band keeps together.
     Without a crossing, the elimination vertex carried along its ray from
     the eNb onto the first ellipse is the closest approach, an unclean
@@ -81,17 +69,15 @@ def solve_toa_batch(obs1: ToAObservation, obs2: ToAObservation, enb: Position,
     for a range-sum below the focal distance, DegenerateGeometry for dependent
     rows and NoIntersection for ellipses that miss by more than ``INTERSECTION_TOL``.
     """
-    obs = (obs1, obs2)
-    D = np.column_stack([np.atleast_1d(o.D) for o in obs]).astype(float)
+    D = np.atleast_2d(np.asarray(D, dtype=float))
     failed: Failed = {}
-    for k, o in enumerate(obs):
-        d_focal = distance(enb, o.sniffer)
+    for k, s in enumerate(sniffers):
+        d_focal = distance(enb, s)
         fail(failed, ~(D[:, k] >= d_focal),
              lambda i: InfeasibleObservation(f"observation {k + 1}: range-sum {D[i, k]:.3f} m "
                                              f"is below the focal distance {d_focal:.3f} m"))
-    sniffers = [o.sniffer for o in obs]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        system = build_system([TdoaPair(enb, s, -D[:, k]) for k, s in enumerate(sniffers)])
+        system = rows(enb, sniffers, -D)
         u, r, vertex = eliminate(system.P, system.dd, system.h, enb, failed)
         clean = (np.minimum(D[:, :1], D[:, 1:]) - r >= -CROSSING_TOL) & ~vertex[:, None]
         u[vertex, 0] = _onto_ellipse(u[vertex, 0], D[vertex, 0], sniffers[0], enb)
@@ -106,10 +92,10 @@ def solve_toa_batch(obs1: ToAObservation, obs2: ToAObservation, enb: Position,
     return choose_candidate(u, r, residual, valid, clean & valid, failed, enb, band)
 
 
-def solve_toa(obs1: ToAObservation, obs2: ToAObservation, enb: Position,
+def solve_toa(sniffers: Sequence[Position], D, enb: Position,
               band: Tuple[float, float]) -> Solutions:
-    """``solve_toa_batch`` for one sample; raises its failure (InfeasibleObservation,
-    DegenerateGeometry, NoIntersection or AmbiguousSolution)."""
-    sol = solve_toa_batch(obs1, obs2, enb, band)
+    """``solve_toa_batch`` for one sample's range-sums; raises its failure
+    (InfeasibleObservation, DegenerateGeometry, NoIntersection or AmbiguousSolution)."""
+    sol = solve_toa_batch(sniffers, D, enb, band)
     sol.check(0)
     return sol

@@ -106,9 +106,10 @@ def sigma_for_snr(snr_db: float, sigma0: float) -> float:
     return sigma0 * 10.0 ** (-snr_db / 20.0)
 
 
-def ellipse_residual(u_cand: Position, obs, enb: Position) -> float:
-    """Signed miss of the range-sum constraint ``obs`` at a candidate point, meters."""
-    return distance(u_cand, enb) + distance(u_cand, obs.sniffer) - obs.D
+def ellipse_residual(u_cand: Position, sniffer: Position, D: float, enb: Position) -> float:
+    """Signed miss of the range-sum constraint |u - enb| + |u - sniffer| = D at a
+    candidate point, meters."""
+    return distance(u_cand, enb) + distance(u_cand, sniffer) - D
 
 
 MATCHED_HEADER = "frame,subframe,delta_a_us,delta_b_us"
@@ -126,8 +127,9 @@ def run_toa(scenario: Scenario, deltas=None):
     raises the sample's failure."""
     if deltas is None:
         deltas = noiseless_deltas(scenario)
-    obs = [compose_D(deltas[k], scenario.sniffers[k], scenario) for k in (0, 1)]
-    return solve_toa(obs[0], obs[1], scenario.enb, scenario.band)
+    sniffers = scenario.sniffers[:2]
+    return solve_toa(sniffers, compose_D(deltas[:2], sniffers, scenario), scenario.enb,
+                     scenario.band)
 
 
 def run_tdoa(scenario: Scenario, deltas=None):

@@ -13,9 +13,9 @@ import helpers
 from dualsniff.errors import LocalizationError
 from dualsniff.geometry import (AMBIGUITY_SEPARATION, TA_BAND_M, Position, Scenario, distance,
                                 ta_band)
-from dualsniff.tdoa import (TdoaPair, build_system, solve_constrained,
+from dualsniff.tdoa import (TdoaPair, build_system, rows, solve_constrained,
                             solve_constrained_batch)
-from dualsniff.toa import ToAObservation, solve_toa, solve_toa_batch
+from dualsniff.toa import compose_D, solve_toa, solve_toa_batch
 
 OFFSETS = st.lists(st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)),
                    min_size=1, max_size=8)
@@ -38,7 +38,7 @@ def _one_by_one(solve, rows):
 def _toa_alone(s1, s2, enb, band):
     """A ``_one_by_one`` solve of (D1, D2) rows through the one-sample ``solve_toa``."""
     def solve(D1, D2):
-        sol = solve_toa(ToAObservation(s1, D1), ToAObservation(s2, D2), enb, band)
+        sol = solve_toa((s1, s2), (D1, D2), enb, band)
         return sol.chosen(sol.u)[0]
     return solve
 
@@ -46,6 +46,28 @@ def _toa_alone(s1, s2, enb, band):
 def _batch(sol):
     return [(status, tuple(xy) if status == "ok" else None)
             for status, xy in zip(sol.status.tolist(), sol.chosen(sol.u).tolist())]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(2, 5), samples=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_rows_and_range_sums_from_arrays_are_bit_identical(n, samples, seed):
+    """``build_system`` of n pairs is ``rows(ref, others, dd)`` to the bit, for one
+    sample (scalar differences), for N = 1 and for N > 1; ``compose_D`` of N samples
+    is its N one-sample calls stacked, to the bit."""
+    rng = np.random.default_rng(seed)
+    ref, *others = (Position(x, y) for x, y in rng.uniform(-300.0, 300.0, (n + 1, 2)).tolist())
+    dd = rng.normal(0.0, 80.0, (samples, n))
+    for d in (dd[0], dd[:1], dd):
+        got = build_system([TdoaPair(ref, o, d[..., k]) for k, o in enumerate(others)])
+        want = rows(ref, others, d)
+        for a, b in ((got.P, want.P), (got.dd, want.dd), (got.h, want.h)):
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+    sc = Scenario(enb=Position(*rng.uniform(-50.0, 50.0, 2).tolist()), sniffers=others[:2],
+                  ta_index=int(rng.integers(0, 4)))
+    deltas = rng.normal(0.0, 1e-6, (2, samples))
+    D = compose_D(tuple(deltas), sc.sniffers, sc)
+    alone = np.concatenate([compose_D(col, sc.sniffers, sc) for col in deltas.T.tolist()])
+    assert D.shape == alone.shape == (samples, 2) and D.tobytes() == alone.tobytes()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -68,9 +90,8 @@ def test_toa_batch_equals_its_samples_solved_alone(phi, shift, offsets):
     truth = [distance(ue, enb) + distance(ue, k) for k in (s1, s2)]
     D = [truth, [distance(enb, s1) - 1.0, truth[1]], [distance(enb, s1) + 1e-3, truth[1] + 400.0],
          *([truth[0] + a, truth[1] + b] for a, b in offsets)]
-    D1, D2 = np.array(D).T
-    sol = solve_toa_batch(ToAObservation(s1, D1), ToAObservation(s2, D2), enb, band)
-    alone = _one_by_one(_toa_alone(s1, s2, enb, band), zip(D1.tolist(), D2.tolist()))
+    sol = solve_toa_batch((s1, s2), np.array(D), enb, band)
+    alone = _one_by_one(_toa_alone(s1, s2, enb, band), D)
     assert _batch(sol) == alone
     assert [status for status, _ in alone[:3]] == [
         "AmbiguousSolution", "InfeasibleObservation", "NoIntersection"]
@@ -109,8 +130,7 @@ def test_batches_of_no_samples_solve_to_no_solutions():
     others = [Position(1, 50), Position(0, 51), Position(-1, 49)]
     sols = [solve_constrained_batch(build_system([TdoaPair(ref, o, none) for o in others[:n]]),
                                     ref, band, enb) for n in (2, 3)]
-    sols.append(solve_toa_batch(ToAObservation(others[0], none), ToAObservation(others[1], none),
-                                enb, band))
+    sols.append(solve_toa_batch(others[:2], np.zeros((0, 2)), enb, band))
     for sol in sols:
         assert (sol.u.shape, sol.pick.shape, sol.failed) == ((0, 2, 2), (0,), {})
         assert sol.status.tolist() == [] and sol.chosen(sol.u).shape == (0, 2)
@@ -141,9 +161,8 @@ def test_batch_estimates_move_with_the_scene(seed, phi, dx, dy):
     for scene in (sc, moved):
         ranges = [distance(scene.ue_truth, s) for s in scene.sniffers]
         d_ub = distance(scene.ue_truth, scene.enb)
-        D = [d_ub + ranges[k] + noise[:, k] for k in (0, 1)]
-        toa = solve_toa_batch(ToAObservation(scene.sniffers[0], D[0]),
-                              ToAObservation(scene.sniffers[1], D[1]), scene.enb, scene.band)
+        D = d_ub + np.array(ranges[:2]) + noise[:, :2]
+        toa = solve_toa_batch(scene.sniffers[:2], D, scene.enb, scene.band)
         pairs = [TdoaPair(scene.sniffers[0], s, ranges[k] - ranges[0] + noise[:, k] - noise[:, 0])
                  for k, s in enumerate(scene.sniffers) if k]
         tdoa = solve_constrained_batch(build_system(pairs), scene.sniffers[0], scene.band,
@@ -173,7 +192,7 @@ def test_collinear_mirror_pairs_are_kept_or_refused_together():
         ue = Position(*rng.uniform(-250.0, 250.0, 2).tolist())
         band = ta_band(int(distance(ue, enb) // TA_BAND_M))
         D = [distance(ue, enb) + distance(ue, s) + rng.normal(0.0, 6.0, 50) for s in (s1, s2)]
-        sol = solve_toa_batch(ToAObservation(s1, D[0]), ToAObservation(s2, D[1]), enb, band)
+        sol = solve_toa_batch((s1, s2), np.column_stack(D), enb, band)
         two = np.isfinite(sol.r).all(axis=1)
         r, clean = sol.r[two], sol.clean[two]
         assert (np.abs(r[:, 0] - r[:, 1]) <= 1e-12 * r[:, 0]).all()
@@ -201,7 +220,7 @@ def test_dependent_rows_fail_only_their_sample():
     D = np.array([[distance(t, enb) + distance(t, s) for s in (s1, s2)] for t in truth])
     D = np.insert(D, 1, [200.0, 100.0], axis=0)
     band = (0.0, 78.12)
-    sol = solve_toa_batch(ToAObservation(s1, D[:, 0]), ToAObservation(s2, D[:, 1]), enb, band)
+    sol = solve_toa_batch((s1, s2), D, enb, band)
     alone = _one_by_one(_toa_alone(s1, s2, enb, band), D.tolist())
     assert _batch(sol) == alone
     assert sol.status.tolist() == ["AmbiguousSolution", "DegenerateGeometry",

@@ -202,8 +202,20 @@ def test_collinear_sniffers_fail_every_sample(n_configs, theta):
 
 #: The device keeps this far from the sniffers' line, m.  Nearer, the mirror pair
 #: is a near-double root: rounding moves it by up to 1.2 cm at 0.1 m off the line,
-#: and within 1 cm it can push the pair below DISCRIMINANT_TOL (NoRealRoot).
+#: and within 1 cm it can push the pair below DISCRIMINANT_TOL (NoRealRoot), as
+#: ``test_devices_near_a_collinear_line_fail_typed_or_land_near_the_truth`` shows.
 LINE_MARGIN = 1.0
+
+
+def _spaced(nodes, ue) -> bool:
+    """Stations ``nodes`` (the eNb first) ``MIN_SEPARATION`` apart, the device
+    ``NODE_MARGIN`` from each and ``BAND_MARGIN`` inside the edges of its TA band."""
+    d_ub = distance(ue, nodes[0])
+    lo, hi = ta_band(quantize_ta(d_ub)[0])
+    return (min(distance(p, q) for i, p in enumerate(nodes) for q in nodes[i + 1:])
+            >= helpers.MIN_SEPARATION
+            and min(distance(ue, p) for p in nodes) >= helpers.NODE_MARGIN
+            and lo + helpers.BAND_MARGIN <= d_ub <= hi - helpers.BAND_MARGIN)
 
 
 @pytest.mark.parametrize("theta", LINE_ANGLES, ids="{:.2f}".format)
@@ -217,22 +229,47 @@ def test_collinear_two_configurations_give_a_mirror_pair(theta):
         ref, ue = (Position(*rng.uniform(-helpers.BOX_HALF, helpers.BOX_HALF, 2).tolist())
                    for _ in range(2))
         nodes = (enb, *_on_line(ref, theta, [0.0, *rng.uniform(-300.0, 300.0, 2).tolist()]))
-        ta_index = quantize_ta(distance(ue, enb))[0]
-        lo, hi = ta_band(ta_index)
-        if (min(distance(p, q) for i, p in enumerate(nodes) for q in nodes[i + 1:])
-                < helpers.MIN_SEPARATION
-                or min(distance(ue, p) for p in nodes) < helpers.NODE_MARGIN
+        if (not _spaced(nodes, ue)
                 or abs((ue.x - ref.x) * math.sin(theta) - (ue.y - ref.y) * math.cos(theta))
-                < LINE_MARGIN
-                or not lo + helpers.BAND_MARGIN <= distance(ue, enb) <= hi - helpers.BAND_MARGIN):
+                < LINE_MARGIN):
             continue
-        sol = _solve_draws(Scenario(enb, nodes[1:], ue, ta_index), 1, 0.0, rng)
+        sol = _solve_draws(Scenario(enb, nodes[1:], ue, quantize_ta(distance(ue, enb))[0]), 1,
+                           0.0, rng)
         candidates = sol.u[0][sol.valid[0]].tolist()
         assert min(distance(Position(x, y), ue) for x, y in candidates) < 1e-4
         outcomes.append(sol.status[0])
         if sol.status[0] == "ok":
             assert distance(Position(*sol.chosen(sol.u)[0].tolist()), ue) <= AMBIGUITY_SEPARATION
     assert set(outcomes) == {"ok", "AmbiguousSolution"}
+
+
+@pytest.mark.parametrize("margin", [1e-4, 1e-3, 1e-2, 0.1])
+def test_devices_near_a_collinear_line_fail_typed_or_land_near_the_truth(margin):
+    """Noiseless devices ``margin`` meters off the line of two collinear
+    configurations, 60 layouts on each of ``LINE_ANGLES``.  The mirror pair is a
+    near-double root there, and the rounding of the discriminant decides whether
+    it survives, so a sample may fail NoRealRoot, DegenerateGeometry or
+    AmbiguousSolution; an ``ok`` answer lies within AMBIGUITY_SEPARATION of the
+    truth.  (At this seed 112 and 132 of the 540 fail NoRealRoot at 1 mm and 1 cm,
+    and the worst ``ok`` answers are 0.48 and 0.44 m off.)"""
+    rng, enb, outcomes = np.random.default_rng(11), Position(0, 0), []
+    while len(outcomes) < 60 * len(LINE_ANGLES):
+        theta = LINE_ANGLES[len(outcomes) % len(LINE_ANGLES)]
+        ref = Position(*rng.uniform(-helpers.BOX_HALF, helpers.BOX_HALF, 2).tolist())
+        along, *offsets = rng.uniform(-300.0, 300.0, 3).tolist()
+        foot, off = _on_line(ref, theta, [along])[0], margin * rng.choice([-1.0, 1.0])
+        ue = Position(foot.x - off * math.sin(theta), foot.y + off * math.cos(theta))
+        nodes = (enb, *_on_line(ref, theta, [0.0, *offsets]))
+        if not _spaced(nodes, ue):
+            continue
+        sol = _solve_draws(Scenario(enb, nodes[1:], ue, quantize_ta(distance(ue, enb))[0]), 1,
+                           0.0, rng)
+        outcomes.append(sol.status[0])
+        if sol.status[0] == "ok":
+            assert distance(Position(*sol.chosen(sol.u)[0].tolist()), ue) <= AMBIGUITY_SEPARATION
+        else:
+            assert sol.status[0] in {"NoRealRoot", "DegenerateGeometry", "AmbiguousSolution"}
+    assert "ok" in outcomes
 
 
 def test_constrained_no_real_root():

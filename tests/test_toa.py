@@ -12,7 +12,7 @@ from dualsniff.errors import (AmbiguousSolution, DegenerateGeometry, InfeasibleO
                               NoIntersection)
 from dualsniff.geometry import SPEED_OF_LIGHT, Position, Scenario, distance, ta_band
 from dualsniff.timing import ClockConfig, subframe_delta
-from dualsniff.toa import INTERSECTION_TOL, ToAObservation, compose_D, solve_toa
+from dualsniff.toa import INTERSECTION_TOL, compose_D, solve_toa
 from helpers import ellipse_residual
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -34,36 +34,37 @@ def _square_scenario():
 def test_compose_D_known_value():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc)
-    obs = compose_D(subframe_delta(sc, 0, cfg), sc.sniffers[0], sc)
+    D = compose_D([subframe_delta(sc, k, cfg) for k in (0, 1)], sc.sniffers, sc)
+    assert D.shape == (1, 2)
     # d_ub + d_ue1 = 50 + sqrt(60^2 + 30^2)
-    assert obs.D == pytest.approx(50.0 + math.sqrt(4500.0), rel=1e-12)
+    assert D[0, 0] == pytest.approx(50.0 + math.sqrt(4500.0), rel=1e-12)
 
 
 def test_compose_D_restores_timing_advance():
     sc = _annulus_scenario()
     cfg = ClockConfig.for_scenario(sc)
     d_ub = distance(sc.enb, sc.ue_truth)
+    D = compose_D([subframe_delta(sc, k, cfg) for k in (0, 1)], sc.sniffers, sc)
     for k in (0, 1):
-        obs = compose_D(subframe_delta(sc, k, cfg), sc.sniffers[k], sc)
         want = d_ub + distance(sc.ue_truth, sc.sniffers[k])
-        assert obs.D == pytest.approx(want, rel=1e-12)
+        assert D[0, k] == pytest.approx(want, rel=1e-12)
 
 
 def test_compose_D_flags_infeasible():
     sc = _square_scenario()
     d_focal = 100.0
-    obs = compose_D(-2.0 * d_focal / SPEED_OF_LIGHT, sc.sniffers[0], sc)
-    assert obs.D < d_focal
+    D = compose_D([-2.0 * d_focal / SPEED_OF_LIGHT, 0.0], sc.sniffers, sc)
+    assert D[0, 0] < d_focal
     with pytest.raises(ValueError):
-        compose_D(float("nan"), sc.sniffers[0], sc)
+        compose_D([float("nan"), 0.0], sc.sniffers, sc)
 
 
 def test_ellipse_residual_sign():
     enb = Position(0, 0)
-    obs = ToAObservation(sniffer=Position(100, 0), D=50.0 + math.sqrt(4500.0))
-    assert ellipse_residual(Position(40, 30), obs, enb) == pytest.approx(0.0, abs=1e-9)
-    assert ellipse_residual(Position(400, 300), obs, enb) > 0.0
-    assert ellipse_residual(Position(50, 0), obs, enb) < 0.0
+    s, D = Position(100, 0), 50.0 + math.sqrt(4500.0)
+    assert ellipse_residual(Position(40, 30), s, D, enb) == pytest.approx(0.0, abs=1e-9)
+    assert ellipse_residual(Position(400, 300), s, D, enb) > 0.0
+    assert ellipse_residual(Position(50, 0), s, D, enb) < 0.0
 
 
 def test_solve_recovers_annulus_truth():
@@ -79,11 +80,9 @@ def test_solve_recovers_annulus_truth():
 
 def test_solve_raises_on_infeasible_observation():
     sc = _square_scenario()
-    good = ToAObservation(sniffer=sc.sniffers[1], D=150.0)
     for D in (50.0, 99.0):
-        bad = ToAObservation(sniffer=sc.sniffers[0], D=D)
         with pytest.raises(InfeasibleObservation):
-            solve_toa(bad, good, sc.enb, sc.band)
+            solve_toa(sc.sniffers, (D, 150.0), sc.enb, sc.band)
 
 
 def test_mirror_in_same_band_is_ambiguous():
@@ -95,29 +94,24 @@ def test_mirror_in_same_band_is_ambiguous():
     assert len(candidates) >= 2
     # every candidate genuinely satisfies both range-sum constraints
     cfg = ClockConfig.for_scenario(sc)
-    obs = [compose_D(subframe_delta(sc, k, cfg), sc.sniffers[k], sc)
-           for k in (0, 1)]
+    D = compose_D([subframe_delta(sc, k, cfg) for k in (0, 1)], sc.sniffers, sc)
     for q in candidates:
-        for o in obs:
-            assert abs(ellipse_residual(q, o, sc.enb)) < 1e-6
+        for s, D_k in zip(sc.sniffers, D[0]):
+            assert abs(ellipse_residual(q, s, D_k, sc.enb)) < 1e-6
     assert any(distance(q, sc.ue_truth) < 1e-6 for q in candidates)
 
 
 def test_disjoint_ellipses_raise():
     enb = Position(0, 0)
-    obs1 = ToAObservation(sniffer=Position(100, 0), D=300.0)
-    obs2 = ToAObservation(sniffer=Position(0, 100), D=101.0)
     with pytest.raises(NoIntersection):
-        solve_toa(obs1, obs2, enb, (0.0, 1000.0))
+        solve_toa((Position(100, 0), Position(0, 100)), (300.0, 101.0), enb, (0.0, 1000.0))
 
 
 def test_collinear_tangency_closest_approach():
     # both ellipses share their rightmost vertex at (60, 0); the constraint
     # surfaces touch without crossing, and all three stations are collinear
     enb = Position(0, 0)
-    obs1 = ToAObservation(sniffer=Position(30, 0), D=90.0)
-    obs2 = ToAObservation(sniffer=Position(-40, 0), D=160.0)
-    sol = solve_toa(obs1, obs2, enb, (0.0, 78.12))
+    sol = solve_toa((Position(30, 0), Position(-40, 0)), (90.0, 160.0), enb, (0.0, 78.12))
     x, y = sol.chosen(sol.u)[0]
     assert x == pytest.approx(60.0, abs=0.05)
     assert abs(y) < 0.5
@@ -138,25 +132,23 @@ def test_crossing_flag_tells_a_crossing_from_a_closest_approach():
     assert solved >= 20
     # the small ellipse lies inside the large one and misses it by about half a meter
     enb = Position(0, 0)
-    small = ToAObservation(sniffer=Position(100, 0), D=150.0)
-    large = ToAObservation(sniffer=Position(0, 100), D=291.9)
-    sol = solve_toa(small, large, enb, (0.0, 1000.0))
+    small, large = Position(100, 0), Position(0, 100)
+    sol = solve_toa((small, large), (150.0, 291.9), enb, (0.0, 1000.0))
     assert not sol.clean[0, sol.pick[0]]
     assert 0.1 < sol.chosen(sol.residual)[0] < INTERSECTION_TOL
-    assert abs(ellipse_residual(Position(*sol.chosen(sol.u)[0]), small, enb)) < 1e-9
+    assert abs(ellipse_residual(Position(*sol.chosen(sol.u)[0]), small, 150.0, enb)) < 1e-9
 
 
 def test_candidates_sorted_by_residual():
     """Sorted by the solver's ``residual``, the candidates' own misses ascend too."""
     sc = _annulus_scenario()
     cfg = ClockConfig.for_scenario(sc)
-    obs = [compose_D(subframe_delta(sc, k, cfg), sc.sniffers[k], sc)
-           for k in (0, 1)]
-    sol = solve_toa(obs[0], obs[1], sc.enb, sc.band)
+    D = compose_D([subframe_delta(sc, k, cfg) for k in (0, 1)], sc.sniffers, sc)
+    sol = solve_toa(sc.sniffers, D, sc.enb, sc.band)
     valid = sol.valid[0]
     candidates = sol.u[0][valid][np.argsort(sol.residual[0][valid], kind="stable")]
-    rs = [max(abs(ellipse_residual(Position(*q), obs[0], sc.enb)),
-              abs(ellipse_residual(Position(*q), obs[1], sc.enb))) for q in candidates.tolist()]
+    rs = [max(abs(ellipse_residual(Position(*q), s, D_k, sc.enb))
+              for s, D_k in zip(sc.sniffers, D[0])) for q in candidates.tolist()]
     assert rs == sorted(rs)
 
 
@@ -203,10 +195,10 @@ def test_collinear_mirror_pair_is_ambiguous():
     # mirror image at (30, -40) in the same TA band
     enb = Position(0, 0)
     truth = Position(30, 40)
-    obs = [ToAObservation(sniffer=s, D=distance(truth, enb) + distance(truth, s))
-           for s in (Position(100, 0), Position(-50, 0))]
+    sniffers = (Position(100, 0), Position(-50, 0))
+    D = [distance(truth, enb) + distance(truth, s) for s in sniffers]
     with pytest.raises(AmbiguousSolution) as exc:
-        solve_toa(obs[0], obs[1], enb, (0.0, 78.12))
+        solve_toa(sniffers, D, enb, (0.0, 78.12))
     mirrors = sorted(exc.value.candidates, key=lambda q: q.y)
     assert distance(mirrors[0], Position(30, -40)) < 1e-9
     assert distance(mirrors[1], truth) < 1e-9
@@ -218,10 +210,10 @@ def test_near_collinear_layout_keeps_its_mirror_pair(eps):
     block: a noiseless device and its near-mirror both lie in the band, and
     the truth is exact."""
     enb, truth = Position(0, 0), Position(30, 40)
-    obs = [ToAObservation(sniffer=s, D=distance(truth, enb) + distance(truth, s))
-           for s in (Position(100, 0), Position(-50, eps))]
+    sniffers = (Position(100, 0), Position(-50, eps))
+    D = [distance(truth, enb) + distance(truth, s) for s in sniffers]
     with pytest.raises(AmbiguousSolution) as exc:
-        solve_toa(obs[0], obs[1], enb, (0.0, 78.12))
+        solve_toa(sniffers, D, enb, (0.0, 78.12))
     assert min(distance(q, truth) for q in exc.value.candidates) < 1e-9
 
 
@@ -233,8 +225,7 @@ def test_range_sums_in_proportion_are_degenerate(theta):
     s1 = Position(100.0 * math.cos(theta), 100.0 * math.sin(theta))
     s2 = Position(0.3 * s1.x, 0.3 * s1.y)
     with pytest.raises(DegenerateGeometry):
-        solve_toa(ToAObservation(s1, 200.0), ToAObservation(s2, 60.0), Position(0, 0),
-                  (0.0, 78.12))
+        solve_toa((s1, s2), (200.0, 60.0), Position(0, 0), (0.0, 78.12))
 
 
 def test_out_of_band_pick_is_nearest_the_band():
@@ -246,9 +237,9 @@ def test_out_of_band_pick_is_nearest_the_band():
     """
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc)
-    obs = [compose_D(subframe_delta(sc, k, cfg), sc.sniffers[k], sc) for k in (0, 1)]
+    D = compose_D([subframe_delta(sc, k, cfg) for k in (0, 1)], sc.sniffers, sc)
     for band, want in (((100.0, 178.12), 50.0), ((20.0, 40.0), 15.3165)):
-        sol = solve_toa(obs[0], obs[1], sc.enb, band)
+        sol = solve_toa(sc.sniffers, D, sc.enb, band)
         assert np.count_nonzero(sol.valid[0]) == 2
         assert distance(Position(*sol.chosen(sol.u)[0]), sc.enb) == pytest.approx(want, abs=1e-3)
 
@@ -274,13 +265,13 @@ def test_matches_the_scan_solver_reference():
     with open(DATA / "toa_reference.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     for row in rows:
-        obs = [ToAObservation(sniffer=Position(float(row[f"s{k}_x"]), float(row[f"s{k}_y"])),
-                              D=float(row[f"D{k}"])) for k in (1, 2)]
+        sniffers = [Position(float(row[f"s{k}_x"]), float(row[f"s{k}_y"])) for k in (1, 2)]
+        D = [float(row[f"D{k}"]) for k in (1, 2)]
         band = ta_band(int(row["ta_index"]))
         old = [Position(*map(float, p.split())) for p in row["candidates"].split(";") if p]
         where = f"draw {row['draw']} at {row['sigma_ns']} ns"
         try:
-            sol = solve_toa(obs[0], obs[1], enb, band)
+            sol = solve_toa(sniffers, D, enb, band)
             position = Position(*sol.chosen(sol.u)[0])
             status, new = "ok", [Position(*q) for q in sol.u[0][sol.valid[0]].tolist()]
         except AmbiguousSolution as exc:
