@@ -241,12 +241,8 @@ def _stats_cells(st) -> str:
 
 def _stats_table(errors: Sequence[float], metric: str) -> str:
     """Pre- and post-filter summary, one block of delimited text."""
-    whole = summarize(errors)
-    if whole.count >= 2:
-        kept, removed = one_sigma_filter(errors)
-        filtered = summarize(kept)
-    else:
-        filtered, removed = whole, []
+    kept, removed = one_sigma_filter(errors)
+    whole, filtered = summarize(errors), summarize(kept)
     label = "position error vs ground truth" if metric == "position" \
         else "range error vs ground truth (distance to eNb)"
     out = [f"metric: {label}, meters",

@@ -83,7 +83,7 @@ class Scenario:
         enb: Base station position (the system clock reference).
         sniffers: At least two sniffer positions, in capture order.
         ue_truth: True device position when known (simulation / evaluation).
-        ta_index: Timing-advance index the device operates under.
+        ta_index: Non-negative timing-advance index the device operates under.
     """
 
     enb: Position
@@ -96,12 +96,10 @@ class Scenario:
         if len(self.sniffers) < 2:
             raise ValueError(f"need at least two sniffers, got {len(self.sniffers)}")
         object.__setattr__(self, "ta_index", whole("ta_index", self.ta_index))
-        if self.ta_index < 0:
-            raise ValueError(f"ta_index must be a non-negative integer, got {self.ta_index}")
+        lo, hi = ta_band(self.ta_index)  # refuses a negative index; a huge one overflows
         for i, s in enumerate(self.sniffers):
             if distance(s, self.enb) == 0.0:
                 raise ValueError(f"sniffer {i + 1} coincides with the base station")
-        lo, hi = ta_band(self.ta_index)  # an index too large for a float overflows here
         if self.ue_truth is not None:
             d = distance(self.ue_truth, self.enb)
             if not (lo <= d < hi):

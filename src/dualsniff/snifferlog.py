@@ -22,7 +22,7 @@ diagnostics carrying the line number and reason.
 import math
 import warnings
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,21 +101,20 @@ def _keeps_rules(e) -> np.ndarray:
     return keep
 
 
-def parse_log(stream: Union[IO, Iterable]) -> Tuple[np.ndarray, List[ParseDiagnostic]]:
+def parse_log(stream: Iterable[str]) -> Tuple[np.ndarray, List[ParseDiagnostic]]:
     """Parse a capture log into an ``ENTRY`` array and the diagnostics of its bad lines.
 
-    Accepts any iterable of text or byte lines; bytes are decoded as UTF-8,
-    with undecodable bytes replaced.  A log whose every line is an entry, a
-    comment or blank, and whose every ``FRAME.SUBFRAME`` token is spelled
-    canonically (ASCII digits, one dot, one subframe digit), is read by one
-    ``np.loadtxt`` pass, and the value rules are checked over whole fields.
-    Any other log goes through the per-line parser, which reads the other
-    spellings as Python's ``int`` does, with the same result, and names each
-    line it skips.  The entries hold the log's fields only: which sniffer
-    wrote the log is the caller's to know, from where it read it.
+    Accepts any iterable of text lines: decoding is the caller's job (``cli``
+    replaces undecodable bytes as it opens a file).  A log whose every line
+    is an entry, a comment or blank, and whose every ``FRAME.SUBFRAME`` token
+    is spelled canonically (ASCII digits, one dot, one subframe digit), is
+    read by one ``np.loadtxt`` pass, and the value rules are checked over
+    whole fields.  Any other log goes through the per-line parser, which
+    reads the other spellings as Python's ``int`` does, with the same result,
+    and names each line it skips.  The entries hold the log's fields only:
+    which sniffer wrote the log is the caller's to know, from where it read it.
     """
-    lines = [raw.decode("utf-8", errors="replace") if isinstance(raw, bytes) else raw
-             for raw in stream]
+    lines = list(stream)
     log = _parse_clean(lines)
     if log is not None:
         return log, []

@@ -12,10 +12,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 
-class TooFewSamples(ValueError):
-    """Filtering needs at least two samples to define a deviation."""
-
-
 class EmptyInput(ValueError):
     """Summary statistics are undefined on an empty sample set."""
 
@@ -53,14 +49,14 @@ def one_sigma_filter(samples: Sequence[float]) -> "Tuple[np.ndarray, np.ndarray]
     """Single-pass outlier removal: keep samples within one std of the mean.
 
     Returns (kept, removed) arrays in input order.  The pass is not iterated,
-    and the sample closest to the mean always survives, so the result is
-    never empty.
+    and the sample closest to the mean always survives (a lone one has
+    deviation 0), so the result is never empty.  An empty set raises EmptyInput.
     """
     import numpy as np
 
     arr = np.array(_as_samples(samples))
-    if arr.size < 2:
-        raise TooFewSamples(f"need at least 2 samples to filter, got {arr.size}")
+    if arr.size == 0:
+        raise EmptyInput("no samples to filter")
     mean = float(arr.mean())
     std = float(arr.std())
     keep = np.abs(arr - mean) <= std

@@ -66,10 +66,6 @@ class TdoaEstimate:
     residual_norm: float    # meters; definition depends on method
     method: str             # constrained-elimination | constrained-least-squares | normal-equations
 
-    def __post_init__(self):
-        if self.d_ue1 < 0:
-            raise ValueError(f"d_ue1 must be non-negative, got {self.d_ue1}")
-
 
 @dataclass(frozen=True)
 class SampleOutcome:

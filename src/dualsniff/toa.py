@@ -69,7 +69,11 @@ def solve_toa_batch(sniffers: Sequence[Position], D, enb: Position,
     for a range-sum below the focal distance, DegenerateGeometry for dependent
     rows and NoIntersection for ellipses that miss by more than ``INTERSECTION_TOL``.
     """
-    D = np.atleast_2d(np.asarray(D, dtype=float))
+    D = np.asarray(D, dtype=float)
+    if len(sniffers) != 2 or D.shape[-1:] != (2,) or D.ndim > 2:
+        raise ValueError(f"need two sniffers and range-sums D of shape (N, 2), or (2,) for one "
+                         f"sample; got {len(sniffers)} sniffers and D of shape {D.shape}")
+    D = np.atleast_2d(D)
     failed: Failed = {}
     for k, s in enumerate(sniffers):
         d_focal = distance(enb, s)

@@ -589,10 +589,11 @@ def test_locate_reports_per_sample_failures(tmp_path, capsys):
         "the focal distance 109.700 m\n")
 
 
-def _break_deltas(path):
-    """Set every delta of the log at ``path`` to -999 us."""
+def _break_deltas(path, keep=0):
+    """Set every delta of the log at ``path``, but those of its first ``keep`` lines, to -999 us."""
     lines = [line.split() for line in path.read_text().splitlines()]
-    path.write_text("".join(" ".join([*f[:2], "-999.0", *f[3:]]) + "\n" for f in lines))
+    path.write_text("".join(" ".join(f if i < keep else [*f[:2], "-999.0", *f[3:]]) + "\n"
+                            for i, f in enumerate(lines)))
 
 
 @pytest.mark.parametrize("scheme", ["toa", "tdoa"])
@@ -611,6 +612,25 @@ def test_locate_exits_4_when_every_sample_fails(tmp_path, capsys, scheme):
     assert rows and all(r.endswith(",,,,,InfeasibleObservation") for r in rows)
     assert err.count(": InfeasibleObservation: ") == len(rows)
     assert not (out / f"report_{scheme}.txt").exists()
+
+
+@pytest.mark.parametrize("scheme, n_cfg", [("toa", 1), ("tdoa", 2)])
+def test_locate_reports_one_solved_sample_as_kept_by_the_filter(tmp_path, capsys, scheme, n_cfg):
+    out = _simulate(tmp_path, TDOA_CONFIG, "run")
+    logs = [out / f"sn{k}_cfg{j}.log" for j in range(1, n_cfg + 1) for k in (1, 2)]
+    for ref in logs[::2]:
+        _break_deltas(ref, keep=1)
+    rc = main(["locate", "--config", str(tmp_path / "exp.yaml"), "--scheme", scheme,
+               "--rnti", "7423", "--out-dir", str(out), *map(str, logs)])
+    assert rc == EXIT_OK
+    rows = (out / f"estimates_{scheme}.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[7] for r in rows].count("ok") == 1 and rows[0].endswith(",ok")
+    report = (out / f"report_{scheme}.txt").read_text().splitlines()
+    unfiltered, filtered = report[2].split(",", 1), report[3].split(",", 1)
+    assert unfiltered[0] == "unfiltered" and unfiltered[1].startswith("1,")
+    assert filtered == ["filtered", unfiltered[1]]
+    assert report[4:] == ["removed_by_filter,0"]
+    assert capsys.readouterr().out.endswith("\n".join(report) + "\n")
 
 
 @pytest.mark.parametrize("scheme", ["toa", "tdoa"])

@@ -52,7 +52,7 @@ def test_scenario_requires_two_sniffers():
 
 @pytest.mark.parametrize("ta_index, reason", [
     (float("inf"), "ta_index must be finite"), (float("nan"), "ta_index must be finite"),
-    (1.5, "ta_index must be an integer"), (-1, "ta_index must be a non-negative integer"),
+    (1.5, "ta_index must be an integer"), (-1, "ta_index must be non-negative"),
 ])
 def test_scenario_rejects_bad_ta_index(ta_index, reason):
     with pytest.raises(ValueError, match=reason):

@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualsniff.stats import (EmptyInput, ErrorStats, InvalidProbability,
-                             TooFewSamples, cdf_quantile, one_sigma_filter,
-                             summarize)
+                             cdf_quantile, one_sigma_filter, summarize)
 from helpers import numpy_summarize
 
 #: How far the plain-float summary may sit from the numpy formulas.  fsum and
@@ -38,9 +37,13 @@ def test_filter_never_empties_the_set():
         assert kept.size + removed.size == n
 
 
-def test_filter_requires_two_samples():
-    with pytest.raises(TooFewSamples):
-        one_sigma_filter([5.0])
+def test_filter_keeps_a_lone_sample():
+    # the population deviation of one sample is 0, which keeps it
+    kept, removed = one_sigma_filter([5.0])
+    assert kept.tolist() == [5.0]
+    assert removed.size == 0
+    with pytest.raises(EmptyInput):
+        one_sigma_filter([])
 
 
 def test_filter_keeps_about_68_percent_of_gaussian():

@@ -12,7 +12,7 @@ from dualsniff.errors import (InfeasibleObservation, LocalizationError, MixedRef
 from dualsniff.geometry import (AMBIGUITY_SEPARATION, SPEED_OF_LIGHT, Position, Scenario,
                                 distance, ta_band)
 from dualsniff.snifferlog import SAMPLE, match_records
-from dualsniff.tdoa import (LinearSystem, TdoaEstimate, TdoaPair,
+from dualsniff.tdoa import (LinearSystem, TdoaPair,
                             build_system, estimate_tdoa, form_tdoa,
                             range_difference_residual, solve_constrained,
                             solve_constrained_batch, solve_normal_equations)
@@ -329,12 +329,6 @@ def test_linear_system_shape_validation():
         LinearSystem(P=np.zeros((2, 2)), dd=np.zeros(3), h=np.zeros(3))
     with pytest.raises(ValueError):
         LinearSystem(P=np.zeros((2, 2)), dd=np.zeros((4, 2)), h=np.zeros(2))
-
-
-def test_estimate_validation():
-    with pytest.raises(ValueError):
-        TdoaEstimate(position=Position(0, 0), d_ue1=-1.0, residual_norm=0.0,
-                     method="constrained-elimination")
 
 
 def _matched(samples):

@@ -12,7 +12,7 @@ from dualsniff.errors import (AmbiguousSolution, DegenerateGeometry, InfeasibleO
                               NoIntersection)
 from dualsniff.geometry import SPEED_OF_LIGHT, Position, Scenario, distance, ta_band
 from dualsniff.timing import ClockConfig, subframe_delta
-from dualsniff.toa import INTERSECTION_TOL, compose_D, solve_toa
+from dualsniff.toa import INTERSECTION_TOL, compose_D, solve_toa, solve_toa_batch
 from helpers import ellipse_residual
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -226,6 +226,13 @@ def test_range_sums_in_proportion_are_degenerate(theta):
     s2 = Position(0.3 * s1.x, 0.3 * s1.y)
     with pytest.raises(DegenerateGeometry):
         solve_toa((s1, s2), (200.0, 60.0), Position(0, 0), (0.0, 78.12))
+
+
+@pytest.mark.parametrize("n_sniffers, shape", [(3, (4, 3)), (2, (4, 3)), (2, (3,)), (2, (4, 1, 2))])
+def test_range_sums_must_be_two_columns_for_two_sniffers(n_sniffers, shape):
+    sniffers = (Position(100, 0), Position(0, 100), Position(-100, 0))[:n_sniffers]
+    with pytest.raises(ValueError, match=r"two sniffers and range-sums D of shape \(N, 2\)"):
+        solve_toa_batch(sniffers, np.full(shape, 300.0), Position(0, 0), (0.0, 78.12))
 
 
 def test_out_of_band_pick_is_nearest_the_band():
