@@ -17,13 +17,13 @@ writes the estimates CSV and scores the solved samples against ground truth.
 ``report`` merges estimate files into a comparison table and plot-ready CDF
 columns.
 
-Exit codes: 0 success, 2 configuration error, 3 input error, 4 no samples.
+Exit codes: 0 success, 2 configuration error (an output path that cannot be
+written included), 3 input error, 4 no samples.
 """
 
 import argparse
 import math
 import sys
-from dataclasses import replace
 from importlib import import_module
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -35,11 +35,10 @@ from .stats import EmptyInput, cdf_quantile, one_sigma_filter, summarize
 #: loads neither numpy nor PyYAML.  They stay ``cli`` attributes: the benchmark
 #: tracer wraps ``cli.<name>``, and ``solve_toa`` is listed for it alone.
 _LAZY = {"configio": ("ExperimentSetup", "load_setup"),
-         "geometry": ("Position", "Scenario", "distance", "ta_band"),
-         "snifferlog": ("MAX_RNTI", "filter_rnti", "interleave", "match_records", "parse_log",
-                        "write_log"),
+         "geometry": ("Position", "Scenario", "distance"),
+         "snifferlog": ("MAX_RNTI", "filter_rnti", "match_records", "parse_log", "write_log"),
          "tdoa": ("estimate_tdoa",),
-         "timing": ("MAX_SUBFRAMES", "SimulatedCapture", "simulate_capture"),
+         "timing": ("simulate_capture",),
          "toa": ("compose_D", "solve_toa", "solve_toa_batch")}
 
 
@@ -74,57 +73,34 @@ class NoSamples(Exception):
     """The pipeline produced zero usable samples."""
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` and its directory; an unwritable path is a ConfigError."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
 
-def _decoy_captures(setup: "ExperimentSetup", count: int) -> "List[SimulatedCapture]":
-    """Background traffic from other devices, to make RNTI filtering real.
-
-    Each decoy is a separate device in the target's TA band with its own RNTI
-    and noise seed, sharing the clock, capture timeline and relocation plan.
-    """
-    import numpy as np
-
-    captures = []
-    lo, hi = ta_band(setup.scenario.ta_index)
-    rng = np.random.default_rng(setup.clock.rng_seed + 7919)
-    for i in range(count):
-        r = rng.uniform(lo, hi - 1e-9)
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        ue = Position(setup.scenario.enb.x + r * np.cos(phi),
-                      setup.scenario.enb.y + r * np.sin(phi))
-        captures.append(simulate_capture(
-            replace(setup.scenario, ue_truth=ue),
-            replace(setup.clock, rng_seed=setup.clock.rng_seed + 104729 + i),
-            replace(setup.capture, rnti=setup.capture.rnti + 1 + i), setup.relocations))
-    return captures
-
-
 def cmd_simulate(args) -> int:
     _load()
     setup = load_setup(args.config)
-    if args.decoys < 0:
-        raise ConfigError(f"--decoys must be >= 0, got {args.decoys}")
-    if setup.capture.rnti + args.decoys > MAX_RNTI:
-        raise ConfigError(f"--decoys {args.decoys} runs the decoy RNTIs past {MAX_RNTI}")
-    if (1 + args.decoys) * setup.capture.subframes > MAX_SUBFRAMES:
-        raise ConfigError(f"--decoys {args.decoys} takes the captures past {MAX_SUBFRAMES} subframes")
     if setup.scenario.ue_truth is None:
         raise ConfigError("simulation requires scenario.ue_truth")
 
-    target = simulate_capture(setup.scenario, setup.clock, setup.capture, setup.relocations)
-    # within a subframe, entries go in RNTI order: the decoys' RNTIs follow the target's
-    captures = [target, *_decoy_captures(setup, args.decoys)]
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    capture = simulate_capture(setup.scenario, setup.clock, setup.capture, setup.relocations,
+                               decoys=args.decoys)
+    plan = setup.segments()
     for k in range(len(setup.scenario.sniffers)):
-        for j, (start, stop, _) in enumerate(setup.segments()):
-            log = interleave([c.sniffer_log(k, start, stop) for c in captures])
-            path = out_dir / f"sn{k + 1}_cfg{j + 1}.log"
-            path.write_text(write_log(log), encoding="utf-8")
+        for j, (start, stop, _) in enumerate(plan):
+            log = capture.sniffer_log(k, start, stop)
+            path = Path(args.out_dir) / f"sn{k + 1}_cfg{j + 1}.log"
+            _write_text(path, write_log(log))
             print(f"wrote {path} ({len(log)} records)")
     return EXIT_OK
 
@@ -139,8 +115,11 @@ def _read_records(path: str, rnti: int) -> "np.ndarray":
     p = Path(path)
     if not p.is_file():
         raise InputError(f"log file not found: {path}")
-    with p.open("r", encoding="utf-8", errors="replace") as fh:
-        lines = fh.readlines()
+    try:
+        with p.open("r", encoding="utf-8", errors="replace") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
     # skip another device's line unparsed: its RNTI field is plain ASCII-decimal and not
     # the target's value (compared as digits: int() refuses 4300+ digits); keeping a line
     # is always safe, as filter_rnti makes the exact test, so " rnti " keeps it at once
@@ -264,9 +243,8 @@ def cmd_locate(args) -> int:
         raise NoSamples("no matched samples in the given log pairs")
     text, errors = _estimates_csv(columns, setup.scenario, args.metric)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     est_path = out_dir / f"estimates_{args.scheme}.csv"
-    est_path.write_text(text, encoding="utf-8")
+    _write_text(est_path, text)
     print(f"wrote {est_path} ({len(status)} samples)")
 
     if not errors:
@@ -276,7 +254,7 @@ def cmd_locate(args) -> int:
         raise NoSamples("every sample failed to solve")
     table = _stats_table(errors, args.metric)
     report_path = out_dir / f"report_{args.scheme}.txt"
-    report_path.write_text(table, encoding="utf-8")
+    _write_text(report_path, table)
     print(table, end="")
     return EXIT_OK
 
@@ -338,8 +316,7 @@ def cmd_report(args) -> int:
         out.append(f"{p:.2f},{cells}")
     text = "\n".join(out) + "\n"
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_text(Path(args.out), text)
         print(f"wrote {args.out}")
     else:
         print(text, end="")

@@ -73,11 +73,6 @@ def _enforce(rules: Sequence[Rule], e: dict) -> None:
             raise ValueError(message.format(e=e))
 
 
-def interleave(logs: Sequence[np.ndarray]) -> np.ndarray:
-    """Merge logs of equal length entry by entry: entry 0 of each, in order, then entry 1..."""
-    return np.stack(logs, axis=1).ravel()
-
-
 @dataclass(frozen=True)
 class ParseDiagnostic:
     """Why one log line was skipped."""

@@ -175,11 +175,11 @@ def _cqi_for_snr(snr_db: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SimulatedCapture:
-    """One device's simulated capture: entry (n, k) is subframe n at sniffer k.
+    """Every device's simulated capture: entry (n, j, k) is subframe n of device j at sniffer k.
 
-    ``dl_ul_delta`` holds one row per subframe and one column per sniffer, in
-    microseconds; every other field of an entry follows from ``capture``.
-    ``len`` counts entries; ``sniffer_log`` gives one sniffer's as an ``ENTRY`` array.
+    ``dl_ul_delta`` is in microseconds.  Device j has RNTI ``capture.rnti + j``
+    (device 0 is the target); every other field of an entry follows from
+    ``capture``.  ``len`` counts entries; ``sniffer_log`` gives one sniffer's.
     """
 
     capture: CaptureSpec
@@ -189,39 +189,57 @@ class SimulatedCapture:
         return self.dl_ul_delta.size
 
     def sniffer_log(self, k: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
-        """Sniffer ``k``'s entries for subframes ``start`` to ``stop`` (exclusive)."""
-        spec, n = self.capture, np.arange(self.capture.subframes)[start:stop]
-        log = np.empty(len(n), ENTRY)
-        log["frame"] = (spec.start_frame % FRAME_WRAP + n // SUBFRAMES_PER_FRAME) % FRAME_WRAP
-        log["subframe"], log["dl_ul_delta"] = n % SUBFRAMES_PER_FRAME, self.dl_ul_delta[start:stop, k]
-        log["rnti"], log["snr"], log["cqi"] = spec.rnti, spec.snr_db, _cqi_for_snr(spec.snr_db)
-        log["noise_power"] = spec.noise_power_dbm
+        """Sniffer ``k``'s entries of subframes ``start`` to ``stop`` - 1, by RNTI within each."""
+        spec, devices = self.capture, self.dl_ul_delta.shape[1]
+        n = np.arange(spec.subframes)[start:stop]
+        frame = (spec.start_frame % FRAME_WRAP + n // SUBFRAMES_PER_FRAME) % FRAME_WRAP
+        log = np.empty(len(n) * devices, ENTRY)
+        log["frame"] = np.repeat(frame, devices)
+        log["subframe"] = np.repeat(n % SUBFRAMES_PER_FRAME, devices)
+        log["rnti"] = np.tile(spec.rnti + np.arange(devices), len(n))
+        log["dl_ul_delta"], log["snr"] = self.dl_ul_delta[start:stop, :, k].ravel(), spec.snr_db
+        log["cqi"], log["noise_power"] = _cqi_for_snr(spec.snr_db), spec.noise_power_dbm
         return log
 
 
 def simulate_capture(scenario: Scenario, cfg: ClockConfig, capture: CaptureSpec,
-                     relocations: Sequence[Relocation] = ()) -> SimulatedCapture:
-    """Simulate one capture: one log entry per (subframe, sniffer).
+                     relocations: Sequence[Relocation] = (), decoys: int = 0) -> SimulatedCapture:
+    """Simulate the target and ``decoys`` other devices: one entry per (subframe, device, sniffer).
 
     ``capture`` gives the length, the first frame counter and the RNTI, SNR
-    and noise power stamped on every entry; the result keeps it as is.
-    Per-entry measurement noise is i.i.d. Gaussian with
-    ``cfg.sniffer_noise_sigma``; the whole noise block is drawn up front from
-    ``cfg.rng_seed`` so an entry's draw depends only on (seed, subframe,
-    sniffer), never on evaluation order.  A relocation swaps a sniffer's
-    position from its stated subframe onward, within the same clock epoch.
-    Within a segment (see ``segments``) a sniffer's noiseless delta is one
-    number, so each (segment, sniffer) costs one scalar delta plus a column
-    of noise.  A clock so noisy that a delta overflows raises ConfigError.
+    and noise power stamped on every entry; the result keeps it as is.  Decoy
+    j (from 0) has RNTI ``capture.rnti + 1 + j`` and lies in the target's TA
+    band, at radius r in [lo, hi - 1e-9) and then angle in [0, 2 pi), drawn
+    decoy by decoy from seed ``cfg.rng_seed + 7919``.  Devices share the
+    clock, timeline and relocations; each device's Gaussian noise block
+    (``cfg.sniffer_noise_sigma``) is drawn up front from its own seed,
+    ``cfg.rng_seed`` or ``cfg.rng_seed + 104729 + j``, so an entry's draw
+    depends only on (seed, subframe, sniffer).  Within a segment (see
+    ``segments``) a device's noiseless delta at a sniffer is one number.
+    ConfigError refuses, before anything is drawn, a negative count, decoy
+    RNTIs past ``MAX_RNTI`` and devices x subframes past ``MAX_SUBFRAMES``;
+    and a delta that overflows.
     """
-    n_sniffers = len(scenario.sniffers)
+    if decoys < 0:
+        raise ConfigError(f"decoys must be >= 0, got {decoys}")
+    if capture.rnti + decoys > MAX_RNTI:
+        raise ConfigError(f"{decoys} decoys run the RNTIs past {MAX_RNTI}")
+    if (1 + decoys) * capture.subframes > MAX_SUBFRAMES:
+        raise ConfigError(f"{decoys} decoys take the capture past {MAX_SUBFRAMES} subframes")
     plan = segments(scenario, relocations, capture.subframes)
 
-    rng = np.random.default_rng(cfg.rng_seed)
-    delta = rng.normal(0.0, cfg.sniffer_noise_sigma, size=(capture.subframes, n_sniffers))
+    (lo, hi), enb = scenario.band, scenario.enb
+    placed = np.random.default_rng(cfg.rng_seed + 7919).uniform(
+        (lo, 0.0), (hi - 1e-9, 2.0 * np.pi), size=(decoys, 2))
+    devices = [scenario.ue_truth] + [Position(enb.x + r * np.cos(phi), enb.y + r * np.sin(phi))
+                                     for r, phi in placed]
+    seeds = [cfg.rng_seed] + [cfg.rng_seed + 104729 + j for j in range(decoys)]
+    shape = (capture.subframes, len(scenario.sniffers))
+    delta = np.stack([np.random.default_rng(seed).normal(0.0, cfg.sniffer_noise_sigma, shape)
+                      for seed in seeds], axis=1)
     for start, stop, layout in plan:
-        for k in range(n_sniffers):
-            delta[start:stop, k] += subframe_delta(layout, k, cfg)
+        delta[start:stop] += [[subframe_delta(replace(layout, ue_truth=ue), k, cfg)
+                               for k in range(shape[1])] for ue in devices]
     with np.errstate(over="ignore"):
         delta *= 1e6
     if not np.isfinite(delta).all():

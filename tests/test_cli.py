@@ -6,6 +6,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -126,9 +127,7 @@ def test_simulate_rejects_negative_decoys(tmp_path, capsys):
     out = tmp_path / "x"
     rc = main(["simulate", "--config", cfg, "--out-dir", str(out), "--decoys", "-3"])
     assert rc == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:")
-    assert "--decoys" in err
+    assert capsys.readouterr().err == "configuration error: decoys must be >= 0, got -3\n"
     assert not out.exists()
 
 
@@ -218,29 +217,29 @@ def test_a_capture_too_long_to_simulate_is_a_config_error(tmp_path, capsys, monk
 @pytest.mark.parametrize("decoys", [33_333, 10 ** 9])
 def test_decoys_past_the_capture_ceiling_are_a_config_error(tmp_path, capsys, monkeypatch,
                                                             decoys):
-    # 1 + N captures of 30 subframes each, refused before any is simulated
+    # 1 + N devices of 30 subframes each, refused before anything is drawn
     def unreachable(*args):
-        raise AssertionError("simulate_capture reached")
+        raise AssertionError("a generator was made")
 
-    monkeypatch.setattr(cli, "simulate_capture", unreachable)
+    monkeypatch.setattr(np.random, "default_rng", unreachable)
     cfg = _write(tmp_path, "exp.yaml", TOA_CONFIG)
     out = tmp_path / "x"
     assert main(["simulate", "--config", cfg, "--out-dir", str(out),
                  "--decoys", str(decoys)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == (f"configuration error: --decoys {decoys} takes the "
-                                       f"captures past 1000000 subframes\n")
+    assert capsys.readouterr().err == (f"configuration error: {decoys} decoys take the "
+                                       f"capture past 1000000 subframes\n")
     assert not out.exists()
 
 
 def test_decoys_up_to_the_capture_ceiling_are_simulated(tmp_path, monkeypatch):
-    # 33 333 captures of 30 subframes fit under the ceiling: the check lets them through
+    # 33 333 devices of 30 subframes fit under the ceiling: the check lets them through
     class Reached(Exception):
         pass
 
     def reached(*args):
         raise Reached
 
-    monkeypatch.setattr(cli, "simulate_capture", reached)
+    monkeypatch.setattr(np.random, "default_rng", reached)
     cfg = _write(tmp_path, "exp.yaml", TOA_CONFIG)
     with pytest.raises(Reached):
         main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "x"),
@@ -261,8 +260,8 @@ def test_integer_config_fields_reject_infinity_and_fractions(tmp_path, capsys):
 @pytest.mark.parametrize("rnti, decoys, culprit", [
     (-1, 0, "rnti"),
     (MAX_RNTI + 1, 0, "rnti"),
-    (MAX_RNTI, 1, "--decoys"),
-    (MAX_RNTI - 2, 3, "--decoys"),
+    (MAX_RNTI, 1, "decoys"),
+    (MAX_RNTI - 2, 3, "decoys"),
 ])
 def test_simulate_rejects_rntis_outside_64_bits(tmp_path, capsys, rnti, decoys, culprit):
     cfg = _write(tmp_path, "exp.yaml", TOA_CONFIG.replace("rnti: 7423", f"rnti: {rnti}"))
@@ -462,6 +461,46 @@ def test_locate_missing_config(tmp_path, capsys):
                "a.log", "b.log"])
     assert rc == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_simulate_into_a_file_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "exp.yaml", TOA_CONFIG)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    assert main(["simulate", "--config", cfg, "--out-dir", str(taken)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"configuration error: cannot write {taken}: File exists\n")
+    assert taken.read_text() == "kept"
+
+
+def test_locate_into_a_file_is_a_config_error(tmp_path, capsys):
+    out = _simulate(tmp_path, TOA_CONFIG, "run")
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    capsys.readouterr()
+    assert main(["locate", "--config", str(tmp_path / "exp.yaml"), "--scheme", "toa",
+                 "--rnti", "7423", "--out-dir", str(taken),
+                 str(out / "sn1_cfg1.log"), str(out / "sn2_cfg1.log")]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"configuration error: cannot write {taken}: File exists\n")
+    assert taken.read_text() == "kept"
+
+
+def test_locate_maps_a_log_it_cannot_open_to_an_input_error(tmp_path, capsys, monkeypatch):
+    out = _simulate(tmp_path, TOA_CONFIG, "run")
+    capsys.readouterr()
+    log, path_open = out / "sn1_cfg1.log", Path.open
+
+    def refuse_logs(self, *args, **kwargs):
+        if self.suffix == ".log":
+            raise PermissionError(13, "Permission denied", str(self))
+        return path_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", refuse_logs)
+    assert main(["locate", "--config", str(tmp_path / "exp.yaml"), "--scheme", "toa",
+                 "--rnti", "7423", "--out-dir", str(tmp_path / "est"),
+                 str(log), str(out / "sn2_cfg1.log")]) == EXIT_INPUT
+    assert capsys.readouterr().err == (f"input error: cannot read {log}: "
+                                       f"[Errno 13] Permission denied: '{log}'\n")
+    assert not (tmp_path / "est").exists()
 
 
 @pytest.mark.parametrize("command", [["simulate"],
@@ -707,6 +746,19 @@ def test_report_out_creates_its_directory(tmp_path, capsys):
     assert main(["report", str(est), "--out", str(out)]) == EXIT_OK
     assert out.read_text().startswith("input,count,mean_m,rmse_m,std_m,q80_m\nestimates_tdoa,1,")
     assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_report_out_that_cannot_be_written_is_a_config_error(tmp_path, capsys):
+    est = tmp_path / "estimates_tdoa.csv"
+    est.write_text(ESTIMATES_HEADER + "\n0,1,2,3.0,4.0,5.0,1.5,ok\n")
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    for out, culprit, reason in ((taken / "rep.txt", taken, "File exists"),
+                                 (tmp_path, tmp_path, "Is a directory")):
+        assert main(["report", str(est), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"configuration error: cannot write {culprit}: "
+                                           f"{reason}\n")
+    assert taken.read_text() == "kept"
 
 
 def test_report_labels_runs_with_one_stem_by_path(tmp_path, capsys, monkeypatch):

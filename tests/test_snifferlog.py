@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from dualsniff.cli import InputError, _read_records
 from dualsniff.snifferlog import (_TOKEN_WIDTH, ENTRY, FRAME_WRAP, MAX_RNTI, SAMPLE,
                                   _decode_tokens, _parse_clean, _parse_lines, _unwrap_frames,
-                                  filter_rnti, interleave, match_records, parse_log, write_log)
+                                  filter_rnti, match_records, parse_log, write_log)
 from dualsniff.timing import CaptureSpec, SimulatedCapture
 from helpers import MATCHED_HEADER, write_matched
 
@@ -219,9 +219,9 @@ def test_write_matched_header_only_when_empty():
     assert write_matched(samples) == MATCHED_HEADER + "\n"
 
 
-def _capture_log():
-    """A three-entry log of one simulated sniffer."""
-    return SimulatedCapture(CaptureSpec(subframes=3), np.zeros((3, 2))).sniffer_log(1)
+def _capture_log(devices=1):
+    """One simulated sniffer's log of three subframes of ``devices`` devices."""
+    return SimulatedCapture(CaptureSpec(subframes=3), np.zeros((3, devices, 2))).sniffer_log(1)
 
 
 CLEAN_LINES = ["0001.0 5 1.5 10.0 7 -90.0", "0001.1 5 2.5 10.0 7 -90.0"]
@@ -232,7 +232,7 @@ PRODUCERS = {
     "per-line path": (lambda: parse_log(CLEAN_LINES + ["garbage"])[0], ENTRY),
     "no entries": (lambda: parse_log(["# no entries"])[0], ENTRY),
     "sniffer_log": (_capture_log, ENTRY),
-    "interleave": (lambda: interleave([_capture_log(), _capture_log()]), ENTRY),
+    "two-device sniffer_log": (lambda: _capture_log(devices=2), ENTRY),
     "filter_rnti": (lambda: filter_rnti(_capture_log(), 17001), ENTRY),
     "match_records": (lambda: match_records(_capture_log(), _capture_log())[0], SAMPLE),
     "no matches": (lambda: match_records(_capture_log()[:0], _capture_log())[0], SAMPLE),
@@ -248,11 +248,10 @@ def test_logs_and_samples_are_plain_structured_arrays(producer):
     assert array.dtype.type is np.void
 
 
-def test_interleave_takes_one_entry_of_each_log_in_turn():
-    a = _log([_rec(0, 0, rnti=1), _rec(0, 1, rnti=1)])
-    b = _log([_rec(0, 0, rnti=2), _rec(0, 1, rnti=2)])
-    merged = interleave([a, b])
-    assert [e[1:3] for e in _entries(merged)] == [(0, 1), (0, 2), (1, 1), (1, 2)]
+def test_sniffer_log_takes_each_subframes_entries_in_rnti_order():
+    delta = np.arange(8.0).reshape(2, 2, 2)  # 4 * subframe + 2 * device + sniffer
+    log = SimulatedCapture(CaptureSpec(subframes=2, rnti=1), delta).sniffer_log(1)
+    assert [e[1:4] for e in _entries(log)] == [(0, 1, 1.0), (0, 2, 3.0), (1, 1, 5.0), (1, 2, 7.0)]
 
 
 def test_parse_rejects_an_rnti_beyond_64_bits():

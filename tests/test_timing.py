@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualsniff.geometry import (LTE_TS, SPEED_OF_LIGHT, TA_BAND_M, TA_STEP_S,
                                 Position, Scenario, distance)
+from dualsniff.snifferlog import filter_rnti
 from dualsniff.timing import (MAX_SUBFRAMES, CaptureSpec, ClockConfig, Relocation, quantize_ta,
                               segments, simulate_capture, subframe_delta, ta_seconds)
 from helpers import dl_arrival, sigma_for_snr, ue_tx_time, ul_arrival
@@ -294,10 +297,39 @@ def test_sniffer_log_is_one_sniffers_slice():
     capture = simulate_capture(sc, cfg, CaptureSpec(subframes=30, rnti=7423, start_frame=1022))
     log = capture.sniffer_log(1, 5, 25)
     assert np.array_equal(log, capture.sniffer_log(1)[5:25])
-    assert log["dl_ul_delta"].tolist() == capture.dl_ul_delta[5:25, 1].tolist()
+    assert log["dl_ul_delta"].tolist() == capture.dl_ul_delta[5:25, 0, 1].tolist()
     assert log["frame"].tolist() == [(1022 + n // 10) % 1024 for n in range(5, 25)]
     assert log["subframe"].tolist() == [n % 10 for n in range(5, 25)]
     assert set(log["rnti"].tolist()) == {7423}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(decoys=st.integers(0, 4), seed=st.integers(0, 2 ** 32), start_frame=st.integers(0, 10 ** 6),
+       move=st.none() | st.tuples(st.integers(0, 1), st.integers(1, 39),
+                                  st.floats(50, 200), st.floats(-100, 100)),
+       bounds=st.tuples(st.integers(0, 40), st.integers(0, 40)).map(sorted))
+def test_each_device_is_its_own_one_device_capture(decoys, seed, start_frame, move, bounds):
+    """The target's entries ignore the decoys; decoy j's are a capture of its own
+    scenario and seed, at RNTI ``rnti + 1 + j``."""
+    sc = _square_scenario()
+    cfg = ClockConfig.for_scenario(sc, sniffer_noise_sigma=3e-8, rng_seed=seed)
+    spec = CaptureSpec(subframes=40, rnti=7423, start_frame=start_frame)
+    moves = [] if move is None else [Relocation(move[0], move[1], Position(*move[2:]))]
+    capture = simulate_capture(sc, cfg, spec, moves, decoys=decoys)
+    assert capture.dl_ul_delta.shape == (40, 1 + decoys, 2)
+    devices, (lo, hi) = [(sc, cfg, spec)], sc.band
+    place = np.random.default_rng(seed + 7919)
+    for j in range(decoys):  # the base station is at the origin
+        r = place.uniform(lo, hi - 1e-9)
+        phi = place.uniform(0.0, 2.0 * np.pi)
+        devices.append((replace(sc, ue_truth=Position(r * np.cos(phi), r * np.sin(phi))),
+                        replace(cfg, rng_seed=seed + 104729 + j), replace(spec, rnti=7424 + j)))
+    for k in (0, 1):
+        log = capture.sniffer_log(k, *bounds)
+        assert len(log) == (bounds[1] - bounds[0]) * (1 + decoys)
+        for device in devices:
+            alone = simulate_capture(*device, moves).sniffer_log(k, *bounds)
+            assert filter_rnti(log, device[2].rnti).tobytes() == alone.tobytes()
 
 
 def test_capture_fields_change_only_their_columns():
