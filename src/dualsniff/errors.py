@@ -18,7 +18,7 @@ class InfeasibleObservation(LocalizationError):
 
 
 class NoIntersection(LocalizationError):
-    """The two ellipse constraints do not meet within tolerance."""
+    """The two range-sum ellipses do not cross, not even as a tangency."""
 
 
 class AmbiguousSolution(LocalizationError):

@@ -28,8 +28,8 @@ TA_BAND_M = 78.12
 #: ``eliminate`` among them: rows of like length are dependent when the sine
 #: of their angle is at most 1 / CONDITION_LIMIT.
 CONDITION_LIMIT = 1e12
-#: Discriminant values above this (negative) floor are clamped to zero, m^2.
-DISCRIMINANT_TOL = -1e-9
+#: Largest miss of an ``eliminate`` vertex kept as a double root that rounding split, m.
+VERTEX_TOL = 1e-5
 #: Two clean in-band candidates farther apart than this are ambiguous, meters.
 AMBIGUITY_SEPARATION = 1.0
 
@@ -140,12 +140,12 @@ def eliminate(A, g: np.ndarray, h: np.ndarray, anchor: Position, failed: Failed
     pair of equal range).  Returns ``(u, r, vertex)``: each sample's roots of
     non-negative range in ascending range and their positions, two columns,
     NaN where missing or non-finite; the caller tests them for the true
-    branch.  Without a real root (discriminant below ``DISCRIMINANT_TOL``)
-    ``vertex`` is set and column 0 holds the vertex, where r and |u - anchor|
-    come closest.  The one degeneracy rule of both schemes: a sample fails
-    DegenerateGeometry when its rows' condition number c, by
-    c + 1/c = (|a_0|^2 + |a_1|^2) / |m|, reaches ``CONDITION_LIMIT``: a sine
-    of their angle of at most 1 / ``CONDITION_LIMIT`` for rows of like
+    branch.  Without a real root ``vertex`` is set and column 0 holds the
+    vertex, where r and |u - anchor| come closest; the caller keeps it only if
+    it misses by at most ``VERTEX_TOL``.  The one degeneracy rule of both
+    schemes: a sample fails DegenerateGeometry when its rows' condition number
+    c, by c + 1/c = (|a_0|^2 + |a_1|^2) / |m|, reaches ``CONDITION_LIMIT``: a
+    sine of their angle of at most 1 / ``CONDITION_LIMIT`` for rows of like
     length, or one row at the rounding floor of the other, as the normal
     equations of sniffers on an axis-parallel line give.  Every step is
     element-wise: a batch gives each sample the bits of its one-sample call.
@@ -170,10 +170,10 @@ def eliminate(A, g: np.ndarray, h: np.ndarray, anchor: Position, failed: Failed
         # citardauq ordering keeps both roots accurate when beta dominates
         q = -0.5 * (beta + np.copysign(np.sqrt(np.maximum(disc, 0.0)), beta))
         linear = np.abs(alpha) < 1e-14
-        vertex = ~linear & (disc < DISCRIMINANT_TOL)
-        t0 = np.where(linear, -gamma / beta, np.where(vertex, -0.5 * beta, q) / alpha)
+        vertex = ~linear & (disc < 0.0)  # where q = -beta / 2, the vertex
+        t0 = np.where(linear, -gamma / beta, q / alpha)
         t = np.concatenate([t0, np.where(linear | vertex | (q == 0.0), np.nan, gamma / q)], 1)
-        t[(r0 + nr * t <= -1e-9) & ~vertex] = np.nan
+        t[r0 + nr * t <= -1e-9] = np.nan
         # r = r0 + nr t ascends with t sign(nr); NaN sorts last
         sign = np.copysign(1.0, nr)
         t = np.sort(sign * t, axis=1) * sign

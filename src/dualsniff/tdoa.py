@@ -19,8 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InfeasibleObservation, MixedReference, NoRealRoot, RankDeficient
-from .geometry import (CONDITION_LIMIT, SPEED_OF_LIGHT, Failed, Position, Scenario, Solutions,
-                       choose_candidate, distance, eliminate, fail)
+from .geometry import (CONDITION_LIMIT, SPEED_OF_LIGHT, VERTEX_TOL, Failed, Position, Scenario,
+                       Solutions, choose_candidate, distance, eliminate, fail)
 
 #: Hard reject for range differences, in units of the sniffer baseline.
 BASELINE_REJECT_FACTOR = 3.0
@@ -128,13 +128,13 @@ def solve_constrained_batch(system: LinearSystem, ref_sniffer: Position,
     ``geometry.eliminate`` fails a sample whose two rows are dependent with
     DegenerateGeometry, as every sample of three or more collinear
     configurations does; two collinear configurations give a mirror pair, as
-    in ToA.  A root is on the true branch when d + delta_d_k >= 0 for every k;
-    squaring also admits ghosts, whose miss 2 |d + delta_d_k| is the two-row
-    residual.
-    With more rows the residual is ``range_difference_residual``, and only
-    the true-branch root with the least of it is clean.
-    ``geometry.choose_candidate`` picks.  A sample fails InfeasibleObservation
-    beyond ``BASELINE_REJECT_FACTOR`` baselines, NoRealRoot without a root.
+    in ToA.  The residual is ``range_difference_residual``.  A root is clean
+    on the true branch d + delta_d_k >= 0 for every k (squaring admits ghosts,
+    which miss by 2 |d + delta_d_k| with two rows), and with more rows only
+    if it has the least residual of those.  A vertex counts as a double root
+    if it misses by at most ``VERTEX_TOL``.  ``geometry.choose_candidate``
+    picks.  A sample fails InfeasibleObservation beyond
+    ``BASELINE_REJECT_FACTOR`` baselines, NoRealRoot without a root.
     """
     P, n = system.P, len(system.P)
     dd, h = np.atleast_2d(system.dd, system.h)
@@ -149,20 +149,17 @@ def solve_constrained_batch(system: LinearSystem, ref_sniffer: Position,
         A, g, h = (P.T @ P).tolist(), *(sum(v[:, k, None] * p for k, p in enumerate(P))
                                         for v in (dd, h))
     u, d, vertex = eliminate(A, g, h, ref_sniffer, failed)
-    valid = ~np.logical_or.reduce(np.isnan(u), axis=2) & ~vertex[:, None]
-    fail(failed, ~np.logical_or.reduce(valid, axis=1), lambda i: NoRealRoot(
-        "reference-range quadratic has a negative discriminant" if vertex[i]
-        else "no non-negative reference range solves the quadratic"))
+    # ``range_difference_residual`` over the rows' pairs, s_k = s_1 + P_k
+    x, y, s1 = u[..., 0, None], u[..., 1, None], ref_sniffer
+    miss = dd[:, None] - (np.hypot(x - (s1.x + P[:, 0]), y - (s1.y + P[:, 1]))
+                          - np.hypot(x - s1.x, y - s1.y))
+    residual = np.sqrt(np.add.reduce(miss * miss, axis=2))
+    valid = ~np.isnan(residual) & (~vertex[:, None] | (residual <= VERTEX_TOL))
+    fail(failed, ~np.logical_or.reduce(valid, axis=1),
+         lambda i: NoRealRoot("no non-negative reference range solves the quadratic"))
     ghost = np.minimum(0.0, d[:, :, None] + dd[:, None])
-    residual = 2.0 * np.sqrt(np.add.reduce(ghost * ghost, axis=2))
-    clean = valid & (residual <= BRANCH_TOL)
+    clean = valid & (2.0 * np.sqrt(np.add.reduce(ghost * ghost, axis=2)) <= BRANCH_TOL)
     if n > 2:
-        # ``range_difference_residual`` over the rows' pairs, s_k = s_1 + P_k
-        x, y = u[..., 0, None], u[..., 1, None]
-        s1 = ref_sniffer
-        miss = dd[:, None] - (np.hypot(x - (s1.x + P[:, 0]), y - (s1.y + P[:, 1]))
-                              - np.hypot(x - s1.x, y - s1.y))
-        residual = np.sqrt(np.add.reduce(miss * miss, axis=2))
         clean &= np.arange(2) == np.where(clean, residual, np.inf).argmin(axis=1)[:, None]
     residual[~valid] = np.inf
     return choose_candidate(u, d, residual, valid, clean, failed, enb, band)

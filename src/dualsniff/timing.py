@@ -178,12 +178,18 @@ class SimulatedCapture:
     """Every device's simulated capture: entry (n, j, k) is subframe n of device j at sniffer k.
 
     ``dl_ul_delta`` is in microseconds.  Device j has RNTI ``capture.rnti + j``
-    (device 0 is the target); every other field of an entry follows from
+    (device 0 is the target, the others its decoys), and ConfigError refuses
+    RNTIs past ``MAX_RNTI``; every other field of an entry follows from
     ``capture``.  ``len`` counts entries; ``sniffer_log`` gives one sniffer's.
     """
 
     capture: CaptureSpec
     dl_ul_delta: np.ndarray
+
+    def __post_init__(self):
+        decoys = self.dl_ul_delta.shape[1] - 1
+        if self.capture.rnti + decoys > MAX_RNTI:
+            raise ConfigError(f"{decoys} decoys run the RNTIs past {MAX_RNTI}")
 
     def __len__(self) -> int:
         return self.dl_ul_delta.size
@@ -216,14 +222,12 @@ def simulate_capture(scenario: Scenario, cfg: ClockConfig, capture: CaptureSpec,
     ``cfg.rng_seed`` or ``cfg.rng_seed + 104729 + j``, so an entry's draw
     depends only on (seed, subframe, sniffer).  Within a segment (see
     ``segments``) a device's noiseless delta at a sniffer is one number.
-    ConfigError refuses, before anything is drawn, a negative count, decoy
-    RNTIs past ``MAX_RNTI`` and devices x subframes past ``MAX_SUBFRAMES``;
-    and a delta that overflows.
+    ConfigError refuses, before anything is drawn, a negative count and
+    devices x subframes past ``MAX_SUBFRAMES``, and after it a delta that
+    overflows; ``SimulatedCapture`` refuses decoy RNTIs past ``MAX_RNTI``.
     """
     if decoys < 0:
         raise ConfigError(f"decoys must be >= 0, got {decoys}")
-    if capture.rnti + decoys > MAX_RNTI:
-        raise ConfigError(f"{decoys} decoys run the RNTIs past {MAX_RNTI}")
     if (1 + decoys) * capture.subframes > MAX_SUBFRAMES:
         raise ConfigError(f"{decoys} decoys take the capture past {MAX_SUBFRAMES} subframes")
     plan = segments(scenario, relocations, capture.subframes)

@@ -5,7 +5,8 @@ device-to-sniffer distances, an ellipse with foci at the eNb and that
 sniffer.  With r = |u - enb|, |u - s_k| = D_k - r squares to the row that
 ``tdoa.rows`` gives with the eNb as reference and delta_d = -D_k, so the
 intersections come in closed form from ``geometry.eliminate``, collinear or not.
-The range-sums of N samples are one (N, 2) array, column k for sniffer k.
+Ellipses that do not cross give no answer.  The range-sums of N samples are
+one (N, 2) array, column k for sniffer k.
 """
 
 import math
@@ -17,8 +18,8 @@ import numpy as np
 # ``toa.ellipse_scan`` by name.
 from ._kernels import ellipse_scan  # noqa: F401
 from .errors import InfeasibleObservation, NoIntersection
-from .geometry import (SPEED_OF_LIGHT, Failed, Position, Scenario, Solutions, choose_candidate,
-                       distance, eliminate, fail)
+from .geometry import (SPEED_OF_LIGHT, VERTEX_TOL, Failed, Position, Scenario, Solutions,
+                       choose_candidate, distance, eliminate, fail)
 from .tdoa import rows
 from .timing import ta_seconds
 
@@ -26,8 +27,6 @@ from .timing import ta_seconds
 CROSSING_TOL = 1e-9
 #: Former name of ``CROSSING_TOL``, still read by the benchmark tracer.
 NEWTON_TOL = CROSSING_TOL
-#: Above this residual a closest approach is declared no intersection, meters.
-INTERSECTION_TOL = 1.0
 
 
 def compose_D(deltas, sniffers: Sequence[Position], scenario: Scenario) -> np.ndarray:
@@ -45,15 +44,6 @@ def compose_D(deltas, sniffers: Sequence[Position], scenario: Scenario) -> np.nd
     return d_focal + SPEED_OF_LIGHT * (deltas + ta_seconds(scenario.ta_index))
 
 
-def _onto_ellipse(u: np.ndarray, D: np.ndarray, sniffer: Position, enb: Position) -> np.ndarray:
-    """The points of the ellipses |p - enb| + |p - sniffer| = D on the rays from the eNb
-    through ``u``: r = (D^2 - |f|^2) / (2 (D - f.e)) along unit ray e, f = sniffer - eNb."""
-    e = (u - (enb.x, enb.y)) / np.hypot(u[:, 0] - enb.x, u[:, 1] - enb.y)[:, None]
-    fx, fy = sniffer.x - enb.x, sniffer.y - enb.y
-    r = 0.5 * (D * D - fx * fx - fy * fy) / (D - fx * e[:, 0] - fy * e[:, 1])
-    return (enb.x, enb.y) + r[:, None] * e
-
-
 def solve_toa_batch(sniffers: Sequence[Position], D, enb: Position,
                     band: Tuple[float, float]) -> Solutions:
     """Intersect the range-sum ellipses of every sample: ``D`` is (N, 2), a row per
@@ -62,12 +52,12 @@ def solve_toa_batch(sniffers: Sequence[Position], D, enb: Position,
     The crossings are the roots of ``geometry.eliminate`` on the true branch
     D_k - r >= 0 of both ellipses; a collinear layout gives a mirror pair of
     equal range, residual and ``clean`` flag, which the band keeps together.
-    Without a crossing, the elimination vertex carried along its ray from
-    the eNb onto the first ellipse is the closest approach, an unclean
-    candidate, collinear or not.
+    The elimination vertex counts only as a double root, a tangency that
+    rounding split: it misses both ellipses by at most ``VERTEX_TOL``.  So
+    every valid candidate is a crossing on the true branch, and clean.
     ``geometry.choose_candidate`` picks.  A sample fails InfeasibleObservation
     for a range-sum below the focal distance, DegenerateGeometry for dependent
-    rows and NoIntersection for ellipses that miss by more than ``INTERSECTION_TOL``.
+    rows and NoIntersection for ellipses that do not cross.
     """
     D = np.asarray(D, dtype=float)
     if len(sniffers) != 2 or D.shape[-1:] != (2,) or D.ndim > 2:
@@ -83,17 +73,14 @@ def solve_toa_batch(sniffers: Sequence[Position], D, enb: Position,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         system = rows(enb, sniffers, -D)
         u, r, vertex = eliminate(system.P, system.dd, system.h, enb, failed)
-        clean = (np.minimum(D[:, :1], D[:, 1:]) - r >= -CROSSING_TOL) & ~vertex[:, None]
-        u[vertex, 0] = _onto_ellipse(u[vertex, 0], D[vertex, 0], sniffers[0], enb)
-        valid = (clean | vertex[:, None] & [True, False]) & np.isfinite(u).all(axis=2)
         to_enb = np.hypot(u[..., 0] - enb.x, u[..., 1] - enb.y)
         residual = np.maximum(*(np.abs(to_enb + np.hypot(u[..., 0] - s.x, u[..., 1] - s.y)
                                        - D[:, k, None]) for k, s in enumerate(sniffers)))
+        valid = ((np.minimum(D[:, :1], D[:, 1:]) - r >= -CROSSING_TOL)
+                 & (~vertex[:, None] | (residual <= VERTEX_TOL)) & np.isfinite(u).all(axis=2))
     residual[~valid] = math.inf
-    fail(failed, ~(residual[:, 0] <= INTERSECTION_TOL), lambda i: NoIntersection(
-        f"ellipses do not intersect; closest approach misses by {residual[i, 0]:.3f} m "
-        f"(tolerance {INTERSECTION_TOL} m)"))
-    return choose_candidate(u, r, residual, valid, clean & valid, failed, enb, band)
+    fail(failed, ~valid[:, 0], lambda i: NoIntersection("ellipses do not intersect"))
+    return choose_candidate(u, r, residual, valid, valid, failed, enb, band)
 
 
 def solve_toa(sniffers: Sequence[Position], D, enb: Position,

@@ -190,8 +190,7 @@ def draw_solved_scenario(rng, n_sniffers: int = 3):
 
     Draws are rejected when either solver raises (mirror candidate in the
     same band, or a tangency), the range-sum solve still sees a second
-    in-band candidate, the returned point is a closest approach rather than
-    a crossing, or the ellipses cross near-tangentially
+    in-band candidate, or the ellipses cross near-tangentially
     (gradient determinant under MIN_CROSSING_DET); those layouts cannot be
     resolved from timing alone, regardless of solver quality.
     """
@@ -206,8 +205,6 @@ def draw_solved_scenario(rng, n_sniffers: int = 3):
         in_band = [q for q in toa.u[0][toa.valid[0]].tolist()
                    if lo <= distance(Position(*q), sc.enb) < hi]
         if len(in_band) > 1:
-            continue
-        if not toa.clean[0, toa.pick[0]]:
             continue
         if crossing_det(Position(*toa.chosen(toa.u)[0].tolist()), sc.enb,
                         sc.sniffers[0], sc.sniffers[1]) < MIN_CROSSING_DET:

@@ -1,6 +1,6 @@
 """Properties of the batch solvers: a batch is its samples solved one by one,
-the estimates move with the scene, and a collinear layout's mirror candidates
-are kept or refused together."""
+the estimates move with the scene, a two-row answer is a crossing, and a
+collinear layout's mirror candidates are kept or refused together."""
 
 import math
 from dataclasses import astuple
@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import helpers
 from dualsniff.errors import LocalizationError
-from dualsniff.geometry import (AMBIGUITY_SEPARATION, TA_BAND_M, Position, Scenario, distance,
-                                ta_band)
-from dualsniff.tdoa import (TdoaPair, build_system, rows, solve_constrained,
+from dualsniff.geometry import (AMBIGUITY_SEPARATION, TA_BAND_M, VERTEX_TOL, Position, Scenario,
+                                distance, ta_band)
+from dualsniff.tdoa import (TdoaPair, build_system, form_tdoa, rows, solve_constrained,
                             solve_constrained_batch)
 from dualsniff.toa import compose_D, solve_toa, solve_toa_batch
 
@@ -173,6 +173,36 @@ def test_batch_estimates_move_with_the_scene(seed, phi, dx, dy):
         for st_, (x, y), want in zip(status, xy.tolist(), moved_xy.tolist()):
             if st_ == "ok":
                 assert distance(move(Position(x, y)), Position(*want)) < 1e-6
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), sigma=st.floats(0.0, 6e-8))
+def test_a_two_row_answer_is_a_crossing(seed, sigma):
+    """Every ToA ``ok`` answer and every clean two-row TDoA candidate meets its
+    unsquared equations to ``VERTEX_TOL``: a crossing, never a closest approach.
+
+    100 samples of a random three-sniffer layout with up to 60 ns of timing
+    noise; the misses are worked out here from the candidates' positions.
+    """
+    rng = np.random.default_rng(seed)
+    sc = helpers.draw_scenario(rng)
+    deltas = np.array(helpers.noiseless_deltas(sc)) + rng.normal(0.0, sigma, (100, 3))
+    s1, s2, s3 = sc.sniffers
+
+    def to(s, u):
+        return np.hypot(u[..., 0] - s.x, u[..., 1] - s.y)
+
+    D = compose_D(tuple(deltas[:, :2].T), (s1, s2), sc)
+    toa = solve_toa_batch((s1, s2), D, sc.enb, sc.band)
+    u = toa.chosen(toa.u)[toa.status == "ok"]
+    for k, s in enumerate((s1, s2)):
+        miss = to(sc.enb, u) + to(s, u) - D[toa.status == "ok", k]
+        assert (np.abs(miss) <= VERTEX_TOL).all()
+    pairs = [form_tdoa(deltas[:, 0], deltas[:, k], s1, s, sc.enb) for k, s in ((1, s2), (2, s3))]
+    tdoa = solve_constrained_batch(build_system(pairs), s1, sc.band, sc.enb)
+    for p in pairs:
+        miss = p.delta_d[:, None] - (to(p.other_sniffer, tdoa.u) - to(s1, tdoa.u))
+        assert (np.abs(miss[tdoa.clean]) <= VERTEX_TOL).all()
 
 
 def test_collinear_mirror_pairs_are_kept_or_refused_together():

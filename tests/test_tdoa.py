@@ -202,7 +202,7 @@ def test_collinear_sniffers_fail_every_sample(n_configs, theta):
 
 #: The device keeps this far from the sniffers' line, m.  Nearer, the mirror pair
 #: is a near-double root: rounding moves it by up to 1.2 cm at 0.1 m off the line,
-#: and within 1 cm it can push the pair below DISCRIMINANT_TOL (NoRealRoot), as
+#: and within 1 cm it can split the pair into a vertex, kept as a double root, as
 #: ``test_devices_near_a_collinear_line_fail_typed_or_land_near_the_truth`` shows.
 LINE_MARGIN = 1.0
 
@@ -247,11 +247,13 @@ def test_collinear_two_configurations_give_a_mirror_pair(theta):
 def test_devices_near_a_collinear_line_fail_typed_or_land_near_the_truth(margin):
     """Noiseless devices ``margin`` meters off the line of two collinear
     configurations, 60 layouts on each of ``LINE_ANGLES``.  The mirror pair is a
-    near-double root there, and the rounding of the discriminant decides whether
-    it survives, so a sample may fail NoRealRoot, DegenerateGeometry or
-    AmbiguousSolution; an ``ok`` answer lies within AMBIGUITY_SEPARATION of the
-    truth.  (At this seed 112 and 132 of the 540 fail NoRealRoot at 1 mm and 1 cm,
-    and the worst ``ok`` answers are 0.48 and 0.44 m off.)"""
+    near-double root there, which rounding may split into a vertex that misses
+    by at most ``VERTEX_TOL``; that vertex is kept, so no sample fails
+    NoRealRoot.  A sample may fail DegenerateGeometry or AmbiguousSolution; an
+    ``ok`` answer lies within AMBIGUITY_SEPARATION of the truth.  (At this seed
+    112 and 132 of the 540 are such vertices at 1 mm and 1 cm, and they land
+    within 0.107 and 0.016 m of the truth; the worst ``ok`` answers are 0.48 and
+    0.44 m off.)"""
     rng, enb, outcomes = np.random.default_rng(11), Position(0, 0), []
     while len(outcomes) < 60 * len(LINE_ANGLES):
         theta = LINE_ANGLES[len(outcomes) % len(LINE_ANGLES)]
@@ -268,7 +270,7 @@ def test_devices_near_a_collinear_line_fail_typed_or_land_near_the_truth(margin)
         if sol.status[0] == "ok":
             assert distance(Position(*sol.chosen(sol.u)[0].tolist()), ue) <= AMBIGUITY_SEPARATION
         else:
-            assert sol.status[0] in {"NoRealRoot", "DegenerateGeometry", "AmbiguousSolution"}
+            assert sol.status[0] in {"DegenerateGeometry", "AmbiguousSolution"}
     assert "ok" in outcomes
 
 

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from dualsniff.geometry import (LTE_TS, SPEED_OF_LIGHT, TA_BAND_M, TA_STEP_S,
                                 Position, Scenario, distance)
-from dualsniff.snifferlog import filter_rnti
-from dualsniff.timing import (MAX_SUBFRAMES, CaptureSpec, ClockConfig, Relocation, quantize_ta,
-                              segments, simulate_capture, subframe_delta, ta_seconds)
+from dualsniff.snifferlog import MAX_RNTI, filter_rnti
+from dualsniff.timing import (MAX_SUBFRAMES, CaptureSpec, ClockConfig, Relocation,
+                              SimulatedCapture, quantize_ta, segments, simulate_capture,
+                              subframe_delta, ta_seconds)
 from helpers import dl_arrival, sigma_for_snr, ue_tx_time, ul_arrival
 
 
@@ -330,6 +331,16 @@ def test_each_device_is_its_own_one_device_capture(decoys, seed, start_frame, mo
         for device in devices:
             alone = simulate_capture(*device, moves).sniffer_log(k, *bounds)
             assert filter_rnti(log, device[2].rnti).tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("rnti, devices", [(MAX_RNTI, 2), (MAX_RNTI - 2, 4)])
+def test_a_capture_refuses_rntis_past_the_largest(rnti, devices):
+    """Device j's RNTI ``rnti + j`` may not pass ``MAX_RNTI``, however the capture is
+    made: the log would wrap it to a negative number."""
+    with pytest.raises(ValueError, match="decoys"):
+        SimulatedCapture(CaptureSpec(subframes=1, rnti=rnti), np.zeros((1, devices, 2)))
+    capture = SimulatedCapture(CaptureSpec(subframes=1, rnti=rnti), np.zeros((1, devices - 1, 2)))
+    assert capture.sniffer_log(0)["rnti"].tolist() == list(range(rnti, MAX_RNTI + 1))
 
 
 def test_capture_fields_change_only_their_columns():

@@ -12,7 +12,7 @@ from dualsniff.errors import (AmbiguousSolution, DegenerateGeometry, InfeasibleO
                               NoIntersection)
 from dualsniff.geometry import SPEED_OF_LIGHT, Position, Scenario, distance, ta_band
 from dualsniff.timing import ClockConfig, subframe_delta
-from dualsniff.toa import INTERSECTION_TOL, compose_D, solve_toa, solve_toa_batch
+from dualsniff.toa import compose_D, solve_toa, solve_toa_batch
 from helpers import ellipse_residual
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -107,7 +107,7 @@ def test_disjoint_ellipses_raise():
         solve_toa((Position(100, 0), Position(0, 100)), (300.0, 101.0), enb, (0.0, 1000.0))
 
 
-def test_collinear_tangency_closest_approach():
+def test_collinear_tangency_is_a_clean_double_root():
     # both ellipses share their rightmost vertex at (60, 0); the constraint
     # surfaces touch without crossing, and all three stations are collinear
     enb = Position(0, 0)
@@ -115,6 +115,7 @@ def test_collinear_tangency_closest_approach():
     x, y = sol.chosen(sol.u)[0]
     assert x == pytest.approx(60.0, abs=0.05)
     assert abs(y) < 0.5
+    assert sol.clean[0, sol.pick[0]]
 
 
 def test_crossing_flag_tells_a_crossing_from_a_closest_approach():
@@ -132,11 +133,8 @@ def test_crossing_flag_tells_a_crossing_from_a_closest_approach():
     assert solved >= 20
     # the small ellipse lies inside the large one and misses it by about half a meter
     enb = Position(0, 0)
-    small, large = Position(100, 0), Position(0, 100)
-    sol = solve_toa((small, large), (150.0, 291.9), enb, (0.0, 1000.0))
-    assert not sol.clean[0, sol.pick[0]]
-    assert 0.1 < sol.chosen(sol.residual)[0] < INTERSECTION_TOL
-    assert abs(ellipse_residual(Position(*sol.chosen(sol.u)[0]), small, 150.0, enb)) < 1e-9
+    with pytest.raises(NoIntersection):
+        solve_toa((Position(100, 0), Position(0, 100)), (150.0, 291.9), enb, (0.0, 1000.0))
 
 
 def test_candidates_sorted_by_residual():
@@ -263,9 +261,8 @@ def test_matches_the_scan_solver_reference():
     chosen point must agree, to 1e-6 m.  Two kinds of row are exempt from
     the chosen point.  Where the pool held two exact crossings, the old pick
     fell to residual rounding noise: the new one must be one of the in-band
-    crossings or, with none in band, the crossing nearest the band.  Old
-    closest approaches (residual above 1e-9 m) may move by up to 1 m or
-    become NoIntersection.
+    crossings or, with none in band, the crossing nearest the band.  The old
+    solver's one closest approach (residual above 1e-9 m) is NoIntersection.
     """
     enb = Position(0.0, 0.0)
     exempt = {"two exact": 0, "closest approach": 0}
@@ -287,11 +284,7 @@ def test_matches_the_scan_solver_reference():
             status, new = type(exc).__name__, []
         if row["status"] == "ok" and float(row["residual"]) > 1e-9:
             exempt["closest approach"] += 1
-            if status == "ok":
-                moved = distance(position, Position(float(row["x"]), float(row["y"])))
-                assert moved <= 1.0, where
-            else:
-                assert status == "NoIntersection", where
+            assert status == "NoIntersection", where
             continue
         assert status == row["status"], where
         for q in old:
