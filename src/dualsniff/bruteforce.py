@@ -5,14 +5,16 @@ station (the Lipschitz bound-and-prune of Piyavskii 1972 and Shubert 1972, in
 2-D).  The annulus is tiled exactly by polar cells.  Each cell's cost is taken
 at its centre and, on the inner and outer rings, at its rim point; when the
 best of these beats the incumbent, Gauss-Newton steps on the misses polish it
-into the new incumbent (a zero of the cost usually falls to rounding in the
-first round).  A cell is dropped once a lower bound on the cost anywhere in it
-reaches the incumbent.  Each round halves the rest twice, into 4 x 4 children,
-until the incumbent is within ``CERT_TOL`` of the smallest bound: the returned
-cost is the global minimum over the annulus to that tolerance.  The search
-shares no algebra with the solvers it audits.
+into the new incumbent.  The cost is a sum of squares, so an incumbent within
+``CERT_TOL`` of 0 (an audit's zero, polished to rounding) is returned before
+any cell bound.  Otherwise a cell is dropped once a lower bound on the cost
+anywhere in it reaches the incumbent, and each round halves the rest twice,
+into 4 x 4 children, until the incumbent is within ``CERT_TOL`` of the least
+bound: the returned cost is the global minimum over the annulus to that
+tolerance.  The search shares no algebra with the solvers it audits.
 """
 
+import functools
 import math
 from typing import Sequence, Tuple
 
@@ -80,6 +82,28 @@ def _lower_bound(rho, d_rho, d_th, x, y, dx, dy, d, m, cost):
     return np.where(clear.min(axis=0) > 0.0, np.maximum(bound, taylor), bound)
 
 
+def _points(lo, hi, d_rho, rho, th):
+    """A round's cost points (x, y): cell centres, then the first and last rings' rim points."""
+    inner = rho < lo + d_rho
+    rim = inner | (rho > hi - d_rho)
+    p_rho = np.concatenate([rho, np.where(inner[rim], lo, hi)])
+    p_th = np.concatenate([th, th[rim]])
+    return p_rho * np.cos(p_th), p_rho * np.sin(p_th)
+
+
+@functools.lru_cache(maxsize=8)
+def _start(lo, hi):
+    """The band's starting cells and their points (d_rho, d_th, rho, th, x, y), read-only."""
+    d_rho = (hi - lo) / _RINGS
+    d_th = 2.0 * math.pi / math.ceil(2.0 * math.pi * hi / d_rho)
+    rho, th = (a.ravel() for a in np.meshgrid(lo + d_rho * (np.arange(_RINGS) + 0.5),
+                                              np.arange(0.5 * d_th, 2.0 * math.pi, d_th)))
+    cells = (rho, th, *_points(lo, hi, d_rho, rho, th))
+    for a in cells:
+        a.flags.writeable = False
+    return (d_rho, d_th, *cells)
+
+
 def _polish(w, z, dd, lo, hi):
     """Gauss-Newton steps from ``w`` while they land in the annulus, lower the
     cost and J^T J is regular (never, with one pair): the last point kept and
@@ -110,35 +134,28 @@ def annulus_minimum(enb: Position, band: Tuple[float, float],
     """Minimize the pairwise cost over the annulus ``band`` around ``enb``.
 
     Returns the incumbent (position, cost), the best centre or rim point seen
-    as polished by ``_polish``; it lies in the annulus.  It returns once no
-    cell's bound is more than ``CERT_TOL`` below that cost, so no later round
-    could lower it by more; each round halves every kept cell twice, into 16.
+    as polished by ``_polish``; it lies in the annulus.  It returns once that
+    cost is within ``CERT_TOL`` of 0 or of every cell's bound, so no later
+    round could lower it by more; each round halves every kept cell twice, into 16.
     Raises ``RuntimeError`` past ``MAX_LEVELS`` halvings or ``MAX_CELLS`` live cells.
     """
     if not pairs:
         raise ValueError("need at least one pair")
+    for k, p in enumerate(pairs):
+        if not math.isfinite(p.delta_d):
+            raise ValueError(f"pair {k}: delta_d must be finite, got {p.delta_d}")
     lo, hi = float(band[0]), float(band[1])
-    if not 0.0 <= lo < hi:
-        raise ValueError(f"band must satisfy 0 <= lo < hi, got {band}")
+    if not 0.0 <= lo < hi < math.inf:
+        raise ValueError(f"band must satisfy 0 <= lo < hi < inf, got {band}")
     # coordinates relative to the base station, reference sniffer first
     z = [complex(s.x - enb.x, s.y - enb.y)
          for s in [pairs[0].ref_sniffer] + [p.other_sniffer for p in pairs]]
     sx, sy = np.real(z)[:, None], np.imag(z)[:, None]
     dd = np.array([p.delta_d for p in pairs])[:, None]
-    d_rho = (hi - lo) / _RINGS
-    d_th = 2.0 * math.pi / math.ceil(2.0 * math.pi * hi / d_rho)
-    rho, th = np.meshgrid(lo + d_rho * (np.arange(_RINGS) + 0.5),
-                          np.arange(0.5 * d_th, 2.0 * math.pi, d_th))
-    rho, th = rho.ravel(), th.ravel()
+    d_rho, d_th, rho, th, x, y = _start(lo, hi)
     best, best_w = math.inf, 0j
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(0, MAX_LEVELS, 2):
-            # centres, then the rim point of each cell in the first and last ring
-            inner = rho < lo + d_rho
-            rim = inner | (rho > hi - d_rho)
-            p_rho = np.concatenate([rho, np.where(inner[rim], lo, hi)])
-            p_th = np.concatenate([th, th[rim]])
-            x, y = p_rho * np.cos(p_th), p_rho * np.sin(p_th)
             dx, dy = x - sx, y - sy  # row 0: reference sniffer
             d = np.hypot(dx, dy)
             m = dd - (d[1:] - d[0])
@@ -146,6 +163,8 @@ def annulus_minimum(enb: Position, band: Tuple[float, float],
             i = int(np.argmin(cost))
             if cost[i] < best:
                 best_w, best = _polish(complex(x[i], y[i]), z, dd[:, 0].tolist(), lo, hi)
+            if best <= CERT_TOL:  # no point costs less than 0: no bound can beat it
+                return Position(enb.x + best_w.real, enb.y + best_w.imag), best
             n = rho.size
             bound = _lower_bound(rho, d_rho, d_th, x[:n], y[:n], dx[:, :n], dy[:, :n],
                                  d[:, :n], m[:, :n], cost[:n])
@@ -157,5 +176,6 @@ def annulus_minimum(enb: Position, band: Tuple[float, float],
             d_rho, d_th = 0.25 * d_rho, 0.25 * d_th
             rho = (rho[keep][:, None] + d_rho * _CHILD_RHO).ravel()
             th = (th[keep][:, None] + d_th * _CHILD_TH).ravel()
+            x, y = _points(lo, hi, d_rho, rho, th)
     raise RuntimeError("annulus_minimum: no certificate within the search limits "
                        "(flat or non-smooth minimum)")

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import helpers
 from dualsniff import bruteforce
 from dualsniff._kernels import annulus_grid_min
-from dualsniff.bruteforce import _RINGS, CERT_TOL, _lower_bound, annulus_minimum, pair_cost
+from dualsniff.bruteforce import (_RINGS, CERT_TOL, _lower_bound, _polish, _start, annulus_minimum,
+                                  pair_cost)
 from dualsniff.geometry import Position, Scenario, distance, ta_band
 from dualsniff.tdoa import BASELINE_REJECT_FACTOR, TdoaPair, form_tdoa
 
@@ -43,20 +44,52 @@ def test_minimum_lands_on_truth_noiseless():
     assert cost < 1e-12
 
 
+def _recorded(monkeypatch, sc, pairs):
+    """The search's (position, cost), and for each ``_lower_bound`` call the
+    incumbent's cost then, the number of cells and their bounds."""
+    incumbent, calls = [math.inf], []
+
+    def polish(*args):
+        w, cost = _polish(*args)
+        incumbent.append(cost)
+        return w, cost
+
+    def bounded(*args):
+        bound = _lower_bound(*args)
+        calls.append((incumbent[-1], args[0].size, bound))
+        return bound
+
+    monkeypatch.setattr(bruteforce, "_polish", polish)
+    monkeypatch.setattr(bruteforce, "_lower_bound", bounded)
+    return annulus_minimum(sc.enb, sc.band, pairs), calls
+
+
 def test_a_certified_search_stops_in_that_round(monkeypatch):
-    # the polish certifies the zero of the cost in the first round, and the
-    # search returns there: one round of cell bounds, not one per refinement
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _lower_bound(*args)
-
-    monkeypatch.setattr(bruteforce, "_lower_bound", counted)
+    # the polish takes a zero of the cost to rounding in the first round, and
+    # no point costs less than 0: the search returns with no cell bound at all
     sc = _tri_scenario()
-    pos, cost = annulus_minimum(sc.enb, sc.band, _pairs(sc))
+    (pos, cost), calls = _recorded(monkeypatch, sc, _pairs(sc))
     assert cost < 1e-20 and distance(pos, sc.ue_truth) < 1e-6
-    assert len(calls) == 1
+    assert calls == []
+    # a positive minimum takes one call per round, each over the 16 children of
+    # every cell the last one kept, and returns in the first round that certifies
+    rounds = []
+    for sc, pairs in _three_pair_draws():
+        (pos, cost), calls = _recorded(monkeypatch, sc, pairs)
+        certified = [best - bound.min() <= CERT_TOL * max(1.0, best) for best, _, bound in calls]
+        assert certified.index(True) == len(calls) - 1 and cost == calls[-1][0]
+        for (best, _, bound), (_, cells, _) in zip(calls, calls[1:]):
+            assert cells == 16 * np.count_nonzero(bound < best)
+        rounds.append(len(calls))
+    assert max(rounds) > 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_refuses_a_non_finite_difference(bad):
+    pairs = _pairs(_tri_scenario())
+    pairs[1] = TdoaPair(pairs[1].ref_sniffer, pairs[1].other_sniffer, bad)
+    with pytest.raises(ValueError, match="pair 1: delta_d must be finite"):
+        annulus_minimum(Position(0, 0), (0.0, 78.12), pairs)
 
 
 def test_requires_pairs():
@@ -138,6 +171,34 @@ def test_certified_cost_is_never_above_any_annulus_point(seed, ta_index):
         assert cost <= pair_cost(q, pairs) + CERT_TOL * max(1.0, cost)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), ta_index=st.sampled_from((0, 1)),
+       phi=st.floats(0.0, 2.0 * math.pi), dx=st.floats(-1e4, 1e4), dy=st.floats(-1e4, 1e4))
+def test_certified_cost_moves_with_the_scene(seed, ta_index, phi, dx, dy):
+    # the eNb and sniffers are rotated about the eNb and translated: the
+    # certified cost agrees to its tolerance plus rounding, and the point stays
+    # in the band.  A moved coordinate rounds by at most a few ulps of the
+    # shift plus the scene's extent, ``delta``; a sniffer moved by ``delta``
+    # moves each miss by at most 2 delta, so with two pairs the root cost moves
+    # by at most 2 sqrt(2) delta and the cost by 6 sqrt(cost) delta + 8 delta^2
+    rng = np.random.default_rng(seed)
+    sc, pairs = _noisy_pairs(rng, {ta_index})
+    spin = complex(math.cos(phi), math.sin(phi))
+
+    def move(p):
+        q = complex(p.x - sc.enb.x, p.y - sc.enb.y) * spin
+        return Position(sc.enb.x + dx + q.real, sc.enb.y + dy + q.imag)
+
+    moved = [TdoaPair(move(p.ref_sniffer), move(p.other_sniffer), p.delta_d) for p in pairs]
+    _, cost = annulus_minimum(sc.enb, sc.band, pairs)
+    pos, moved_cost = annulus_minimum(move(sc.enb), sc.band, moved)
+    lo, hi = sc.band
+    assert lo - 1e-9 <= distance(pos, move(sc.enb)) <= hi + 1e-9
+    delta = 8.0 * np.finfo(float).eps * (abs(dx) + abs(dy) + 4.0 * helpers.BOX_HALF)
+    rounding = 6.0 * math.sqrt(cost) * delta + 8.0 * delta ** 2
+    assert abs(moved_cost - cost) <= CERT_TOL * max(1.0, cost) + rounding
+
+
 def _misses(x, y, pairs, enb):
     """Offsets and distances from each sniffer (reference first), the misses
     and the cost at the points (x, y), all relative to ``enb``."""
@@ -175,40 +236,23 @@ def test_lower_bound_holds_over_each_cell():
         assert np.all(cost.reshape(rho.size, 64).min(axis=1) >= bound)
 
 
-class _FirstRound(Exception):
-    pass
-
-
-def _first_round_cells(enb, band, pairs):
-    """The arguments of the search's first ``_lower_bound`` call: its starting
-    partition of the annulus, with the centres' offsets, misses and costs."""
-    def stop(*args):
-        raise _FirstRound(args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bruteforce, "_lower_bound", stop)
-        with pytest.raises(_FirstRound) as caught:
-            annulus_minimum(enb, band, pairs)
-    return caught.value.args[0]
-
-
 def test_lower_bound_holds_over_the_starting_partition():
-    # the first round's cells certify a zero of the cost, and band 0's inner
-    # ring touches the base station, which the sampled cells above keep clear
-    # of: over TA bands 0-3, no point of a 12 x 12 grid over each starting
-    # cell, edges and corners included, costs less than the cell's bound
+    # the first round's cells bound every search that a zero does not end, and
+    # band 0's inner ring touches the base station, which the sampled cells
+    # above keep clear of: over TA bands 0-3, no point of a 12 x 12 grid over
+    # each starting cell, edges and corners included, costs less than the
+    # cell's bound
     rng = np.random.default_rng(41)
     edge = np.linspace(-0.5, 0.5, 12)
     for _ in range(10):
         sc, pairs = _noisy_pairs(rng, {0, 1})  # the base station is at the origin
         for band in range(4):
             lo, hi = ta_band(band)
-            cells = _first_round_cells(sc.enb, (lo, hi), pairs)
-            rho, d_rho, d_th = cells[:3]
+            d_rho, d_th, rho, th, x, y = _start(lo, hi)
             assert rho.size == _RINGS * math.ceil(2.0 * math.pi * hi / d_rho)
             assert rho.min() - 0.5 * d_rho == pytest.approx(lo, abs=1e-9)
-            th = np.arctan2(cells[4], cells[3])
-            bound = _lower_bound(*cells)
+            x, y = x[:rho.size], y[:rho.size]  # the centres; rim points follow them
+            bound = _lower_bound(rho, d_rho, d_th, x, y, *_misses(x, y, pairs, sc.enb))
             p_rho = (rho[:, None] + d_rho * np.repeat(edge, 12)).ravel()
             p_th = (th[:, None] + d_th * np.tile(edge, 12)).ravel()
             cost = _misses(p_rho * np.cos(p_th), p_rho * np.sin(p_th), pairs, sc.enb)[-1]
@@ -240,6 +284,28 @@ def test_matches_the_reference_oracle():
         assert math.hypot(pos.x - float(ref["x"]), pos.y - float(ref["y"])) <= 1e-6
         seen.add(key)
     assert seen == set(reference) and len(seen) == 112
+
+
+def test_a_cached_partition_gives_the_cold_answer():
+    # TA bands 0-3 and the discs with their outer radii (the same hi, another
+    # lo), interleaved on one cache, give the bits of searches on a cold one
+    bands = [ta_band(b) for b in range(4)] + [(0.0, ta_band(b)[1]) for b in (1, 2, 3)]
+    draws = [draw for _, draw in _reference_draws()]
+
+    def bits(sc, pairs, band):
+        pos, cost = annulus_minimum(sc.enb, band, pairs)
+        return pos.x.hex(), pos.y.hex(), cost.hex()
+
+    warm = [bits(sc, pairs, band) for sc, pairs in draws for band in bands]
+    cold = []
+    for sc, pairs in draws:
+        for band in bands:
+            _start.cache_clear()
+            cold.append(bits(sc, pairs, band))
+    assert warm == cold
+    for array in _start(*ta_band(1))[2:]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_a_zero_of_the_cost_is_certified_to_rounding():
@@ -281,3 +347,8 @@ def test_refuses_a_flat_minimum():
 def test_rejects_an_empty_band():
     with pytest.raises(ValueError):
         annulus_minimum(Position(0, 0), (78.12, 78.12), _pairs(_tri_scenario()))
+
+
+def test_rejects_an_unbounded_band():
+    with pytest.raises(ValueError, match="band must satisfy"):
+        annulus_minimum(Position(0, 0), (0.0, math.inf), _pairs(_tri_scenario()))
