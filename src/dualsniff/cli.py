@@ -9,9 +9,10 @@ Subcommands::
     dualsniff report   runs/a/estimates_tdoa.csv runs/b/estimates_toa.csv
 
 ``simulate`` writes one log per sniffer per segment of ``timing.segments``:
-sn1_cfg1.log, sn2_cfg1.log, ...  ``locate`` takes (reference, other) file
-pairs, pair j for configuration j as ``_configurations`` reads it, and writes
-per-sample estimates plus an error report; ToA solves each pair on its own.
+sn1_cfg1.log, sn2_cfg1.log, ..., about ``CHUNK`` entries at a time.
+``locate`` takes (reference, other) file pairs, pair j for configuration j as
+``_configurations`` reads it, and writes per-sample estimates plus an error
+report; ToA solves each pair on its own.
 Both schemes hand the same per-sample columns to ``_estimates_csv``, which
 writes the estimates CSV and scores the solved samples against ground truth.
 ``report`` merges estimate files into a comparison table and plot-ready CDF
@@ -26,7 +27,7 @@ import math
 import sys
 from importlib import import_module
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from .errors import ConfigError
 from .stats import EmptyInput, cdf_quantile, one_sigma_filter, summarize
@@ -64,6 +65,10 @@ EXIT_NO_SAMPLES = 4
 
 ESTIMATES_HEADER = "sample,frame,subframe,x_m,y_m,d_ub_m,error_m,status"
 
+#: Log entries ``simulate`` renders at a time, in whole subframes (at least one):
+#: its log text stays within max(``CHUNK``, devices) entries however long the capture.
+CHUNK = 4096
+
 
 class InputError(Exception):
     """A log or estimates file is missing or malformed."""
@@ -73,11 +78,12 @@ class NoSamples(Exception):
     """The pipeline produced zero usable samples."""
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` and its directory; an unwritable path is a ConfigError."""
+def _write_text(path: Path, pieces: Iterable[str]) -> None:
+    """Write text ``pieces`` to ``path`` and its directory; an unwritable path is a ConfigError."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        with path.open("w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
     except OSError as exc:
         raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
 
@@ -95,13 +101,14 @@ def cmd_simulate(args) -> int:
 
     capture = simulate_capture(setup.scenario, setup.clock, setup.capture, setup.relocations,
                                decoys=args.decoys)
-    plan = setup.segments()
+    plan, devices = setup.segments(), capture.dl_ul_delta.shape[1]
+    step = max(1, CHUNK // devices)
     for k in range(len(setup.scenario.sniffers)):
         for j, (start, stop, _) in enumerate(plan):
-            log = capture.sniffer_log(k, start, stop)
             path = Path(args.out_dir) / f"sn{k + 1}_cfg{j + 1}.log"
-            _write_text(path, write_log(log))
-            print(f"wrote {path} ({len(log)} records)")
+            _write_text(path, (write_log(capture.sniffer_log(k, a, min(a + step, stop)))
+                               for a in range(start, stop, step)))
+            print(f"wrote {path} ({(stop - start) * devices} records)")
     return EXIT_OK
 
 
@@ -244,7 +251,7 @@ def cmd_locate(args) -> int:
     text, errors = _estimates_csv(columns, setup.scenario, args.metric)
     out_dir = Path(args.out_dir)
     est_path = out_dir / f"estimates_{args.scheme}.csv"
-    _write_text(est_path, text)
+    _write_text(est_path, [text])
     print(f"wrote {est_path} ({len(status)} samples)")
 
     if not errors:
@@ -254,7 +261,7 @@ def cmd_locate(args) -> int:
         raise NoSamples("every sample failed to solve")
     table = _stats_table(errors, args.metric)
     report_path = out_dir / f"report_{args.scheme}.txt"
-    _write_text(report_path, table)
+    _write_text(report_path, [table])
     print(table, end="")
     return EXIT_OK
 
@@ -316,7 +323,7 @@ def cmd_report(args) -> int:
         out.append(f"{p:.2f},{cells}")
     text = "\n".join(out) + "\n"
     if args.out:
-        _write_text(Path(args.out), text)
+        _write_text(Path(args.out), [text])
         print(f"wrote {args.out}")
     else:
         print(text, end="")

@@ -12,8 +12,11 @@ converting it to this format is the adapter's job, everything downstream
 consumes only the canonical form.
 
 A log is a one-dimensional numpy array of the ``ENTRY`` dtype, one element
-per entry, so parsing, writing and filtering cost one array operation per
-field, not per line.  Two matched logs give an array of ``SAMPLE``.
+per entry, so parsing a clean log and filtering cost one array operation per
+field, not per line.  ``write_log`` formats each distinct value of a field
+once, then joins one formatted string per line; ``cli``'s ``simulate`` calls
+it once per chunk of a log, so the text of a whole log is never held at once.
+Two matched logs give an array of ``SAMPLE``.
 
 Malformed lines never abort a parse: they are skipped and reported as
 diagnostics carrying the line number and reason.

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,9 @@ import yaml
 from dualsniff import cli
 from dualsniff.cli import (ESTIMATES_HEADER, EXIT_CONFIG, EXIT_INPUT,
                            EXIT_NO_SAMPLES, EXIT_OK, main)
-from dualsniff.snifferlog import MAX_RNTI, filter_rnti, parse_log
+from dualsniff.configio import load_setup
+from dualsniff.snifferlog import MAX_RNTI, filter_rnti, parse_log, write_log
+from dualsniff.timing import simulate_capture
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -113,6 +116,61 @@ def test_simulate_decoys_share_timeline(tmp_path):
     assert set(records["rnti"].tolist()) == {7423, 7424, 7425}
     # within a subframe, the target's entry and then the decoys' in RNTI order
     assert records["rnti"].tolist() == [7423, 7424, 7425] * 30
+
+
+@pytest.mark.parametrize("chunk, decoys, subframes, at", [
+    (None, 2, 3000, 1500),  # pieces of 1365 subframes: seams mid-frame, off the segment starts
+    (2, 4, 30, 13),         # 5 devices, more than a chunk: one subframe per piece
+], ids=["chunk", "devices_past_chunk"])
+def test_chunk_seams_are_invisible(tmp_path, capsys, monkeypatch, chunk, decoys, subframes, at):
+    if chunk is not None:
+        monkeypatch.setattr(cli, "CHUNK", chunk)
+    pieces = []
+
+    def recording(log):
+        pieces.append((len(log), int(log["subframe"][0])))
+        return write_log(log)
+
+    monkeypatch.setattr(cli, "write_log", recording)
+    config = (TOA_CONFIG.replace("subframes: 30", f"subframes: {subframes}") + NOISY_CLOCK
+              + f"relocations:\n  - {{sniffer: 2, at_subframe: {at}, to: [154.0, 40.0]}}\n")
+    out = _simulate(tmp_path, config, "run", extra=["--decoys", str(decoys)])
+    stdout = capsys.readouterr().out.splitlines()
+
+    devices, setup = 1 + decoys, load_setup(str(tmp_path / "exp.yaml"))
+    capture = simulate_capture(setup.scenario, setup.clock, setup.capture, setup.relocations,
+                               decoys=decoys)
+    expected = []
+    for k in range(2):
+        for j, (start, stop, _) in enumerate(setup.segments()):
+            log = capture.sniffer_log(k, start, stop)
+            path = out / f"sn{k + 1}_cfg{j + 1}.log"
+            assert path.read_text() == write_log(log)
+            expected.append(f"wrote {path} ({len(log)} records)")
+    assert stdout == expected
+    # whole subframes of at most max(CHUNK, devices) entries, and seams inside a frame
+    assert len(pieces) > len(expected)
+    assert all(n % devices == 0 and n <= max(cli.CHUNK, devices) for n, _ in pieces)
+    assert any(first % 10 for _, first in pieces)
+
+
+def test_simulate_holds_one_chunk_of_log_text(tmp_path, capsys):
+    # two logs of 80 000 entries, 4.3 MB of text each: rendered whole, one peaks near 29 MB
+    subframes, devices, sniffers = 20_000, 4, 2
+    cfg = _write(tmp_path, "exp.yaml",
+                 TOA_CONFIG.replace("subframes: 30", f"subframes: {subframes}") + NOISY_CLOCK)
+    cli._load()  # imports are not the command's memory
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "run"),
+                     "--decoys", str(devices - 1)]) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    # the float64 delta block twice, as each device's draws and then as their stack, and a
+    # generous kilobyte of text per entry of one chunk
+    assert peak < 2 * subframes * devices * sniffers * 8 + cli.CHUNK * 1024
 
 
 def test_simulate_subframes_override_conflicts_with_relocation(tmp_path, capsys):
