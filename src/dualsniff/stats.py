@@ -3,13 +3,12 @@
 All samples are non-negative error magnitudes in meters.  Standard deviation
 is the population (divide-by-n) convention throughout, which keeps
 rmse^2 = mean^2 + std^2 an exact identity on every sample set.  The summary
-works on plain floats, so a caller that only summarizes never loads numpy;
-the filter loads it and returns arrays.
+is plain floats in a ``NamedTuple``, so a caller that only summarizes loads
+neither numpy nor ``dataclasses``; the filter loads numpy and returns arrays.
 """
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 
 class EmptyInput(ValueError):
@@ -20,8 +19,7 @@ class InvalidProbability(ValueError):
     """Quantile probability must lie in (0, 1]."""
 
 
-@dataclass(frozen=True)
-class ErrorStats:
+class ErrorStats(NamedTuple):
     """Summary of one error-sample set.
 
     ``cdf`` lists (error, probability) steps of the empirical CDF, sorted and

@@ -239,8 +239,9 @@ def simulate_capture(scenario: Scenario, cfg: ClockConfig, capture: CaptureSpec,
                                      for r, phi in placed]
     seeds = [cfg.rng_seed] + [cfg.rng_seed + 104729 + j for j in range(decoys)]
     shape = (capture.subframes, len(scenario.sniffers))
-    delta = np.stack([np.random.default_rng(seed).normal(0.0, cfg.sniffer_noise_sigma, shape)
-                      for seed in seeds], axis=1)
+    delta = np.empty((shape[0], len(seeds), shape[1]))
+    for j, seed in enumerate(seeds):  # one device's draw at a time: one block in memory
+        delta[:, j] = np.random.default_rng(seed).normal(0.0, cfg.sniffer_noise_sigma, shape)
     for start, stop, layout in plan:
         delta[start:stop] += [[subframe_delta(replace(layout, ue_truth=ue), k, cfg)
                                for k in range(shape[1])] for ue in devices]

@@ -52,9 +52,10 @@ def solve_toa_batch(sniffers: Sequence[Position], D, enb: Position,
     The crossings are the roots of ``geometry.eliminate`` on the true branch
     D_k - r >= 0 of both ellipses; a collinear layout gives a mirror pair of
     equal range, residual and ``clean`` flag, which the band keeps together.
-    The elimination vertex counts only as a double root, a tangency that
-    rounding split: it misses both ellipses by at most ``VERTEX_TOL``.  So
-    every valid candidate is a crossing on the true branch, and clean.
+    The residual is the norm of the two unsquared range-sum misses, as in
+    TDoA, and the elimination vertex counts only as a double root (a tangency
+    that rounding split) of residual at most ``VERTEX_TOL``: every valid
+    candidate is a crossing on the true branch, and clean.
     ``geometry.choose_candidate`` picks.  A sample fails InfeasibleObservation
     for a range-sum below the focal distance, DegenerateGeometry for dependent
     rows and NoIntersection for ellipses that do not cross.
@@ -74,8 +75,8 @@ def solve_toa_batch(sniffers: Sequence[Position], D, enb: Position,
         system = rows(enb, sniffers, -D)
         u, r, vertex = eliminate(system.P, system.dd, system.h, enb, failed)
         to_enb = np.hypot(u[..., 0] - enb.x, u[..., 1] - enb.y)
-        residual = np.maximum(*(np.abs(to_enb + np.hypot(u[..., 0] - s.x, u[..., 1] - s.y)
-                                       - D[:, k, None]) for k, s in enumerate(sniffers)))
+        residual = np.hypot(*(to_enb + np.hypot(u[..., 0] - s.x, u[..., 1] - s.y) - D[:, k, None]
+                              for k, s in enumerate(sniffers)))
         valid = ((np.minimum(D[:, :1], D[:, 1:]) - r >= -CROSSING_TOL)
                  & (~vertex[:, None] | (residual <= VERTEX_TOL)) & np.isfinite(u).all(axis=2))
     residual[~valid] = math.inf

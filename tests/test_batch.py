@@ -205,6 +205,46 @@ def test_a_two_row_answer_is_a_crossing(seed, sigma):
         assert (np.abs(miss[tdoa.clean]) <= VERTEX_TOL).all()
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), sigma=st.floats(0.0, 6e-8), t=st.floats(0.1, 3.0))
+def test_the_residual_is_the_norm_of_the_unsquared_misses(seed, sigma, t):
+    """Every valid candidate's residual is, to 1e-9 m, the Euclidean norm of its
+    unsquared misses, worked out here from its position: D_k - |u - enb| - |u - s_k|
+    in ToA, delta_d_k - (|u - s_k| - |u - s_1|) in TDoA with two rows and three.
+
+    A random four-sniffer layout gives 100 samples with up to 60 ns of timing
+    noise.  ToA also gets 100 range-sums around those of the point p beyond
+    s_2 on the line s_1 s_2, where the two ellipses touch: a few micrometers
+    off, they cross twice close to p or miss it, so some candidates are
+    vertices that miss both ellipses.
+    """
+    rng = np.random.default_rng(seed)
+    sc = helpers.draw_scenario(rng, n_sniffers=4)
+    deltas = np.array(helpers.noiseless_deltas(sc)) + rng.normal(0.0, sigma, (100, 4))
+    s1, s2, *_ = sc.sniffers
+
+    def to(s, u):
+        return np.hypot(u[..., 0] - s.x, u[..., 1] - s.y)
+
+    def assert_norm(sol, misses):
+        norm = np.sqrt(sum(miss * miss for miss in misses))
+        assert (np.abs(sol.residual - norm)[sol.valid] <= 1e-9).all()
+
+    point = Position(s2.x + t * (s2.x - s1.x), s2.y + t * (s2.y - s1.y))
+    touch = [distance(point, sc.enb) + distance(point, s) for s in (s1, s2)]
+    D = np.concatenate([compose_D(tuple(deltas[:, :2].T), (s1, s2), sc),
+                        touch + rng.uniform(-5e-6, 5e-6, (100, 2))])
+    toa = solve_toa_batch((s1, s2), D, sc.enb, sc.band)
+    assert_norm(toa, [D[:, k, None] - to(sc.enb, toa.u) - to(s, toa.u)
+                      for k, s in enumerate((s1, s2))])
+    for n in (3, 4):
+        pairs = [form_tdoa(deltas[:, 0], deltas[:, k], s1, sc.sniffers[k], sc.enb)
+                 for k in range(1, n)]
+        tdoa = solve_constrained_batch(build_system(pairs), s1, sc.band, sc.enb)
+        assert_norm(tdoa, [p.delta_d[:, None] - (to(p.other_sniffer, tdoa.u) - to(s1, tdoa.u))
+                           for p in pairs])
+
+
 def test_collinear_mirror_pairs_are_kept_or_refused_together():
     """Stations on one line give each sample's two crossings as a mirror pair about
     it: both candidates share their range (to 1e-12 relative), residual (to

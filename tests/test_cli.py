@@ -892,7 +892,8 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_report_loads_neither_numpy_nor_yaml(tmp_path):
-    """``report`` reads CSV files and prints quantiles, so it pays for neither import."""
+    """``report`` reads CSV files and prints quantiles, so it pays for neither import,
+    nor for ``dataclasses`` and the ``inspect`` it loads."""
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for path in paths:
         path.write_text(f"{ESTIMATES_HEADER}\n0,1,2,3.0,4.0,5.0,1.5,ok\n1,1,3,3.0,4.0,5.0,2.5,ok\n")
@@ -900,7 +901,7 @@ def test_report_loads_neither_numpy_nor_yaml(tmp_path):
         import sys
         from dualsniff import cli
         rc = cli.main(["report", *sys.argv[1:]])
-        print(rc, sorted({"numpy", "yaml"} & set(sys.modules)))
+        print(rc, sorted({"numpy", "yaml", "dataclasses", "inspect"} & set(sys.modules)))
         """, *map(str, paths))
     assert out.splitlines()[-1] == "0 []"
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -213,6 +214,24 @@ def test_simulate_capture_deterministic_per_seed():
     c = simulate_capture(sc, other, CaptureSpec(subframes=40))
     assert all((a.sniffer_log(k)["dl_ul_delta"] != c.sniffer_log(k)["dl_ul_delta"]).any()
                for k in (0, 1))
+
+
+def test_simulate_capture_holds_its_delta_block_once():
+    """Each device's draw goes straight into the (subframes, devices, sniffers) block,
+    so 20 000 subframes of four devices peak below 1.5 blocks, not at the two that
+    stacking the draws would hold."""
+    sc = _square_scenario()
+    cfg = ClockConfig.for_scenario(sc, sniffer_noise_sigma=3e-8, rng_seed=5)
+    spec = CaptureSpec(subframes=20_000)
+    simulate_capture(sc, cfg, replace(spec, subframes=10), decoys=3)  # warm up numpy's caches
+    tracemalloc.start()
+    try:
+        capture = simulate_capture(sc, cfg, spec, decoys=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = capture.dl_ul_delta.nbytes
+    assert capture.dl_ul_delta.shape == (20_000, 4, 2) and peak < 1.5 * block
 
 
 def test_relocation_switches_position_mid_capture():
