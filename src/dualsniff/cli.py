@@ -47,8 +47,7 @@ def _load() -> None:
     """Bind every name of ``_LAZY``, keeping a binding already set (a tracer's wrapper)."""
     for module, names in _LAZY.items():
         mod = import_module(f".{module}", __package__)
-        for name in names:
-            globals().setdefault(name, getattr(mod, name))
+        globals().update({name: getattr(mod, name) for name in names if name not in globals()})
 
 
 def __getattr__(name: str):
@@ -175,9 +174,10 @@ def _locate_toa(setup: "ExperimentSetup", files: Sequence[str], rnti: int) -> tu
     for samples, *sniffers in _configurations(setup, files, rnti):
         D = compose_D((samples["delta_a"] * 1e-6, samples["delta_b"] * 1e-6), sniffers, scenario)
         sol = solve_toa_batch(sniffers, D, scenario.enb, scenario.band)
+        failures = [sol.failure(i) if code else None for i, code in enumerate(sol.code.tolist())]
         for column, part in zip(columns, (
                 samples["frame"].tolist(), samples["subframe"].tolist(), sol.status.tolist(),
-                sol.chosen(sol.u).tolist(), [sol.failed.get(i) for i in range(len(samples))])):
+                sol.chosen(sol.u).tolist(), failures)):
             column += part
     return columns
 

@@ -6,7 +6,7 @@ times in seconds.  Microseconds appear only in the sniffer log format.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -114,17 +114,12 @@ class Scenario:
         return ta_band(self.ta_index)
 
 
-#: The failed samples of a batch solve: sample -> the exception of its failure.
-Failed = Dict[int, LocalizationError]
+#: A batch solve's failures, one reason per stage in the order the stages run: the mask of
+#: the samples the stage fails, their exception type, and a function building sample i's.
+Reasons = List[Tuple[np.ndarray, type, Callable[[int], LocalizationError]]]
 
 
-def fail(failed: Failed, rows: np.ndarray, error: Callable[[int], LocalizationError]) -> None:
-    """Fail the samples of the mask ``rows`` with ``error(i)``, unless they failed already."""
-    for i in rows.nonzero()[0].tolist():
-        failed.setdefault(i, error(i))
-
-
-def eliminate(A, g: np.ndarray, h: np.ndarray, anchor: Position, failed: Failed
+def eliminate(A, g: np.ndarray, h: np.ndarray, anchor: Position, reasons: Reasons
               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the rows A u + g_i r = h_i of N samples together with r = |u - anchor|.
 
@@ -156,8 +151,8 @@ def eliminate(A, g: np.ndarray, h: np.ndarray, anchor: Position, failed: Failed
         m0, m1 = a1 * g1 - b1 * g0, b0 * g0 - a0 * g1  # and det, its range component
         mm = m0 * m0 + m1 * m1 + det * det
         f = a0 * a0 + a1 * a1 + g0 * g0 + b0 * b0 + b1 * b1 + g1 * g1
-        fail(failed, ~(mm * CONDITION_LIMIT ** 2 > f * f)[:, 0],
-             lambda i: DegenerateGeometry("the two rows are dependent"))
+        reasons.append((~(mm * CONDITION_LIMIT ** 2 > f * f)[:, 0], DegenerateGeometry,
+                        lambda i: DegenerateGeometry("the two rows are dependent")))
         v0, v1, v2 = h1 * a0 - h0 * b0, h1 * a1 - h0 * b1, h1 * g0 - h0 * g1
         x0, y0, r0 = (m1 * v2 - det * v1) / mm, (det * v0 - m0 * v2) / mm, (m0 * v1 - m1 * v0) / mm
         norm = np.sqrt(mm)
@@ -191,8 +186,8 @@ class Solutions:
     Sample i offers candidate k at ``u[i, k]`` where ``valid[i, k]``: its
     range ``r[i, k]`` to the elimination anchor, ``residual[i, k]``, the miss
     of the unsquared equations in meters, and ``clean[i, k]``, set on the
-    true branch of every equation.  ``pick[i]`` is the chosen candidate and
-    ``failed`` holds the exception of every failed sample.
+    true branch of every equation.  ``pick[i]`` is the chosen candidate;
+    ``code[i]`` is 0, or k + 1 when ``reasons[k]`` is the first stage to fail it.
     """
 
     u: np.ndarray
@@ -201,7 +196,8 @@ class Solutions:
     valid: np.ndarray
     clean: np.ndarray
     pick: np.ndarray
-    failed: Failed
+    code: np.ndarray
+    reasons: Reasons
 
     def chosen(self, values: np.ndarray) -> np.ndarray:
         """The chosen candidate's entry of a per-candidate array, one per sample."""
@@ -209,19 +205,21 @@ class Solutions:
 
     @property
     def status(self) -> np.ndarray:
-        """Each sample's status code: ``ok`` or the name of its failure's exception."""
-        status = np.full(len(self.pick), "ok", dtype=object)
-        status[list(self.failed)] = [type(e).__name__ for e in self.failed.values()]
-        return status
+        """Each sample's status: ``ok`` or the name of its failure's exception type."""
+        return np.array(["ok", *(e.__name__ for _, e, _ in self.reasons)], object)[self.code]
+
+    def failure(self, i: int) -> Optional[LocalizationError]:
+        """The exception of sample ``i``'s failure, built anew; None if it solved."""
+        return self.reasons[self.code[i] - 1][2](i) if self.code[i] else None
 
     def check(self, i: int) -> None:
-        """Raise the failure of sample ``i``, if it failed, with a fresh traceback."""
-        if i in self.failed:
-            raise self.failed[i].with_traceback(None)
+        """Raise the failure of sample ``i``, if it failed."""
+        if self.code[i]:
+            raise self.failure(i)
 
 
 def choose_candidate(u: np.ndarray, r: np.ndarray, residual: np.ndarray, valid: np.ndarray,
-                     clean: np.ndarray, failed: Failed, enb: Position,
+                     clean: np.ndarray, reasons: Reasons, enb: Position,
                      band: Tuple[float, float]) -> Solutions:
     """Pick each sample's physical candidate with the timing-advance band.
 
@@ -230,8 +228,8 @@ def choose_candidate(u: np.ndarray, r: np.ndarray, residual: np.ndarray, valid: 
     band wins, ties going to the smaller residual; with no clean candidate
     either, the smallest residual does; then the lower column.  Two clean
     in-band candidates farther apart than ``AMBIGUITY_SEPARATION`` fail the
-    sample with AmbiguousSolution.  The arrays are those of ``Solutions``,
-    with the two candidate columns that ``eliminate`` gives.
+    sample with AmbiguousSolution, the last of ``reasons``.  The arrays are
+    those of ``Solutions``, with the two candidate columns of ``eliminate``.
     """
     lo, hi = band
     d = np.hypot(u[..., 0] - enb.x, u[..., 1] - enb.y)
@@ -240,8 +238,11 @@ def choose_candidate(u: np.ndarray, r: np.ndarray, residual: np.ndarray, valid: 
     gap = np.where(tier == 1, np.maximum(lo - d, d - hi), 0.0)
     sure = in_band & clean
     spread = np.where(sure[:, 0] & sure[:, 1], np.hypot(*(u[:, 0] - u[:, 1]).T), 0.0)
-    fail(failed, spread > AMBIGUITY_SEPARATION, lambda i: AmbiguousSolution(
+    reasons.append((spread > AMBIGUITY_SEPARATION, AmbiguousSolution, lambda i: AmbiguousSolution(
         f"{np.count_nonzero(sure[i])} in-band candidates separated by {spread[i]:.2f} m",
-        candidates=[Position(x, y) for x, y in u[i][valid[i] & clean[i]].tolist()]))
+        candidates=[Position(x, y) for x, y in u[i][valid[i] & clean[i]].tolist()])))
+    code = np.zeros(len(u), np.int8)
+    for k in range(len(reasons), 0, -1):  # the first stage to fail a sample names it
+        code[reasons[k - 1][0]] = k
     return Solutions(u, r, residual, valid, clean, np.lexsort((residual, gap, tier))[:, 0],
-                     failed)
+                     code, reasons)

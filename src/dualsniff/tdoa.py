@@ -19,8 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InfeasibleObservation, MixedReference, NoRealRoot, RankDeficient
-from .geometry import (CONDITION_LIMIT, SPEED_OF_LIGHT, VERTEX_TOL, Failed, Position, Scenario,
-                       Solutions, choose_candidate, distance, eliminate, fail)
+from .geometry import (CONDITION_LIMIT, SPEED_OF_LIGHT, VERTEX_TOL, Position, Reasons, Scenario,
+                       Solutions, choose_candidate, distance, eliminate)
 
 #: Hard reject for range differences, in units of the sniffer baseline.
 BASELINE_REJECT_FACTOR = 3.0
@@ -138,40 +138,38 @@ def solve_constrained_batch(system: LinearSystem, ref_sniffer: Position,
     """
     P, n = system.P, len(system.P)
     dd, h = np.atleast_2d(system.dd, system.h)
-    failed: Failed = {}
     baseline = np.hypot(P[:, 0], P[:, 1])
     far = np.abs(dd) > BASELINE_REJECT_FACTOR * baseline
-    fail(failed, np.logical_or.reduce(far, axis=1), lambda i: InfeasibleObservation(
+    reasons: Reasons = [(far.any(axis=1), InfeasibleObservation, lambda i: InfeasibleObservation(
         f"|range difference| {abs(dd[i][far[i]][0]):.1f} m exceeds {BASELINE_REJECT_FACTOR:g}x "
-        f"the sniffer baseline {baseline[far[i]][0]:.1f} m"))
+        f"the sniffer baseline {baseline[far[i]][0]:.1f} m"))]
     A, g = P.tolist(), dd
     if n > 2:  # the normal equations P^T P u + P^T dd r = P^T h, summed element-wise per sample
         A, g, h = (P.T @ P).tolist(), *(sum(v[:, k, None] * p for k, p in enumerate(P))
                                         for v in (dd, h))
-    u, d, vertex = eliminate(A, g, h, ref_sniffer, failed)
+    u, d, vertex = eliminate(A, g, h, ref_sniffer, reasons)
     # ``range_difference_residual`` over the rows' pairs, s_k = s_1 + P_k
     x, y, s1 = u[..., 0, None], u[..., 1, None], ref_sniffer
     miss = dd[:, None] - (np.hypot(x - (s1.x + P[:, 0]), y - (s1.y + P[:, 1]))
                           - np.hypot(x - s1.x, y - s1.y))
     residual = np.sqrt(np.add.reduce(miss * miss, axis=2))
     valid = ~np.isnan(residual) & (~vertex[:, None] | (residual <= VERTEX_TOL))
-    fail(failed, ~np.logical_or.reduce(valid, axis=1),
-         lambda i: NoRealRoot("no non-negative reference range solves the quadratic"))
+    reasons.append((~np.logical_or.reduce(valid, axis=1), NoRealRoot, lambda i: NoRealRoot(
+        "no non-negative reference range solves the quadratic")))
     ghost = np.minimum(0.0, d[:, :, None] + dd[:, None])
     clean = valid & (2.0 * np.sqrt(np.add.reduce(ghost * ghost, axis=2)) <= BRANCH_TOL)
     if n > 2:
         clean &= np.arange(2) == np.where(clean, residual, np.inf).argmin(axis=1)[:, None]
     residual[~valid] = np.inf
-    return choose_candidate(u, d, residual, valid, clean, failed, enb, band)
+    return choose_candidate(u, d, residual, valid, clean, reasons, enb, band)
 
 
 def _estimates(sol: Solutions, n_rows: int) -> List[Optional[TdoaEstimate]]:
     """The estimate of every solved sample, None for a failed one."""
     method = "constrained-least-squares" if n_rows > 2 else "constrained-elimination"
-    return [None if i in sol.failed else TdoaEstimate(Position(x, y), d, resid, method)
-            for i, ((x, y), d, resid) in enumerate(zip(sol.chosen(sol.u).tolist(),
-                                                       sol.chosen(sol.r).tolist(),
-                                                       sol.chosen(sol.residual).tolist()))]
+    return [None if code else TdoaEstimate(Position(x, y), d, resid, method)
+            for code, (x, y), d, resid in zip(sol.code.tolist(), *(
+                sol.chosen(v).tolist() for v in (sol.u, sol.r, sol.residual)))]
 
 
 def solve_constrained(system: LinearSystem, ref_sniffer: Position,
@@ -235,5 +233,5 @@ def estimate_tdoa(matched_sets: Sequence[np.ndarray],
     pairs = [form_tdoa(s["delta_a"][:n] * 1e-6, s["delta_b"][:n] * 1e-6, ref_sniffer, other,
                        scenario.enb) for s, other in zip(matched_sets, other_positions)]
     sol = solve_constrained_batch(build_system(pairs), ref_sniffer, scenario.band, scenario.enb)
-    return [SampleOutcome(est, status, str(sol.failed.get(i, ""))) for i, (status, est)
+    return [SampleOutcome(est, status, "" if est else str(sol.failure(i))) for i, (status, est)
             in enumerate(zip(sol.status.tolist(), _estimates(sol, len(pairs))))]

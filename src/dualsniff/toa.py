@@ -18,8 +18,8 @@ import numpy as np
 # ``toa.ellipse_scan`` by name.
 from ._kernels import ellipse_scan  # noqa: F401
 from .errors import InfeasibleObservation, NoIntersection
-from .geometry import (SPEED_OF_LIGHT, VERTEX_TOL, Failed, Position, Scenario, Solutions,
-                       choose_candidate, distance, eliminate, fail)
+from .geometry import (SPEED_OF_LIGHT, VERTEX_TOL, Position, Reasons, Scenario, Solutions,
+                       choose_candidate, distance, eliminate)
 from .tdoa import rows
 from .timing import ta_seconds
 
@@ -65,23 +65,24 @@ def solve_toa_batch(sniffers: Sequence[Position], D, enb: Position,
         raise ValueError(f"need two sniffers and range-sums D of shape (N, 2), or (2,) for one "
                          f"sample; got {len(sniffers)} sniffers and D of shape {D.shape}")
     D = np.atleast_2d(D)
-    failed: Failed = {}
-    for k, s in enumerate(sniffers):
-        d_focal = distance(enb, s)
-        fail(failed, ~(D[:, k] >= d_focal),
-             lambda i: InfeasibleObservation(f"observation {k + 1}: range-sum {D[i, k]:.3f} m "
-                                             f"is below the focal distance {d_focal:.3f} m"))
+    d_focal = np.array([distance(enb, s) for s in sniffers])
+    short = ~(D >= d_focal)
+    first = short.argmax(axis=1)  # a sample's first short observation names its failure
+    reasons: Reasons = [(short.any(axis=1), InfeasibleObservation, lambda i: InfeasibleObservation(
+        f"observation {first[i] + 1}: range-sum {D[i, first[i]]:.3f} m is below the focal "
+        f"distance {d_focal[first[i]]:.3f} m"))]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         system = rows(enb, sniffers, -D)
-        u, r, vertex = eliminate(system.P, system.dd, system.h, enb, failed)
+        u, r, vertex = eliminate(system.P, system.dd, system.h, enb, reasons)
         to_enb = np.hypot(u[..., 0] - enb.x, u[..., 1] - enb.y)
         residual = np.hypot(*(to_enb + np.hypot(u[..., 0] - s.x, u[..., 1] - s.y) - D[:, k, None]
                               for k, s in enumerate(sniffers)))
         valid = ((np.minimum(D[:, :1], D[:, 1:]) - r >= -CROSSING_TOL)
                  & (~vertex[:, None] | (residual <= VERTEX_TOL)) & np.isfinite(u).all(axis=2))
     residual[~valid] = math.inf
-    fail(failed, ~valid[:, 0], lambda i: NoIntersection("ellipses do not intersect"))
-    return choose_candidate(u, r, residual, valid, valid, failed, enb, band)
+    reasons.append((~valid[:, 0], NoIntersection,
+                    lambda i: NoIntersection("ellipses do not intersect")))
+    return choose_candidate(u, r, residual, valid, valid, reasons, enb, band)
 
 
 def solve_toa(sniffers: Sequence[Position], D, enb: Position,

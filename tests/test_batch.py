@@ -1,16 +1,18 @@
 """Properties of the batch solvers: a batch is its samples solved one by one,
 the estimates move with the scene, a two-row answer is a crossing, and a
-collinear layout's mirror candidates are kept or refused together."""
+collinear layout's mirror candidates are kept or refused together, and a
+failure is built only when it is asked for."""
 
 import math
 from dataclasses import astuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from dualsniff.errors import LocalizationError
+from dualsniff.errors import DegenerateGeometry, InfeasibleObservation, LocalizationError
 from dualsniff.geometry import (AMBIGUITY_SEPARATION, TA_BAND_M, VERTEX_TOL, Position, Scenario,
                                 distance, ta_band)
 from dualsniff.tdoa import (TdoaPair, build_system, form_tdoa, rows, solve_constrained,
@@ -132,7 +134,7 @@ def test_batches_of_no_samples_solve_to_no_solutions():
                                     ref, band, enb) for n in (2, 3)]
     sols.append(solve_toa_batch(others[:2], np.zeros((0, 2)), enb, band))
     for sol in sols:
-        assert (sol.u.shape, sol.pick.shape, sol.failed) == ((0, 2, 2), (0,), {})
+        assert (sol.u.shape, sol.pick.shape, sol.code.shape) == ((0, 2, 2), (0,), (0,))
         assert sol.status.tolist() == [] and sol.chosen(sol.u).shape == (0, 2)
 
 
@@ -295,3 +297,68 @@ def test_dependent_rows_fail_only_their_sample():
     assert _batch(sol) == alone
     assert sol.status.tolist() == ["AmbiguousSolution", "DegenerateGeometry",
                                    "AmbiguousSolution", "AmbiguousSolution"]
+
+
+def _count_exceptions(monkeypatch):
+    """The list that every ``LocalizationError`` built from now on is appended to."""
+    built, init = [], LocalizationError.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+    monkeypatch.setattr(LocalizationError, "__init__", counting)
+    return built
+
+
+def test_a_batch_solve_builds_no_exception_per_failed_sample(monkeypatch):
+    """Solving 10 000 failing samples and reading their statuses builds at most one
+    exception per failure reason; ``check(i)`` then builds sample i's alone."""
+    ref, enb, band, n = Position(0, 50), Position(0, 0), (0.0, 78.12), 10_000
+    line = [Position(60, 50), Position(90, 50), Position(-40, 50)]  # collinear with ref
+    dd = np.random.default_rng(3).normal(0.0, 20.0, (n, 3))  # within 3 baselines
+    s1, s2 = Position(109.7, 0), Position(0, 139.5)
+    built = _count_exceptions(monkeypatch)
+    tdoa = solve_constrained_batch(build_system([TdoaPair(ref, o, d) for o, d in zip(line, dd.T)]),
+                                   ref, band, enb)
+    toa = solve_toa_batch((s1, s2), np.full((n, 2), 100.0), enb, band)
+    assert tdoa.status.tolist() == ["DegenerateGeometry"] * n
+    assert toa.status.tolist() == ["InfeasibleObservation"] * n
+    assert len(built) <= 2 * 4  # at most one per failure reason, four in each solve
+    del built[:]
+    with pytest.raises(DegenerateGeometry, match="^the two rows are dependent$"):
+        tdoa.check(7)
+    assert len(built) == 1
+    with pytest.raises(InfeasibleObservation) as exc:
+        toa.check(9)
+    assert str(exc.value) == ("observation 1: range-sum 100.000 m is below the focal "
+                              "distance 109.700 m")
+    assert len(built) == 2
+
+
+def test_a_failure_names_its_observation_and_its_first_failing_stage():
+    """A range-sum short at one sniffer names that sniffer's observation, one short
+    at both names the first; a range difference both beyond the baseline and on a
+    collinear layout fails the earlier stage, InfeasibleObservation."""
+    enb, s1, s2, truth = Position(0, 0), Position(109.7, 0), Position(0, 139.5), Position(80, 82.2)
+    D = [[100.0, 200.0], [200.0, 130.0], [101.5, 120.25],
+         [distance(truth, enb) + distance(truth, s) for s in (s1, s2)]]
+    toa = solve_toa_batch((s1, s2), D, enb, ta_band(1))
+    assert toa.status.tolist() == ["InfeasibleObservation"] * 3 + ["ok"]
+    messages = []
+    for i in range(3):
+        with pytest.raises(InfeasibleObservation) as exc:
+            toa.check(i)
+        messages.append(str(exc.value))
+    assert messages == [
+        "observation 1: range-sum 100.000 m is below the focal distance 109.700 m",
+        "observation 2: range-sum 130.000 m is below the focal distance 139.500 m",
+        "observation 1: range-sum 101.500 m is below the focal distance 109.700 m"]
+    assert toa.failure(3) is None
+    toa.check(3)
+    ref, line = Position(0, 50), [Position(60, 50), Position(90, 50), Position(-40, 50)]
+    dd = np.array([[200.0, 0.0, 0.0], [10.0, 5.0, -3.0]])
+    tdoa = solve_constrained_batch(build_system([TdoaPair(ref, o, d) for o, d in zip(line, dd.T)]),
+                                   ref, (0.0, 78.12), enb)
+    assert tdoa.status.tolist() == ["InfeasibleObservation", "DegenerateGeometry"]
+    assert str(tdoa.failure(0)) == ("|range difference| 200.0 m exceeds 3x the sniffer "
+                                    "baseline 60.0 m")

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import os
@@ -949,6 +950,59 @@ relocations:
   - {sniffer: 2, at_subframe: 30, to: [154.0, 40.0]}
   - {sniffer: 2, at_subframe: 60, to: [60.0, 170.0]}
 """
+
+def _pipeline(tmp_path, doc, name):
+    """``simulate`` then ``locate`` of both schemes, every pair, for the config ``doc``:
+    each scheme's (status, (x, y) or None) per estimates row."""
+    cfg, out = tmp_path / f"{name}.yaml", tmp_path / name
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+    logs = [str(out / f"sn{k}_cfg{j}.log") for j in (1, 2, 3) for k in (1, 2)]
+    rows = {}
+    for scheme in ("toa", "tdoa"):
+        assert main(["locate", "--config", str(cfg), "--scheme", scheme, "--rnti", "7423",
+                     "--out-dir", str(out), *logs]) == EXIT_OK
+        rows[scheme] = [(r[7], (float(r[3]), float(r[4])) if r[7] == "ok" else None) for r in
+                        (line.split(",") for line in
+                         (out / f"estimates_{scheme}.csv").read_text().splitlines()[1:])]
+    return rows
+
+
+def _largest_move(before, after, move=lambda xy: xy):
+    """The largest distance from ``move`` of an estimate in ``before`` to its row in ``after``;
+    the two must agree on every row's status."""
+    assert [status for status, _ in before] == [status for status, _ in after]
+    return max(math.dist(move(xy), uv) for (_, xy), (_, uv) in zip(before, after) if xy)
+
+
+def test_pipeline_estimates_move_with_the_scene_and_ignore_the_device_clock(tmp_path, capsys):
+    """``simulate`` then ``locate`` of 300 noisy subframes: rotating and shifting the
+    whole scene keeps every status and moves every estimate with it, in both schemes;
+    the device's clock error cancels in the range differences, so no TDoA estimate moves."""
+    doc = yaml.safe_load(CHANGEOVER_CONFIG)
+    doc["capture"]["subframes"] = 300
+    for r, at in zip(doc["relocations"], (100, 200)):
+        r["at_subframe"] = at
+    c, s, (dx, dy) = math.cos(0.7), math.sin(0.7), (1000.0, -500.0)
+
+    def move(p):
+        return [c * p[0] - s * p[1] + dx, s * p[0] + c * p[1] + dy]
+    turned = copy.deepcopy(doc)
+    scene = turned["scenario"]
+    scene["enb"], scene["ue_truth"] = move(scene["enb"]), move(scene["ue_truth"])
+    scene["sniffers"] = [move(p) for p in scene["sniffers"]]
+    for r in turned["relocations"]:
+        r["to"] = move(r["to"])
+    base, rotated = _pipeline(tmp_path, doc, "base"), _pipeline(tmp_path, turned, "rotated")
+    doc["clock"]["ue_hw_error"] = 0.0
+    no_clock_error = _pipeline(tmp_path, doc, "no_clock_error")
+    assert [len(base[scheme]) for scheme in ("toa", "tdoa")] == [300, 100]
+    assert {status for status, _ in base["toa"]} == {"ok", "AmbiguousSolution"}
+    for scheme in ("toa", "tdoa"):
+        assert _largest_move(base[scheme], rotated[scheme], move) <= 1e-6
+    assert _largest_move(base["tdoa"], no_clock_error["tdoa"]) <= 1e-6
+    capsys.readouterr()
+
 
 #: sha256 of every output of ``test_outputs_match_the_record_wise_pipeline``,
 #: as written by the pipeline that built one record object per log line;

@@ -84,7 +84,7 @@ def _choose(cands, band):
     residual = np.array([[e for _, e, _ in cands]])
     clean = np.array([[c for _, _, c in cands]])
     sol = choose_candidate(u, np.zeros_like(residual), residual, np.ones_like(clean), clean,
-                           {}, Position(0, 0), band)
+                           [], Position(0, 0), band)
     sol.check(0)
     return cands[sol.pick[0]]
 
