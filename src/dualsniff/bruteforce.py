@@ -11,7 +11,7 @@ any cell bound.  Otherwise a cell is dropped once a lower bound on the cost
 anywhere in it reaches the incumbent, and each round halves the rest twice,
 into 4 x 4 children, until the incumbent is within ``CERT_TOL`` of the least
 bound: the returned cost is the global minimum over the annulus to that
-tolerance.  The search shares no algebra with the solvers it audits.
+tolerance.  The search and its cost share no algebra with the solvers it audits.
 """
 
 import functools
@@ -23,8 +23,8 @@ import numpy as np
 # Not called here: kept importable for the benchmark tracer, which wraps
 # ``bruteforce.annulus_grid_min`` by name.
 from ._kernels import annulus_grid_min  # noqa: F401
-from .geometry import Position
-from .tdoa import TdoaPair, range_difference_residual
+from .geometry import Position, distance
+from .tdoa import TdoaPair
 
 #: Step of the grid oracle this search replaced, m: only the benchmark's ``grid_points`` reads it.
 GRID_STEP = 0.05
@@ -51,7 +51,8 @@ _CHILD_RHO, _CHILD_TH = np.repeat(np.arange(4) - 1.5, 4), np.tile(np.arange(4) -
 
 def pair_cost(u: Position, pairs: Sequence[TdoaPair]) -> float:
     """Sum of squared range-difference misses at ``u``, m^2."""
-    return range_difference_residual(u, pairs) ** 2
+    return sum((p.delta_d - (distance(u, p.other_sniffer) - distance(u, p.ref_sniffer))) ** 2
+               for p in pairs)
 
 
 def _lower_bound(rho, d_rho, d_th, x, y, dx, dy, d, m, cost):

@@ -229,8 +229,10 @@ def choose_candidate(u: np.ndarray, r: np.ndarray, residual: np.ndarray, valid: 
     either, the smallest residual does; then the lower column.  Two clean
     in-band candidates farther apart than ``AMBIGUITY_SEPARATION`` fail the
     sample with AmbiguousSolution, the last of ``reasons``.  The arrays are
-    those of ``Solutions``, with the two candidate columns of ``eliminate``.
+    those of ``Solutions``, with the two candidate columns of ``eliminate``;
+    an invalid candidate's residual is set to inf.
     """
+    residual[~valid] = math.inf
     lo, hi = band
     d = np.hypot(u[..., 0] - enb.x, u[..., 1] - enb.y)
     in_band = valid & (lo <= d) & (d < hi)

@@ -8,11 +8,12 @@ reference range d_UE,1 as a third unknown makes the system linear in
 
 For any number of pairs the geometric relation d_UE,1 = |u - s_1| closes
 the system: the (least-squares) position is an affine function of the
-reference range, and consistency yields a quadratic.  The free-range normal
-equations remain only as the paper's unconstrained least-squares baseline.
+reference range, and consistency yields a quadratic.  ``solve_rows``, that
+solve with its scoring, serves the range sums (ToA) too, with the sign of the
+reference term flipped.  The free-range normal equations remain only as the
+paper's unconstrained least-squares baseline.
 """
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -110,57 +111,60 @@ def build_system(pairs: Sequence[TdoaPair]) -> LinearSystem:
     return rows(ref, [p.other_sniffer for p in pairs], np.array([p.delta_d for p in pairs]).T)
 
 
-def range_difference_residual(u: Position, pairs: Sequence[TdoaPair]) -> float:
-    """Euclidean norm of the nonlinear range-difference misses at ``u``, meters."""
-    total = 0.0
-    for p in pairs:
-        miss = p.delta_d - (distance(u, p.other_sniffer) - distance(u, p.ref_sniffer))
-        total += miss * miss
-    return math.sqrt(total)
+def solve_rows(system: LinearSystem, anchor: Position, sign: float, reasons: Reasons
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Solve every sample's rows with r = |u - anchor|: the core of both schemes.
+
+    Range differences pass ``sign`` +1, range sums (dd = -D about the eNb) -1.
+    More rows than two are reduced to their normal equations (the first step
+    of Chan & Ho 1994) for ``geometry.eliminate``.  Station s_k = anchor + P_k
+    misses by dd_k - (sign |u - s_k| - |u - anchor|), unsquared; the residual
+    is the norm of the misses.  Returns ``(u, r, residual, valid)``: valid
+    where the residual is a number, and at the vertex (a double root that
+    rounding split) only if it is at most ``VERTEX_TOL``.
+    """
+    P, (dd, h) = system.P, np.atleast_2d(system.dd, system.h)
+    A, g = P.tolist(), dd
+    if len(P) > 2:  # the normal equations P^T P u + P^T dd r = P^T h, summed per sample
+        A, g, h = (P.T @ P).tolist(), *(sum(v[:, k, None] * p for k, p in enumerate(P))
+                                        for v in (dd, h))
+    u, r, vertex = eliminate(A, g, h, anchor, reasons)
+    # misses as (n, N, 2), station first: numpy's loops run over whole (N, 2) blocks
+    x, y = u[..., 0], u[..., 1]
+    sx, sy = (anchor.x + P[:, 0])[:, None, None], (anchor.y + P[:, 1])[:, None, None]
+    to_anchor = np.hypot(x - anchor.x, y - anchor.y)
+    miss = dd.T[:, :, None] - (sign * np.hypot(x - sx, y - sy) - to_anchor)
+    residual = np.sqrt(np.add.reduce(miss * miss, axis=0))
+    return u, r, residual, ~np.isnan(residual) & (~vertex[:, None] | (residual <= VERTEX_TOL))
 
 
 def solve_constrained_batch(system: LinearSystem, ref_sniffer: Position,
                             band: Tuple[float, float], enb: Position) -> Solutions:
-    """Solve n >= 2 rows per sample with d_UE,1 = |u - s_1| by reference-range elimination.
+    """Solve n >= 2 rows per sample with d_UE,1 = |u - s_1| through ``solve_rows``.
 
-    The samples share the position block ``system.P``, and more rows are first
-    reduced to its normal equations (the first step of Chan & Ho 1994).
-    ``geometry.eliminate`` fails a sample whose two rows are dependent with
-    DegenerateGeometry, as every sample of three or more collinear
-    configurations does; two collinear configurations give a mirror pair, as
-    in ToA.  The residual is ``range_difference_residual``.  A root is clean
-    on the true branch d + delta_d_k >= 0 for every k (squaring admits ghosts,
-    which miss by 2 |d + delta_d_k| with two rows), and with more rows only
-    if it has the least residual of those.  A vertex counts as a double root
-    if it misses by at most ``VERTEX_TOL``.  ``geometry.choose_candidate``
-    picks.  A sample fails InfeasibleObservation beyond
-    ``BASELINE_REJECT_FACTOR`` baselines, NoRealRoot without a root.
+    The samples share the position block ``system.P``.  ``geometry.eliminate``
+    fails a sample whose two rows are dependent with DegenerateGeometry, as
+    every sample of three or more collinear configurations does; two collinear
+    configurations give a mirror pair, as in ToA.  A valid root is clean on
+    the true branch d + delta_d_k >= 0 for every k (squaring admits ghosts,
+    which miss by 2 |d + delta_d_k| with two rows), and with more rows only if
+    it has the least residual of those.  ``geometry.choose_candidate`` picks.
+    A sample fails InfeasibleObservation beyond ``BASELINE_REJECT_FACTOR``
+    baselines, NoRealRoot without a valid root.
     """
-    P, n = system.P, len(system.P)
-    dd, h = np.atleast_2d(system.dd, system.h)
-    baseline = np.hypot(P[:, 0], P[:, 1])
+    dd = np.atleast_2d(system.dd)
+    baseline = np.hypot(system.P[:, 0], system.P[:, 1])
     far = np.abs(dd) > BASELINE_REJECT_FACTOR * baseline
     reasons: Reasons = [(far.any(axis=1), InfeasibleObservation, lambda i: InfeasibleObservation(
         f"|range difference| {abs(dd[i][far[i]][0]):.1f} m exceeds {BASELINE_REJECT_FACTOR:g}x "
         f"the sniffer baseline {baseline[far[i]][0]:.1f} m"))]
-    A, g = P.tolist(), dd
-    if n > 2:  # the normal equations P^T P u + P^T dd r = P^T h, summed element-wise per sample
-        A, g, h = (P.T @ P).tolist(), *(sum(v[:, k, None] * p for k, p in enumerate(P))
-                                        for v in (dd, h))
-    u, d, vertex = eliminate(A, g, h, ref_sniffer, reasons)
-    # ``range_difference_residual`` over the rows' pairs, s_k = s_1 + P_k
-    x, y, s1 = u[..., 0, None], u[..., 1, None], ref_sniffer
-    miss = dd[:, None] - (np.hypot(x - (s1.x + P[:, 0]), y - (s1.y + P[:, 1]))
-                          - np.hypot(x - s1.x, y - s1.y))
-    residual = np.sqrt(np.add.reduce(miss * miss, axis=2))
-    valid = ~np.isnan(residual) & (~vertex[:, None] | (residual <= VERTEX_TOL))
+    u, d, residual, valid = solve_rows(system, ref_sniffer, 1.0, reasons)
     reasons.append((~np.logical_or.reduce(valid, axis=1), NoRealRoot, lambda i: NoRealRoot(
         "no non-negative reference range solves the quadratic")))
     ghost = np.minimum(0.0, d[:, :, None] + dd[:, None])
     clean = valid & (2.0 * np.sqrt(np.add.reduce(ghost * ghost, axis=2)) <= BRANCH_TOL)
-    if n > 2:
+    if len(system.P) > 2:
         clean &= np.arange(2) == np.where(clean, residual, np.inf).argmin(axis=1)[:, None]
-    residual[~valid] = np.inf
     return choose_candidate(u, d, residual, valid, clean, reasons, enb, band)
 
 

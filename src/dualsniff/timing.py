@@ -197,7 +197,7 @@ class SimulatedCapture:
     def sniffer_log(self, k: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         """Sniffer ``k``'s entries of subframes ``start`` to ``stop`` - 1, by RNTI within each."""
         spec, devices = self.capture, self.dl_ul_delta.shape[1]
-        n = np.arange(spec.subframes)[start:stop]
+        n = np.arange(*slice(start, stop).indices(spec.subframes))  # the chunk's subframes only
         frame = (spec.start_frame % FRAME_WRAP + n // SUBFRAMES_PER_FRAME) % FRAME_WRAP
         log = np.empty(len(n) * devices, ENTRY)
         log["frame"] = np.repeat(frame, devices)

@@ -3,13 +3,13 @@
 Each sniffer's timing delta fixes the sum D_k of device-to-eNb and
 device-to-sniffer distances, an ellipse with foci at the eNb and that
 sniffer.  With r = |u - enb|, |u - s_k| = D_k - r squares to the row that
-``tdoa.rows`` gives with the eNb as reference and delta_d = -D_k, so the
-intersections come in closed form from ``geometry.eliminate``, collinear or not.
+``tdoa.rows`` gives with the eNb as reference and delta_d = -D_k, so
+``tdoa.solve_rows``, the solve core of both schemes, finds the intersections
+in closed form with the sign of the reference term flipped, collinear or not.
 Ellipses that do not cross give no answer.  The range-sums of N samples are
 one (N, 2) array, column k for sniffer k.
 """
 
-import math
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -18,9 +18,9 @@ import numpy as np
 # ``toa.ellipse_scan`` by name.
 from ._kernels import ellipse_scan  # noqa: F401
 from .errors import InfeasibleObservation, NoIntersection
-from .geometry import (SPEED_OF_LIGHT, VERTEX_TOL, Position, Reasons, Scenario, Solutions,
-                       choose_candidate, distance, eliminate)
-from .tdoa import rows
+from .geometry import (SPEED_OF_LIGHT, Position, Reasons, Scenario, Solutions, choose_candidate,
+                       distance)
+from .tdoa import rows, solve_rows
 from .timing import ta_seconds
 
 #: Rounding allowance of the true-branch test D_k - r >= 0, meters.
@@ -49,13 +49,11 @@ def solve_toa_batch(sniffers: Sequence[Position], D, enb: Position,
     """Intersect the range-sum ellipses of every sample: ``D`` is (N, 2), a row per
     sample and column k the range-sum of ``sniffers[k]``, or one sample's (2,).
 
-    The crossings are the roots of ``geometry.eliminate`` on the true branch
-    D_k - r >= 0 of both ellipses; a collinear layout gives a mirror pair of
-    equal range, residual and ``clean`` flag, which the band keeps together.
-    The residual is the norm of the two unsquared range-sum misses, as in
-    TDoA, and the elimination vertex counts only as a double root (a tangency
-    that rounding split) of residual at most ``VERTEX_TOL``: every valid
-    candidate is a crossing on the true branch, and clean.
+    The crossings are the valid roots of ``tdoa.solve_rows`` (sign -1, the
+    rows about the eNb with dd = -D) on the true branch D_k - r >= 0 of both
+    ellipses; a collinear layout gives a mirror pair of equal range, residual
+    and ``clean`` flag, which the band keeps together.  Every valid candidate
+    is thus a crossing on the true branch, and clean.
     ``geometry.choose_candidate`` picks.  A sample fails InfeasibleObservation
     for a range-sum below the focal distance, DegenerateGeometry for dependent
     rows and NoIntersection for ellipses that do not cross.
@@ -72,14 +70,8 @@ def solve_toa_batch(sniffers: Sequence[Position], D, enb: Position,
         f"observation {first[i] + 1}: range-sum {D[i, first[i]]:.3f} m is below the focal "
         f"distance {d_focal[first[i]]:.3f} m"))]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        system = rows(enb, sniffers, -D)
-        u, r, vertex = eliminate(system.P, system.dd, system.h, enb, reasons)
-        to_enb = np.hypot(u[..., 0] - enb.x, u[..., 1] - enb.y)
-        residual = np.hypot(*(to_enb + np.hypot(u[..., 0] - s.x, u[..., 1] - s.y) - D[:, k, None]
-                              for k, s in enumerate(sniffers)))
-        valid = ((np.minimum(D[:, :1], D[:, 1:]) - r >= -CROSSING_TOL)
-                 & (~vertex[:, None] | (residual <= VERTEX_TOL)) & np.isfinite(u).all(axis=2))
-    residual[~valid] = math.inf
+        u, r, residual, valid = solve_rows(rows(enb, sniffers, -D), enb, -1.0, reasons)
+        valid &= np.minimum(D[:, :1], D[:, 1:]) - r >= -CROSSING_TOL
     reasons.append((~valid[:, 0], NoIntersection,
                     lambda i: NoIntersection("ellipses do not intersect")))
     return choose_candidate(u, r, residual, valid, valid, reasons, enb, band)

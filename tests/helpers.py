@@ -112,6 +112,24 @@ def ellipse_residual(u_cand: Position, sniffer: Position, D: float, enb: Positio
     return distance(u_cand, enb) + distance(u_cand, sniffer) - D
 
 
+def inject_faults(log: np.ndarray, seed: int, drop: float = 0.0, shift: float = 0.0,
+                  jump: float = 0.0) -> np.ndarray:
+    """A faulty copy of a ``snifferlog.ENTRY`` log, as a live capture could give.
+
+    A share ``drop`` of the entries, chosen from ``seed``, is lost; a share
+    ``shift`` of the kept ones has its ``dl_ul_delta`` moved by ``jump``
+    microseconds, a gross timing error.  Each share is rounded to a count.
+    The kept entries stay in order.
+    """
+    rng = np.random.default_rng(seed)
+    keep = np.ones(len(log), bool)
+    keep[rng.choice(len(log), round(drop * len(log)), replace=False)] = False
+    faulty = log[keep]
+    faulty["dl_ul_delta"][rng.choice(len(faulty), round(shift * len(faulty)), replace=False)] \
+        += jump
+    return faulty
+
+
 MATCHED_HEADER = "frame,subframe,delta_a_us,delta_b_us"
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+import helpers
 from dualsniff import cli
 from dualsniff.cli import (ESTIMATES_HEADER, EXIT_CONFIG, EXIT_INPUT,
                            EXIT_NO_SAMPLES, EXIT_OK, main)
@@ -512,6 +513,63 @@ def test_locate_estimates_ignore_other_devices_lines(tmp_path, capsys):
         for name in (f"estimates_{scheme}.csv", f"report_{scheme}.txt"):
             assert (out / name).read_bytes() == (bare / name).read_bytes()
     capsys.readouterr()
+
+
+def test_the_fault_injector_drops_and_shifts_the_stated_shares(tmp_path):
+    out = _simulate(tmp_path, TOA_CONFIG.replace("subframes: 30", "subframes: 400"), "run")
+    log = _parse(out / "sn1_cfg1.log")[0]
+    faulty = helpers.inject_faults(log, seed=3, drop=0.05, shift=0.01, jump=-0.5)
+    assert np.array_equal(faulty, helpers.inject_faults(log, seed=3, drop=0.05, shift=0.01,
+                                                        jump=-0.5))
+    kept = np.isin(log["subframe"] + 10 * log["frame"], faulty["subframe"] + 10 * faulty["frame"])
+    assert len(faulty) == 380 and np.count_nonzero(kept) == 380
+    moved = log["dl_ul_delta"][kept] != faulty["dl_ul_delta"]
+    assert np.count_nonzero(moved) == 4
+    assert np.array_equal(faulty["dl_ul_delta"][moved], log["dl_ul_delta"][kept][moved] - 0.5)
+
+
+def test_lost_entries_lose_exactly_their_samples(tmp_path, capsys):
+    """Dropping 5 % of one sniffer's entries in configuration 1 costs ToA exactly the
+    samples of the keys that lost a target entry, and changes no other row but its number;
+    TDoA still solves, and names the samples that configuration 2 has left over."""
+    config = TDOA_CONFIG.replace("subframes: 30", "subframes: 400").replace(
+        "at_subframe: 15", "at_subframe: 200") + NOISY_CLOCK
+    out = _simulate(tmp_path, config, "run", extra=["--decoys", "2"])
+    names = [f"sn{k}_cfg{j}.log" for j in (1, 2) for k in (1, 2)]
+    faulty = tmp_path / "faulty"
+    faulty.mkdir()
+    for name in names:
+        (faulty / name).write_bytes((out / name).read_bytes())
+    log = _parse(out / "sn2_cfg1.log")[0]
+    kept = helpers.inject_faults(log, seed=11, drop=0.05)
+    (faulty / "sn2_cfg1.log").write_text(write_log(kept))
+
+    def key(entries):
+        target = filter_rnti(entries, 7423)
+        return set(zip(target["frame"].tolist(), target["subframe"].tolist()))
+    lost = key(log) - key(kept)
+    assert 0 < len(lost) < len(log) - len(kept) == 30  # some drops hit decoys' entries
+    rows = {}
+    for run in (out, faulty):
+        assert main(["locate", "--config", str(tmp_path / "exp.yaml"), "--scheme", "toa",
+                     "--rnti", "7423", "--out-dir", str(run),
+                     *(str(run / name) for name in names)]) == EXIT_OK
+        lines = (run / "estimates_toa.csv").read_text().splitlines()[1:]
+        rows[run] = {(int(f[1]), int(f[2])): ",".join(f[1:])
+                     for f in (line.split(",") for line in lines)}
+        assert len(rows[run]) == len(lines)  # one row per key
+    assert len(rows[out]) == 400
+    assert set(rows[out]) - set(rows[faulty]) == lost and set(rows[faulty]) <= set(rows[out])
+    assert all(rows[faulty][k] == rows[out][k] for k in rows[faulty])
+    capsys.readouterr()
+
+    assert main(["locate", "--config", str(tmp_path / "exp.yaml"), "--scheme", "tdoa",
+                 "--rnti", "7423", "--out-dir", str(faulty),
+                 *(str(faulty / name) for name in names)]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        f"configuration 2: {len(lost)} of 200 matched samples unused "
+        f"(the shortest configuration has {200 - len(lost)})\n")
+    assert len((faulty / "estimates_tdoa.csv").read_text().splitlines()) == 201 - len(lost)
 
 
 def test_locate_missing_config(tmp_path, capsys):

@@ -94,6 +94,21 @@ def test_the_package_issues_no_warnings():
     assert found == []
 
 
+def test_the_oracle_takes_only_the_pair_type_from_the_solvers():
+    """``bruteforce`` audits the solvers, so it computes its cost and searches on its own:
+    from ``toa`` and ``tdoa`` it imports only the ``TdoaPair`` input type."""
+    taken = []
+    for node in ast.walk(ast.parse((PACKAGE / "bruteforce.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [".".join(filter(None, (node.module, alias.name))) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        taken += [name for name in names if {"toa", "tdoa"} & set(name.split("."))]
+    assert taken == ["tdoa.TdoaPair"]
+
+
 def test_benchmark_entry_points_exist():
     """The benchmark's tracer and inputs still find every package name they use."""
     sys.path.insert(0, str(PERFBENCH))

@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 import helpers
 from dualsniff import tdoa
+from dualsniff.bruteforce import pair_cost
 from dualsniff.errors import (InfeasibleObservation, LocalizationError, MixedReference,
                               NoRealRoot, RankDeficient)
 from dualsniff.geometry import (AMBIGUITY_SEPARATION, SPEED_OF_LIGHT, Position, Scenario,
                                 distance, ta_band)
 from dualsniff.snifferlog import SAMPLE, match_records
-from dualsniff.tdoa import (LinearSystem, TdoaPair,
-                            build_system, estimate_tdoa, form_tdoa,
-                            range_difference_residual, solve_constrained,
-                            solve_constrained_batch, solve_normal_equations)
+from dualsniff.tdoa import (LinearSystem, TdoaPair, build_system, estimate_tdoa, form_tdoa,
+                            solve_constrained, solve_constrained_batch, solve_normal_equations)
 from dualsniff.timing import (CaptureSpec, ClockConfig, Relocation, quantize_ta, segments,
                               simulate_capture)
 
@@ -147,7 +146,7 @@ def test_constrained_least_squares_is_exact_without_noise(seed, n_configs):
 @given(seed=st.integers(0, 2 ** 32 - 1), n_configs=st.integers(3, 5))
 # 2.5314787375873764 against 2.5314787375873906 m: not equal bit for bit
 @example(seed=3248538, n_configs=5)
-def test_least_squares_residual_is_the_range_difference_residual(seed, n_configs):
+def test_least_squares_residual_is_the_root_pair_cost(seed, n_configs):
     rng = np.random.default_rng(seed)
     sc = helpers.draw_scenario(rng, n_sniffers=n_configs + 1)
     noisy = [TdoaPair(p.ref_sniffer, p.other_sniffer, p.delta_d + rng.normal(0.0, 2.0))
@@ -163,7 +162,7 @@ def test_least_squares_residual_is_the_range_difference_residual(seed, n_configs
             for (px, py), dd in zip(system.P.tolist(), system.dd.tolist())]
     # the same misses, summed as arrays or as scalars, round apart after d_k - d_1
     # cancels: by up to 583 ulps (7.1e-14 relative) in 3000 random draws
-    assert math.isclose(est.residual_norm, range_difference_residual(est.position, rows),
+    assert math.isclose(est.residual_norm, math.sqrt(pair_cost(est.position, rows)),
                         rel_tol=1e-12)
 
 
@@ -284,11 +283,11 @@ def test_constrained_no_real_root():
         solve_constrained(build_system(pairs), ref, (0.0, 78.12), Position(0, 0))
 
 
-def test_range_difference_residual_zero_at_truth():
+def test_root_pair_cost_zero_at_truth():
     sc = _tri_scenario()
     pairs = _pairs_for(sc)
-    assert range_difference_residual(sc.ue_truth, pairs) < 1e-9
-    assert range_difference_residual(Position(0, 0), pairs) > 1.0
+    assert math.sqrt(pair_cost(sc.ue_truth, pairs)) < 1e-9
+    assert math.sqrt(pair_cost(Position(0, 0), pairs)) > 1.0
 
 
 def test_normal_equations_three_rows():

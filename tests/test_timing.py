@@ -234,6 +234,29 @@ def test_simulate_capture_holds_its_delta_block_once():
     assert capture.dl_ul_delta.shape == (20_000, 4, 2) and peak < 1.5 * block
 
 
+def test_a_log_chunk_builds_only_its_own_subframes():
+    # the last 1000 subframes of the longest capture: 56 KB of entries, where numbering
+    # every subframe of the capture first takes 8 MB
+    capture = SimulatedCapture(CaptureSpec(subframes=MAX_SUBFRAMES),
+                               np.zeros((MAX_SUBFRAMES, 1, 2)))
+    tracemalloc.start()
+    try:
+        log = capture.sniffer_log(0, MAX_SUBFRAMES - 1000, MAX_SUBFRAMES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 1000 and log["frame"][-1] == 99_999 % 1024 and peak < 1 << 20
+
+
+@pytest.mark.parametrize("start, stop", [(0, None), (3, 7), (-4, None), (2, -3), (6, 2),
+                                         (-20, 50)])
+def test_a_log_chunk_is_that_slice_of_the_whole_log(start, stop):
+    delta = np.arange(10 * 2 * 3, dtype=float).reshape(10, 2, 3)
+    capture = SimulatedCapture(CaptureSpec(subframes=10, start_frame=1022), delta)
+    whole = capture.sniffer_log(1).reshape(10, 2)  # a row per subframe, a column per device
+    assert np.array_equal(capture.sniffer_log(1, start, stop), whole[start:stop].ravel())
+
+
 def test_relocation_switches_position_mid_capture():
     sc = _square_scenario()
     cfg = ClockConfig.for_scenario(sc)
