@@ -228,7 +228,7 @@ def _stats_cells(st) -> str:
 def _stats_table(errors: Sequence[float], metric: str) -> str:
     """Pre- and post-filter summary, one block of delimited text."""
     kept, removed = one_sigma_filter(errors)
-    whole, filtered = summarize(errors), summarize(kept)
+    whole, filtered = summarize(errors), summarize(kept.tolist())
     label = "position error vs ground truth" if metric == "position" \
         else "range error vs ground truth (distance to eNb)"
     out = [f"metric: {label}, meters",

@@ -3,11 +3,13 @@
 All samples are non-negative error magnitudes in meters.  Standard deviation
 is the population (divide-by-n) convention throughout, which keeps
 rmse^2 = mean^2 + std^2 an exact identity on every sample set.  The summary
-is plain floats in a ``NamedTuple``, so a caller that only summarizes loads
-neither numpy nor ``dataclasses``; the filter loads numpy and returns arrays.
+is plain floats in a ``NamedTuple`` whose sorted errors are the whole CDF, so
+a caller that only summarizes loads neither numpy nor ``dataclasses``; the
+filter loads numpy and returns arrays.
 """
 
 import math
+from itertools import repeat
 from typing import List, NamedTuple, Sequence, Tuple
 
 
@@ -22,15 +24,15 @@ class InvalidProbability(ValueError):
 class ErrorStats(NamedTuple):
     """Summary of one error-sample set.
 
-    ``cdf`` lists (error, probability) steps of the empirical CDF, sorted and
-    ending at probability 1.
+    ``errors`` holds the samples in ascending order; the empirical CDF steps
+    to (i + 1)/count at ``errors[i]``.
     """
 
     mean: float
     rmse: float
     std: float
     count: int
-    cdf: Tuple[Tuple[float, float], ...]
+    errors: Tuple[float, ...]
 
 
 def _as_samples(samples: Sequence[float]) -> List[float]:
@@ -38,7 +40,7 @@ def _as_samples(samples: Sequence[float]) -> List[float]:
         values = list(map(float, samples))
     except TypeError as exc:
         raise ValueError(f"samples must be a flat sequence of numbers: {exc}") from exc
-    if not all(0.0 <= v < math.inf for v in values):
+    if not (min(values, default=0.0) >= 0.0 and all(map(math.isfinite, values))):
         raise ValueError("samples must be finite and non-negative")
     return values
 
@@ -67,12 +69,11 @@ def summarize(samples: Sequence[float]) -> ErrorStats:
     if not values:
         raise EmptyInput("no samples to summarize")
     n = len(values)
-    mean = math.fsum(v / n for v in values)  # cannot overflow, unlike the sum
-    return ErrorStats(mean=mean,
-                      rmse=math.hypot(*values) / math.sqrt(n),
-                      std=math.hypot(*[v - mean for v in values]) / math.sqrt(n),
-                      count=n,
-                      cdf=tuple(zip(sorted(values), [i / n for i in range(1, n + 1)])))
+    mean = math.fsum(map(float.__truediv__, values, repeat(float(n))))  # cannot overflow, unlike the sum
+    std = math.hypot(*map(float.__sub__, values, repeat(mean))) / math.sqrt(n)
+    rmse = math.hypot(*values) / math.sqrt(n)
+    values.sort()
+    return ErrorStats(mean=mean, rmse=rmse, std=std, count=n, errors=tuple(values))
 
 
 def cdf_quantile(stats: ErrorStats, probability: float) -> float:
@@ -84,4 +85,4 @@ def cdf_quantile(stats: ErrorStats, probability: float) -> float:
     # tiny slack so p * n landing on an integer is not pushed up by float fuzz
     idx = math.ceil(probability * stats.count - 1e-9) - 1
     idx = min(max(idx, 0), stats.count - 1)
-    return stats.cdf[idx][0]
+    return stats.errors[idx]

@@ -28,6 +28,10 @@ MIN_TRIANGLE_AREA = 500.0
 #: Keep the device this far from TA band edges and from other nodes, m.
 BAND_MARGIN = 5.0
 NODE_MARGIN = 10.0
+#: Draws a rejection sampler makes before it fails.  The suite's seeds need at
+#: most 8 (draw_scenario), 13 (draw_solved_scenario) and 42 (draw_audited_instance
+#: and test_bruteforce's _noisy_pairs), so reaching the cap means a fault.
+MAX_DRAWS = 1000
 
 
 def _draw_position(rng) -> Position:
@@ -58,13 +62,14 @@ def _geometry_ok(enb, sniffers, ue) -> bool:
 def draw_scenario(rng, n_sniffers: int = 3) -> Scenario:
     """One random non-degenerate scenario with the eNb at the origin."""
     enb = Position(0.0, 0.0)
-    while True:
+    for _ in range(MAX_DRAWS):
         sniffers = tuple(_draw_position(rng) for _ in range(n_sniffers))
         ue = _draw_position(rng)
         if not _geometry_ok(enb, sniffers, ue):
             continue
         ta_index = quantize_ta(distance(enb, ue))[0]
         return Scenario(enb=enb, sniffers=sniffers, ue_truth=ue, ta_index=ta_index)
+    raise AssertionError(f"draw_scenario: no acceptable draw in MAX_DRAWS = {MAX_DRAWS}")
 
 
 def noiseless_deltas(scenario: Scenario):
@@ -212,7 +217,7 @@ def draw_solved_scenario(rng, n_sniffers: int = 3):
     (gradient determinant under MIN_CROSSING_DET); those layouts cannot be
     resolved from timing alone, regardless of solver quality.
     """
-    while True:
+    for _ in range(MAX_DRAWS):
         sc = draw_scenario(rng, n_sniffers)
         try:
             toa = run_toa(sc)
@@ -228,6 +233,7 @@ def draw_solved_scenario(rng, n_sniffers: int = 3):
                         sc.sniffers[0], sc.sniffers[1]) < MIN_CROSSING_DET:
             continue
         return sc, toa, tdoa_est
+    raise AssertionError(f"draw_solved_scenario: no acceptable draw in MAX_DRAWS = {MAX_DRAWS}")
 
 
 def draw_audited_instance(rng, sigma: float):
@@ -240,7 +246,7 @@ def draw_audited_instance(rng, sigma: float):
     exactly that annulus for the same cost, so the comparison is only
     well-posed for in-annulus, true-branch solutions.
     """
-    while True:
+    for _ in range(MAX_DRAWS):
         sc = draw_scenario(rng)
         if sc.ta_index > 1:
             continue
@@ -258,6 +264,7 @@ def draw_audited_instance(rng, sigma: float):
         if not lo <= distance(est.position, sc.enb) < hi:
             continue
         return sc, pairs, est
+    raise AssertionError(f"draw_audited_instance: no acceptable draw in MAX_DRAWS = {MAX_DRAWS}")
 
 
 def draw_solvable_scenario(rng, n_sniffers: int = 3) -> Scenario:
@@ -274,5 +281,4 @@ def numpy_summarize(samples) -> ErrorStats:
     arr = np.asarray(samples, dtype=float)
     return ErrorStats(mean=float(arr.mean()), rmse=float(math.sqrt(np.mean(arr ** 2))),
                       std=float(arr.std()), count=int(arr.size),
-                      cdf=tuple((float(e), (i + 1) / arr.size)
-                                for i, e in enumerate(np.sort(arr))))
+                      errors=tuple(np.sort(arr).tolist()))

@@ -100,7 +100,7 @@ def test_requires_pairs():
 def _noisy_pairs(rng, bands):
     """A random non-degenerate layout with the device in one of the TA
     ``bands``, and its pairs from deltas with 100 ns of noise."""
-    while True:
+    for _ in range(helpers.MAX_DRAWS):
         sc = helpers.draw_scenario(rng)
         if sc.ta_index not in bands:
             continue
@@ -111,6 +111,7 @@ def _noisy_pairs(rng, bands):
         if all(abs(p.delta_d) <= BASELINE_REJECT_FACTOR * distance(p.ref_sniffer, p.other_sniffer)
                for p in pairs):
             return sc, pairs
+    raise AssertionError(f"_noisy_pairs: no acceptable draw in MAX_DRAWS = {helpers.MAX_DRAWS}")
 
 
 def _grid_min(sc, pairs):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,7 +61,7 @@ def test_summarize_two_samples_by_hand():
     assert stats.rmse == pytest.approx(math.sqrt(12.5))
     assert stats.std == pytest.approx(0.5)
     assert stats.count == 2
-    assert stats.cdf == ((3.0, 0.5), (4.0, 1.0))
+    assert stats.errors == (3.0, 4.0)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -72,7 +74,7 @@ def test_summarize_matches_the_numpy_formulas(samples):
     # a mean one ulp apart moves a near-zero std by up to that ulp, so the
     # std's floor scales with the samples, not with the std itself
     assert got.std == pytest.approx(ref.std, rel=SUMMARY_REL, abs=SUMMARY_REL * ref.rmse)
-    assert (got.count, got.cdf) == (ref.count, ref.cdf)
+    assert (got.count, got.errors) == (ref.count, ref.errors)
 
 
 def test_summarize_does_not_overflow_near_the_float_limit():
@@ -92,7 +94,8 @@ def test_rmse_identity():
 
 def test_cdf_is_sorted_and_ends_at_one():
     stats = summarize([5.0, 1.0, 3.0])
-    assert stats.cdf == ((1.0, 1 / 3), (3.0, 2 / 3), (5.0, 1.0))
+    assert stats.errors == (1.0, 3.0, 5.0)
+    assert [cdf_quantile(stats, k / 3) for k in (1, 2, 3)] == [1.0, 3.0, 5.0]
 
 
 def test_quantiles_on_small_set():
@@ -102,6 +105,46 @@ def test_quantiles_on_small_set():
     assert cdf_quantile(stats, 0.8) == 4.0
     assert cdf_quantile(stats, 1.0) == 5.0
     assert cdf_quantile(stats, 1e-9) == 1.0
+
+
+def _reference_quantile(errors, probability: Fraction) -> float:
+    """The smallest sorted error whose exact step (i + 1)/n reaches ``probability``."""
+    n = len(errors)
+    return next(e for i, e in enumerate(sorted(errors)) if Fraction(i + 1, n) >= probability)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(min_value=0.0, max_value=1e150), min_size=1, max_size=200),
+       st.lists(st.tuples(st.integers(min_value=0), st.floats(min_value=0.0, max_value=1.0)),
+                min_size=1, max_size=10))
+def test_quantile_index_rule_matches_exact_steps(errors, offsets):
+    stats = summarize(errors)
+    n = stats.count
+    # on every step: p = k/n rounded to a float still means step k
+    for k in range(1, n + 1):
+        assert cdf_quantile(stats, k / n) == _reference_quantile(errors, Fraction(k, n))
+    # between steps, at least 1e-6 from either: the float p is taken exactly
+    gap = 1e-6 * n
+    for k, frac in offsets:
+        p = (k % n + gap + frac * (1.0 - 2.0 * gap)) / n
+        assert cdf_quantile(stats, p) == _reference_quantile(errors, Fraction(p))
+
+
+def test_summarize_memory_is_a_few_input_lists():
+    """The peak is a few copies of the input's pointer array, not a pair per error.
+
+    200 000 pointers take 1.6 MB.  The list copy, the deviations (new floats and
+    their tuple) and ``hypot``'s scratch doubles bring the peak to about 6 times
+    that; the bound is 8 times.
+    """
+    samples = np.random.default_rng(8).uniform(0.0, 100.0, 200_000).tolist()
+    tracemalloc.start()
+    try:
+        summarize(samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (8 * len(samples))
 
 
 def test_quantile_probability_domain():
